@@ -1,9 +1,10 @@
 """Dense vector index: exhaustive cosine search plus a navigable-graph ANN mode.
 
 Small corpora (below ``exact_threshold``) are searched exhaustively, which is
-both faster and exact. Larger corpora are served by a hierarchical
-small-world graph built at index time; construction is seeded so identical
-inputs produce identical graphs.
+both faster and exact. Larger corpora are served by a single-layer
+navigable graph built at index time in one batch: exact candidate lists,
+diversity pruning, reverse edges and a medoid entry point. The build uses no
+random numbers, so identical inputs produce identical graphs.
 
 All vectors are expected unit-norm (or all-zero), so cosine similarity is a
 dot product and cosine distance is 1 - dot.
@@ -12,15 +13,15 @@ dot product and cosine distance is 1 - dot.
 from __future__ import annotations
 
 import heapq
-import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmbedderFailure
 
-DEFAULT_M = 16               # graph neighbor degree (base layer uses 2M)
-DEFAULT_EF_CONSTRUCTION = 200
+DEFAULT_M = 16               # graph nodes keep at most 2M neighbors
+DEFAULT_EF_CONSTRUCTION = 200  # exact candidates per node before pruning
 DEFAULT_EF_SEARCH = 128
 DEFAULT_EXACT_THRESHOLD = 5_000
 
@@ -32,37 +33,34 @@ class AnnParams:
     ef_search: int = DEFAULT_EF_SEARCH
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD
     mode: str = "auto"       # auto | exact | ann
-    seed: int = 42
+    seed: int = 42           # recorded in index metadata; the build draws no random numbers
 
 
+@dataclass
 class _Graph:
-    """Layered neighbor graph; adjacency per (node, level)."""
+    """Single-layer neighbor graph: adjacency per node plus an entry point.
 
-    def __init__(self):
-        self.levels: list[int] = []                 # max level per node
-        self.adj: list[list[list[int]]] = []        # adj[node][level] -> neighbor ids
-        self.entry: int = -1
-        self.max_level: int = -1
+    The JSON form keeps the layered shape of earlier builds (``levels``,
+    ``adj[node][level]``, ``max_level``) with every node on level 0. A
+    layered graph from an earlier build loads as its level 0, which holds
+    every node and every base-layer edge.
+    """
 
-    def neighbors(self, node: int, level: int) -> list[int]:
-        return self.adj[node][level]
+    adj: list[list[int]] = field(default_factory=list)   # adj[node] -> neighbor ids
+    entry: int = -1
 
     def to_json(self) -> dict:
         return {
-            "levels": self.levels,
-            "adj": self.adj,
+            "levels": [0] * len(self.adj),
+            "adj": [[nbrs] for nbrs in self.adj],
             "entry": self.entry,
-            "max_level": self.max_level,
+            "max_level": 0 if self.adj else -1,
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "_Graph":
-        graph = cls()
-        graph.levels = [int(x) for x in data["levels"]]
-        graph.adj = [[list(map(int, lvl)) for lvl in node] for node in data["adj"]]
-        graph.entry = int(data["entry"])
-        graph.max_level = int(data["max_level"])
-        return graph
+        return cls(adj=[list(map(int, node[0])) for node in data["adj"]],
+                   entry=int(data["entry"]))
 
 
 @dataclass
@@ -143,87 +141,106 @@ def _search_exact(vectors: np.ndarray, query: np.ndarray, k: int) -> list[tuple[
 # Graph construction / search
 # ---------------------------------------------------------------------------
 
+_BLOCK_ENTRIES = 1 << 22     # similarity entries per candidate block (16 MB)
+
+
 def _build_graph(vectors: np.ndarray, params: AnnParams) -> _Graph:
+    """Batch-build one navigable layer (Vamana-style, as in DiskANN).
+
+    Each node's exact top-``ef_construction`` neighbors are diversity-pruned
+    to ``2*m``; reverse edges are added and over-full lists pruned again.
+    The medoid (the vector most similar to the mean) is the entry point, and
+    any node the entry cannot reach is linked from its nearest reached node.
+    """
     n = vectors.shape[0]
-    graph = _Graph()
-    rng = np.random.Generator(np.random.PCG64(params.seed))
-    ml = 1.0 / math.log(params.m)
-    m0 = 2 * params.m
+    if n < 2:
+        return _Graph(adj=[[] for _ in range(n)], entry=n - 1)
+    cap = 2 * params.m
+    width = min(params.ef_construction, n - 1)
+    block = max(1, _BLOCK_ENTRIES // n)
+    adj: list[list[int]] = []
+    for start in range(0, n, block):
+        sims = vectors[start:start + block] @ vectors.T
+        rows = np.arange(sims.shape[0])
+        sims[rows, start + rows] = -np.inf           # not its own neighbor
+        # width-th largest similarity per row; ties at it are cut by position
+        cutoffs = np.partition(sims, n - width, axis=1)[:, n - width]
+        for row, cutoff in zip(sims, cutoffs):
+            nodes = np.flatnonzero(row >= cutoff)
+            nodes = nodes[np.lexsort((nodes, -row[nodes]))[:width]]
+            ranked = list(zip((1.0 - row[nodes]).tolist(), nodes.tolist()))
+            adj.append(_select_neighbors(vectors, ranked, cap))
 
-    for node in range(n):
-        level = int(-math.log(max(rng.random(), 1e-300)) * ml)
-        graph.levels.append(level)
-        graph.adj.append([[] for _ in range(level + 1)])
-        if graph.entry < 0:
-            graph.entry = node
-            graph.max_level = level
+    members = [set(nbrs) for nbrs in adj]
+    for node, nbrs in enumerate([list(nbrs) for nbrs in adj]):
+        for nb in nbrs:
+            if node not in members[nb]:
+                members[nb].add(node)
+                adj[nb].append(node)
+    for node, nbrs in enumerate(adj):
+        if len(nbrs) > cap:
+            dists = 1.0 - vectors[nbrs] @ vectors[node]
+            adj[node] = _select_neighbors(vectors, sorted(zip(dists.tolist(), nbrs)), cap)
+
+    entry = int(np.argmax(vectors @ vectors.mean(axis=0)))
+    _connect(vectors, adj, entry, cap)
+    return _Graph(adj=adj, entry=entry)
+
+
+def _connect(vectors: np.ndarray, adj: list[list[int]], entry: int, cap: int) -> None:
+    """Make every node reachable from ``entry`` without exceeding ``cap``.
+
+    A breadth-first tree from the entry is kept intact: an unreached node is
+    linked from its most similar reached node, into a free slot or in place
+    of an edge that is not a tree edge, so no reached node is cut off.
+    """
+    parent = np.full(len(adj), -1)
+    parent[entry] = entry
+
+    def grow(root: int) -> None:
+        queue = deque([root])
+        while queue:
+            node = queue.popleft()
+            for nb in adj[node]:
+                if parent[nb] < 0:
+                    parent[nb] = node
+                    queue.append(nb)
+
+    grow(entry)
+    for node in np.flatnonzero(parent < 0).tolist():
+        if parent[node] >= 0:
             continue
-
-        q = vectors[node]
-        eps = [graph.entry]
-        for lvl in range(graph.max_level, level, -1):
-            eps = [_descend(vectors, graph, q, eps[0], lvl)]
-
-        for lvl in range(min(level, graph.max_level), -1, -1):
-            candidates = _search_layer(vectors, graph, q, eps, lvl,
-                                       params.ef_construction, node)
-            cap = m0 if lvl == 0 else params.m
-            chosen = _select_neighbors(vectors, candidates, cap)
-            graph.adj[node][lvl] = list(chosen)
-            for nb in chosen:
-                nb_list = graph.adj[nb][lvl]
-                nb_list.append(node)
-                if len(nb_list) > cap:
-                    dists = 1.0 - vectors[nb_list] @ vectors[nb]
-                    ranked = sorted(zip(dists.tolist(), nb_list))
-                    graph.adj[nb][lvl] = _select_neighbors(vectors, ranked, cap)
-            eps = [c for _, c in candidates]
-
-        if level > graph.max_level:
-            graph.entry = node
-            graph.max_level = level
-    return graph
+        reached = np.flatnonzero(parent >= 0)
+        sims = vectors[reached] @ vectors[node]
+        for src in reached[np.lexsort((reached, -sims))].tolist():
+            nbrs = adj[src]
+            if len(nbrs) < cap:
+                nbrs.append(node)
+                break
+            spare = [i for i, nb in enumerate(nbrs) if parent[nb] != src]
+            if spare:
+                nbrs[spare[-1]] = node
+                break
+        parent[node] = src
+        grow(node)
 
 
-def _descend(vectors: np.ndarray, graph: _Graph, q: np.ndarray, ep: int, level: int) -> int:
-    """Greedy walk to the locally nearest node at one level."""
-    best = ep
-    best_dist = 1.0 - float(vectors[ep] @ q)
-    improved = True
-    while improved:
-        improved = False
-        nbrs = graph.neighbors(best, level)
-        if not nbrs:
-            break
-        dists = 1.0 - vectors[nbrs] @ q
-        i = int(np.argmin(dists))
-        if dists[i] < best_dist:
-            best, best_dist = nbrs[i], float(dists[i])
-            improved = True
-    return best
-
-
-def _search_layer(vectors: np.ndarray, graph: _Graph, q: np.ndarray, eps: list[int],
-                  level: int, ef: int, exclude: int = -1) -> list[tuple[float, int]]:
-    """Beam search at one level; returns (distance, node) sorted ascending."""
+def _beam_search(vectors: np.ndarray, adj: list[list[int]], q: np.ndarray,
+                 entry: int, ef: int) -> list[tuple[float, int]]:
+    """Best-first search from ``entry`` keeping ``ef`` results; returns
+    (distance, node) sorted ascending."""
     push, pop = heapq.heappush, heapq.heappop
-    adj = graph.adj
-    visited = set(eps)
-    visited.add(exclude)
-    dists = 1.0 - vectors[eps] @ q
-    candidates = [(float(d), e) for d, e in zip(dists, eps)]
-    heapq.heapify(candidates)
-    best = [(-d, e) for d, e in candidates]   # max-heap of current results
-    heapq.heapify(best)
-    while len(best) > ef:
-        pop(best)
-    bound = -best[0][0] if len(best) >= ef else float("inf")
+    dist = float(1.0 - vectors[entry] @ q)
+    visited = {entry}
+    candidates = [(dist, entry)]
+    best = [(-dist, entry)]                  # max-heap of current results
+    bound = dist if ef == 1 else float("inf")
 
     while candidates:
         dist, node = pop(candidates)
         if dist > bound:
             break
-        nbrs = [nb for nb in adj[node][level] if nb not in visited]
+        nbrs = [nb for nb in adj[node] if nb not in visited]
         if not nbrs:
             continue
         visited.update(nbrs)
@@ -289,10 +306,7 @@ def _search_graph(index: DenseIndex, query: np.ndarray, k: int) -> list[tuple[in
     graph = index.graph
     assert graph is not None
     ef = max(index.params.ef_search, k)
-    ep = graph.entry
-    for lvl in range(graph.max_level, 0, -1):
-        ep = _descend(index.vectors, graph, query, ep, lvl)
-    ranked = _search_layer(index.vectors, graph, query, [ep], 0, ef)
+    ranked = _beam_search(index.vectors, graph.adj, query, graph.entry, ef)
     # re-rank by similarity desc with position tie-break to match exact mode
     hits = sorted(((1.0 - d, node) for d, node in ranked),
                   key=lambda item: (-item[0], item[1]))[:k]

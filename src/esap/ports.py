@@ -345,8 +345,6 @@ class SqliteExecutor:
         if not _SELECT_RE.match(bare):
             raise NonSelectRejected(
                 f"only SELECT statements are allowed, got: {bare.split()[0]!r}")
-        if ";" in bare:
-            raise NonSelectRejected("multiple SQL statements are not allowed")
 
         uri = f"file:{self.db_path}?mode=ro"
         started = time.perf_counter()
@@ -364,6 +362,12 @@ class SqliteExecutor:
             cursor = conn.execute(bare)
             rows = cursor.fetchmany(self.max_rows + 1)
             columns = tuple(d[0] for d in cursor.description or ())
+        except (sqlite3.ProgrammingError, sqlite3.Warning) as exc:
+            # the sqlite3 module refuses a second statement before running
+            # the first (ProgrammingError; older Pythons raise Warning)
+            if "one statement" not in str(exc):
+                raise SqlRuntimeError(str(exc)) from exc
+            raise NonSelectRejected("multiple SQL statements are not allowed") from exc
         except sqlite3.OperationalError as exc:
             message = str(exc)
             if "interrupted" in message.lower():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -120,3 +122,33 @@ def test_ann_results_sorted_and_unique():
     sims = [s for _, s in hits]
     assert len(set(positions)) == len(positions)
     assert sims == sorted(sims, reverse=True)
+
+
+def reachable(graph) -> set[int]:
+    seen = {graph.entry}
+    queue = deque(seen)
+    while queue:
+        for nb in graph.adj[queue.popleft()]:
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return seen
+
+
+def test_graph_shape_at_publish_size():
+    texts = make_clustered_texts(300, seed=11)
+    a = build(texts, mode="ann")
+    assert max(len(nbrs) for nbrs in a.graph.adj) <= 2 * AnnParams().m
+    assert reachable(a.graph) == set(range(len(texts)))
+    shape = a.graph.to_json()
+    assert shape["levels"] == [0] * len(texts) and shape["max_level"] == 0
+    assert shape == build(texts, mode="ann").graph.to_json()
+
+
+def test_graph_reaches_duplicates_beyond_candidate_width():
+    # 300 identical chunks: each one's candidates are the lowest positions of
+    # the group, so pruning alone leaves most of the group without in-edges
+    texts = ["same boilerplate footer"] * 300 + make_clustered_texts(100, seed=4)
+    index = build(texts, mode="ann", m=4, ef_construction=40)
+    assert max(len(nbrs) for nbrs in index.graph.adj) <= 8
+    assert reachable(index.graph) == set(range(len(texts)))

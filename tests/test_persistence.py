@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from esap.corpus import chunk_document
+from esap.dense import search_dense
 from esap.errors import CorruptIndex, FormatVersionMismatch
 from esap.hybrid import (
+    DENSE_MAGIC,
     HybridParams,
     build_hybrid,
     load_hybrid,
@@ -59,6 +62,56 @@ def test_ann_graph_survives_round_trip(tmp_path):
     loaded = load_hybrid(tmp_path)
     assert loaded.dense.mode == "ann"
     assert loaded.dense.graph.to_json() == index.dense.graph.to_json()
+
+
+def test_layered_graph_from_earlier_builds_is_served(tmp_path):
+    docs = [Document(doc_id=f"t-{i:03d}", version=1, text=text)
+            for i, text in enumerate(make_clustered_texts(300, seed=6))]
+    params = HybridParams(chunk_size=200, chunk_overlap=20)
+    params.ann.mode = "ann"
+    embed = HashingEmbedder()
+    index = build_hybrid([c for d in docs for c in chunk_document(d, size=200, overlap=20)],
+                         embed, {d.doc_id: ["*"] for d in docs}, params)
+    index_dir = save_hybrid(index, tmp_path)
+
+    # two levels, as the per-node HNSW build wrote them: every tenth node
+    # also sits on level 1 and the entry is a level-1 node
+    vectors = index.dense.vectors
+    n, m = vectors.shape[0], params.ann.m
+    sims = vectors @ vectors.T
+    np.fill_diagonal(sims, -np.inf)
+    upper = list(range(0, n, 10))
+    adj = []
+    for node in range(n):
+        layers = [np.argsort(-sims[node], kind="stable")[:2 * m].tolist()]
+        if node in upper:
+            layers.append(sorted(upper, key=lambda u: -sims[node, u])[:m])
+        adj.append(layers)
+    graph = {"levels": [1 if node in upper else 0 for node in range(n)],
+             "adj": adj, "entry": upper[-1], "max_level": 1}
+    header = json.dumps({"dim": int(vectors.shape[1]), "n": n, "mode": "ann",
+                         "graph": graph}).encode("utf-8")
+    dense_path = index_dir / "dense.bin"
+    dense_path.write_bytes(DENSE_MAGIC + len(header).to_bytes(8, "little")
+                           + header + vectors.tobytes())
+    meta_path = index_dir / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["checksums"]["dense.bin"] = hashlib.sha256(dense_path.read_bytes()).hexdigest()
+    meta_path.write_text(json.dumps(meta))
+
+    loaded = load_hybrid(tmp_path)
+    assert loaded.dense.graph.entry == upper[-1]
+    hit = 0
+    queries = embed(make_clustered_texts(50, seed=7))
+    for query in queries:
+        hits = search_dense(loaded.dense, query, 10)
+        positions = [pos for pos, _ in hits]
+        scores = [score for _, score in hits]
+        assert len(set(positions)) == len(positions) == 10
+        assert scores == sorted(scores, reverse=True)
+        truth = np.lexsort((np.arange(n), -(vectors @ query)))[:10]
+        hit += len(set(truth.tolist()) & set(positions))
+    assert hit / (10 * len(queries)) >= 0.95
 
 
 def test_save_is_byte_deterministic(tmp_path):

@@ -313,6 +313,13 @@ def test_statement_stacking_rejected(music_db):
             "SELECT 1; DELETE FROM chinook_track")
 
 
+def test_semicolon_inside_a_read_is_allowed(music_db):
+    ex = SqliteExecutor(music_db)
+    assert ex.execute("SELECT ';'").rows == ((";",),)
+    rows = ex.execute("SELECT group_concat(name, '; ') FROM chinook_track").rows
+    assert len(rows) == 1 and rows[0][0].count("; ") == 4
+
+
 def test_comments_stripped_before_gate(music_db):
     result = SqliteExecutor(music_db).execute(
         "/* lead */ SELECT 1 -- trailing\n")
