@@ -63,7 +63,6 @@ from .ports import (
     SqlResult,
     SqliteExecutor,
     chat_request,
-    execute_sql,
     introspect_schema,
     serialize_schema,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "chat_request",
     "chunk_count",
     "chunk_document",
-    "execute_sql",
     "fuse",
     "ingest_corpus",
     "interpret",

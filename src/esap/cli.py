@@ -343,7 +343,7 @@ def cmd_index(args, cfg: AppConfig) -> int:
     doc_acl = {doc.doc_id: sorted(doc.acl) for doc in docs}
     embed = HashingEmbedder()
     params = HybridParams(rrf_c=cfg.retrieval.rrf_c, chunk_size=size,
-                          chunk_overlap=overlap, ann=cfg.ann.to_params())
+                          chunk_overlap=overlap, ann=cfg.ann)
     index = build_hybrid(chunks, embed, doc_acl, params)
     index_dir = save_hybrid(index, cfg.kb)
     body = {

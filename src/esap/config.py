@@ -11,13 +11,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dense import (
-    DEFAULT_EF_CONSTRUCTION,
-    DEFAULT_EF_SEARCH,
-    DEFAULT_EXACT_THRESHOLD,
-    DEFAULT_M,
-    AnnParams,
-)
+from .dense import AnnParams
 from .errors import ConfigError
 from .hybrid import DEFAULT_GUARDS, DEFAULT_RRF_C, GuardRule
 from .ports import ENV_API_KEY, ENV_BASE_URL, ENV_MODEL
@@ -34,22 +28,6 @@ class RetrievalConfig:
     k: int = 50
     rrf_c: int = DEFAULT_RRF_C
     overfetch: int = 4
-
-
-@dataclass
-class AnnConfig:
-    m: int = DEFAULT_M
-    ef_c: int = DEFAULT_EF_CONSTRUCTION
-    ef_s: int = DEFAULT_EF_SEARCH
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD
-    mode: str = "auto"
-    seed: int = 42
-
-    def to_params(self) -> AnnParams:
-        return AnnParams(m=self.m, ef_construction=self.ef_c,
-                         ef_search=self.ef_s,
-                         exact_threshold=self.exact_threshold,
-                         mode=self.mode, seed=self.seed)
 
 
 @dataclass
@@ -79,7 +57,7 @@ class AppConfig:
     kb: str = "./kb"
     chunk: ChunkConfig = field(default_factory=ChunkConfig)
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
-    ann: AnnConfig = field(default_factory=AnnConfig)
+    ann: AnnParams = field(default_factory=AnnParams)
     ports: PortsConfig = field(default_factory=PortsConfig)
     thor: ThorConfig = field(default_factory=ThorConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
@@ -91,10 +69,7 @@ class AppConfig:
             "chunk": {"size": self.chunk.size, "overlap": self.chunk.overlap},
             "retrieval": {"k": self.retrieval.k, "rrf_c": self.retrieval.rrf_c,
                           "overfetch": self.retrieval.overfetch},
-            "ann": {"m": self.ann.m, "ef_c": self.ann.ef_c,
-                    "ef_s": self.ann.ef_s,
-                    "exact_threshold": self.ann.exact_threshold,
-                    "mode": self.ann.mode, "seed": self.ann.seed},
+            "ann": self.ann.to_json(),
             "ports": {"mode": self.ports.mode, "script": self.ports.script,
                       "api_key_env": self.ports.api_key_env,
                       "base_url_env": self.ports.base_url_env,
@@ -156,19 +131,19 @@ def config_from_dict(data: dict) -> AppConfig:
 
     if "ann" in data:
         sec = data["ann"]
-        _check_keys(sec, {"m", "ef_c", "ef_s", "exact_threshold", "mode",
-                          "seed"}, "ann")
-        cfg.ann.m = int(_typed(sec, "m", int, "ann", cfg.ann.m))
-        cfg.ann.ef_c = int(_typed(sec, "ef_c", int, "ann", cfg.ann.ef_c))
-        cfg.ann.ef_s = int(_typed(sec, "ef_s", int, "ann", cfg.ann.ef_s))
-        cfg.ann.exact_threshold = int(_typed(sec, "exact_threshold", int, "ann",
-                                             cfg.ann.exact_threshold))
-        mode = _typed(sec, "mode", str, "ann", cfg.ann.mode)
+        ann = cfg.ann.to_json()
+        _check_keys(sec, set(ann), "ann")
+        for key in ("m", "ef_c", "ef_s", "exact_threshold", "seed"):
+            ann[key] = int(_typed(sec, key, int, "ann", ann[key]))
+        for key in ("m", "ef_c", "ef_s"):
+            if ann[key] < 1:
+                raise ConfigError(f"config key ann.{key} must be >= 1")
+        mode = _typed(sec, "mode", str, "ann", ann["mode"])
         if mode not in ("auto", "exact", "ann"):
             raise ConfigError(f"config key ann.mode must be auto|exact|ann, "
                               f"got {mode!r}")
-        cfg.ann.mode = mode
-        cfg.ann.seed = int(_typed(sec, "seed", int, "ann", cfg.ann.seed))
+        ann["mode"] = mode
+        cfg.ann = AnnParams.from_json(ann)
 
     if "ports" in data:
         sec = data["ports"]

@@ -35,6 +35,19 @@ class AnnParams:
     mode: str = "auto"       # auto | exact | ann
     seed: int = 42           # recorded in index metadata; the build draws no random numbers
 
+    def to_json(self) -> dict:
+        """The ``ann`` section of config files, config echoes and index metadata."""
+        return {"m": self.m, "ef_c": self.ef_construction, "ef_s": self.ef_search,
+                "exact_threshold": self.exact_threshold, "mode": self.mode,
+                "seed": self.seed}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "AnnParams":
+        return cls(m=int(data["m"]), ef_construction=int(data["ef_c"]),
+                   ef_search=int(data["ef_s"]),
+                   exact_threshold=int(data["exact_threshold"]),
+                   mode=data["mode"], seed=int(data["seed"]))
+
 
 @dataclass
 class _Graph:

@@ -3,11 +3,12 @@
 A built index is a self-contained directory:
 
     index/meta.json     parameters, format version, checksums
-    index/lexical.bin   gzip JSON: postings, chunk table, document ACLs
+    index/lexical.bin   gzip JSON: chunk table and document ACLs
     index/dense.bin     magic + JSON header (graph) + raw float32 vectors
 
-Checksums are verified on load; any mismatch refuses the index rather than
-serving silently wrong results.
+The BM25 index is a pure function of the chunk table and k1/b, so it is not
+stored: loading rebuilds it. Checksums are verified on load; any mismatch
+refuses the index rather than serving silently wrong results.
 """
 
 from __future__ import annotations
@@ -191,10 +192,6 @@ def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     lexical_payload = {
-        "postings": index.lexical.postings,      # (chunk_id, tf) tuples encode as arrays
-        "chunk_lengths": index.lexical.chunk_lengths,
-        "k1": index.lexical.k1,
-        "b": index.lexical.b,
         "chunks": [
             {
                 "chunk_id": c.chunk_id,
@@ -237,14 +234,7 @@ def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
         "k1": index.params.k1,
         "b": index.params.b,
         "rrf_c": index.params.rrf_c,
-        "ann": {
-            "m": index.params.ann.m,
-            "ef_c": index.params.ann.ef_construction,
-            "ef_s": index.params.ann.ef_search,
-            "exact_threshold": index.params.ann.exact_threshold,
-            "mode": index.params.ann.mode,
-            "seed": index.params.ann.seed,
-        },
+        "ann": index.params.ann.to_json(),
         "chunk": {"size": index.params.chunk_size,
                   "overlap": index.params.chunk_overlap},
         "checksums": {
@@ -286,27 +276,15 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
 
     with gzip.open(in_dir / "lexical.bin", "rb") as gz:
         lex = json.loads(gz.read().decode("utf-8"))
-    chunks = {}
-    chunk_ids = []
-    for row in lex["chunks"]:
-        chunk = Chunk(chunk_id=row["chunk_id"], doc_id=row["doc_id"],
-                      version=row["version"],
-                      token_span=tuple(row["token_span"]),
-                      text=row["text"], size_tokens=row["size_tokens"])
-        chunks[chunk.chunk_id] = chunk
-        chunk_ids.append(chunk.chunk_id)
-    chunk_lengths = {cid: int(n) for cid, n in lex["chunk_lengths"].items()}
-    n_chunks = len(chunk_lengths)
-    avgdl = (sum(chunk_lengths.values()) / n_chunks) if n_chunks else 0.0
-    lexical = LexicalIndex(
-        postings={t: [(cid, int(tf)) for cid, tf in plist]
-                  for t, plist in lex["postings"].items()},
-        chunk_lengths=chunk_lengths,
-        n_chunks=n_chunks,
-        avgdl=avgdl,
-        k1=float(lex["k1"]),
-        b=float(lex["b"]),
-    )
+    # files written before the BM25 state was dropped also hold postings,
+    # chunk_lengths, k1 and b; they are ignored
+    ordered = [Chunk(chunk_id=row["chunk_id"], doc_id=row["doc_id"],
+                     version=row["version"],
+                     token_span=tuple(row["token_span"]),
+                     text=row["text"], size_tokens=row["size_tokens"])
+               for row in lex["chunks"]]
+    k1, b = float(meta["k1"]), float(meta["b"])
+    lexical = build_lexical(ordered, k1=k1, b=b)
 
     with open(in_dir / "dense.bin", "rb") as fh:
         magic = fh.read(len(DENSE_MAGIC))
@@ -322,20 +300,15 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
             f"dense.bin payload is {len(payload)} bytes, expected {expected_bytes}")
     vectors = np.frombuffer(payload, dtype=np.float32).reshape(n, dim).copy()
 
-    raw_ann = meta["ann"]
-    ann = AnnParams(m=int(raw_ann["m"]),
-                    ef_construction=int(raw_ann["ef_c"]),
-                    ef_search=int(raw_ann["ef_s"]),
-                    exact_threshold=int(raw_ann["exact_threshold"]),
-                    mode=raw_ann["mode"],
-                    seed=int(raw_ann["seed"]))
+    ann = AnnParams.from_json(meta["ann"])
     graph = _Graph.from_json(header["graph"]) if header.get("graph") else None
     dense = DenseIndex(vectors=vectors, dim=dim, params=ann,
                        mode=header["mode"], graph=graph)
-    params = HybridParams(k1=float(meta["k1"]), b=float(meta["b"]),
-                          rrf_c=int(meta["rrf_c"]),
+    params = HybridParams(k1=k1, b=b, rrf_c=int(meta["rrf_c"]),
                           chunk_size=int(meta["chunk"]["size"]),
                           chunk_overlap=int(meta["chunk"]["overlap"]),
                           ann=ann)
-    return HybridIndex(lexical=lexical, dense=dense, chunk_ids=chunk_ids,
-                       chunks=chunks, doc_acl=lex["doc_acl"], params=params)
+    return HybridIndex(lexical=lexical, dense=dense,
+                       chunk_ids=[c.chunk_id for c in ordered],
+                       chunks={c.chunk_id: c for c in ordered},
+                       doc_acl=lex["doc_acl"], params=params)

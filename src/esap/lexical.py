@@ -39,13 +39,12 @@ def build_lexical(chunks: list[Chunk], k1: float = DEFAULT_K1, b: float = DEFAUL
         raise EmptyCorpus("cannot build a lexical index over zero chunks")
     postings: dict[str, list[tuple[str, int]]] = {}
     chunk_lengths: dict[str, int] = {}
-    for chunk in chunks:
+    # posting lists come out sorted by chunk_id because chunks go in that order
+    for chunk in sorted(chunks, key=lambda c: c.chunk_id):
         terms = token_texts(chunk.text)
         chunk_lengths[chunk.chunk_id] = len(terms)
         for term, tf in Counter(terms).items():
             postings.setdefault(term, []).append((chunk.chunk_id, tf))
-    for plist in postings.values():
-        plist.sort(key=lambda entry: entry[0])
     n = len(chunks)
     avgdl = sum(chunk_lengths.values()) / n
     return LexicalIndex(postings, chunk_lengths, n, avgdl, k1, b)

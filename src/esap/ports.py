@@ -390,11 +390,6 @@ class SqliteExecutor:
                          duration_ms=(time.perf_counter() - started) * 1000.0)
 
 
-def execute_sql(statement: str, executor: SqliteExecutor) -> SqlResult:
-    """Run one read-only statement through an executor."""
-    return executor.execute(statement)
-
-
 @dataclass
 class SchemaColumn:
     name: str

@@ -105,6 +105,13 @@ def test_ann_config_to_params():
     cfg = config_from_dict({"ann": {"m": 8, "ef_c": 100, "ef_s": 64,
                                     "exact_threshold": 99, "mode": "exact",
                                     "seed": 7}})
-    params = cfg.ann.to_params()
-    assert (params.m, params.ef_construction, params.ef_search) == (8, 100, 64)
-    assert (params.exact_threshold, params.mode, params.seed) == (99, "exact", 7)
+    assert (cfg.ann.m, cfg.ann.ef_construction, cfg.ann.ef_search) == (8, 100, 64)
+    assert (cfg.ann.exact_threshold, cfg.ann.mode, cfg.ann.seed) == (99, "exact", 7)
+
+
+def test_ann_sizes_must_be_positive():
+    for key in ("m", "ef_c", "ef_s"):
+        with pytest.raises(ConfigError, match=f"ann.{key} must be >= 1"):
+            config_from_dict({"ann": {key: 0, "mode": "ann"}})
+    cfg = config_from_dict({"ann": {"m": 1, "ef_c": 1, "ef_s": 1}})
+    assert (cfg.ann.m, cfg.ann.ef_construction, cfg.ann.ef_search) == (1, 1, 1)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gzip
 import hashlib
 import json
 
@@ -22,21 +23,22 @@ from esap.synthetic import make_clustered_texts, make_toy_kb_documents
 from esap.corpus import Document
 
 
-def build_index(ann_mode: str = "auto"):
+def build_index(ann_mode: str = "auto", **bm25):
     docs = make_toy_kb_documents()
     chunks = []
     for doc in docs:
         chunks.extend(chunk_document(doc, size=30, overlap=5))
-    params = HybridParams(chunk_size=30, chunk_overlap=5)
+    params = HybridParams(chunk_size=30, chunk_overlap=5, **bm25)
     params.ann.mode = ann_mode
     return build_hybrid(chunks, HashingEmbedder(),
                         {doc.doc_id: ["*"] for doc in docs}, params)
 
 
 def test_round_trip_preserves_search_results(tmp_path):
-    index = build_index()
+    index = build_index(k1=1.6, b=0.4)
     save_hybrid(index, tmp_path)
     loaded = load_hybrid(tmp_path)
+    assert loaded.lexical == index.lexical
     embed = HashingEmbedder()
     for query in ("red apple", "shipping cherries", "refund policy"):
         a = search_hybrid(index, query, embed, k=4)
@@ -46,6 +48,31 @@ def test_round_trip_preserves_search_results(tmp_path):
     assert np.array_equal(index.dense.vectors, loaded.dense.vectors)
     assert loaded.params.chunk_size == 30
     assert loaded.doc_acl == index.doc_acl
+
+
+def test_lexical_file_from_earlier_builds_is_served(tmp_path):
+    index = build_index()
+    index_dir = save_hybrid(index, tmp_path)
+    embed = HashingEmbedder()
+    queries = ("red apple", "shipping cherries", "refund policy")
+    fresh = [search_hybrid(load_hybrid(tmp_path), q, embed, k=4) for q in queries]
+
+    # earlier builds also stored the BM25 postings, chunk lengths and k1/b
+    lexical_path = index_dir / "lexical.bin"
+    payload = json.loads(gzip.decompress(lexical_path.read_bytes()))
+    assert set(payload) == {"chunks", "doc_acl"}
+    payload.update(postings=index.lexical.postings,
+                   chunk_lengths=index.lexical.chunk_lengths,
+                   k1=index.lexical.k1, b=index.lexical.b)
+    lexical_path.write_bytes(gzip.compress(json.dumps(payload).encode("utf-8")))
+    meta_path = index_dir / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["checksums"]["lexical.bin"] = hashlib.sha256(lexical_path.read_bytes()).hexdigest()
+    meta_path.write_text(json.dumps(meta))
+
+    loaded = load_hybrid(tmp_path)
+    assert loaded.lexical == index.lexical
+    assert [search_hybrid(loaded, q, embed, k=4) for q in queries] == fresh
 
 
 def test_ann_graph_survives_round_trip(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -366,13 +368,13 @@ def test_timeout_interrupts(music_db):
 def test_database_write_protected(music_db, tmp_path):
     import hashlib
     import sqlite3
-    before = hashlib.sha256(open(music_db, "rb").read()).hexdigest()
+    before = hashlib.sha256(Path(music_db).read_bytes()).hexdigest()
     # even bypassing the gate, the read-only connection must refuse writes
     conn = sqlite3.connect(f"file:{music_db}?mode=ro", uri=True)
     with pytest.raises(sqlite3.OperationalError):
         conn.execute("DELETE FROM chinook_track")
     conn.close()
-    assert hashlib.sha256(open(music_db, "rb").read()).hexdigest() == before
+    assert hashlib.sha256(Path(music_db).read_bytes()).hexdigest() == before
 
 
 # ---------------------------------------------------------------------------
