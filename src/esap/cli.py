@@ -131,8 +131,8 @@ def build_parser() -> _Parser:
     common.add_argument("--pretty", action="store_true",
                         help="human-readable output instead of JSON")
     common.add_argument("--seed", type=int, default=None,
-                        help="ann.seed: accepted and echoed; graph "
-                             "construction no longer uses it")
+                        help="ann.seed: accepted, echoed and recorded; "
+                             "dense search is exact and uses no seed")
 
     parser = _Parser(
         prog="esap",

@@ -4,11 +4,14 @@ A built index is a self-contained directory:
 
     index/meta.json     parameters, format version, checksums
     index/lexical.bin   gzip JSON: chunk table and document ACLs
-    index/dense.bin     magic + JSON header (graph) + raw float32 vectors
+    index/dense.bin     magic + JSON header (dim, n) + raw float32 vectors
 
 The BM25 index is a pure function of the chunk table and k1/b, so it is not
-stored: loading rebuilds it. Checksums are verified on load; any mismatch
-refuses the index rather than serving silently wrong results.
+stored: loading rebuilds it. The dense header keeps ``"mode": "exact"`` and
+``"graph": null`` for the format version 1 shape; a graph stored by an
+earlier build is ignored and the index is searched exactly. Checksums are
+verified on load; any mismatch refuses the index rather than serving
+silently wrong results.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Chunk
-from .dense import AnnParams, DenseIndex, _Graph, build_dense_from_texts, search_dense
+from .dense import AnnParams, DenseIndex, build_dense_from_texts, search_dense
 from .errors import CorruptIndex, EmptyCorpus, EmptyIndex, FormatVersionMismatch
 from .lexical import LexicalIndex, build_lexical, search_lexical
 
@@ -217,8 +220,8 @@ def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
     dense_header = {
         "dim": index.dense.dim,
         "n": int(index.dense.vectors.shape[0]),
-        "mode": index.dense.mode,
-        "graph": index.dense.graph.to_json() if index.dense.graph else None,
+        "mode": "exact",
+        "graph": None,
     }
     header_bytes = json.dumps(dense_header, separators=(",", ":")).encode("utf-8")
     dense_path = out_dir / "dense.bin"
@@ -301,9 +304,7 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
     vectors = np.frombuffer(payload, dtype=np.float32).reshape(n, dim).copy()
 
     ann = AnnParams.from_json(meta["ann"])
-    graph = _Graph.from_json(header["graph"]) if header.get("graph") else None
-    dense = DenseIndex(vectors=vectors, dim=dim, params=ann,
-                       mode=header["mode"], graph=graph)
+    dense = DenseIndex(vectors=vectors, dim=dim, params=ann)
     params = HybridParams(k1=k1, b=b, rrf_c=int(meta["rrf_c"]),
                           chunk_size=int(meta["chunk"]["size"]),
                           chunk_overlap=int(meta["chunk"]["overlap"]),

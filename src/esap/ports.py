@@ -7,6 +7,7 @@ first-class citizens so every pipeline can run deterministically offline.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import sqlite3
@@ -262,6 +263,18 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
+# memoized (token, dim) pairs: above the 38,774-term vocabulary of the
+# search benchmark's corpus, and bounded so a long-lived process stops growing
+_TOKEN_SLOT_CACHE = 1 << 17
+
+
+@functools.lru_cache(maxsize=_TOKEN_SLOT_CACHE)
+def _token_slot(token: str, dim: int) -> tuple[int, float]:
+    """Coordinate and sign of one token: FNV-1a 64 modulo dim, sign from the top bit."""
+    h = _fnv1a64(token.encode("utf-8"))
+    return h % dim, 1.0 if (h >> 63) == 0 else -1.0
+
+
 class HashingEmbedder:
     """Deterministic feature-hashing embedder; no model weights required.
 
@@ -274,21 +287,16 @@ class HashingEmbedder:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
-        self._token_cache: dict[str, tuple[int, float]] = {}
 
     def embed(self, texts: list[str]) -> np.ndarray:
         from .tokenizer import token_texts
-        cache = self._token_cache
-        out = np.zeros((len(texts), self.dim), dtype=np.float32)
+        dim = self.dim
+        out = np.zeros((len(texts), dim), dtype=np.float32)
         for row, text in enumerate(texts):
             vec = out[row]
             for token in token_texts(text):
-                slot = cache.get(token)
-                if slot is None:
-                    h = _fnv1a64(token.encode("utf-8"))
-                    slot = (h % self.dim, 1.0 if (h >> 63) == 0 else -1.0)
-                    cache[token] = slot
-                vec[slot[0]] += slot[1]
+                slot, sign = _token_slot(token, dim)
+                vec[slot] += sign
             norm = float(np.linalg.norm(vec))
             if norm > 0.0:
                 vec /= norm

@@ -4,7 +4,7 @@ The planted-evidence generator writes one document per question whose
 marker tokens appear nowhere else, so the correct chunk is the unique
 best hit for both retrievers and Recall@1 is 100% by construction. The
 clustered generator produces texts with topic-level vocabulary overlap,
-giving approximate search a realistic neighbor structure.
+giving dense search a realistic neighbor structure.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def make_clustered_texts(n_texts: int, seed: int = 42,
     """Texts drawn mostly from one topic's vocabulary, plus common glue.
 
     Same-topic texts share many tokens, so they embed near each other and
-    approximate search has genuine neighborhoods to navigate.
+    dense search has genuine neighborhoods to rank.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     common = [f"c{j}" for j in range(60)]

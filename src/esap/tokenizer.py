@@ -30,5 +30,10 @@ def tokenize(text: str) -> list[Token]:
 
 
 def token_texts(text: str) -> list[str]:
-    """Lowercased token strings only (the common case for scoring/metrics)."""
-    return [m.group(0).lower() for m in _TOKEN_RE.finditer(text)]
+    """Lowercased token strings only (the common case for scoring/metrics).
+
+    Each token is lowercased after the split, as in ``tokenize``: lowering
+    the text first would turn "İ" into "i" plus a combining dot, which the
+    pattern does not match.
+    """
+    return [t.lower() for t in _TOKEN_RE.findall(text)]

@@ -75,22 +75,6 @@ def test_lexical_file_from_earlier_builds_is_served(tmp_path):
     assert [search_hybrid(loaded, q, embed, k=4) for q in queries] == fresh
 
 
-def test_ann_graph_survives_round_trip(tmp_path):
-    docs = [Document(doc_id=f"t-{i:03d}", version=1, text=text)
-            for i, text in enumerate(make_clustered_texts(80, seed=3))]
-    chunks = []
-    for doc in docs:
-        chunks.extend(chunk_document(doc, size=30, overlap=5))
-    params = HybridParams(chunk_size=30, chunk_overlap=5)
-    params.ann.mode = "ann"
-    index = build_hybrid(chunks, HashingEmbedder(),
-                         {d.doc_id: ["*"] for d in docs}, params)
-    save_hybrid(index, tmp_path)
-    loaded = load_hybrid(tmp_path)
-    assert loaded.dense.mode == "ann"
-    assert loaded.dense.graph.to_json() == index.dense.graph.to_json()
-
-
 def test_layered_graph_from_earlier_builds_is_served(tmp_path):
     docs = [Document(doc_id=f"t-{i:03d}", version=1, text=text)
             for i, text in enumerate(make_clustered_texts(300, seed=6))]
@@ -100,45 +84,44 @@ def test_layered_graph_from_earlier_builds_is_served(tmp_path):
     index = build_hybrid([c for d in docs for c in chunk_document(d, size=200, overlap=20)],
                          embed, {d.doc_id: ["*"] for d in docs}, params)
     index_dir = save_hybrid(index, tmp_path)
+    blob = (index_dir / "dense.bin").read_bytes()
+    start = len(DENSE_MAGIC) + 8
+    header = json.loads(blob[start:start + int.from_bytes(blob[start - 8:start], "little")])
+    assert (header["mode"], header["graph"]) == ("exact", None)
 
-    # two levels, as the per-node HNSW build wrote them: every tenth node
-    # also sits on level 1 and the entry is a level-1 node
     vectors = index.dense.vectors
     n, m = vectors.shape[0], params.ann.m
     sims = vectors @ vectors.T
     np.fill_diagonal(sims, -np.inf)
+    base = [np.argsort(-sims[node], kind="stable")[:2 * m].tolist() for node in range(n)]
+    # two levels, as the per-node HNSW build wrote them (every tenth node
+    # also on level 1), and one level, as the batch build wrote them
     upper = list(range(0, n, 10))
-    adj = []
-    for node in range(n):
-        layers = [np.argsort(-sims[node], kind="stable")[:2 * m].tolist()]
-        if node in upper:
-            layers.append(sorted(upper, key=lambda u: -sims[node, u])[:m])
-        adj.append(layers)
-    graph = {"levels": [1 if node in upper else 0 for node in range(n)],
-             "adj": adj, "entry": upper[-1], "max_level": 1}
-    header = json.dumps({"dim": int(vectors.shape[1]), "n": n, "mode": "ann",
-                         "graph": graph}).encode("utf-8")
-    dense_path = index_dir / "dense.bin"
-    dense_path.write_bytes(DENSE_MAGIC + len(header).to_bytes(8, "little")
-                           + header + vectors.tobytes())
-    meta_path = index_dir / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    meta["checksums"]["dense.bin"] = hashlib.sha256(dense_path.read_bytes()).hexdigest()
-    meta_path.write_text(json.dumps(meta))
-
-    loaded = load_hybrid(tmp_path)
-    assert loaded.dense.graph.entry == upper[-1]
-    hit = 0
+    layered = {"levels": [1 if node in upper else 0 for node in range(n)],
+               "adj": [[nbrs, sorted(upper, key=lambda u: -sims[node, u])[:m]]
+                       if node in upper else [nbrs] for node, nbrs in enumerate(base)],
+               "entry": upper[-1], "max_level": 1}
+    single = {"levels": [0] * n, "adj": [[nbrs] for nbrs in base],
+              "entry": 0, "max_level": 0}
     queries = embed(make_clustered_texts(50, seed=7))
-    for query in queries:
-        hits = search_dense(loaded.dense, query, 10)
-        positions = [pos for pos, _ in hits]
-        scores = [score for _, score in hits]
-        assert len(set(positions)) == len(positions) == 10
-        assert scores == sorted(scores, reverse=True)
-        truth = np.lexsort((np.arange(n), -(vectors @ query)))[:10]
-        hit += len(set(truth.tolist()) & set(positions))
-    assert hit / (10 * len(queries)) >= 0.95
+    for graph in (layered, single):
+        header = json.dumps({"dim": int(vectors.shape[1]), "n": n, "mode": "ann",
+                             "graph": graph}).encode("utf-8")
+        dense_path = index_dir / "dense.bin"
+        dense_path.write_bytes(DENSE_MAGIC + len(header).to_bytes(8, "little")
+                               + header + vectors.tobytes())
+        meta_path = index_dir / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["checksums"]["dense.bin"] = hashlib.sha256(dense_path.read_bytes()).hexdigest()
+        meta_path.write_text(json.dumps(meta))
+
+        loaded = load_hybrid(tmp_path)
+        assert loaded.dense.mode == "exact"
+        assert np.array_equal(loaded.dense.vectors, vectors)
+        for query in queries:
+            positions = [pos for pos, _ in search_dense(loaded.dense, query, 10)]
+            truth = np.lexsort((np.arange(n), -(vectors @ query)))[:10]
+            assert positions == truth.tolist()
 
 
 def test_save_is_byte_deterministic(tmp_path):

@@ -23,7 +23,9 @@ from esap.ports import (
     HttpChatModel,
     ScriptedModel,
     SqliteExecutor,
+    _TOKEN_SLOT_CACHE,
     _fnv1a64,
+    _token_slot,
     chat_request,
     introspect_schema,
     serialize_schema,
@@ -164,6 +166,24 @@ def test_embedder_single_token_coordinates():
     expected = np.zeros(dim, dtype=np.float32)
     expected[h % dim] = 1.0 if (h >> 63) == 0 else -1.0
     assert np.array_equal(vec, expected)
+
+
+def test_embedder_token_cache_is_bounded():
+    dim = 64
+    texts = [" ".join(f"bound{row}x{col}" for col in range(10))
+             for row in range(_TOKEN_SLOT_CACHE // 10 + 100)]
+    embed = HashingEmbedder(dim)
+    vectors = embed(texts)
+    assert _token_slot.cache_info().currsize <= _TOKEN_SLOT_CACHE
+    expected = np.zeros((len(texts), dim), dtype=np.float32)
+    for row, text in enumerate(texts):
+        for token in text.split():
+            h = _fnv1a64(token.encode("utf-8"))
+            expected[row, h % dim] += 1.0 if (h >> 63) == 0 else -1.0
+        expected[row] /= np.linalg.norm(expected[row])
+    assert np.array_equal(vectors, expected)
+    # the first texts' tokens were evicted and are hashed again
+    assert np.array_equal(embed(texts[:50]), expected[:50])
 
 
 def test_embedder_dim_validation():

@@ -40,3 +40,14 @@ def test_spans_are_disjoint_and_ordered():
 
 def test_token_is_value_like():
     assert Token(text="ab", start=0, end=2) == Token(text="ab", start=0, end=2)
+
+
+def test_token_texts_match_tokenize_on_unicode():
+    # "İ" lowercases to "i" plus a combining dot, "ǅ" is titlecase, "ß" and
+    # "Σ" change under case mapping, U+0301 is a combining mark
+    rng = random.Random(11)
+    alphabet = "İßΣσǅ́_09aZ .-"
+    for _ in range(2000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 30)))
+        assert token_texts(text) == [t.text for t in tokenize(text)], text
+    assert token_texts("İstanbul") == ["i̇stanbul"]
