@@ -38,7 +38,7 @@ for attempt in result.log.attempts:
 print(f"\nnarrative: {result.insight.narrative}")
 print(f"key values: {result.insight.key_values}")
 
-# the gate rejects anything that is not a single SELECT
+# the gate rejects anything that is not a single read
 from esap.errors import NonSelectRejected
 
 try:

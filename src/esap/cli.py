@@ -1,7 +1,8 @@
 """Command-line surface: ingest, index, query, ask, sql, eval commands.
 
 Exit codes: 0 success, 1 user/config error, 2 data error, 3 external-port
-error. Every failure prints a single JSON line to stderr.
+error; each error type carries its code (``esap.errors``). Every failure
+prints a single JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -16,34 +17,7 @@ from . import __version__
 from .config import AppConfig, load_config
 from .corpus import VersionStore, chunk_document, ingest_corpus
 from .derek import DerekPipeline
-from .errors import (
-    ConfigError,
-    CorpusFormatError,
-    CorruptIndex,
-    DatasetFormatError,
-    DimensionMismatch,
-    EmbedderFailure,
-    EmptyCorpus,
-    EmptyIndex,
-    EmptyResult,
-    EsapError,
-    EvidenceNotFound,
-    FormatVersionMismatch,
-    InvalidChunkConfig,
-    MissingGold,
-    ModelRefusal,
-    NoContext,
-    NonSelectRejected,
-    RunsFormatError,
-    ScriptExhausted,
-    SqlRuntimeError,
-    SqlSyntaxError,
-    SqlTimeout,
-    StoreWriteError,
-    ThorFailed,
-    TransportError,
-    VersionNotFound,
-)
+from .errors import ConfigError, EsapError
 from .evaluation import (
     read_qa_jsonl,
     read_runs_jsonl,
@@ -66,36 +40,6 @@ from .tokenizer import token_texts
 
 EXIT_OK = 0
 EXIT_USER = 1
-EXIT_DATA = 2
-EXIT_PORT = 3
-
-_DATA_ERRORS = (
-    CorpusFormatError,
-    DatasetFormatError,
-    RunsFormatError,
-    CorruptIndex,
-    FormatVersionMismatch,
-    VersionNotFound,
-    EmptyCorpus,
-    EmptyIndex,
-    NoContext,
-    EvidenceNotFound,
-    StoreWriteError,
-    DimensionMismatch,
-    EmbedderFailure,
-    EmptyResult,
-    MissingGold,
-)
-_PORT_ERRORS = (
-    TransportError,
-    ModelRefusal,
-    ScriptExhausted,
-    SqlTimeout,
-    SqlSyntaxError,
-    SqlRuntimeError,
-    NonSelectRejected,
-    ThorFailed,
-)
 
 
 class _UsageError(Exception):
@@ -530,15 +474,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         return _COMMANDS[args.command](args, cfg)
-    except _PORT_ERRORS as exc:
-        return _fail(type(exc).__name__, str(exc), EXIT_PORT)
-    except _DATA_ERRORS as exc:
-        return _fail(type(exc).__name__, str(exc), EXIT_DATA)
-    except (ConfigError, InvalidChunkConfig, ValueError) as exc:
-        return _fail(type(exc).__name__, str(exc), EXIT_USER)
     except EsapError as exc:
-        return _fail(type(exc).__name__, str(exc), EXIT_USER)
-    except OSError as exc:
+        return _fail(type(exc).__name__, str(exc), exc.exit_code)
+    except (ValueError, OSError) as exc:
         return _fail(type(exc).__name__, str(exc), EXIT_USER)
 
 

@@ -2,7 +2,21 @@
 
 
 class EsapError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``exit_code`` is the CLI's exit status."""
+
+    exit_code = 1    # user or configuration error
+
+
+class DataError(EsapError):
+    """The input data, a stored corpus or an index is unusable."""
+
+    exit_code = 2
+
+
+class PortError(EsapError):
+    """A model, transport or SQL port failed."""
+
+    exit_code = 3
 
 
 # corpus / version store
@@ -10,104 +24,104 @@ class InvalidChunkConfig(EsapError):
     pass
 
 
-class StoreWriteError(EsapError):
+class StoreWriteError(DataError):
     pass
 
 
-class VersionNotFound(EsapError):
+class VersionNotFound(DataError):
     pass
 
 
-class CorpusFormatError(EsapError):
+class CorpusFormatError(DataError):
     pass
 
 
 # index
-class EmptyCorpus(EsapError):
+class EmptyCorpus(DataError):
     pass
 
 
-class EmbedderFailure(EsapError):
+class EmbedderFailure(DataError):
     def __init__(self, message: str, chunk_id: str | None = None):
         super().__init__(message)
         self.chunk_id = chunk_id
 
 
-class DimensionMismatch(EsapError):
+class DimensionMismatch(DataError):
     pass
 
 
-class FormatVersionMismatch(EsapError):
+class FormatVersionMismatch(DataError):
     pass
 
 
-class CorruptIndex(EsapError):
+class CorruptIndex(DataError):
     pass
 
 
 # ports
-class ScriptExhausted(EsapError):
+class ScriptExhausted(PortError):
     pass
 
 
-class TransportError(EsapError):
+class TransportError(PortError):
     pass
 
 
-class ModelRefusal(EsapError):
+class ModelRefusal(PortError):
     pass
 
 
-class SqlSyntaxError(EsapError):
+class SqlSyntaxError(PortError):
     pass
 
 
-class SqlRuntimeError(EsapError):
+class SqlRuntimeError(PortError):
     pass
 
 
-class SqlTimeout(EsapError):
+class SqlTimeout(PortError):
     pass
 
 
-class NonSelectRejected(EsapError):
+class NonSelectRejected(PortError):
     pass
 
 
 # answer pipeline
-class EmptyIndex(EsapError):
+class EmptyIndex(DataError):
     pass
 
 
-class NoContext(EsapError):
+class NoContext(DataError):
     pass
 
 
 # sql agent
-class EmptyResult(EsapError):
+class EmptyResult(DataError):
     pass
 
 
-class ThorFailed(EsapError):
+class ThorFailed(PortError):
     def __init__(self, message: str, log=None):
         super().__init__(message)
         self.log = log
 
 
 # evaluation
-class EvidenceNotFound(EsapError):
+class EvidenceNotFound(DataError):
     pass
 
 
-class DatasetFormatError(EsapError):
+class DatasetFormatError(DataError):
     pass
 
 
-class RunsFormatError(EsapError):
+class RunsFormatError(DataError):
     pass
 
 
-class MissingGold(EsapError):
+class MissingGold(DataError):
     pass
 
 

@@ -12,6 +12,7 @@ import os
 import re
 import sqlite3
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -322,22 +323,21 @@ class SqlResult:
         return len(self.rows)
 
 
-_SELECT_RE = re.compile(r"^\s*(SELECT|WITH)\b", re.IGNORECASE)
-
-
-def _strip_sql(sql: str) -> str:
-    """Remove comments and collapse to the bare statement for gate checks."""
-    no_block = re.sub(r"/\*.*?\*/", " ", sql, flags=re.DOTALL)
-    no_line = re.sub(r"--[^\n]*", " ", no_block)
-    return no_line.strip().rstrip(";").strip()
+# authorizer actions a statement may take: everything else is denied
+_READ_ACTIONS = frozenset((sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
+                           sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE))
 
 
 class SqliteExecutor:
-    """Read-only SQLite executor with a statement gate and row/time budgets.
+    """Read-only SQLite executor with an authorizer gate and row/time budgets.
 
-    Only a single SELECT (or WITH ... SELECT) statement is accepted; the
-    connection itself is opened in read-only mode as a second line of
-    defense. Long queries are interrupted via the progress handler.
+    The statement runs as written, less trailing whitespace and semicolons.
+    SQLite's authorizer allows only select, read, function and recursive
+    actions while it compiles the statement, so anything else (writes,
+    PRAGMA, ATTACH, transactions) is refused as ``NonSelectRejected``
+    before it runs; a second statement is refused too. The connection is
+    opened read-only as a second line of defense. Long queries are
+    interrupted via the progress handler.
     """
 
     def __init__(self, db_path: str, max_rows: int = 1000,
@@ -347,13 +347,6 @@ class SqliteExecutor:
         self.timeout_s = timeout_s
 
     def execute(self, sql: str) -> SqlResult:
-        bare = _strip_sql(sql)
-        if not bare:
-            raise SqlSyntaxError("empty SQL statement")
-        if not _SELECT_RE.match(bare):
-            raise NonSelectRejected(
-                f"only SELECT statements are allowed, got: {bare.split()[0]!r}")
-
         uri = f"file:{self.db_path}?mode=ro"
         started = time.perf_counter()
         try:
@@ -361,31 +354,42 @@ class SqliteExecutor:
         except sqlite3.Error as exc:
             raise SqlRuntimeError(f"cannot open database: {exc}") from exc
         deadline = time.monotonic() + self.timeout_s
+        denied: list[tuple[int, str | None]] = []
 
         def guard():
             return 1 if time.monotonic() > deadline else 0
 
+        def authorize(action, arg, *_):
+            if action in _READ_ACTIONS:
+                return sqlite3.SQLITE_OK
+            denied.append((action, arg))
+            return sqlite3.SQLITE_DENY
+
         conn.set_progress_handler(guard, 2000)
+        conn.set_authorizer(authorize)
         try:
-            cursor = conn.execute(bare)
+            cursor = conn.execute(sql.rstrip("; \t\n\r\f\v"))
+            if cursor.description is None:
+                raise SqlSyntaxError("empty SQL statement: nothing returns rows")
             rows = cursor.fetchmany(self.max_rows + 1)
-            columns = tuple(d[0] for d in cursor.description or ())
-        except (sqlite3.ProgrammingError, sqlite3.Warning) as exc:
-            # the sqlite3 module refuses a second statement before running
-            # the first (ProgrammingError; older Pythons raise Warning)
-            if "one statement" not in str(exc):
-                raise SqlRuntimeError(str(exc)) from exc
-            raise NonSelectRejected("multiple SQL statements are not allowed") from exc
-        except sqlite3.OperationalError as exc:
+            columns = tuple(d[0] for d in cursor.description)
+        except (sqlite3.Error, sqlite3.Warning) as exc:
             message = str(exc)
+            if denied:
+                raise NonSelectRejected(
+                    "only reads are allowed: the SQLite authorizer denied "
+                    "action %d (%r)" % denied[0]) from exc
+            if "one statement" in message:
+                # the sqlite3 module refuses a second statement before running
+                # the first (ProgrammingError; older Pythons raise Warning)
+                raise NonSelectRejected(
+                    "multiple SQL statements are not allowed") from exc
             if "interrupted" in message.lower():
                 raise SqlTimeout(
                     f"query exceeded {self.timeout_s}s budget") from exc
             if "syntax error" in message.lower():
                 raise SqlSyntaxError(message) from exc
             raise SqlRuntimeError(message) from exc
-        except sqlite3.Error as exc:
-            raise SqlRuntimeError(str(exc)) from exc
         finally:
             conn.close()
 
@@ -416,24 +420,25 @@ class SchemaTable:
 def introspect_schema(db_path: str, with_counts: bool = False) -> list[SchemaTable]:
     """Read table/column/FK structure (and optional row counts) from SQLite."""
     uri = f"file:{db_path}?mode=ro"
-    conn = sqlite3.connect(uri, uri=True)
+    tables = []
     try:
-        names = [r[0] for r in conn.execute(
-            "SELECT name FROM sqlite_master WHERE type='table' "
-            "AND name NOT LIKE 'sqlite_%' ORDER BY name")]
-        tables = []
-        for name in names:
-            columns = [SchemaColumn(name=r[1], type=r[2] or "TEXT")
-                       for r in conn.execute(f'PRAGMA table_info("{name}")')]
-            fks = [(r[3], r[2], r[4] or r[3])
-                   for r in conn.execute(f'PRAGMA foreign_key_list("{name}")')]
-            count = None
-            if with_counts:
-                count = conn.execute(f'SELECT COUNT(*) FROM "{name}"').fetchone()[0]
-            tables.append(SchemaTable(name=name, columns=columns,
-                                      foreign_keys=fks, row_count=count))
-    finally:
-        conn.close()
+        with closing(sqlite3.connect(uri, uri=True)) as conn:
+            names = [r[0] for r in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type='table' "
+                "AND name NOT LIKE 'sqlite_%' ORDER BY name")]
+            for name in names:
+                columns = [SchemaColumn(name=r[1], type=r[2] or "TEXT")
+                           for r in conn.execute(f'PRAGMA table_info("{name}")')]
+                fks = [(r[3], r[2], r[4] or r[3]) for r in
+                       conn.execute(f'PRAGMA foreign_key_list("{name}")')]
+                count = None
+                if with_counts:
+                    count = conn.execute(
+                        f'SELECT COUNT(*) FROM "{name}"').fetchone()[0]
+                tables.append(SchemaTable(name=name, columns=columns,
+                                          foreign_keys=fks, row_count=count))
+    except sqlite3.Error as exc:
+        raise SqlRuntimeError(f"cannot read schema of {db_path}: {exc}") from exc
     return tables
 
 

@@ -251,6 +251,21 @@ def test_sql_failure_surfaces_attempt_log(kb, tmp_path, capsys):
     assert json.loads(err)["error"] == "ThorFailed"
 
 
+def test_sql_on_a_file_that_is_not_sqlite_is_port_error(kb, tmp_path, capsys):
+    db = tmp_path / "notes.db"
+    db.write_text("these are notes, not a database\n", encoding="utf-8")
+    script = tmp_path / "sql_script.json"
+    script.write_text(json.dumps(["structured", "SELECT 1", "0.9"]),
+                      encoding="utf-8")
+    code, _, err = run_cli(capsys, "sql", "--q", "count of tracks?",
+                           "--kb", kb, "--db", str(db),
+                           "--ports", f"scripted:{script}")
+    assert code == 3
+    error = json.loads(err)
+    assert error["error"] == "SqlRuntimeError"
+    assert "not a database" in error["message"]
+
+
 def test_eval_retrieval_writes_report_files(kb, tmp_path, capsys):
     dataset = tmp_path / "qa.jsonl"
     dataset.write_text(json.dumps({

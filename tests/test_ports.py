@@ -316,6 +316,7 @@ def test_with_clause_allowed(music_db):
         "WITH t AS (SELECT unit_price FROM chinook_track) "
         "SELECT COUNT(*) FROM t")
     assert result.rows == ((5,),)
+    assert SqliteExecutor(music_db).execute("VALUES (1)").rows == ((1,),)
 
 
 def test_writes_rejected_by_gate(music_db):
@@ -324,7 +325,10 @@ def test_writes_rejected_by_gate(music_db):
                 "UPDATE chinook_track SET unit_price = 0",
                 "DELETE FROM chinook_track",
                 "DROP TABLE chinook_track",
-                "PRAGMA user_version = 7"):
+                "PRAGMA user_version = 7",
+                "ATTACH ':memory:' AS z",
+                "BEGIN",
+                "SELECT * FROM pragma_table_info('chinook_track')"):
         with pytest.raises(NonSelectRejected):
             ex.execute(sql)
 
@@ -340,6 +344,9 @@ def test_semicolon_inside_a_read_is_allowed(music_db):
     assert ex.execute("SELECT ';'").rows == ((";",),)
     rows = ex.execute("SELECT group_concat(name, '; ') FROM chinook_track").rows
     assert len(rows) == 1 and rows[0][0].count("; ") == 4
+    # comment markers inside a literal are data, not comments
+    assert ex.execute("SELECT '/* x */'").rows == (("/* x */",),)
+    assert ex.execute("SELECT 'a--b'").rows == (("a--b",),)
 
 
 def test_comments_stripped_before_gate(music_db):
@@ -352,6 +359,7 @@ def test_comments_stripped_before_gate(music_db):
 
 def test_trailing_semicolon_tolerated(music_db):
     assert SqliteExecutor(music_db).execute("SELECT 1;").rows == ((1,),)
+    assert SqliteExecutor(music_db).execute("SELECT 1;;").rows == ((1,),)
 
 
 def test_empty_sql_is_syntax_error(music_db):
