@@ -146,8 +146,9 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = 50,
                   overfetch: int = 4) -> list[Hit]:
     """Fused top-k with access filtering and PII redaction.
 
-    Both retrievers are over-fetched (default 4x the requested k) so the
-    access filter cannot starve the final list; redaction happens last, on
+    Both retrievers are over-fetched (default 4x the requested k) and the
+    access filter runs on the fused list, so a principal who may read few
+    of the candidates gets fewer than k hits. Redaction happens last, on
     the text actually returned.
     """
     if k < 1:

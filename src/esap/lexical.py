@@ -1,16 +1,31 @@
-"""BM25 inverted index over chunks.
+"""BM25 inverted index over chunks, stored column-wise.
 
 Scoring:  score(q, d) = sum over query terms t of
     IDF(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * |d| / avgdl))
 with IDF(t) = ln(1 + (N - df + 0.5) / (df + 0.5)). The query is treated as a
 token sequence, so repeated query terms contribute once per occurrence.
+
+Layout. Chunks are addressed by position: their index in chunk_id order, so
+position order is chunk_id order. The postings are compressed sparse rows:
+``positions`` (int32) and ``weights`` (float64) are parallel arrays, and each
+term owns one slice of both (``postings[term]``), ascending by position.
+Because k1, b and avgdl are fixed at build time, each weight is that
+posting's whole BM25 term above; a query only looks up slices and adds.
+
+Bit identity. Scores equal those of the plain per-posting loop, not just
+closely: weights stay float64, IDF is computed with ``math.log`` per term,
+each weight's operations run in the formula's order, and ``np.bincount``
+adds in array order, so each chunk's sum runs in query-token order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
+
+import numpy as np
 
 from .corpus import Chunk
 from .errors import EmptyCorpus
@@ -22,47 +37,76 @@ DEFAULT_B = 0.75
 
 @dataclass
 class LexicalIndex:
-    postings: dict[str, list[tuple[str, int]]]   # term -> [(chunk_id, tf)], sorted by chunk_id
-    chunk_lengths: dict[str, int]
-    n_chunks: int
+    chunk_ids: list[str]          # position -> chunk_id, ascending
+    postings: dict[str, slice]    # term -> its slice of positions and weights
+    positions: np.ndarray         # int32 chunk positions, ascending per term
+    weights: np.ndarray           # float64 BM25 contribution of each posting
     avgdl: float
     k1: float
     b: float
 
-    def idf(self, term: str) -> float:
-        df = len(self.postings.get(term, ()))
-        return math.log(1.0 + (self.n_chunks - df + 0.5) / (df + 0.5))
+    @property
+    def n_chunks(self) -> int:
+        return len(self.chunk_ids)
 
 
 def build_lexical(chunks: list[Chunk], k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> LexicalIndex:
     if not chunks:
         raise EmptyCorpus("cannot build a lexical index over zero chunks")
-    postings: dict[str, list[tuple[str, int]]] = {}
-    chunk_lengths: dict[str, int] = {}
-    # posting lists come out sorted by chunk_id because chunks go in that order
-    for chunk in sorted(chunks, key=lambda c: c.chunk_id):
+    ordered = sorted(chunks, key=lambda c: c.chunk_id)
+    n = len(ordered)
+    # term -> term id, numbered in order of first occurrence
+    vocab: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    term_ids: list[int] = []
+    lengths: list[int] = []
+    for chunk in ordered:
         terms = token_texts(chunk.text)
-        chunk_lengths[chunk.chunk_id] = len(terms)
-        for term, tf in Counter(terms).items():
-            postings.setdefault(term, []).append((chunk.chunk_id, tf))
-    n = len(chunks)
-    avgdl = sum(chunk_lengths.values()) / n
-    return LexicalIndex(postings, chunk_lengths, n, avgdl, k1, b)
+        lengths.append(len(terms))
+        term_ids.extend(map(vocab.__getitem__, terms))
+    avgdl = sum(lengths) / n
+
+    # one key per token, term-major; unique keys are the postings in CSR
+    # order and their counts are the term frequencies
+    keys = np.asarray(term_ids, dtype=np.int64)
+    del term_ids
+    keys *= n
+    keys += np.repeat(np.arange(n, dtype=np.int64), lengths)
+    keys, tf = np.unique(keys, return_counts=True)
+    term, positions = np.divmod(keys, n)
+    positions = positions.astype(np.int32)
+    del keys
+    df = np.bincount(term, minlength=len(vocab))
+    idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df.tolist()])
+
+    tf = tf.astype(np.float64)
+    dl = np.asarray(lengths, dtype=np.float64)[positions]
+    weights = idf[term] * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
+    del term, tf, dl
+
+    bounds = [0, *np.cumsum(df).tolist()]
+    postings = {t: slice(bounds[i], bounds[i + 1]) for t, i in vocab.items()}
+    return LexicalIndex([c.chunk_id for c in ordered], postings, positions,
+                        weights, avgdl, k1, b)
+
+
+def _candidates(index: LexicalIndex, query: str) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, scores) of the chunks matching a query term, by position."""
+    slices = [s for s in map(index.postings.get, token_texts(query)) if s is not None]
+    if not slices:
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    positions = np.concatenate([index.positions[s] for s in slices])
+    weights = np.concatenate([index.weights[s] for s in slices])
+    scores = np.bincount(positions, weights, minlength=index.n_chunks)
+    touched = np.zeros(index.n_chunks, dtype=bool)
+    touched[positions] = True
+    matched = np.flatnonzero(touched)
+    return matched, scores[matched]
 
 
 def score_query(index: LexicalIndex, query: str) -> dict[str, float]:
     """BM25 scores for every chunk matching at least one query term."""
-    scores: dict[str, float] = {}
-    for term in token_texts(query):
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        idf = index.idf(term)
-        for chunk_id, tf in plist:
-            dl = index.chunk_lengths[chunk_id]
-            denom = tf + index.k1 * (1.0 - index.b + index.b * dl / index.avgdl)
-            scores[chunk_id] = scores.get(chunk_id, 0.0) + idf * tf * (index.k1 + 1.0) / denom
-    return scores
+    matched, scores = _candidates(index, query)
+    return dict(zip([index.chunk_ids[p] for p in matched.tolist()], scores.tolist()))
 
 
 def search_lexical(index: LexicalIndex, query: str, k: int) -> list[tuple[str, float]]:
@@ -73,6 +117,12 @@ def search_lexical(index: LexicalIndex, query: str, k: int) -> list[tuple[str, f
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores = score_query(index, query)
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
+    matched, scores = _candidates(index, query)
+    if len(matched) > k:
+        # keep every candidate scoring at least the k-th best, ties included
+        kth = len(matched) - k
+        keep = scores >= np.partition(scores, kth)[kth]
+        matched, scores = matched[keep], scores[keep]
+    order = np.lexsort((matched, -scores))[:k]
+    return list(zip([index.chunk_ids[p] for p in matched[order].tolist()],
+                    scores[order].tolist()))

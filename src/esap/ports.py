@@ -335,7 +335,9 @@ class SqliteExecutor:
     SQLite's authorizer allows only select, read, function and recursive
     actions while it compiles the statement, so anything else (writes,
     PRAGMA, ATTACH, transactions) is refused as ``NonSelectRejected``
-    before it runs; a second statement is refused too. The connection is
+    before it runs; a second statement is refused too, and so is one that
+    returns no columns (REINDEX may compile without drawing an action; on
+    the read-only connection it changes nothing). The connection is
     opened read-only as a second line of defense. Long queries are
     interrupted via the progress handler.
     """
@@ -367,10 +369,21 @@ class SqliteExecutor:
 
         conn.set_progress_handler(guard, 2000)
         conn.set_authorizer(authorize)
+        statement = sql.rstrip("; \t\n\r\f\v")
         try:
-            cursor = conn.execute(sql.rstrip("; \t\n\r\f\v"))
+            cursor = conn.execute(statement)
             if cursor.description is None:
-                raise SqlSyntaxError("empty SQL statement: nothing returns rows")
+                # no columns: either there was nothing to compile (empty or
+                # comment-only text; EXPLAIN of it is "incomplete input") or
+                # a statement compiled without drawing an authorizer action
+                # (REINDEX on a connection whose schema is not loaded yet)
+                try:
+                    conn.execute("EXPLAIN " + statement)
+                except sqlite3.Error:
+                    raise SqlSyntaxError(
+                        "empty SQL statement: nothing returns rows") from None
+                raise NonSelectRejected(
+                    "only reads are allowed: the statement returns no rows")
             rows = cursor.fetchmany(self.max_rows + 1)
             columns = tuple(d[0] for d in cursor.description)
         except (sqlite3.Error, sqlite3.Warning) as exc:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from esap.corpus import Chunk, chunk_document
+from esap.corpus import Chunk, Document, chunk_document
 from esap.errors import EmptyCorpus, EmptyIndex
 from esap.hybrid import (
     DEFAULT_GUARDS,
@@ -19,7 +19,7 @@ from esap.hybrid import (
     search_hybrid,
 )
 from esap.ports import HashingEmbedder
-from esap.synthetic import make_toy_kb_documents
+from esap.synthetic import make_clustered_texts, make_toy_kb_documents
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +181,31 @@ def test_scores_non_increasing_and_ids_unique():
     assert len({h.chunk_id for h in hits}) == len(hits)
 
 
+def test_hits_match_a_pinned_list():
+    # 360 chunks, so the lexical list is cut at 4 * k = 32 of them; the
+    # query repeats a term and holds one no chunk has. The list was written
+    # down from the per-posting dict loop the columnar BM25 replaced.
+    docs = [Document(doc_id=f"d{i:03d}", version=1, text=text)
+            for i, text in enumerate(make_clustered_texts(120, seed=5))]
+    chunks = [c for d in docs for c in chunk_document(d, size=12, overlap=2)]
+    acl = {d.doc_id: ["*"] if i % 3 else ["ops"] for i, d in enumerate(docs)}
+    index = build_hybrid(chunks, HashingEmbedder(), acl,
+                         HybridParams(chunk_size=12, chunk_overlap=2))
+    hits = search_hybrid(index, "c3 c3 t7w5 c12 t7w40 zzz", HashingEmbedder(),
+                         k=8, principal="ops")
+    assert [(h.chunk_id, h.score) for h in hits] == [
+        ("d059#v1#00000", 0.03252247488101534),
+        ("d053#v1#00000", 0.03131881575727918),
+        ("d081#v1#00002", 0.03125763125763126),
+        ("d006#v1#00002", 0.030621785881252923),
+        ("d040#v1#00002", 0.029957522915269395),
+        ("d070#v1#00002", 0.0293236301369863),
+        ("d086#v1#00001", 0.028594771241830064),
+        ("d111#v1#00001", 0.02854251012145749),
+    ]
+
+
 def test_guards_applied_to_returned_text():
-    from esap.corpus import Document
     doc = Document(doc_id="contact", version=1,
                    text="Email the desk at help@shop.example to ask anything.")
     chunks = chunk_document(doc, size=50, overlap=10)

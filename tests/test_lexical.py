@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -87,8 +88,14 @@ def test_postings_sorted_and_avgdl():
     index = build_lexical(make_chunks(texts))
     assert index.n_chunks == 3
     assert index.avgdl == pytest.approx((3 + 2 + 1) / 3)
-    assert [cid for cid, _ in index.postings["a"]] == ["c000", "c001", "c002"]
-    assert dict(index.postings["b"]) == {"c000": 2}
+    assert index.chunk_ids == ["c000", "c001", "c002"]
+    assert index.positions[index.postings["a"]].tolist() == [0, 1, 2]
+    assert index.positions[index.postings["b"]].tolist() == [0]
+    # "b" occurs twice in c000 (|d| = 3) and in one chunk of three
+    k1, b, tf, avgdl = 1.2, 0.75, 2, (3 + 2 + 1) / 3
+    idf = math.log(1.0 + (3 - 1 + 0.5) / (1 + 0.5))
+    want = idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * 3 / avgdl))
+    assert index.weights[index.postings["b"]].tolist() == [want]
 
 
 def test_matches_brute_force_on_random_corpora():
@@ -109,3 +116,61 @@ def test_matches_brute_force_on_random_corpora():
         ranked = search_lexical(index, query, n_chunks)
         want_order = sorted(want.items(), key=lambda kv: (-kv[1], kv[0]))
         assert [cid for cid, _ in ranked] == [cid for cid, _ in want_order]
+
+
+def old_bm25(chunks: list[Chunk], query: str, k1: float = 1.2,
+             b: float = 0.75) -> dict[str, float]:
+    """The per-posting dict loop the columnar index replaced, transcribed:
+    tuple postings in chunk_id order, lengths keyed by chunk_id, and the
+    length norm recomputed for every posting of every query term."""
+    postings: dict[str, list[tuple[str, int]]] = {}
+    chunk_lengths: dict[str, int] = {}
+    for chunk in sorted(chunks, key=lambda c: c.chunk_id):
+        terms = token_texts(chunk.text)
+        chunk_lengths[chunk.chunk_id] = len(terms)
+        for term, tf in Counter(terms).items():
+            postings.setdefault(term, []).append((chunk.chunk_id, tf))
+    n = len(chunks)
+    avgdl = sum(chunk_lengths.values()) / n
+    scores: dict[str, float] = {}
+    for term in token_texts(query):
+        plist = postings.get(term)
+        if not plist:
+            continue
+        idf = math.log(1.0 + (n - len(plist) + 0.5) / (len(plist) + 0.5))
+        for chunk_id, tf in plist:
+            denom = tf + k1 * (1.0 - b + b * chunk_lengths[chunk_id] / avgdl)
+            scores[chunk_id] = scores.get(chunk_id, 0.0) + idf * tf * (k1 + 1.0) / denom
+    return scores
+
+
+def test_bit_identical_to_the_dict_loop_on_random_corpora():
+    rng = random.Random(29)
+    vocab = [f"w{i}" for i in range(12)]
+    ties_at_cut = 0
+    for _ in range(200):
+        # a small pool of texts, drawn with repeats, makes equal scores common
+        pool = [" ".join(rng.choice(vocab) for _ in range(rng.randrange(0, 9)))
+                for _ in range(rng.randrange(1, 8))]
+        chunks = make_chunks([rng.choice(pool) for _ in range(rng.randrange(1, 25))])
+        k1, b = rng.choice([(1.2, 0.75), (1.6, 0.4), (0.9, 1.0)])
+        index = build_lexical(chunks, k1=k1, b=b)
+        # repeated and unknown terms, and the empty query
+        query = " ".join(rng.choice(vocab + ["zz", "zz"])
+                         for _ in range(rng.randrange(0, 7)))
+        want = old_bm25(chunks, query, k1=k1, b=b)
+        assert score_query(index, query) == want
+        ranked = sorted(want.items(), key=lambda item: (-item[1], item[0]))
+        for k in range(1, len(chunks) + 3):
+            assert search_lexical(index, query, k) == ranked[:k]
+            if k < len(ranked) and ranked[k - 1][1] == ranked[k][1]:
+                ties_at_cut += 1
+    assert ties_at_cut > 100
+
+
+def test_bit_identical_where_numpy_log_rounds_differently():
+    # at N = df = 29, np.log and math.log round ln(1 + 0.5 / 29.5) one ulp apart
+    chunks = make_chunks([f"a w{i % 5}" for i in range(29)])
+    index = build_lexical(chunks)
+    for query in ("a", "a w1", "w3 a a"):
+        assert score_query(index, query) == old_bm25(chunks, query)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from esap.hybrid import (
     save_hybrid,
     search_hybrid,
 )
+from esap.lexical import LexicalIndex
 from esap.ports import HashingEmbedder
 from esap.synthetic import make_clustered_texts, make_toy_kb_documents
+from esap.tokenizer import token_texts
 from esap.corpus import Document
 
 
@@ -34,11 +37,20 @@ def build_index(ann_mode: str = "auto", **bm25):
                         {doc.doc_id: ["*"] for doc in docs}, params)
 
 
+def assert_same_lexical(a: LexicalIndex, b: LexicalIndex) -> None:
+    # dataclass == would compare the numpy arrays elementwise and raise
+    assert (a.chunk_ids, a.postings, a.n_chunks, a.avgdl, a.k1, a.b) == \
+           (b.chunk_ids, b.postings, b.n_chunks, b.avgdl, b.k1, b.b)
+    for x, y in ((a.positions, b.positions), (a.weights, b.weights)):
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
+
+
 def test_round_trip_preserves_search_results(tmp_path):
     index = build_index(k1=1.6, b=0.4)
     save_hybrid(index, tmp_path)
     loaded = load_hybrid(tmp_path)
-    assert loaded.lexical == index.lexical
+    assert_same_lexical(loaded.lexical, index.lexical)
     embed = HashingEmbedder()
     for query in ("red apple", "shipping cherries", "refund policy"):
         a = search_hybrid(index, query, embed, k=4)
@@ -57,12 +69,19 @@ def test_lexical_file_from_earlier_builds_is_served(tmp_path):
     queries = ("red apple", "shipping cherries", "refund policy")
     fresh = [search_hybrid(load_hybrid(tmp_path), q, embed, k=4) for q in queries]
 
-    # earlier builds also stored the BM25 postings, chunk lengths and k1/b
+    # earlier builds also stored the BM25 postings as [chunk_id, tf] pairs,
+    # the chunk lengths and k1/b
     lexical_path = index_dir / "lexical.bin"
     payload = json.loads(gzip.decompress(lexical_path.read_bytes()))
     assert set(payload) == {"chunks", "doc_acl"}
-    payload.update(postings=index.lexical.postings,
-                   chunk_lengths=index.lexical.chunk_lengths,
+    postings: dict[str, list[list]] = {}
+    chunk_lengths: dict[str, int] = {}
+    for row in payload["chunks"]:
+        terms = token_texts(row["text"])
+        chunk_lengths[row["chunk_id"]] = len(terms)
+        for term, tf in Counter(terms).items():
+            postings.setdefault(term, []).append([row["chunk_id"], tf])
+    payload.update(postings=postings, chunk_lengths=chunk_lengths,
                    k1=index.lexical.k1, b=index.lexical.b)
     lexical_path.write_bytes(gzip.compress(json.dumps(payload).encode("utf-8")))
     meta_path = index_dir / "meta.json"
@@ -71,7 +90,7 @@ def test_lexical_file_from_earlier_builds_is_served(tmp_path):
     meta_path.write_text(json.dumps(meta))
 
     loaded = load_hybrid(tmp_path)
-    assert loaded.lexical == index.lexical
+    assert_same_lexical(loaded.lexical, index.lexical)
     assert [search_hybrid(loaded, q, embed, k=4) for q in queries] == fresh
 
 

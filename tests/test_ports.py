@@ -363,8 +363,18 @@ def test_trailing_semicolon_tolerated(music_db):
 
 
 def test_empty_sql_is_syntax_error(music_db):
-    with pytest.raises(SqlSyntaxError):
-        SqliteExecutor(music_db).execute("   -- nothing here\n")
+    for sql in ("   -- nothing here\n", "", " ;; ", "/* nothing */;"):
+        with pytest.raises(SqlSyntaxError):
+            SqliteExecutor(music_db).execute(sql)
+
+
+def test_maintenance_statements_rejected(music_db):
+    # REINDEX compiles on a fresh connection without drawing an authorizer
+    # action and returns no columns; it is refused all the same
+    ex = SqliteExecutor(music_db)
+    for sql in ("REINDEX", "REINDEX;", "/* tidy up */ REINDEX", "ANALYZE"):
+        with pytest.raises(NonSelectRejected):
+            ex.execute(sql)
 
 
 def test_syntax_error_classified(music_db):
