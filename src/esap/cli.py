@@ -17,7 +17,7 @@ from . import __version__
 from .config import AppConfig, load_config
 from .corpus import VersionStore, chunk_document, ingest_corpus
 from .derek import DerekPipeline
-from .errors import ConfigError, EsapError
+from .errors import ConfigError, EmptyCorpus, EsapError
 from .evaluation import (
     read_qa_jsonl,
     read_runs_jsonl,
@@ -310,8 +310,7 @@ def cmd_query(args, cfg: AppConfig) -> int:
     k = cfg.retrieval.k
     index, embed = _load_index_and_embedder(cfg)
     hits = search_hybrid(index, args.q, embed, k=k, principal=args.principal,
-                         guards=tuple(cfg.guards),
-                         overfetch=cfg.retrieval.overfetch)
+                         guards=tuple(cfg.guards))
     body = {
         "query": args.q,
         "k": k,

@@ -1,6 +1,6 @@
 """Application configuration: one JSON file, strict keys, CLI overrides.
 
-Unknown keys are rejected with their full path (e.g. "retrieval.overfech")
+Unknown keys are rejected with their full path (e.g. "retrieval.rrf_k")
 so typos fail loudly instead of silently using defaults.
 """
 
@@ -27,7 +27,6 @@ class ChunkConfig:
 class RetrievalConfig:
     k: int = 50
     rrf_c: int = DEFAULT_RRF_C
-    overfetch: int = 4
 
 
 @dataclass
@@ -67,8 +66,7 @@ class AppConfig:
         return {
             "kb": self.kb,
             "chunk": {"size": self.chunk.size, "overlap": self.chunk.overlap},
-            "retrieval": {"k": self.retrieval.k, "rrf_c": self.retrieval.rrf_c,
-                          "overfetch": self.retrieval.overfetch},
+            "retrieval": {"k": self.retrieval.k, "rrf_c": self.retrieval.rrf_c},
             "ann": self.ann.to_json(),
             "ports": {"mode": self.ports.mode, "script": self.ports.script,
                       "api_key_env": self.ports.api_key_env,
@@ -122,12 +120,10 @@ def config_from_dict(data: dict) -> AppConfig:
 
     if "retrieval" in data:
         sec = data["retrieval"]
-        _check_keys(sec, {"k", "rrf_c", "overfetch"}, "retrieval")
+        _check_keys(sec, {"k", "rrf_c"}, "retrieval")
         cfg.retrieval.k = int(_typed(sec, "k", int, "retrieval", cfg.retrieval.k))
         cfg.retrieval.rrf_c = int(_typed(sec, "rrf_c", int, "retrieval",
                                          cfg.retrieval.rrf_c))
-        cfg.retrieval.overfetch = int(_typed(sec, "overfetch", int, "retrieval",
-                                             cfg.retrieval.overfetch))
 
     if "ann" in data:
         sec = data["ann"]
@@ -219,8 +215,6 @@ def config_from_dict(data: dict) -> AppConfig:
         raise ConfigError("config key chunk.overlap must be >= 0")
     if cfg.retrieval.k < 1:
         raise ConfigError("config key retrieval.k must be >= 1")
-    if cfg.retrieval.overfetch < 1:
-        raise ConfigError("config key retrieval.overfetch must be >= 1")
     if not 0.0 <= cfg.thor.threshold <= 1.0:
         raise ConfigError("config key thor.threshold must be in [0, 1]")
     return cfg

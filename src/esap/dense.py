@@ -97,8 +97,13 @@ def build_dense_from_texts(texts: list[str], chunk_ids: list[str], embed,
     return DenseIndex(vectors=matrix, dim=matrix.shape[1], params=params)
 
 
-def search_dense(index: DenseIndex, query: np.ndarray, k: int) -> list[tuple[int, float]]:
-    """Top-k (position, cosine similarity); ties broken by position ascending."""
+def search_dense(index: DenseIndex, query: np.ndarray, k: int,
+                 allowed: np.ndarray | None = None) -> list[tuple[int, float]]:
+    """Top-k (position, cosine similarity); ties broken by position ascending.
+
+    With ``allowed`` (a boolean mask over positions) only the positions it
+    keeps are cut and sorted.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     query = np.asarray(query, dtype=np.float32).reshape(-1)
@@ -106,13 +111,16 @@ def search_dense(index: DenseIndex, query: np.ndarray, k: int) -> list[tuple[int
         raise DimensionMismatch(
             f"query dimension {query.shape[0]} != index dimension {index.dim}")
     sims = index.vectors @ query
-    n = sims.shape[0]
-    if k < n:
-        # every position tied with the k-th similarity stays a candidate, so
-        # the sort below breaks ties at the cut by position
-        candidates = np.flatnonzero(sims >= np.partition(sims, n - k)[n - k])
+    if allowed is None:
+        candidates = np.arange(sims.shape[0])
     else:
-        candidates = np.arange(n)
+        candidates = np.flatnonzero(allowed)
+    n = candidates.shape[0]
+    if k < n:
+        # every candidate tied with the k-th similarity stays, so the sort
+        # below breaks ties at the cut by position
+        within = sims[candidates]
+        candidates = candidates[within >= np.partition(within, n - k)[n - k]]
     # lexsort: primary key similarity desc, secondary position asc
     order = candidates[np.lexsort((candidates, -sims[candidates]))[:k]]
     return [(int(i), float(sims[i])) for i in order.tolist()]

@@ -226,6 +226,11 @@ def render_generation_table(rows: list[dict]) -> str:
              fmt(row.get("pc_hallucinated"), 4),
              fmt(row.get("accuracy"), 2)]
             for row in rows]
+    return _aligned_table(headers, body)
+
+
+def _aligned_table(headers: list[str], body: list[list[str]]) -> str:
+    """Left-aligned columns two spaces apart, under a header and a dash rule."""
     widths = [max(len(headers[i]), *(len(r[i]) for r in body)) if body
               else len(headers[i]) for i in range(len(headers))]
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
@@ -480,10 +485,4 @@ def render_retrieval_table(report: dict) -> str:
         body.append([row["dataset"]]
                     + [f"{row['recall'][str(k)]:.2f}" for k in ks]
                     + [f"{row['precision'][str(k)]:.2f}" for k in ks])
-    widths = [max(len(headers[i]), *(len(r[i]) for r in body)) if body
-              else len(headers[i]) for i in range(len(headers))]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in body:
-        lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(r))))
-    return "\n".join(lines)
+    return _aligned_table(headers, body)

@@ -32,6 +32,8 @@ from .lexical import LexicalIndex, build_lexical, search_lexical
 
 FORMAT_VERSION = 1
 DEFAULT_RRF_C = 60
+# each retriever ranks this many times k of the principal's readable chunks
+FETCH_FACTOR = 4
 DENSE_MAGIC = b"ESAPDNS1"
 
 
@@ -80,14 +82,37 @@ class HybridParams:
 class HybridIndex:
     lexical: LexicalIndex
     dense: DenseIndex
-    chunk_ids: list[str]                       # position -> chunk_id
     chunks: dict[str, Chunk]                   # chunk_id -> chunk
     doc_acl: dict[str, list[str]]              # doc_id -> principals
     params: HybridParams
+    # principal -> read-only mask over positions, built on first use
+    _masks: dict[str, np.ndarray] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
+
+    @property
+    def chunk_ids(self) -> list[str]:
+        """Position -> chunk_id, ascending: the lexical index's list."""
+        return self.lexical.chunk_ids
 
     @property
     def n_chunks(self) -> int:
         return len(self.chunk_ids)
+
+    def allowed(self, principal: str) -> np.ndarray:
+        """Boolean mask over positions of the chunks the principal may read.
+
+        Decided once per principal by ``filter_acl`` over the whole chunk
+        table (each chunk paired with its position), then cached.
+        """
+        mask = self._masks.get(principal)
+        if mask is None:
+            table = [(cid, pos) for pos, cid in enumerate(self.chunk_ids)]
+            kept = filter_acl(table, self.chunks, self.doc_acl, principal)
+            mask = np.zeros(self.n_chunks, dtype=bool)
+            mask[np.array([pos for _, pos in kept], dtype=np.intp)] = True
+            mask.flags.writeable = False
+            self._masks[principal] = mask
+        return mask
 
 
 def build_hybrid(chunks: list[Chunk], embed, doc_acl: dict[str, list[str]],
@@ -103,7 +128,6 @@ def build_hybrid(chunks: list[Chunk], embed, doc_acl: dict[str, list[str]],
     return HybridIndex(
         lexical=lexical,
         dense=dense,
-        chunk_ids=[c.chunk_id for c in ordered],
         chunks={c.chunk_id: c for c in ordered},
         doc_acl=dict(doc_acl),
         params=params,
@@ -142,36 +166,38 @@ def filter_acl(ranked: list[tuple[str, float]], chunks: dict[str, Chunk],
 
 def search_hybrid(index: HybridIndex, query: str, embed, k: int = 50,
                   principal: str = "*",
-                  guards: tuple[GuardRule, ...] = DEFAULT_GUARDS,
-                  overfetch: int = 4) -> list[Hit]:
-    """Fused top-k with access filtering and PII redaction.
+                  guards: tuple[GuardRule, ...] = DEFAULT_GUARDS) -> list[Hit]:
+    """Fused top-k over the chunks the principal may read, PII redacted.
 
-    Both retrievers are over-fetched (default 4x the requested k) and the
-    access filter runs on the fused list, so a principal who may read few
-    of the candidates gets fewer than k hits. Redaction happens last, on
-    the text actually returned.
+    Access is decided before any cut: each retriever ranks only the
+    principal's readable chunks (``HybridIndex.allowed``) and keeps the top
+    ``FETCH_FACTOR * k`` of them, and the two lists are fused by reciprocal
+    rank. So the list holds fewer than k hits only when fewer than k
+    readable chunks exist, and a hit's score ``1/(c + rank)`` counts ranks
+    within the principal's own view, never hidden documents. A principal
+    who may read nothing gets ``[]``. Redaction happens last, on the text
+    actually returned.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if overfetch < 1:
-        raise ValueError(f"overfetch must be >= 1, got {overfetch}")
     if index.n_chunks == 0:
         raise EmptyIndex("index contains no chunks")
-    fetch = min(overfetch * k, index.n_chunks)
-    lex_hits = search_lexical(index.lexical, query, fetch)
+    allowed = index.allowed(principal)
+    fetch = min(FETCH_FACTOR * k, int(np.count_nonzero(allowed)))
+    if fetch == 0:
+        return []
+    lex_hits = search_lexical(index.lexical, query, fetch, allowed)
     query_vec = np.asarray(embed([query]), dtype=np.float32)[0]
     norm = float(np.linalg.norm(query_vec))
     if norm > 0.0:
         query_vec = query_vec / norm
-    dense_hits = search_dense(index.dense, query_vec, fetch)
+    dense_hits = search_dense(index.dense, query_vec, fetch, allowed)
     rankings = [
         [cid for cid, _ in lex_hits],
         [index.chunk_ids[pos] for pos, _ in dense_hits],
     ]
-    fused = rrf_fuse(rankings, c=index.params.rrf_c)
-    allowed = filter_acl(fused, index.chunks, index.doc_acl, principal)
     out = []
-    for chunk_id, score in allowed[:k]:
+    for chunk_id, score in rrf_fuse(rankings, c=index.params.rrf_c)[:k]:
         chunk = index.chunks[chunk_id]
         out.append(Hit(chunk_id=chunk_id, doc_id=chunk.doc_id, score=score,
                        text=apply_guards(chunk.text, guards)))
@@ -311,6 +337,5 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
                           chunk_overlap=int(meta["chunk"]["overlap"]),
                           ann=ann)
     return HybridIndex(lexical=lexical, dense=dense,
-                       chunk_ids=[c.chunk_id for c in ordered],
                        chunks={c.chunk_id: c for c in ordered},
                        doc_acl=lex["doc_acl"], params=params)

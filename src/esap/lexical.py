@@ -89,8 +89,10 @@ def build_lexical(chunks: list[Chunk], k1: float = DEFAULT_K1, b: float = DEFAUL
                         weights, avgdl, k1, b)
 
 
-def _candidates(index: LexicalIndex, query: str) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, scores) of the chunks matching a query term, by position."""
+def _candidates(index: LexicalIndex, query: str,
+                allowed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, scores) of the chunks matching a query term, by position;
+    with ``allowed`` (a boolean mask over positions), of those it keeps."""
     slices = [s for s in map(index.postings.get, token_texts(query)) if s is not None]
     if not slices:
         return np.empty(0, dtype=np.intp), np.empty(0)
@@ -99,6 +101,8 @@ def _candidates(index: LexicalIndex, query: str) -> tuple[np.ndarray, np.ndarray
     scores = np.bincount(positions, weights, minlength=index.n_chunks)
     touched = np.zeros(index.n_chunks, dtype=bool)
     touched[positions] = True
+    if allowed is not None:
+        touched &= allowed
     matched = np.flatnonzero(touched)
     return matched, scores[matched]
 
@@ -109,15 +113,18 @@ def score_query(index: LexicalIndex, query: str) -> dict[str, float]:
     return dict(zip([index.chunk_ids[p] for p in matched.tolist()], scores.tolist()))
 
 
-def search_lexical(index: LexicalIndex, query: str, k: int) -> list[tuple[str, float]]:
+def search_lexical(index: LexicalIndex, query: str, k: int,
+                   allowed: np.ndarray | None = None) -> list[tuple[str, float]]:
     """Top-k (chunk_id, score) by BM25, ties broken by chunk_id ascending.
 
-    Only chunks containing at least one query term are candidates; an empty
-    query returns an empty list. May return fewer than k hits.
+    Only chunks containing at least one query term are candidates, and with
+    ``allowed`` (a boolean mask over positions) only those it keeps; the cut
+    comes after. IDF and avgdl stay corpus-wide. An empty query returns an
+    empty list. May return fewer than k hits.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    matched, scores = _candidates(index, query)
+    matched, scores = _candidates(index, query, allowed)
     if len(matched) > k:
         # keep every candidate scoring at least the k-th best, ties included
         kth = len(matched) - k

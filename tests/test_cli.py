@@ -85,6 +85,15 @@ def test_query_before_index_is_data_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "CorruptIndex"
 
 
+def test_index_of_an_empty_kb_is_data_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "index", "--kb", str(tmp_path / "empty"))
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "EmptyCorpus"
+    assert "run ingest first" in error["message"]
+
+
 def test_exhausted_script_is_port_error(kb, tmp_path, capsys):
     script = tmp_path / "script.json"
     script.write_text(json.dumps(["only one reply"]), encoding="utf-8")

@@ -46,6 +46,9 @@ def test_to_json_round_trips():
 def test_unknown_keys_fail_with_path():
     with pytest.raises(ConfigError, match="retrieval.overfech"):
         config_from_dict({"retrieval": {"overfech": 4}})
+    # the fetch depth is fixed (4 * k within the principal's view)
+    with pytest.raises(ConfigError, match="retrieval.overfetch"):
+        config_from_dict({"retrieval": {"overfetch": 4}})
     with pytest.raises(ConfigError, match="unknown config key: topk"):
         config_from_dict({"topk": 10})
     with pytest.raises(ConfigError, match=r"guards\[0\].regex"):

@@ -3,12 +3,14 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from esap.corpus import Chunk, Document, chunk_document
 from esap.errors import EmptyCorpus, EmptyIndex
 from esap.hybrid import (
     DEFAULT_GUARDS,
+    FETCH_FACTOR,
     GuardRule,
     HybridParams,
     apply_guards,
@@ -18,6 +20,7 @@ from esap.hybrid import (
     rrf_fuse,
     search_hybrid,
 )
+from esap.lexical import score_query
 from esap.ports import HashingEmbedder
 from esap.synthetic import make_clustered_texts, make_toy_kb_documents
 
@@ -173,6 +176,81 @@ def test_acl_prefilter_happens_before_truncation():
     assert staff_hits[0].doc_id == "fruit-apple"
 
 
+def test_a_few_readable_documents_are_not_crowded_out():
+    # 200 documents only bob may read outrank alice's one document on every
+    # term; a filter after the cut would leave alice with nothing
+    docs = [Document(doc_id=f"bob{i:03d}", version=1,
+                     text=f"quarterly revenue report number {i} for the region")
+            for i in range(200)]
+    docs.append(Document(doc_id="alice-notes", version=1,
+                         text="notes on revenue from the spring offsite"))
+    chunks = [c for d in docs for c in chunk_document(d, size=50, overlap=10)]
+    acl = {d.doc_id: ["bob"] for d in docs}
+    acl["alice-notes"] = ["alice"]
+    index = build_hybrid(chunks, HashingEmbedder(), acl,
+                         HybridParams(chunk_size=50, chunk_overlap=10))
+    hits = search_hybrid(index, "quarterly revenue report", HashingEmbedder(),
+                         k=5, principal="alice")
+    # first in both lists of alice's own view: 1/61 + 1/61
+    assert [(h.doc_id, h.score) for h in hits] == [("alice-notes", 2.0 / 61.0)]
+    assert len(search_hybrid(index, "quarterly revenue report",
+                             HashingEmbedder(), k=5, principal="bob")) == 5
+
+
+def test_principal_who_may_read_nothing_gets_an_empty_list():
+    index = build_toy_index({doc.doc_id: ["staff"]
+                             for doc in make_toy_kb_documents()})
+    assert search_hybrid(index, "red apple basket", HashingEmbedder(), k=3,
+                         principal="guest") == []
+    assert not index.allowed("guest").any()
+    assert index.allowed("staff").all()
+
+
+def test_equals_fusion_of_brute_force_rankings_of_the_readable_subset():
+    # random corpora, ACL layouts and principals: the result is RRF over
+    # the full BM25 and cosine rankings restricted to what the principal may
+    # read, each cut at FETCH_FACTOR * k, then cut at k
+    rng = random.Random(11)
+    words = [f"w{j}" for j in range(9)]
+    principals = ["alice", "bob", "carol", "dave", "*"]
+    embed = HashingEmbedder(16)
+    for _ in range(60):
+        docs = [Document(doc_id=f"d{i:02d}", version=1,
+                         text=" ".join(rng.choices(words, k=rng.randint(1, 25))))
+                for i in range(rng.randint(1, 25))]
+        chunks = [c for d in docs for c in chunk_document(d, size=5, overlap=1)]
+        acl = {}
+        for d in docs:
+            layout = rng.random()
+            if layout < 0.15:
+                continue                       # no entry: everyone may read
+            acl[d.doc_id] = (["*"] if layout < 0.3 else
+                             rng.sample(principals[:4], rng.randint(0, 3)))
+        index = build_hybrid(chunks, embed, acl,
+                             HybridParams(chunk_size=5, chunk_overlap=1))
+        for _ in range(6):
+            principal = rng.choice(principals)
+            k = rng.randint(1, 8)
+            query = " ".join(rng.choices(words + ["zz"], k=rng.randint(1, 4)))
+            hits = search_hybrid(index, query, embed, k=k, principal=principal)
+
+            grants = [acl.get(index.chunks[cid].doc_id, ["*"])
+                      for cid in index.chunk_ids]
+            readable = [pos for pos, grant in enumerate(grants)
+                        if "*" in grant or principal in grant]
+            cut = FETCH_FACTOR * k
+            bm25 = score_query(index.lexical, query)
+            lexical = sorted((index.chunk_ids[p] for p in readable
+                              if index.chunk_ids[p] in bm25),
+                             key=lambda cid: (-bm25[cid], cid))[:cut]
+            qv = embed([query])[0]
+            sims = index.dense.vectors @ (qv / max(float(np.linalg.norm(qv)), 1e-30))
+            dense = [index.chunk_ids[p] for p in
+                     sorted(readable, key=lambda p: (-float(sims[p]), p))[:cut]]
+            expected = rrf_fuse([lexical, dense])[:k] if readable else []
+            assert [(h.chunk_id, h.score) for h in hits] == expected
+
+
 def test_scores_non_increasing_and_ids_unique():
     index = build_toy_index()
     hits = search_hybrid(index, "shipping days", HashingEmbedder(), k=5)
@@ -221,8 +299,6 @@ def test_validation_and_empty_index():
     index = build_toy_index()
     with pytest.raises(ValueError):
         search_hybrid(index, "x", HashingEmbedder(), k=0)
-    with pytest.raises(ValueError):
-        search_hybrid(index, "x", HashingEmbedder(), k=1, overfetch=0)
     with pytest.raises(EmptyCorpus):
         build_hybrid([], HashingEmbedder(), {}, HybridParams())
 
