@@ -1,5 +1,11 @@
 """Command-line surface: ingest, index, query, ask, sql, eval commands.
 
+Flags hold no settings of their own: each one is written into the JSON
+form of the config (``--config`` file or defaults) at the key it sets,
+and ``esap.config`` checks the result as it checks a file, before any
+command touches a kb or an index. A bad flag value is a ``ConfigError``
+naming that key (``--k 0`` names ``retrieval.k``).
+
 Exit codes: 0 success, 1 user/config error, 2 data error, 3 external-port
 error; each error type carries its code (``esap.errors``). Every failure
 prints a single JSON line to stderr.
@@ -14,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import AppConfig, load_config
+from .config import AppConfig, config_from_dict, load_config
 from .corpus import VersionStore, chunk_document, ingest_corpus
 from .derek import DerekPipeline
 from .errors import ConfigError, EmptyCorpus, EsapError
@@ -156,46 +162,48 @@ def build_parser() -> _Parser:
 # helpers
 # ---------------------------------------------------------------------------
 
+# flag (argparse dest) -> the config key it sets
+_FLAG_KEYS = {
+    "seed": ("ann", "seed"),
+    "chunk_size": ("chunk", "size"),
+    "overlap": ("chunk", "overlap"),
+    "k": ("retrieval", "k"),
+    "ngram": ("eval", "ngram_n"),
+    "max_retries": ("thor", "max_retries"),
+    "threshold": ("thor", "threshold"),
+}
+
+
 def _resolve_config(args) -> AppConfig:
-    cfg = load_config(args.config) if args.config else AppConfig()
+    """The config file (or the defaults) with each given flag written in.
+
+    Flags go into the JSON form of the config, so ``config_from_dict``
+    checks them as it checks file keys, before any command runs.
+    """
+    data = (load_config(args.config) if args.config else AppConfig()).to_json()
     if args.kb is not None:
-        cfg.kb = args.kb
-    if args.seed is not None:
-        cfg.ann.seed = args.seed
-    if getattr(args, "chunk_size", None) is not None:
-        cfg.chunk.size = args.chunk_size
-    if getattr(args, "overlap", None) is not None:
-        cfg.chunk.overlap = args.overlap
-    if getattr(args, "k", None) is not None:
-        cfg.retrieval.k = args.k
+        data["kb"] = args.kb
+    for dest, (section, key) in _FLAG_KEYS.items():
+        if getattr(args, dest, None) is not None:
+            data[section][key] = getattr(args, dest)
     if getattr(args, "ks", None) is not None:
-        cfg.eval.ks = list(_parse_ks(args.ks))
-    if getattr(args, "ngram", None) is not None:
-        if args.ngram < 1:
-            raise ConfigError("--ngram must be >= 1")
-        cfg.eval.ngram_n = args.ngram
+        try:
+            data["eval"]["ks"] = [int(part) for part in args.ks.split(",")
+                                  if part.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"--ks must be comma-separated integers: {exc}")
     ports = getattr(args, "ports", None)
     if ports is not None:
         if ports == "stub" or ports == "http":
-            cfg.ports.mode = ports
-            cfg.ports.script = None
+            data["ports"].update(mode=ports, script=None)
         elif ports.startswith("scripted:"):
-            cfg.ports.mode = "scripted"
-            cfg.ports.script = ports.split(":", 1)[1]
+            data["ports"].update(mode="scripted", script=ports.split(":", 1)[1])
         else:
             raise ConfigError(
                 f"--ports must be stub, scripted:<file>, or http, got {ports!r}")
-    if getattr(args, "max_retries", None) is not None:
-        if args.max_retries < 0:
-            raise ConfigError("--max-retries must be >= 0")
-        cfg.thor.max_retries = args.max_retries
-    if getattr(args, "threshold", None) is not None:
-        if not 0.0 <= args.threshold <= 1.0:
-            raise ConfigError("--threshold must be within [0, 1]")
-        cfg.thor.threshold = args.threshold
     if getattr(args, "allow_empty", False):
-        cfg.thor.allow_empty = True
-    return cfg
+        data["thor"]["allow_empty"] = True
+    return config_from_dict(data)
 
 
 def _payload(cfg: AppConfig, body: dict) -> dict:
@@ -239,16 +247,6 @@ def _make_chat(cfg: AppConfig):
 def _load_index_and_embedder(cfg: AppConfig):
     index = load_hybrid(cfg.kb)
     return index, HashingEmbedder(index.dense.dim)
-
-
-def _parse_ks(text: str) -> tuple[int, ...]:
-    try:
-        ks = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"--ks must be comma-separated integers: {exc}")
-    if not ks:
-        raise ConfigError("--ks must name at least one cutoff")
-    return ks
 
 
 def _write_report(out: str, payload: dict, table: str) -> tuple[str, str]:

@@ -1,11 +1,22 @@
-"""Application configuration: one JSON file, strict keys, CLI overrides.
+"""Application configuration: one JSON file, strict keys, one schema.
+
+``_SCHEMA`` is the one place that knows a setting. For each section it
+lists the keys in echo order, the JSON types each key accepts (the first
+is the type stored) and the rule its value must meet. Key checks, type
+checks, range and enum checks, parsing into the dataclasses below and
+``AppConfig.to_json`` (the CLI's ``config_echo``) all read it. Only
+``kb``, ``guards`` and the ``ann`` key renames (``AnnParams.to_json`` and
+``from_json``) have code of their own.
 
 Unknown keys are rejected with their full path (e.g. "retrieval.rrf_k")
-so typos fail loudly instead of silently using defaults.
+so typos fail loudly instead of silently using defaults. CLI flags take
+no other path: ``esap.cli`` writes each one into the JSON form of the
+config, so ``config_from_dict`` checks flags and file keys alike.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import re
 from dataclasses import dataclass, field
@@ -15,6 +26,42 @@ from .dense import AnnParams
 from .errors import ConfigError
 from .hybrid import DEFAULT_GUARDS, DEFAULT_RRF_C, GuardRule
 from .ports import ENV_API_KEY, ENV_BASE_URL, ENV_MODEL
+
+
+def _is(value, kinds: tuple) -> bool:
+    # JSON true/false parse to bool, which Python also counts as an int
+    return isinstance(value, kinds) and (bool in kinds
+                                         or not isinstance(value, bool))
+
+
+def _at_least(low: int):
+    return (lambda value: value >= low), f"must be >= {low}"
+
+
+def _one_of(*names: str):
+    return (lambda value: value in names), "must be " + "|".join(names)
+
+
+_UNIT = (lambda value: 0.0 <= value <= 1.0), "must be in [0, 1]"
+_CUTOFFS = (lambda values: bool(values) and all(_is(v, (int,)) and v >= 1
+                                                for v in values),
+            "must be a non-empty list of positive integers")
+
+# section -> key -> (accepted JSON types, the first one stored; rule or None),
+# in config_echo order
+_SCHEMA = {
+    "chunk": {"size": (int, _at_least(1)), "overlap": (int, _at_least(0))},
+    "retrieval": {"k": (int, _at_least(1)), "rrf_c": (int, _at_least(0))},
+    "ann": {"m": (int, _at_least(1)), "ef_c": (int, _at_least(1)),
+            "ef_s": (int, _at_least(1)), "exact_threshold": (int, None),
+            "mode": (str, _one_of("auto", "exact", "ann")), "seed": (int, None)},
+    "ports": {"mode": (str, _one_of("stub", "scripted", "http")),
+              "script": ((str, type(None)), None), "api_key_env": (str, None),
+              "base_url_env": (str, None), "model_env": (str, None)},
+    "thor": {"max_retries": (int, _at_least(0)),
+             "threshold": ((float, int), _UNIT), "allow_empty": (bool, None)},
+    "eval": {"ks": (list, _CUTOFFS), "ngram_n": (int, _at_least(1))},
+}
 
 
 @dataclass
@@ -63,131 +110,53 @@ class AppConfig:
     guards: list[GuardRule] = field(default_factory=lambda: list(DEFAULT_GUARDS))
 
     def to_json(self) -> dict:
-        return {
-            "kb": self.kb,
-            "chunk": {"size": self.chunk.size, "overlap": self.chunk.overlap},
-            "retrieval": {"k": self.retrieval.k, "rrf_c": self.retrieval.rrf_c},
-            "ann": self.ann.to_json(),
-            "ports": {"mode": self.ports.mode, "script": self.ports.script,
-                      "api_key_env": self.ports.api_key_env,
-                      "base_url_env": self.ports.base_url_env,
-                      "model_env": self.ports.model_env},
-            "thor": {"max_retries": self.thor.max_retries,
-                     "threshold": self.thor.threshold,
-                     "allow_empty": self.thor.allow_empty},
-            "eval": {"ks": list(self.eval.ks), "ngram_n": self.eval.ngram_n},
-            "guards": [{"kind": g.kind, "pattern": g.pattern}
-                       for g in self.guards],
-        }
+        out = {"kb": self.kb}
+        for section, keys in _SCHEMA.items():
+            values = getattr(self, section)
+            out[section] = (values.to_json() if section == "ann" else
+                            {key: copy.copy(getattr(values, key)) for key in keys})
+        out["guards"] = [{"kind": g.kind, "pattern": g.pattern}
+                         for g in self.guards]
+        return out
 
 
-def _check_keys(section: dict, allowed: set[str], path: str) -> None:
+def _check_keys(section: dict, allowed, path: str) -> None:
     for key in section:
         if key not in allowed:
             where = f"{path}.{key}" if path else key
             raise ConfigError(f"unknown config key: {where}")
 
 
-def _typed(section: dict, key: str, kinds, path: str, default):
-    if key not in section:
-        return default
-    value = section[key]
-    allowed = kinds if isinstance(kinds, tuple) else (kinds,)
-    if (isinstance(value, bool) and bool not in allowed) \
-            or not isinstance(value, kinds):
-        raise ConfigError(f"config key {path}.{key} has wrong type: "
-                          f"{type(value).__name__}")
-    return value
-
-
 def config_from_dict(data: dict) -> AppConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    _check_keys(data, {"kb", "chunk", "retrieval", "ann", "ports", "thor",
-                       "eval", "guards"}, "")
-    cfg = AppConfig()
+    _check_keys(data, {"kb", *_SCHEMA, "guards"}, "")
+    merged = AppConfig().to_json()
     if "kb" in data:
         if not isinstance(data["kb"], str):
             raise ConfigError("config key kb must be a string")
-        cfg.kb = data["kb"]
+        merged["kb"] = data["kb"]
 
-    if "chunk" in data:
-        sec = data["chunk"]
-        _check_keys(sec, {"size", "overlap"}, "chunk")
-        cfg.chunk.size = int(_typed(sec, "size", int, "chunk", cfg.chunk.size))
-        cfg.chunk.overlap = int(_typed(sec, "overlap", int, "chunk",
-                                       cfg.chunk.overlap))
+    for section, keys in _SCHEMA.items():
+        given = data.get(section, {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"config key {section} must be an object")
+        _check_keys(given, keys, section)
+        for key, value in given.items():
+            kinds, rule = keys[key]
+            kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+            if not _is(value, kinds):
+                raise ConfigError(f"config key {section}.{key} has wrong type: "
+                                  f"{type(value).__name__}")
+            if rule is not None and not rule[0](value):
+                raise ConfigError(f"config key {section}.{key} {rule[1]}, "
+                                  f"got {value!r}")
+            merged[section][key] = value if value is None else kinds[0](value)
 
-    if "retrieval" in data:
-        sec = data["retrieval"]
-        _check_keys(sec, {"k", "rrf_c"}, "retrieval")
-        cfg.retrieval.k = int(_typed(sec, "k", int, "retrieval", cfg.retrieval.k))
-        cfg.retrieval.rrf_c = int(_typed(sec, "rrf_c", int, "retrieval",
-                                         cfg.retrieval.rrf_c))
-
-    if "ann" in data:
-        sec = data["ann"]
-        ann = cfg.ann.to_json()
-        _check_keys(sec, set(ann), "ann")
-        for key in ("m", "ef_c", "ef_s", "exact_threshold", "seed"):
-            ann[key] = int(_typed(sec, key, int, "ann", ann[key]))
-        for key in ("m", "ef_c", "ef_s"):
-            if ann[key] < 1:
-                raise ConfigError(f"config key ann.{key} must be >= 1")
-        mode = _typed(sec, "mode", str, "ann", ann["mode"])
-        if mode not in ("auto", "exact", "ann"):
-            raise ConfigError(f"config key ann.mode must be auto|exact|ann, "
-                              f"got {mode!r}")
-        ann["mode"] = mode
-        cfg.ann = AnnParams.from_json(ann)
-
-    if "ports" in data:
-        sec = data["ports"]
-        _check_keys(sec, {"mode", "script", "api_key_env", "base_url_env",
-                          "model_env"}, "ports")
-        mode = _typed(sec, "mode", str, "ports", cfg.ports.mode)
-        if mode not in ("stub", "scripted", "http"):
-            raise ConfigError(f"config key ports.mode must be "
-                              f"stub|scripted|http, got {mode!r}")
-        cfg.ports.mode = mode
-        script = sec.get("script", cfg.ports.script)
-        if script is not None and not isinstance(script, str):
-            raise ConfigError("config key ports.script must be a string or null")
-        cfg.ports.script = script
-        cfg.ports.api_key_env = _typed(sec, "api_key_env", str, "ports",
-                                       cfg.ports.api_key_env)
-        cfg.ports.base_url_env = _typed(sec, "base_url_env", str, "ports",
-                                        cfg.ports.base_url_env)
-        cfg.ports.model_env = _typed(sec, "model_env", str, "ports",
-                                     cfg.ports.model_env)
-
-    if "thor" in data:
-        sec = data["thor"]
-        _check_keys(sec, {"max_retries", "threshold", "allow_empty"}, "thor")
-        cfg.thor.max_retries = int(_typed(sec, "max_retries", int, "thor",
-                                          cfg.thor.max_retries))
-        cfg.thor.threshold = float(_typed(sec, "threshold", (int, float),
-                                          "thor", cfg.thor.threshold))
-        allow = sec.get("allow_empty", cfg.thor.allow_empty)
-        if not isinstance(allow, bool):
-            raise ConfigError("config key thor.allow_empty must be a boolean")
-        cfg.thor.allow_empty = allow
-
-    if "eval" in data:
-        sec = data["eval"]
-        _check_keys(sec, {"ks", "ngram_n"}, "eval")
-        if "ks" in sec:
-            ks = sec["ks"]
-            if not isinstance(ks, list) or not ks or not all(
-                    isinstance(k, int) and not isinstance(k, bool) and k >= 1
-                    for k in ks):
-                raise ConfigError("config key eval.ks must be a non-empty "
-                                  "list of positive integers")
-            cfg.eval.ks = list(ks)
-        cfg.eval.ngram_n = int(_typed(sec, "ngram_n", int, "eval",
-                                      cfg.eval.ngram_n))
-        if cfg.eval.ngram_n < 1:
-            raise ConfigError("config key eval.ngram_n must be >= 1")
+    cfg = AppConfig(kb=merged["kb"], ann=AnnParams.from_json(merged["ann"]))
+    for section in _SCHEMA.keys() - {"ann"}:
+        for key, value in merged[section].items():
+            setattr(getattr(cfg, section), key, value)
 
     if "guards" in data:
         rules = data["guards"]
@@ -198,8 +167,9 @@ def config_from_dict(data: dict) -> AppConfig:
             if not isinstance(rule, dict):
                 raise ConfigError(f"config key guards[{i}] must be an object")
             _check_keys(rule, {"kind", "pattern"}, f"guards[{i}]")
-            if "kind" not in rule or "pattern" not in rule:
-                raise ConfigError(f"config key guards[{i}] needs kind and pattern")
+            if not all(isinstance(rule.get(key), str) for key in ("kind", "pattern")):
+                raise ConfigError(f"config key guards[{i}] needs kind and "
+                                  f"pattern strings")
             try:
                 re.compile(rule["pattern"])
             except re.error as exc:
@@ -208,15 +178,6 @@ def config_from_dict(data: dict) -> AppConfig:
                     f"regex: {exc}") from exc
             parsed.append(GuardRule(kind=rule["kind"], pattern=rule["pattern"]))
         cfg.guards = parsed
-
-    if cfg.chunk.size < 1:
-        raise ConfigError("config key chunk.size must be >= 1")
-    if cfg.chunk.overlap < 0:
-        raise ConfigError("config key chunk.overlap must be >= 0")
-    if cfg.retrieval.k < 1:
-        raise ConfigError("config key retrieval.k must be >= 1")
-    if not 0.0 <= cfg.thor.threshold <= 1.0:
-        raise ConfigError("config key thor.threshold must be in [0, 1]")
     return cfg
 
 

@@ -125,13 +125,13 @@ class VersionStore:
     """Directory-backed immutable version store with an append-only audit log.
 
     Single writer, many readers: mutations are serialized by an in-process
-    lock and land atomically (temp file + rename).
+    lock and land atomically (temp file + rename). The directory is made by
+    the first write; a store that was never written holds no documents.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self._lock = threading.Lock()
-        (self.root / "docs").mkdir(parents=True, exist_ok=True)
 
     # -- paths -------------------------------------------------------------
 
@@ -149,6 +149,8 @@ class VersionStore:
 
     def doc_ids(self) -> list[str]:
         docs = self.root / "docs"
+        if not docs.is_dir():
+            return []
         return sorted(p.name for p in docs.iterdir() if p.is_dir())
 
     def versions(self, doc_id: str) -> list[int]:

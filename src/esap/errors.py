@@ -121,10 +121,6 @@ class RunsFormatError(DataError):
     pass
 
 
-class MissingGold(DataError):
-    pass
-
-
 # configuration / cli
 class ConfigError(EsapError):
     pass

@@ -94,6 +94,50 @@ def test_index_of_an_empty_kb_is_data_error(tmp_path, capsys):
     assert "run ingest first" in error["message"]
 
 
+def test_read_only_commands_create_no_kb(tmp_path, capsys):
+    fresh = tmp_path / "fresh"
+    code, _, err = run_cli(capsys, "index", "--kb", str(fresh))
+    assert code == 2
+    assert json.loads(err)["error"] == "EmptyCorpus"
+    assert not fresh.exists()
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus)
+    assert run_cli(capsys, "ingest", "--corpus", str(corpus),
+                   "--kb", str(fresh))[0] == 0
+    assert (fresh / "docs").is_dir()
+
+
+def test_config_section_of_wrong_type_is_config_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"chunk": 5}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "version", "--config", str(config))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "ConfigError"
+    assert "config key chunk " in error["message"]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("query", "--q", "x", "--k", "0"), "retrieval.k"),
+    (("index", "--chunk-size", "0"), "chunk.size"),
+    (("eval-trace", "--runs", "runs.jsonl", "--ngram", "0"), "eval.ngram_n"),
+    (("sql", "--q", "x", "--max-retries", "-1"), "thor.max_retries"),
+    (("sql", "--q", "x", "--threshold", "1.5"), "thor.threshold"),
+    (("eval-retrieval", "--dataset", "qa=qa.jsonl", "--ks", "0"), "eval.ks"),
+], ids=["k", "chunk-size", "ngram", "max-retries", "threshold", "ks"])
+def test_flags_pass_the_config_checks(tmp_path, capsys, argv, key):
+    # checked before any kb, index or input file is touched
+    absent = tmp_path / "absent"
+    code, out, err = run_cli(capsys, *argv, "--kb", str(absent))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "ConfigError"
+    assert f"config key {key} " in error["message"]
+    assert not absent.exists()
+
+
 def test_exhausted_script_is_port_error(kb, tmp_path, capsys):
     script = tmp_path / "script.json"
     script.write_text(json.dumps(["only one reply"]), encoding="utf-8")

@@ -43,6 +43,59 @@ def test_to_json_round_trips():
     assert again.to_json() == cfg.to_json()
 
 
+# config_echo bytes as earlier releases print them: scripts read the echo,
+# so the key order and the value types may not drift
+DEFAULT_ECHO = (
+    '{"kb": "./kb", "chunk": {"size": 1000, "overlap": 150}, '
+    '"retrieval": {"k": 50, "rrf_c": 60}, '
+    '"ann": {"m": 16, "ef_c": 200, "ef_s": 128, "exact_threshold": 5000, '
+    '"mode": "auto", "seed": 42}, '
+    '"ports": {"mode": "stub", "script": null, "api_key_env": "ESAP_API_KEY", '
+    '"base_url_env": "ESAP_BASE_URL", "model_env": "ESAP_MODEL"}, '
+    '"thor": {"max_retries": 3, "threshold": 0.6, "allow_empty": false}, '
+    '"eval": {"ks": [1, 2, 4, 8, 16, 50], "ngram_n": 3}, '
+    '"guards": [{"kind": "email", '
+    '"pattern": "[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\\\.[A-Za-z]{2,}"}, '
+    '{"kind": "ssn", "pattern": "\\\\d{3}-\\\\d{2}-\\\\d{4}"}, '
+    '{"kind": "phone", '
+    '"pattern": "\\\\(?\\\\d{3}\\\\)?[-. ]?\\\\d{3}[-. ]?\\\\d{4}"}]}'
+)
+FULL_ECHO = (
+    '{"kb": "/srv/kb", "chunk": {"size": 1, "overlap": 0}, '
+    '"retrieval": {"k": 7, "rrf_c": 30}, '
+    '"ann": {"m": 8, "ef_c": 100, "ef_s": 64, "exact_threshold": 99, '
+    '"mode": "exact", "seed": 7}, '
+    '"ports": {"mode": "scripted", "script": "replies.json", '
+    '"api_key_env": "K", "base_url_env": "U", "model_env": "M"}, '
+    '"thor": {"max_retries": 0, "threshold": 1.0, "allow_empty": true}, '
+    '"eval": {"ks": [3, 1], "ngram_n": 2}, '
+    '"guards": [{"kind": "badge", "pattern": "B-\\\\d{4}"}]}'
+)
+
+
+def test_default_echo_is_pinned():
+    assert json.dumps(AppConfig().to_json()) == DEFAULT_ECHO
+
+
+def test_full_echo_is_pinned():
+    # every section and key set, each given in reverse order; an int
+    # threshold is stored and echoed as a float
+    full = {"guards": [{"pattern": r"B-\d{4}", "kind": "badge"}],
+            "eval": {"ngram_n": 2, "ks": [3, 1]},
+            "thor": {"allow_empty": True, "threshold": 1, "max_retries": 0},
+            "ports": {"model_env": "M", "base_url_env": "U",
+                      "api_key_env": "K", "script": "replies.json",
+                      "mode": "scripted"},
+            "ann": {"seed": 7, "mode": "exact", "exact_threshold": 99,
+                    "ef_s": 64, "ef_c": 100, "m": 8},
+            "retrieval": {"rrf_c": 30, "k": 7},
+            "chunk": {"overlap": 0, "size": 1},
+            "kb": "/srv/kb"}
+    cfg = config_from_dict(full)
+    assert json.dumps(cfg.to_json()) == FULL_ECHO
+    assert json.dumps(config_from_dict(cfg.to_json()).to_json()) == FULL_ECHO
+
+
 def test_unknown_keys_fail_with_path():
     with pytest.raises(ConfigError, match="retrieval.overfech"):
         config_from_dict({"retrieval": {"overfech": 4}})
@@ -66,6 +119,13 @@ def test_type_errors_are_loud():
         config_from_dict({"eval": {"ks": []}})
     with pytest.raises(ConfigError, match="root"):
         config_from_dict([1, 2])
+    # a section of the wrong JSON type names the section
+    for data, section in (({"chunk": 5}, "chunk"), ({"ann": []}, "ann"),
+                          ({"ports": "x"}, "ports"), ({"thor": None}, "thor")):
+        with pytest.raises(ConfigError, match=f"config key {section} "):
+            config_from_dict(data)
+    with pytest.raises(ConfigError, match=r"guards\[0\] needs kind and pattern"):
+        config_from_dict({"guards": [{"kind": "badge", "pattern": 5}]})
 
 
 def test_enum_fields_validated():
@@ -84,6 +144,11 @@ def test_range_checks():
         config_from_dict({"thor": {"threshold": 1.5}})
     with pytest.raises(ConfigError, match="ngram_n"):
         config_from_dict({"eval": {"ngram_n": 0}})
+    with pytest.raises(ConfigError, match="thor.max_retries"):
+        config_from_dict({"thor": {"max_retries": -1}})
+    # a negative RRF constant divides by zero at rank -rrf_c
+    with pytest.raises(ConfigError, match="retrieval.rrf_c"):
+        config_from_dict({"retrieval": {"rrf_c": -1}})
 
 
 def test_guard_rules_parsed_and_validated():
