@@ -246,6 +246,8 @@ def _make_chat(cfg: AppConfig):
 
 def _load_index_and_embedder(cfg: AppConfig):
     index = load_hybrid(cfg.kb)
+    # fusion runs with the config's rrf_c, the value the echo states
+    index.params.rrf_c = cfg.retrieval.rrf_c
     return index, HashingEmbedder(index.dense.dim)
 
 

@@ -53,12 +53,16 @@ class AnnParams:
 
 @dataclass
 class DenseIndex:
-    vectors: np.ndarray                      # (n, d) float32, rows unit-norm or zero
-    dim: int
-    params: AnnParams
+    """Read-only (n, d) float32 vectors, rows unit-norm or zero, in position order."""
+
+    vectors: np.ndarray
 
     def __post_init__(self):
         self.vectors.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
     @property
     def mode(self) -> str:
@@ -77,11 +81,10 @@ def build_dense_from_texts(texts: list[str], chunk_ids: list[str], embed,
     """Embed chunks (in order) and build the dense index.
 
     ``embed`` is a callable list[str] -> (n, d) array; failures are surfaced
-    with the offending chunk_id. ``params`` is recorded on the index; its
+    with the offending chunk_id. ``params`` is validated, not stored: its
     mode must be one of auto/exact/ann, and every mode searches exactly.
     """
-    params = params or AnnParams()
-    if params.mode not in ("auto", "exact", "ann"):
+    if params is not None and params.mode not in ("auto", "exact", "ann"):
         raise ValueError(f"unknown dense mode {params.mode!r}")
     try:
         matrix = np.asarray(embed(texts), dtype=np.float32)
@@ -94,7 +97,7 @@ def build_dense_from_texts(texts: list[str], chunk_ids: list[str], embed,
     if bad.size:
         raise EmbedderFailure("non-finite embedding", chunk_id=chunk_ids[int(bad[0])])
     matrix = _normalize_rows(matrix)
-    return DenseIndex(vectors=matrix, dim=matrix.shape[1], params=params)
+    return DenseIndex(matrix)
 
 
 def search_dense(index: DenseIndex, query: np.ndarray, k: int,

@@ -9,18 +9,19 @@ A built index is a self-contained directory:
 The BM25 index is a pure function of the chunk table and k1/b, so it is not
 stored: loading rebuilds it. The dense header keeps ``"mode": "exact"`` and
 ``"graph": null`` for the format version 1 shape; a graph stored by an
-earlier build is ignored and the index is searched exactly. Checksums are
-verified on load; any mismatch refuses the index rather than serving
-silently wrong results.
+earlier build is ignored and the index is searched exactly. Each data file
+is hashed as it is written; a load reads it once, refuses it unless meta.json
+holds a matching checksum, and parses only the bytes it verified.
 """
 
 from __future__ import annotations
 
 import gzip
 import hashlib
+import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -208,11 +209,17 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = 50,
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _sha256(path: Path) -> str:
+# the chunk-table row format, in both directions: Chunk's own fields in order
+_CHUNK_FIELDS = tuple(f.name for f in fields(Chunk))
+
+
+def _write(path: Path, parts) -> str:
+    """Write the parts to path in order; returns the sha256 of those bytes."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    with open(path, "wb") as fh:
+        for part in parts:
+            digest.update(part)
+            fh.write(part)
     return digest.hexdigest()
 
 
@@ -221,43 +228,21 @@ def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
     out_dir = Path(kb_root) / "index"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    lexical_payload = {
-        "chunks": [
-            {
-                "chunk_id": c.chunk_id,
-                "doc_id": c.doc_id,
-                "version": c.version,
-                "token_span": list(c.token_span),
-                "text": c.text,
-                "size_tokens": c.size_tokens,
-            }
-            for c in (index.chunks[cid] for cid in index.chunk_ids)
-        ],
-        "doc_acl": index.doc_acl,
-    }
-    lexical_path = out_dir / "lexical.bin"
-    raw = json.dumps(lexical_payload, ensure_ascii=False,
-                     separators=(",", ":")).encode("utf-8")
+    rows = [{name: getattr(index.chunks[cid], name) for name in _CHUNK_FIELDS}
+            for cid in index.chunk_ids]
+    raw = json.dumps({"chunks": rows, "doc_acl": index.doc_acl},
+                     ensure_ascii=False, separators=(",", ":")).encode("utf-8")
     # mtime=0 keeps the gzip container byte-stable across rebuilds; level 6
-    # is a quarter of level 9's time for about 7% more bytes
-    with open(lexical_path, "wb") as fh:
-        with gzip.GzipFile(fileobj=fh, mode="wb", compresslevel=6, mtime=0) as gz:
-            gz.write(raw)
+    # is a quarter of level 9's time for about 7% more bytes; the filename
+    # keeps the header of files streamed to disk by earlier builds
+    gz_bytes = io.BytesIO()
+    with gzip.GzipFile(filename="lexical.bin", fileobj=gz_bytes, mode="wb",
+                       compresslevel=6, mtime=0) as gz:
+        gz.write(raw)
 
-    dense_header = {
-        "dim": index.dense.dim,
-        "n": int(index.dense.vectors.shape[0]),
-        "mode": "exact",
-        "graph": None,
-    }
-    header_bytes = json.dumps(dense_header, separators=(",", ":")).encode("utf-8")
-    dense_path = out_dir / "dense.bin"
-    with open(dense_path, "wb") as fh:
-        fh.write(DENSE_MAGIC)
-        fh.write(len(header_bytes).to_bytes(8, "little"))
-        fh.write(header_bytes)
-        fh.write(np.ascontiguousarray(index.dense.vectors, dtype=np.float32).tobytes())
-
+    vectors = np.ascontiguousarray(index.dense.vectors, dtype=np.float32)
+    header = json.dumps({"dim": index.dense.dim, "n": vectors.shape[0], "mode": "exact",
+                         "graph": None}, separators=(",", ":")).encode("utf-8")
     meta = {
         "format_version": FORMAT_VERSION,
         "dim": index.dense.dim,
@@ -268,18 +253,22 @@ def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
         "chunk": {"size": index.params.chunk_size,
                   "overlap": index.params.chunk_overlap},
         "checksums": {
-            "lexical.bin": _sha256(lexical_path),
-            "dense.bin": _sha256(dense_path),
+            "lexical.bin": _write(out_dir / "lexical.bin", [gz_bytes.getbuffer()]),
+            "dense.bin": _write(out_dir / "dense.bin", [
+                DENSE_MAGIC, len(header).to_bytes(8, "little"), header, vectors]),
         },
     }
-    with open(out_dir / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(out_dir / "meta.json",
+           [(json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8")])
     return out_dir
 
 
 def load_hybrid(kb_root: str | Path) -> HybridIndex:
-    """Load and verify an index directory; never serves a corrupt file."""
+    """Load and verify an index directory; never serves a corrupt file.
+
+    Each data file is read once, refused unless ``meta.json`` holds a
+    matching checksum for it, and parsed from the very bytes verified.
+    """
     in_dir = Path(kb_root) / "index"
     meta_path = in_dir / "meta.json"
     if not meta_path.exists():
@@ -293,49 +282,54 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
     if version != FORMAT_VERSION:
         raise FormatVersionMismatch(
             f"index format {version!r} unsupported, expected {FORMAT_VERSION}")
+    try:
+        checksums = dict(meta["checksums"])
+        params = HybridParams(k1=float(meta["k1"]), b=float(meta["b"]),
+                              rrf_c=int(meta["rrf_c"]),
+                              chunk_size=int(meta["chunk"]["size"]),
+                              chunk_overlap=int(meta["chunk"]["overlap"]),
+                              ann=AnnParams.from_json(meta["ann"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptIndex(f"bad meta.json: {type(exc).__name__}: {exc}") from exc
 
-    for name, expected in meta.get("checksums", {}).items():
-        path = in_dir / name
-        if not path.exists():
-            raise CorruptIndex(f"missing index file {name}")
-        actual = _sha256(path)
+    def read_verified(name: str) -> bytes:
+        if name not in checksums:
+            raise CorruptIndex(f"meta.json holds no checksum for {name}")
+        try:
+            data = (in_dir / name).read_bytes()
+        except FileNotFoundError as exc:
+            raise CorruptIndex(f"missing index file {name}") from exc
+        expected, actual = str(checksums[name]), hashlib.sha256(data).hexdigest()
         if actual != expected:
             raise CorruptIndex(
                 f"checksum mismatch for {name}: expected {expected[:12]}..., "
                 f"got {actual[:12]}...")
+        return data
 
-    with gzip.open(in_dir / "lexical.bin", "rb") as gz:
-        lex = json.loads(gz.read().decode("utf-8"))
+    lex = json.loads(gzip.decompress(read_verified("lexical.bin")))
     # files written before the BM25 state was dropped also hold postings,
     # chunk_lengths, k1 and b; they are ignored
-    ordered = [Chunk(chunk_id=row["chunk_id"], doc_id=row["doc_id"],
-                     version=row["version"],
-                     token_span=tuple(row["token_span"]),
-                     text=row["text"], size_tokens=row["size_tokens"])
-               for row in lex["chunks"]]
-    k1, b = float(meta["k1"]), float(meta["b"])
-    lexical = build_lexical(ordered, k1=k1, b=b)
+    ordered = []
+    for row in lex["chunks"]:
+        row["token_span"] = tuple(row["token_span"])
+        ordered.append(Chunk(**{name: row[name] for name in _CHUNK_FIELDS}))
+    # BM25 is built before dense.bin is read, so the two are never held at once
+    lexical = build_lexical(ordered, k1=params.k1, b=params.b)
 
-    with open(in_dir / "dense.bin", "rb") as fh:
-        magic = fh.read(len(DENSE_MAGIC))
-        if magic != DENSE_MAGIC:
-            raise CorruptIndex(f"bad dense.bin magic: {magic!r}")
-        header_len = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        payload = fh.read()
+    blob = read_verified("dense.bin")
+    if not blob.startswith(DENSE_MAGIC):
+        raise CorruptIndex(f"bad dense.bin magic: {blob[:len(DENSE_MAGIC)]!r}")
+    start = len(DENSE_MAGIC) + 8
+    offset = start + int.from_bytes(blob[start - 8:start], "little")
+    header = json.loads(blob[start:offset])
     n, dim = int(header["n"]), int(header["dim"])
-    expected_bytes = n * dim * 4
-    if len(payload) != expected_bytes:
-        raise CorruptIndex(
-            f"dense.bin payload is {len(payload)} bytes, expected {expected_bytes}")
-    vectors = np.frombuffer(payload, dtype=np.float32).reshape(n, dim).copy()
+    if len(blob) - offset != n * dim * 4:
+        raise CorruptIndex(f"dense.bin payload is {len(blob) - offset} bytes, "
+                           f"expected {n * dim * 4}")
+    # copied out of the file bytes: a view at ``offset`` may be unaligned,
+    # which slows every matrix-vector product
+    vectors = np.frombuffer(blob, np.float32, n * dim, offset).reshape(n, dim).copy()
 
-    ann = AnnParams.from_json(meta["ann"])
-    dense = DenseIndex(vectors=vectors, dim=dim, params=ann)
-    params = HybridParams(k1=k1, b=b, rrf_c=int(meta["rrf_c"]),
-                          chunk_size=int(meta["chunk"]["size"]),
-                          chunk_overlap=int(meta["chunk"]["overlap"]),
-                          ann=ann)
-    return HybridIndex(lexical=lexical, dense=dense,
+    return HybridIndex(lexical=lexical, dense=DenseIndex(vectors),
                        chunks={c.chunk_id: c for c in ordered},
                        doc_acl=lex["doc_acl"], params=params)

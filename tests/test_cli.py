@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -383,3 +384,213 @@ def test_console_script_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tool_version"] == __version__
+
+
+# ---------------------------------------------------------------------------
+# serving an index, ports and flags, plain-text output
+# ---------------------------------------------------------------------------
+
+def write_script(path, replies) -> str:
+    path.write_text(json.dumps(replies), encoding="utf-8")
+    return f"scripted:{path}"
+
+
+def test_bad_meta_json_key_is_data_error(kb, capsys):
+    meta_path = Path(kb) / "index" / "meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    del meta["k1"]
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    code, out, err = run_cli(capsys, "query", "--q", "red apple", "--kb", kb)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "CorruptIndex"
+    assert "meta.json" in error["message"]
+
+
+def test_serving_commands_fuse_with_the_configs_rrf_c(kb, tmp_path, capsys):
+    # the kb was indexed with the default rrf_c 60, and meta.json keeps it
+    meta = json.loads((Path(kb) / "index" / "meta.json").read_text(encoding="utf-8"))
+    assert meta["rrf_c"] == 60
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"retrieval": {"rrf_c": 5}}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "query", "--q", "red apple", "--kb", kb,
+                           "--config", str(config))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config_echo"]["retrieval"]["rrf_c"] == 5
+    # first in both rankings: 2 / (5 + 1)
+    assert payload["hits"][0]["score"] == 2 / 6
+
+    dataset = tmp_path / "qa.jsonl"
+    dataset.write_text(json.dumps({
+        "qid": "q1", "question": "red apple basket",
+        "evidence": [{"doc_id": "fruit-apple",
+                      "quote": "The red apple sits in the basket"}],
+    }) + "\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "eval-retrieval", "--dataset", f"toy={dataset}",
+                           "--kb", kb, "--config", str(config))
+    assert code == 0
+    assert json.loads(out)["report"]["config_echo"]["rrf_c"] == 5
+
+
+def test_ports_stub_flag_runs_the_stub(kb, capsys):
+    code, out, _ = run_cli(capsys, "ask", "--q", "Where does the red apple sit?",
+                           "--kb", kb, "--ports", "stub")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config_echo"]["ports"]["mode"] == "stub"
+    assert payload["answer"]["verdict"] == "sufficient"
+
+
+def test_ports_http_without_an_endpoint_is_port_error(kb, capsys, monkeypatch):
+    monkeypatch.delenv("ESAP_BASE_URL", raising=False)
+    code, out, err = run_cli(capsys, "ask", "--q", "apples?", "--kb", kb,
+                             "--ports", "http")
+    assert code == 3
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "TransportError"
+    assert "ESAP_BASE_URL" in error["message"]
+
+
+@pytest.mark.parametrize("script, message", [
+    (None, "scripted ports need a script file"),
+    ("missing.json", "cannot read script file"),
+    ("{not json", "script file is not valid JSON"),
+    (["structured", 3], "script file must be a JSON array of strings"),
+    ({"reply": "structured"}, "script file must be a JSON array of strings"),
+], ids=["no-file", "unreadable", "invalid-json", "not-all-strings", "not-a-list"])
+def test_bad_script_file_is_config_error(kb, tmp_path, capsys, script, message):
+    if script is None:
+        ports = "scripted:"
+    elif script == "missing.json":
+        ports = f"scripted:{tmp_path / script}"
+    else:
+        path = tmp_path / "script.json"
+        path.write_text(script if isinstance(script, str) else json.dumps(script),
+                        encoding="utf-8")
+        ports = f"scripted:{path}"
+    code, out, err = run_cli(capsys, "ask", "--q", "apples?", "--kb", kb,
+                             "--ports", ports)
+    assert code == 1
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "ConfigError"
+    assert message in error["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("ask", "--q", "x", "--ports", "bogus"), "--ports must be stub, scripted:<file>, or http"),
+    (("eval-retrieval", "--dataset", "qa=qa.jsonl", "--ks", "1,x"),
+     "--ks must be comma-separated integers"),
+], ids=["ports", "ks"])
+def test_unparsable_flag_values_are_config_errors(tmp_path, capsys, argv, message):
+    absent = tmp_path / "absent"
+    code, out, err = run_cli(capsys, *argv, "--kb", str(absent))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "ConfigError"
+    assert message in error["message"]
+    assert not absent.exists()
+
+
+def test_sql_with_a_missing_database_is_config_error(kb, tmp_path, capsys):
+    ports = write_script(tmp_path / "script.json", ["structured", "SELECT 1", "0.9"])
+    code, _, err = run_cli(capsys, "sql", "--q", "x", "--kb", kb, "--ports", ports,
+                           "--db", str(tmp_path / "nowhere.db"))
+    assert code == 1
+    error = json.loads(err)
+    assert error["error"] == "ConfigError"
+    assert "database not found" in error["message"]
+
+
+def test_unreadable_runs_file_is_user_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "eval-trace", "--runs",
+                             str(tmp_path / "missing.jsonl"))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+def test_allow_empty_flag_lands_in_thor_config(kb, tmp_path, capsys):
+    ports = write_script(tmp_path / "script.json", [
+        "structured", "SELECT count(*) FROM chinook_track", "0.9"])
+    code, out, _ = run_cli(capsys, "sql", "--q", "How many tracks are there?",
+                           "--kb", kb, "--ports", ports, "--allow-empty")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config_echo"]["thor"]["allow_empty"] is True
+    assert payload["result"]["log"]["status"] == "answered"
+
+
+def test_pretty_index_ask_and_query_without_hits(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(json.dumps({"id": doc.doc_id, "text": doc.text,
+                                            "acl": ["alice"]})
+                                for doc in make_toy_kb_documents()) + "\n",
+                      encoding="utf-8")
+    kb_dir = str(tmp_path / "kb")
+    assert run_cli(capsys, "ingest", "--corpus", str(corpus), "--kb", kb_dir)[0] == 0
+    code, out, _ = run_cli(capsys, "index", "--kb", kb_dir, "--pretty")
+    assert code == 0
+    index_dir = Path(kb_dir) / "index"
+    assert out.startswith("indexed ")
+    assert out.rstrip().endswith(f"(dim=256, size=1000, overlap=150, mode=exact) "
+                                 f"-> {index_dir}")
+
+    code, out, _ = run_cli(capsys, "ask", "--q", "Where does the red apple sit?",
+                           "--kb", kb_dir, "--principal", "alice", "--pretty")
+    assert code == 0
+    lines = out.splitlines()
+    assert "verdict: sufficient" in lines
+    assert "regenerations: 0" in lines
+    assert "  [1] fruit-apple#v1#00000" in lines
+    assert "config_echo" not in out
+
+    # alice may read every document, bob none
+    code, out, _ = run_cli(capsys, "query", "--q", "red apple", "--kb", kb_dir,
+                           "--principal", "bob", "--pretty")
+    assert code == 0
+    assert out == "no results\n"
+
+
+def test_pretty_sql_verbose_prints_the_table(kb, tmp_path, capsys):
+    ports = write_script(tmp_path / "script.json", [
+        "structured",
+        "SELECT name, unit_price FROM chinook_track ORDER BY unit_price DESC LIMIT 1",
+        "0.9",
+    ])
+    code, out, _ = run_cli(capsys, "sql", "--q", "Which track has the highest unit price?",
+                           "--kb", kb, "--ports", ports, "--verbose", "--pretty")
+    assert code == 0
+    lines = out.splitlines()
+    assert "sql: SELECT name, unit_price FROM chinook_track ORDER BY unit_price DESC LIMIT 1" \
+        in lines
+    assert "attempts: 1 (final rating 0.90)" in lines
+    assert lines[-2:] == ["name | unit_price", "Quiet Harbor | 1.99"]
+    assert "Quiet Harbor" in lines[0]
+
+
+def test_pretty_eval_reports_print_their_tables(kb, tmp_path, capsys):
+    dataset = tmp_path / "qa.jsonl"
+    dataset.write_text(json.dumps({
+        "qid": "q1", "question": "red apple basket",
+        "evidence": [{"doc_id": "fruit-apple",
+                      "quote": "The red apple sits in the basket"}],
+    }) + "\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "eval-retrieval", "--dataset", f"toy={dataset}",
+                           "--ks", "1,2", "--kb", kb, "--pretty")
+    assert code == 0
+    assert "R@1" in out and "toy" in out and "config_echo" not in out
+
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text(json.dumps({
+        "qid": "q1", "system": "stub", "question": "q",
+        "answer": "the red apple sits in the basket",
+        "contexts": ["the red apple sits in the basket near the window"],
+    }) + "\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "eval-trace", "--runs", str(runs), "--pretty")
+    assert code == 0
+    assert "pc hallucinated" in out and "config_echo" not in out

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import builtins
 import gzip
 import hashlib
+import io
 import json
+import os
+import shutil
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,3 +221,106 @@ def test_queries_do_not_mutate_index(tmp_path):
     for name in ("meta.json", "lexical.bin", "dense.bin"):
         digest.update((tmp_path / "index" / name).read_bytes())
     assert digest.hexdigest() == before
+
+
+# ---------------------------------------------------------------------------
+# one read per data file: the bytes parsed are the bytes verified
+# ---------------------------------------------------------------------------
+
+# tests/data/index_v1 holds the toy kb chunked 30/5 with this ACL, as
+# save_hybrid wrote it at format 1 before files were built in memory
+# (commit 6441e08)
+INDEX_V1 = Path(__file__).parent / "data" / "index_v1"
+INDEX_V1_ACL = {"fruit-cherry": ["bob"], "policy-returns": ["alice", "bob"]}
+
+
+def test_index_saved_by_earlier_code_serves_the_same_hits(tmp_path):
+    shutil.copytree(INDEX_V1, tmp_path, dirs_exist_ok=True)
+    loaded = load_hybrid(tmp_path)
+    docs = make_toy_kb_documents()
+    fresh = build_hybrid([c for d in docs for c in chunk_document(d, size=30, overlap=5)],
+                         HashingEmbedder(),
+                         {d.doc_id: INDEX_V1_ACL.get(d.doc_id, ["*"]) for d in docs},
+                         HybridParams(chunk_size=30, chunk_overlap=5))
+    assert (loaded.chunks, loaded.doc_acl) == (fresh.chunks, fresh.doc_acl)
+    embed = HashingEmbedder()
+    for query in ("red apple", "shipping cherries", "refund policy", "zzz"):
+        for principal in ("*", "alice", "bob", "carol"):
+            a = search_hybrid(loaded, query, embed, k=5, principal=principal)
+            b = search_hybrid(fresh, query, embed, k=5, principal=principal)
+            assert [(h.chunk_id, h.score, h.text) for h in a] == \
+                   [(h.chunk_id, h.score, h.text) for h in b], (query, principal)
+
+
+def test_a_file_swapped_after_it_is_read_is_never_served(tmp_path, monkeypatch):
+    index = build_index()
+    index_dir = save_hybrid(index, tmp_path)
+    # well-formed files of another index: other texts, other vectors
+    lexical = json.loads(gzip.decompress((index_dir / "lexical.bin").read_bytes()))
+    for row in lexical["chunks"]:
+        row["text"] = "swapped " + row["text"]
+    swaps = {"lexical.bin": gzip.compress(json.dumps(lexical).encode("utf-8"))}
+    blob = (index_dir / "dense.bin").read_bytes()
+    size = index.dense.vectors.nbytes
+    swaps["dense.bin"] = blob[:-size] + (-index.dense.vectors).tobytes()
+    for name, data in swaps.items():
+        (tmp_path / name).write_bytes(data)
+
+    opened: Counter = Counter()
+    real_open = io.open
+
+    def swapping_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        if isinstance(file, (str, os.PathLike)) and Path(file).parent == index_dir:
+            name = Path(file).name
+            opened[name] += 1
+            if name in swaps and opened[name] == 1:
+                os.replace(tmp_path / name, index_dir / name)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", swapping_open)
+    monkeypatch.setattr(io, "open", swapping_open)
+    loaded = load_hybrid(tmp_path)
+    monkeypatch.undo()
+
+    assert loaded.chunks == index.chunks
+    assert np.array_equal(loaded.dense.vectors, index.dense.vectors)
+    assert opened["lexical.bin"] == opened["dense.bin"] == 1
+    # the swapped files are on disk now, and a fresh load refuses them
+    with pytest.raises(CorruptIndex, match="checksum mismatch for lexical.bin"):
+        load_hybrid(tmp_path)
+
+
+@pytest.mark.parametrize("dropped", [("lexical.bin",), ("dense.bin",),
+                                     ("lexical.bin", "dense.bin")])
+def test_a_data_file_without_a_checksum_is_refused(tmp_path, dropped):
+    save_hybrid(build_index(), tmp_path)
+    meta_path = tmp_path / "index" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    for name in dropped:
+        del meta["checksums"][name]
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(CorruptIndex, match=f"no checksum for {dropped[0]}"):
+        load_hybrid(tmp_path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("k1", None), ("b", None), ("rrf_c", None), ("ann", None), ("chunk", None),
+    ("checksums", None),
+    ("k1", "high"), ("b", [0.75]), ("rrf_c", "sixty"), ("ann", []),
+    ("ann", {"m": 16}), ("ann", {"m": "x", "ef_c": 1, "ef_s": 1,
+                                 "exact_threshold": 1, "mode": "auto", "seed": 1}),
+    ("chunk", 5), ("chunk", {"size": 30}), ("checksums", 5), ("checksums", "x"),
+])
+def test_a_missing_or_mistyped_meta_key_is_corrupt_index(tmp_path, key, value):
+    # None deletes the key
+    save_hybrid(build_index(), tmp_path)
+    meta_path = tmp_path / "index" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(CorruptIndex, match="meta.json"):
+        load_hybrid(tmp_path)
