@@ -6,9 +6,12 @@ and ``esap.config`` checks the result as it checks a file, before any
 command touches a kb or an index. A bad flag value is a ``ConfigError``
 naming that key (``--k 0`` names ``retrieval.k``).
 
+Each ``cmd_*`` returns ``(body, text)`` and ``main`` prints one of them:
+``text`` under ``--pretty``, otherwise ``body`` as one JSON document.
+
 Exit codes: 0 success, 1 user/config error, 2 data error, 3 external-port
 error; each error type carries its code (``esap.errors``). Every failure
-prints a single JSON line to stderr.
+prints a single JSON line to stderr and nothing to stdout.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .evaluation import (
 )
 from .fixtures import seed_music_db
 from .hybrid import HybridParams, build_hybrid, load_hybrid, save_hybrid, search_hybrid
+from .jsonio import read_json
 from .ports import (
     ExtractiveStub,
     HashingEmbedder,
@@ -206,14 +210,10 @@ def _resolve_config(args) -> AppConfig:
     return config_from_dict(data)
 
 
-def _payload(cfg: AppConfig, body: dict) -> dict:
-    out = {"tool_version": __version__, "config_echo": cfg.to_json()}
-    out.update(body)
-    return out
-
-
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False)
+def _document(cfg: AppConfig, body: dict) -> str:
+    """JSON-mode output: ``body`` after the tool version and the config echo."""
+    return json.dumps({"tool_version": __version__, "config_echo": cfg.to_json(),
+                       **body}, indent=2, ensure_ascii=False)
 
 
 def _make_chat(cfg: AppConfig):
@@ -224,24 +224,13 @@ def _make_chat(cfg: AppConfig):
         if not cfg.ports.script:
             raise ConfigError("scripted ports need a script file "
                               "(--ports scripted:<file>)")
-        try:
-            with open(cfg.ports.script, encoding="utf-8") as fh:
-                script = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read script file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"script file is not valid JSON: {exc}") from exc
-        if (not isinstance(script, list)
-                or not all(isinstance(entry, str) for entry in script)):
-            raise ConfigError("script file must be a JSON array of strings")
-        return ScriptedModel(script)
-    if mode == "http":
-        return HttpChatModel(
-            base_url=os.environ.get(cfg.ports.base_url_env),
-            api_key=os.environ.get(cfg.ports.api_key_env),
-            model=os.environ.get(cfg.ports.model_env),
-        )
-    raise ConfigError(f"unknown ports mode {mode!r}")
+        return ScriptedModel(read_json(cfg.ports.script, ConfigError,
+                                       "script file", "array of strings"))
+    return HttpChatModel(
+        base_url=os.environ.get(cfg.ports.base_url_env),
+        api_key=os.environ.get(cfg.ports.api_key_env),
+        model=os.environ.get(cfg.ports.model_env),
+    )
 
 
 def _load_index_and_embedder(cfg: AppConfig):
@@ -251,31 +240,32 @@ def _load_index_and_embedder(cfg: AppConfig):
     return index, HashingEmbedder(index.dense.dim)
 
 
-def _write_report(out: str, payload: dict, table: str) -> tuple[str, str]:
-    out_path = Path(out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(_dump(payload) + "\n", encoding="utf-8")
-    txt_path = out_path.with_suffix(".txt")
-    txt_path.write_text(table + "\n", encoding="utf-8")
-    return str(out_path), str(txt_path)
+def _report(args, cfg: AppConfig, report: dict, table: str) -> tuple[dict, str]:
+    """An eval command's result; ``--out`` also writes it and its table."""
+    body = {"report": report}
+    if args.out:
+        out_path = Path(args.out)
+        txt_path = out_path.with_suffix(".txt")
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text(_document(cfg, body) + "\n", encoding="utf-8")
+        txt_path.write_text(table + "\n", encoding="utf-8")
+        body = {**body, "out": str(out_path), "out_table": str(txt_path)}
+    return body, table
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_ingest(args, cfg: AppConfig) -> int:
+def cmd_ingest(args, cfg: AppConfig) -> tuple[dict, str]:
     if not Path(args.corpus).is_file():
         raise ConfigError(f"corpus file not found: {args.corpus}")
-    store = VersionStore(cfg.kb)
-    ingested, updated = ingest_corpus(store, args.corpus)
-    if not args.pretty:
-        print(_dump(_payload(cfg, {"ingested": ingested, "updated": updated})))
-    print(f"ingested={ingested} updated={updated}")
-    return EXIT_OK
+    ingested, updated = ingest_corpus(VersionStore(cfg.kb), args.corpus)
+    return ({"ingested": ingested, "updated": updated},
+            f"ingested={ingested} updated={updated}")
 
 
-def cmd_index(args, cfg: AppConfig) -> int:
+def cmd_index(args, cfg: AppConfig) -> tuple[dict, str]:
     size, overlap = cfg.chunk.size, cfg.chunk.overlap
     store = VersionStore(cfg.kb)
     docs = store.latest_documents()
@@ -297,16 +287,12 @@ def cmd_index(args, cfg: AppConfig) -> int:
         "mode": index.dense.mode,
         "index_dir": str(index_dir),
     }
-    if args.pretty:
-        print(f"indexed {index.n_chunks} chunks "
-              f"(dim={index.dense.dim}, size={size}, overlap={overlap}, "
-              f"mode={index.dense.mode}) -> {index_dir}")
-    else:
-        print(_dump(_payload(cfg, body)))
-    return EXIT_OK
+    return body, (f"indexed {index.n_chunks} chunks "
+                  f"(dim={index.dense.dim}, size={size}, overlap={overlap}, "
+                  f"mode={index.dense.mode}) -> {index_dir}")
 
 
-def cmd_query(args, cfg: AppConfig) -> int:
+def cmd_query(args, cfg: AppConfig) -> tuple[dict, str]:
     k = cfg.retrieval.k
     index, embed = _load_index_and_embedder(cfg)
     hits = search_hybrid(index, args.q, embed, k=k, principal=args.principal,
@@ -317,20 +303,16 @@ def cmd_query(args, cfg: AppConfig) -> int:
         "hits": [{"chunk_id": h.chunk_id, "doc_id": h.doc_id,
                   "score": h.score, "text": h.text} for h in hits],
     }
-    if args.pretty:
-        for rank, hit in enumerate(hits, start=1):
-            snippet = " ".join(hit.text.split())
-            if len(snippet) > 100:
-                snippet = snippet[:97] + "..."
-            print(f"{rank:3d}. {hit.score:.6f}  {hit.chunk_id}  {snippet}")
-        if not hits:
-            print("no results")
-    else:
-        print(_dump(_payload(cfg, body)))
-    return EXIT_OK
+    lines = []
+    for rank, hit in enumerate(hits, start=1):
+        snippet = " ".join(hit.text.split())
+        if len(snippet) > 100:
+            snippet = snippet[:97] + "..."
+        lines.append(f"{rank:3d}. {hit.score:.6f}  {hit.chunk_id}  {snippet}")
+    return body, "\n".join(lines) or "no results"
 
 
-def cmd_ask(args, cfg: AppConfig) -> int:
+def cmd_ask(args, cfg: AppConfig) -> tuple[dict, str]:
     k = cfg.retrieval.k
     index, embed = _load_index_and_embedder(cfg)
     chat = _make_chat(cfg)
@@ -339,20 +321,15 @@ def cmd_ask(args, cfg: AppConfig) -> int:
                              guards=tuple(cfg.guards))
     grounded, session = pipeline.answer_with_session(args.q, args.principal)
     body = {"answer": grounded.to_json(), "session": session.to_json()}
-    if args.pretty:
-        print(grounded.answer)
-        print()
-        print(f"verdict: {grounded.verdict}"
-              + (f" ({grounded.reason})" if grounded.reason else ""))
-        print(f"regenerations: {grounded.regeneration_count}")
-        for citation in grounded.citations:
-            print(f"  [{citation.snippet_no}] {citation.chunk_id}")
-    else:
-        print(_dump(_payload(cfg, body)))
-    return EXIT_OK
+    lines = [grounded.answer, "",
+             f"verdict: {grounded.verdict}"
+             + (f" ({grounded.reason})" if grounded.reason else ""),
+             f"regenerations: {grounded.regeneration_count}"]
+    lines += [f"  [{c.snippet_no}] {c.chunk_id}" for c in grounded.citations]
+    return body, "\n".join(lines)
 
 
-def cmd_sql(args, cfg: AppConfig) -> int:
+def cmd_sql(args, cfg: AppConfig) -> tuple[dict, str]:
     if cfg.ports.mode == "stub":
         raise ConfigError("sql needs a model port: --ports scripted:<file> "
                           "or --ports http")
@@ -374,22 +351,17 @@ def cmd_sql(args, cfg: AppConfig) -> int:
                             narrative_chat=chat)
     result = pipeline.run(args.q)
     body = {"result": result.to_json(verbose=args.verbose)}
-    if args.pretty:
-        print(result.insight.narrative)
-        accepted = result.log.attempts[-1]
-        print(f"\nsql: {accepted.sql}")
-        print(f"attempts: {len(result.log.attempts)} "
-              f"(final rating {accepted.rating:.2f})")
-        if args.verbose:
-            print(" | ".join(result.table.columns))
-            for row in result.table.rows:
-                print(" | ".join(str(cell) for cell in row))
-    else:
-        print(_dump(_payload(cfg, body)))
-    return EXIT_OK
+    accepted = result.log.attempts[-1]
+    lines = [result.insight.narrative, "", f"sql: {accepted.sql}",
+             f"attempts: {len(result.log.attempts)} "
+             f"(final rating {accepted.rating:.2f})"]
+    if args.verbose:
+        lines.append(" | ".join(result.table.columns))
+        lines += [" | ".join(str(cell) for cell in row) for row in result.table.rows]
+    return body, "\n".join(lines)
 
 
-def cmd_eval_retrieval(args, cfg: AppConfig) -> int:
+def cmd_eval_retrieval(args, cfg: AppConfig) -> tuple[dict, str]:
     ks = tuple(cfg.eval.ks)
     datasets = {}
     for spec_arg in args.dataset:
@@ -403,44 +375,17 @@ def cmd_eval_retrieval(args, cfg: AppConfig) -> int:
                   for doc in store.latest_documents()}
     report = run_retrieval_benchmark(datasets, index, embed, doc_tokens,
                                      ks=ks, principal=args.principal)
-    payload = _payload(cfg, {"report": report})
-    table = render_retrieval_table(report)
-    body_extra = {}
-    if args.out:
-        json_path, txt_path = _write_report(args.out, payload, table)
-        body_extra = {"out": json_path, "out_table": txt_path}
-    if args.pretty:
-        print(table)
-    else:
-        payload.update(body_extra)
-        print(_dump(payload))
-    return EXIT_OK
+    return _report(args, cfg, report, render_retrieval_table(report))
 
 
-def cmd_eval_trace(args, cfg: AppConfig) -> int:
-    ngram = cfg.eval.ngram_n
-    runs = read_runs_jsonl(args.runs)
-    report = run_generation_benchmark(runs, n=ngram)
-    payload = _payload(cfg, {"report": report})
-    table = render_generation_table(report["rows"])
-    body_extra = {}
-    if args.out:
-        json_path, txt_path = _write_report(args.out, payload, table)
-        body_extra = {"out": json_path, "out_table": txt_path}
-    if args.pretty:
-        print(table)
-    else:
-        payload.update(body_extra)
-        print(_dump(payload))
-    return EXIT_OK
+def cmd_eval_trace(args, cfg: AppConfig) -> tuple[dict, str]:
+    report = run_generation_benchmark(read_runs_jsonl(args.runs),
+                                      n=cfg.eval.ngram_n)
+    return _report(args, cfg, report, render_generation_table(report["rows"]))
 
 
-def cmd_version(args, cfg: AppConfig) -> int:
-    if args.pretty:
-        print(f"esap {__version__}")
-    else:
-        print(_dump(_payload(cfg, {})))
-    return EXIT_OK
+def cmd_version(args, cfg: AppConfig) -> tuple[dict, str]:
+    return {}, f"esap {__version__}"
 
 
 _COMMANDS = {
@@ -472,7 +417,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     try:
         cfg = _resolve_config(args)
-        return _COMMANDS[args.command](args, cfg)
+        body, text = _COMMANDS[args.command](args, cfg)
+        print(text if args.pretty else _document(cfg, body))
+        return EXIT_OK
     except EsapError as exc:
         return _fail(type(exc).__name__, str(exc), exc.exit_code)
     except (ValueError, OSError) as exc:

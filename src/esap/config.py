@@ -17,7 +17,6 @@ config, so ``config_from_dict`` checks flags and file keys alike.
 from __future__ import annotations
 
 import copy
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +24,7 @@ from pathlib import Path
 from .dense import AnnParams
 from .errors import ConfigError
 from .hybrid import DEFAULT_GUARDS, DEFAULT_RRF_C, GuardRule
+from .jsonio import read_json
 from .ports import ENV_API_KEY, ENV_BASE_URL, ENV_MODEL
 
 
@@ -182,12 +182,4 @@ def config_from_dict(data: dict) -> AppConfig:
 
 
 def load_config(path: str | Path) -> AppConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(read_json(path, ConfigError, f"config file {path}", "object"))

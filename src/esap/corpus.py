@@ -17,6 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import CorpusFormatError, InvalidChunkConfig, StoreWriteError, VersionNotFound
+from .jsonio import read_jsonl
 from .tokenizer import tokenize
 
 DEFAULT_CHUNK_SIZE = 1000
@@ -117,6 +118,13 @@ def chunk_count(n_tokens: int, size: int, overlap: int) -> int:
     return -(-max(0, n_tokens - size) // stride) + 1
 
 
+def _check_document(doc_id: str, text: str) -> None:
+    if not _DOC_ID_RE.match(doc_id or ""):
+        raise StoreWriteError(f"malformed doc_id: {doc_id!r}")
+    if not isinstance(text, str):
+        raise StoreWriteError(f"document text must be a string, got {type(text).__name__}")
+
+
 def _utcnow_iso() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -200,10 +208,7 @@ class VersionStore:
                author: str = "", created_at: str = "",
                acl: set[str] | frozenset[str] | None = None) -> Document:
         """Store text as version 1 for a new doc_id, or version n+1 otherwise."""
-        if not _DOC_ID_RE.match(doc_id or ""):
-            raise StoreWriteError(f"malformed doc_id: {doc_id!r}")
-        if not isinstance(text, str):
-            raise StoreWriteError(f"document text must be a string, got {type(text).__name__}")
+        _check_document(doc_id, text)
         with self._lock:
             version = self.latest_version(doc_id) + 1
             doc = Document(
@@ -247,30 +252,37 @@ class VersionStore:
         return "".join(lines)
 
 
-def read_corpus_jsonl(path: str | Path):
-    """Yield (line_number, record) for a corpus JSONL file.
+def read_corpus_jsonl(path: str | Path) -> list[tuple[int, dict]]:
+    """(line_number, record) for each document of a corpus JSONL file.
 
     One object per document: {"id", "text", "mime", "author", "created_at",
-    "acl"}; unknown keys are ignored, missing optional keys defaulted.
-    Raises CorpusFormatError with the offending line number on malformed input.
+    "acl"}; "id" is a string, "acl" absent, null or a list of strings;
+    unknown keys are ignored, missing optional keys defaulted. Raises
+    CorpusFormatError with the first malformed line's number.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise CorpusFormatError(f'line {lineno}: expected an object with "id" and "text"')
-            yield lineno, obj
+    records = read_jsonl(path, CorpusFormatError)
+    for lineno, obj in records:
+        if "id" not in obj or "text" not in obj:
+            raise CorpusFormatError(f'line {lineno}: expected an object with "id" and "text"')
+        if not isinstance(obj["id"], str):
+            raise CorpusFormatError(f'line {lineno}: "id" must be a string')
+        acl = obj.get("acl")
+        if acl is not None and not (isinstance(acl, list)
+                                    and all(isinstance(p, str) for p in acl)):
+            raise CorpusFormatError(f'line {lineno}: "acl" must be a list of strings')
+    return records
 
 
 def ingest_corpus(store: VersionStore, path: str | Path) -> tuple[int, int]:
-    """Ingest a corpus JSONL file; returns (new doc count, re-ingested count)."""
+    """Ingest a corpus JSONL file; returns (new doc count, re-ingested count).
+
+    All or nothing: every record is checked before the first is stored.
+    """
+    records = [obj for _, obj in read_corpus_jsonl(path)]
+    for obj in records:
+        _check_document(obj["id"], obj["text"])
     ingested = updated = 0
-    for _, obj in read_corpus_jsonl(path):
+    for obj in records:
         existed = store.latest_version(obj["id"]) > 0
         store.ingest(
             obj["id"],

@@ -14,7 +14,6 @@ number here is reproducible offline, with no model in the loop.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .errors import (
     EvidenceNotFound,
     RunsFormatError,
 )
+from .jsonio import read_jsonl
 from .tokenizer import token_texts
 
 DEFAULT_KS = (1, 2, 4, 8, 16, 50)
@@ -151,26 +151,29 @@ def trace_scores(answer: str, contexts: list[str], gold_answer: str | None = Non
 # ---------------------------------------------------------------------------
 
 def read_runs_jsonl(path: str | Path) -> list[dict]:
+    """The records of a runs file, one JSON object per line.
+
+    Each has "qid", "question", "system" and "answer" (strings) and
+    "contexts" (a list of strings); "gold_answer" (a string) and
+    "human_accuracy" (a number) may be absent or null. Raises
+    RunsFormatError naming the first bad line.
+    """
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RunsFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-            for key in ("qid", "system", "question", "answer", "contexts"):
-                if key not in obj:
-                    raise RunsFormatError(f"line {lineno}: missing key {key!r}")
-            if not isinstance(obj["contexts"], list) or not all(
-                    isinstance(c, str) for c in obj["contexts"]):
-                raise RunsFormatError(f"line {lineno}: contexts must be a list of strings")
-            if "human_accuracy" in obj and obj["human_accuracy"] is not None \
-                    and not isinstance(obj["human_accuracy"], (int, float)):
-                raise RunsFormatError(f"line {lineno}: human_accuracy must be numeric")
-            records.append(obj)
+    for lineno, obj in read_jsonl(path, RunsFormatError):
+        for key in ("qid", "system", "question", "answer", "contexts"):
+            if key not in obj:
+                raise RunsFormatError(f"line {lineno}: missing key {key!r}")
+        for key in ("system", "answer"):
+            if not isinstance(obj[key], str):
+                raise RunsFormatError(f"line {lineno}: {key} must be a string")
+        if not isinstance(obj.get("gold_answer"), (str, type(None))):
+            raise RunsFormatError(f"line {lineno}: gold_answer must be a string or null")
+        if not isinstance(obj["contexts"], list) or not all(
+                isinstance(c, str) for c in obj["contexts"]):
+            raise RunsFormatError(f"line {lineno}: contexts must be a list of strings")
+        if not isinstance(obj.get("human_accuracy"), (int, float, type(None))):
+            raise RunsFormatError(f"line {lineno}: human_accuracy must be numeric")
+        records.append(obj)
     if not records:
         raise RunsFormatError("runs file contains no records")
     return records
@@ -252,29 +255,29 @@ class EvidenceSpan:
 
 
 def read_qa_jsonl(path: str | Path) -> list[dict]:
+    """The records of a QA dataset, one JSON object per line.
+
+    Each has "qid", "question" (a string) and "evidence", a non-empty list
+    of {"doc_id", "quote"} objects with string values. Raises
+    DatasetFormatError naming the first bad line.
+    """
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-            for key in ("qid", "question", "evidence"):
-                if key not in obj:
-                    raise DatasetFormatError(f"line {lineno}: missing key {key!r}")
-            ev = obj["evidence"]
-            if not isinstance(ev, list) or not ev:
+    for lineno, obj in read_jsonl(path, DatasetFormatError):
+        for key in ("qid", "question", "evidence"):
+            if key not in obj:
+                raise DatasetFormatError(f"line {lineno}: missing key {key!r}")
+        if not isinstance(obj["question"], str):
+            raise DatasetFormatError(f"line {lineno}: question must be a string")
+        ev = obj["evidence"]
+        if not isinstance(ev, list) or not ev:
+            raise DatasetFormatError(
+                f"line {lineno}: evidence must be a non-empty list")
+        for item in ev:
+            if not isinstance(item, dict) or not isinstance(item.get("doc_id"), str) \
+                    or not isinstance(item.get("quote"), str):
                 raise DatasetFormatError(
-                    f"line {lineno}: evidence must be a non-empty list")
-            for item in ev:
-                if not isinstance(item, dict) or "doc_id" not in item \
-                        or "quote" not in item:
-                    raise DatasetFormatError(
-                        f"line {lineno}: evidence items need doc_id and quote")
-            records.append(obj)
+                    f"line {lineno}: evidence items need doc_id and quote strings")
+        records.append(obj)
     if not records:
         raise DatasetFormatError("dataset contains no records")
     return records

@@ -29,6 +29,7 @@ import numpy as np
 from .corpus import Chunk
 from .dense import AnnParams, DenseIndex, build_dense_from_texts, search_dense
 from .errors import CorruptIndex, EmptyCorpus, EmptyIndex, FormatVersionMismatch
+from .jsonio import read_json
 from .lexical import LexicalIndex, build_lexical, search_lexical
 
 FORMAT_VERSION = 1
@@ -270,13 +271,7 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
     matching checksum for it, and parsed from the very bytes verified.
     """
     in_dir = Path(kb_root) / "index"
-    meta_path = in_dir / "meta.json"
-    if not meta_path.exists():
-        raise CorruptIndex(f"missing {meta_path}")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorruptIndex(f"unreadable meta.json: {exc}") from exc
+    meta = read_json(in_dir / "meta.json", CorruptIndex, "meta.json", "object")
 
     version = meta.get("format_version")
     if version != FORMAT_VERSION:

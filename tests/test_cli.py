@@ -38,10 +38,6 @@ def kb(tmp_path, capsys):
     return kb_dir
 
 
-def last_json(out: str) -> dict:
-    return json.loads(out[:out.rindex("}") + 1])
-
-
 # ---------------------------------------------------------------------------
 # exit codes and error shape
 # ---------------------------------------------------------------------------
@@ -77,6 +73,26 @@ def test_malformed_corpus_is_data_error(tmp_path, capsys):
     error = json.loads(err)
     assert error["error"] == "CorpusFormatError"
     assert "line 2" in error["message"]
+
+
+def test_malformed_corpus_stores_nothing(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "a", "text": "ok"}\n{"id": 5, "text": "five"}\n',
+                      encoding="utf-8")
+    kb_dir = tmp_path / "kb"
+    code, out, err = run_cli(capsys, "ingest", "--corpus", str(corpus),
+                             "--kb", str(kb_dir))
+    assert code == 2 and out == ""
+    assert "line 2" in json.loads(err)["message"]
+    assert not (kb_dir / "docs").exists()
+    # the fixed file then writes version 1 of each document, not version 2
+    corpus.write_text('{"id": "a", "text": "ok"}\n{"id": "b", "text": "five"}\n',
+                      encoding="utf-8")
+    code, out, _ = run_cli(capsys, "ingest", "--corpus", str(corpus),
+                           "--kb", str(kb_dir))
+    assert code == 0
+    assert json.loads(out)["ingested"] == 2
+    assert sorted(p.name for p in (kb_dir / "docs" / "a").iterdir()) == ["1.json"]
 
 
 def test_query_before_index_is_data_error(tmp_path, capsys):
@@ -241,8 +257,7 @@ def test_ingest_prints_summary_line(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "ingest", "--corpus", str(corpus),
                            "--kb", kb_dir)
     assert code == 0
-    assert out.strip().endswith("ingested=5 updated=0")
-    assert json.loads(out[:out.rindex("}") + 1])["ingested"] == 5
+    assert json.loads(out)["ingested"] == 5
     # second pass re-versions every document
     code, out, _ = run_cli(capsys, "ingest", "--corpus", str(corpus),
                            "--kb", kb_dir, "--pretty")
@@ -408,6 +423,17 @@ def test_bad_meta_json_key_is_data_error(kb, capsys):
     assert "meta.json" in error["message"]
 
 
+@pytest.mark.parametrize("content", [b"[]", b"\xff{}"], ids=["array", "not-utf8"])
+def test_meta_json_that_is_not_a_json_object_is_data_error(kb, capsys, content):
+    (Path(kb) / "index" / "meta.json").write_bytes(content)
+    code, out, err = run_cli(capsys, "query", "--q", "red apple", "--kb", kb)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "CorruptIndex"
+    assert "meta.json" in error["message"]
+
+
 def test_serving_commands_fuse_with_the_configs_rrf_c(kb, tmp_path, capsys):
     # the kb was indexed with the default rrf_c 60, and meta.json keeps it
     meta = json.loads((Path(kb) / "index" / "meta.json").read_text(encoding="utf-8"))
@@ -512,6 +538,55 @@ def test_unreadable_runs_file_is_user_error(tmp_path, capsys):
     assert code == 1
     assert out == "" and err.count("\n") == 1
     assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+def test_mistyped_runs_field_is_data_error(tmp_path, capsys):
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text(json.dumps({"qid": "q1", "system": "stub", "question": "q",
+                                "answer": 5, "contexts": ["five"]}) + "\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval-trace", "--runs", str(runs))
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "RunsFormatError"
+    assert error["message"] == "line 1: answer must be a string"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_json_mode_prints_one_document(kb, tmp_path, capsys, command):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus)
+    dataset = tmp_path / "qa.jsonl"
+    dataset.write_text(json.dumps({
+        "qid": "q1", "question": "red apple basket",
+        "evidence": [{"doc_id": "fruit-apple",
+                      "quote": "The red apple sits in the basket"}],
+    }) + "\n", encoding="utf-8")
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text(json.dumps({
+        "qid": "q1", "system": "stub", "question": "q",
+        "answer": "the red apple sits in the basket",
+        "contexts": ["the red apple sits in the basket near the window"],
+    }) + "\n", encoding="utf-8")
+    ports = write_script(tmp_path / "script.json", [
+        "structured", "SELECT count(*) FROM chinook_track", "0.9"])
+    argv = {
+        "ingest": ("--corpus", str(corpus)),
+        "index": (),
+        "query": ("--q", "red apple"),
+        "ask": ("--q", "Where does the red apple sit?"),
+        "sql": ("--q", "How many tracks are there?", "--ports", ports),
+        "eval-retrieval": ("--dataset", f"toy={dataset}",
+                           "--out", str(tmp_path / "retrieval.json")),
+        "eval-trace": ("--runs", str(runs)),
+        "version": (),
+    }[command]
+    code, out, err = run_cli(capsys, command, *argv, "--kb", kb)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["tool_version"] == __version__
+    assert payload["config_echo"]["kb"] == kb
 
 
 def test_allow_empty_flag_lands_in_thor_config(kb, tmp_path, capsys):

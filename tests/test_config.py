@@ -167,6 +167,13 @@ def test_load_config_file_errors(tmp_path):
     bad.write_text("{oops", encoding="utf-8")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(bad)
+    for content in (b"\xff{}", b"[" * 100_000):
+        bad.write_bytes(content)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(bad)
+    bad.write_text("[]", encoding="utf-8")
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        load_config(bad)
 
 
 def test_ann_config_to_params():

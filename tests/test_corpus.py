@@ -213,6 +213,38 @@ def test_missing_required_keys_reports_line_number(tmp_path):
         list(read_corpus_jsonl(path))
 
 
+@pytest.mark.parametrize("line, message", [
+    ('{"id": 5, "text": "five"}', 'line 2: "id" must be a string'),
+    ('{"id": "b", "text": "two", "acl": "alice"}',
+     'line 2: "acl" must be a list of strings'),
+    ('{"id": "b", "text": "two", "acl": ["alice", 7]}',
+     'line 2: "acl" must be a list of strings'),
+    ('["b", "two"]', "line 2 must be a JSON object, got list"),
+], ids=["int-id", "acl-string", "acl-non-string-entry", "array-line"])
+def test_mistyped_record_reports_line_number(tmp_path, line, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "text": "one", "acl": null}\n' + line + "\n")
+    with pytest.raises(CorpusFormatError, match=message):
+        read_corpus_jsonl(path)
+
+
+@pytest.mark.parametrize("second, error", [
+    (b"{broken", CorpusFormatError),
+    (b"\xff", CorpusFormatError),
+    (b'{"id": "b", "text": "two", "acl": "alice"}', CorpusFormatError),
+    (b'{"id": "bad id", "text": "two"}', StoreWriteError),
+    (b'{"id": "b", "text": 2}', StoreWriteError),
+], ids=["bad-json", "bad-utf8", "bad-acl", "bad-doc-id", "non-string-text"])
+def test_ingest_of_a_bad_corpus_stores_nothing(tmp_path, second, error):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b'{"id": "a", "text": "one"}\n' + second + b"\n")
+    store = VersionStore(tmp_path / "kb")
+    with pytest.raises(error):
+        ingest_corpus(store, path)
+    assert store.doc_ids() == []
+    assert not (tmp_path / "kb").exists()
+
+
 def test_ingest_corpus_counts(tmp_path):
     path = tmp_path / "corpus.jsonl"
     docs = [{"id": f"d{i}", "text": f"text {i}"} for i in range(3)]

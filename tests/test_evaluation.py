@@ -187,6 +187,31 @@ def test_read_runs_jsonl_errors(tmp_path):
         read_runs_jsonl(path)
 
 
+@pytest.mark.parametrize("line, message", [
+    (b"5", "line 2 must be a JSON object, got int"),
+    (b'"qid system question answer contexts"', "line 2 must be a JSON object, got str"),
+    (b'["qid", "system", "question", "answer", "contexts"]',
+     "line 2 must be a JSON object, got list"),
+    (b"\xff", "line 2 is not valid JSON"),
+    (json.dumps(run_record(5, "a", ["a"])).encode(), "line 2: system must be a string"),
+    (json.dumps(run_record("s", 5, ["a"])).encode(), "line 2: answer must be a string"),
+    (json.dumps(run_record("s", "a", ["a"], gold_answer=5)).encode(),
+     "line 2: gold_answer must be a string or null"),
+], ids=["int", "string", "array", "bad-utf8", "system", "answer", "gold-answer"])
+def test_read_runs_jsonl_rejects_mistyped_lines(tmp_path, line, message):
+    path = tmp_path / "runs.jsonl"
+    path.write_bytes(json.dumps(run_record("s", "a", ["a"])).encode() + b"\n"
+                     + line + b"\n")
+    with pytest.raises(RunsFormatError, match=message):
+        read_runs_jsonl(path)
+
+
+def test_read_runs_jsonl_accepts_a_null_gold_answer(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    write_jsonl(path, [run_record("s", "a", ["a"], gold_answer=None)])
+    assert read_runs_jsonl(path)[0]["gold_answer"] is None
+
+
 def test_generation_benchmark_groups_and_averages():
     runs = [
         run_record("sys-b", "one two three", ["one two three"]),
@@ -232,6 +257,29 @@ def test_read_qa_jsonl_errors(tmp_path):
     path.write_text('{"qid": "q1", "question": "?", '
                     '"evidence": [{"doc_id": "d"}]}\n', encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="quote"):
+        read_qa_jsonl(path)
+
+
+def qa_record(question="red apple", doc_id="d1", quote="red apple") -> dict:
+    return {"qid": "q1", "question": question,
+            "evidence": [{"doc_id": doc_id, "quote": quote}]}
+
+
+@pytest.mark.parametrize("line, message", [
+    (b"5", "line 2 must be a JSON object, got int"),
+    (b'"qid question evidence"', "line 2 must be a JSON object, got str"),
+    (b'["qid", "question", "evidence"]', "line 2 must be a JSON object, got list"),
+    (b"\xff", "line 2 is not valid JSON"),
+    (json.dumps(qa_record(question=5)).encode(), "line 2: question must be a string"),
+    (json.dumps(qa_record(doc_id=5)).encode(),
+     "line 2: evidence items need doc_id and quote strings"),
+    (json.dumps(qa_record(quote=None)).encode(),
+     "line 2: evidence items need doc_id and quote strings"),
+], ids=["int", "string", "array", "bad-utf8", "question", "doc-id", "quote"])
+def test_read_qa_jsonl_rejects_mistyped_lines(tmp_path, line, message):
+    path = tmp_path / "qa.jsonl"
+    path.write_bytes(json.dumps(qa_record()).encode() + b"\n" + line + b"\n")
+    with pytest.raises(DatasetFormatError, match=message):
         read_qa_jsonl(path)
 
 
