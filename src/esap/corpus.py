@@ -118,11 +118,19 @@ def chunk_count(n_tokens: int, size: int, overlap: int) -> int:
     return -(-max(0, n_tokens - size) // stride) + 1
 
 
-def _check_document(doc_id: str, text: str) -> None:
+# Document's optional string fields; absent or null takes the default
+_OPTIONAL_STRINGS = ("mime", "author", "created_at")
+
+
+def _check_document(doc_id: str, text: str, **optional) -> None:
     if not _DOC_ID_RE.match(doc_id or ""):
         raise StoreWriteError(f"malformed doc_id: {doc_id!r}")
     if not isinstance(text, str):
         raise StoreWriteError(f"document text must be a string, got {type(text).__name__}")
+    for name, value in optional.items():
+        if value is not None and not isinstance(value, str):
+            raise StoreWriteError(
+                f"document {name} must be a string, got {type(value).__name__}")
 
 
 def _utcnow_iso() -> str:
@@ -208,7 +216,7 @@ class VersionStore:
                author: str = "", created_at: str = "",
                acl: set[str] | frozenset[str] | None = None) -> Document:
         """Store text as version 1 for a new doc_id, or version n+1 otherwise."""
-        _check_document(doc_id, text)
+        _check_document(doc_id, text, mime=mime, author=author, created_at=created_at)
         with self._lock:
             version = self.latest_version(doc_id) + 1
             doc = Document(
@@ -256,8 +264,9 @@ def read_corpus_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     """(line_number, record) for each document of a corpus JSONL file.
 
     One object per document: {"id", "text", "mime", "author", "created_at",
-    "acl"}; "id" is a string, "acl" absent, null or a list of strings;
-    unknown keys are ignored, missing optional keys defaulted. Raises
+    "acl"}; "id" is a string, "mime", "author" and "created_at" absent, null
+    or strings, "acl" absent, null or a list of strings; unknown keys are
+    ignored, missing optional keys defaulted. Raises
     CorpusFormatError with the first malformed line's number.
     """
     records = read_jsonl(path, CorpusFormatError)
@@ -266,6 +275,9 @@ def read_corpus_jsonl(path: str | Path) -> list[tuple[int, dict]]:
             raise CorpusFormatError(f'line {lineno}: expected an object with "id" and "text"')
         if not isinstance(obj["id"], str):
             raise CorpusFormatError(f'line {lineno}: "id" must be a string')
+        for name in _OPTIONAL_STRINGS:
+            if obj.get(name) is not None and not isinstance(obj[name], str):
+                raise CorpusFormatError(f'line {lineno}: "{name}" must be a string')
         acl = obj.get("acl")
         if acl is not None and not (isinstance(acl, list)
                                     and all(isinstance(p, str) for p in acl)):

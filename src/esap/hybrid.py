@@ -90,6 +90,9 @@ class HybridIndex:
     # principal -> read-only mask over positions, built on first use
     _masks: dict[str, np.ndarray] = field(default_factory=dict, init=False,
                                           repr=False, compare=False)
+    # guard tuple -> chunk_id -> redacted text, filled on first return
+    _guarded: dict[tuple[GuardRule, ...], dict[str, str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def chunk_ids(self) -> list[str]:
@@ -115,6 +118,19 @@ class HybridIndex:
             mask.flags.writeable = False
             self._masks[principal] = mask
         return mask
+
+    def guarded(self, chunk_id: str, guards: tuple[GuardRule, ...]) -> str:
+        """The chunk's text under ``apply_guards``, computed once per guard tuple.
+
+        A chunk without a match costs one reference: ``re.sub`` hands back
+        its input unchanged. Two first lookups at once only repeat the same
+        pure computation.
+        """
+        texts = self._guarded.setdefault(guards, {})
+        text = texts.get(chunk_id)
+        if text is None:
+            text = texts[chunk_id] = apply_guards(self.chunks[chunk_id].text, guards)
+        return text
 
 
 def build_hybrid(chunks: list[Chunk], embed, doc_acl: dict[str, list[str]],
@@ -178,7 +194,9 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = 50,
     readable chunks exist, and a hit's score ``1/(c + rank)`` counts ranks
     within the principal's own view, never hidden documents. A principal
     who may read nothing gets ``[]``. Redaction happens last, on the text
-    actually returned.
+    actually returned: ``apply_guards`` runs once per chunk and guard tuple,
+    the first time that chunk is returned, and later hits read the result
+    cached on the index (``HybridIndex.guarded``).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -202,7 +220,7 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = 50,
     for chunk_id, score in rrf_fuse(rankings, c=index.params.rrf_c)[:k]:
         chunk = index.chunks[chunk_id]
         out.append(Hit(chunk_id=chunk_id, doc_id=chunk.doc_id, score=score,
-                       text=apply_guards(chunk.text, guards)))
+                       text=index.guarded(chunk_id, guards)))
     return out
 
 

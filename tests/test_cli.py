@@ -309,6 +309,23 @@ def test_sql_scripted_round_trip(kb, tmp_path, capsys):
     assert "Quiet Harbor" in result["narrative"]
 
 
+def test_sql_script_replies_follow_the_documented_order(kb, tmp_path, capsys):
+    # route, failed SQL (no rating asked), SQL, rating, narrative
+    ports = write_script(tmp_path / "script.json", [
+        "structured",
+        "SELECT broken FROM",
+        "SELECT name, unit_price FROM chinook_track ORDER BY unit_price DESC LIMIT 1",
+        "0.9",
+        "Quiet Harbor is the priciest track.",
+    ])
+    code, out, _ = run_cli(capsys, "sql", "--q", "Which track has the highest unit price?",
+                           "--kb", kb, "--ports", ports, "--pretty")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "Quiet Harbor is the priciest track."
+    assert "attempts: 2 (final rating 0.90)" in lines
+
+
 def test_sql_failure_surfaces_attempt_log(kb, tmp_path, capsys):
     script = tmp_path / "sql_script.json"
     script.write_text(json.dumps(["structured", "SELECT broken FROM",

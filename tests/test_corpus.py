@@ -173,6 +173,24 @@ def test_bad_doc_ids_rejected(tmp_path):
             store.ingest(bad, "text")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("mime", 5), ("author", ["a"]), ("created_at", {"y": 2025})])
+def test_non_string_optional_field_rejected(tmp_path, field, value):
+    store = VersionStore(tmp_path)
+    with pytest.raises(StoreWriteError, match=f"document {field} must be a string"):
+        store.ingest("doc-a", "text", **{field: value})
+    assert store.doc_ids() == []
+
+
+def test_null_optional_fields_take_the_defaults(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "text": "one", "mime": null, "author": null, '
+                    '"created_at": null}\n')
+    store = VersionStore(tmp_path / "kb")
+    assert ingest_corpus(store, path) == (1, 0)
+    assert store.get("a") == Document(doc_id="a", version=1, text="one")
+
+
 def test_acl_defaults_to_wildcard(tmp_path):
     store = VersionStore(tmp_path)
     doc = store.ingest("doc-a", "x")
@@ -220,7 +238,13 @@ def test_missing_required_keys_reports_line_number(tmp_path):
     ('{"id": "b", "text": "two", "acl": ["alice", 7]}',
      'line 2: "acl" must be a list of strings'),
     ('["b", "two"]', "line 2 must be a JSON object, got list"),
-], ids=["int-id", "acl-string", "acl-non-string-entry", "array-line"])
+    ('{"id": "b", "text": "two", "mime": 5}', 'line 2: "mime" must be a string'),
+    ('{"id": "b", "text": "two", "author": {"n": 1}}',
+     'line 2: "author" must be a string'),
+    ('{"id": "b", "text": "two", "created_at": ["x"]}',
+     'line 2: "created_at" must be a string'),
+], ids=["int-id", "acl-string", "acl-non-string-entry", "array-line", "int-mime",
+        "object-author", "list-created-at"])
 def test_mistyped_record_reports_line_number(tmp_path, line, message):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"id": "a", "text": "one", "acl": null}\n' + line + "\n")
@@ -234,7 +258,10 @@ def test_mistyped_record_reports_line_number(tmp_path, line, message):
     (b'{"id": "b", "text": "two", "acl": "alice"}', CorpusFormatError),
     (b'{"id": "bad id", "text": "two"}', StoreWriteError),
     (b'{"id": "b", "text": 2}', StoreWriteError),
-], ids=["bad-json", "bad-utf8", "bad-acl", "bad-doc-id", "non-string-text"])
+    (b'{"id": "b", "text": "red apple", "mime": 5, "created_at": ["x"]}',
+     CorpusFormatError),
+], ids=["bad-json", "bad-utf8", "bad-acl", "bad-doc-id", "non-string-text",
+        "non-string-mime"])
 def test_ingest_of_a_bad_corpus_stores_nothing(tmp_path, second, error):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(b'{"id": "a", "text": "one"}\n' + second + b"\n")

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -293,6 +295,143 @@ def test_guards_applied_to_returned_text():
     assert "[REDACTED:email]" in hits[0].text
     # the stored chunk is untouched; only the returned copy is redacted
     assert "help@shop.example" in index.chunks[hits[0].chunk_id].text
+
+
+# PII fragments that overlap or touch: SSNs inside phone-shaped digit runs,
+# digits and dots inside emails, SSN- and phone-shaped email local parts
+_PII_PIECES = (
+    "123-45-6789", "555-123-4567", "(555) 123-4567", "555.123.4567",
+    "555-123-45-6789", "123-45-67890", "1234-56-7890", "(123)45-6789",
+    "a.1@b2.c3.com", "x9.y8@mail.example.org", "123-45-6789@d.io",
+    "555.123.4567@x.co", "jo.e+tag@host.net.", "a@b.c", "@555-123-4567",
+)
+_FILLER = ("apple", "ledger", "desk", "Q3", "42", "-", ".", "@", "x7", "plan")
+
+
+def _pii_text(rng: random.Random) -> str:
+    parts = [rng.choice(_PII_PIECES + _FILLER) for _ in range(rng.randint(1, 12))]
+    # some matches sit at the chunk's very edges, some are glued together
+    if rng.random() < 0.3:
+        parts.insert(0, rng.choice(_PII_PIECES))
+    if rng.random() < 0.3:
+        parts.append(rng.choice(_PII_PIECES))
+    return rng.choice(("", " ", "-", ".")).join(parts)
+
+
+def _pii_index(seed: int, n: int = 60):
+    rng = random.Random(seed)
+    chunks = [Chunk(chunk_id=f"c{i:03d}", doc_id=f"d{i % 7}", version=1,
+                    token_span=(0, 1), text=_pii_text(rng), size_tokens=1)
+              for i in range(n)]
+    return build_hybrid(chunks, HashingEmbedder(), {}, HybridParams())
+
+
+_CUSTOM_GUARDS = (
+    GuardRule("phone", DEFAULT_GUARDS[2].pattern),     # default rules reordered
+    GuardRule("ssn", DEFAULT_GUARDS[1].pattern),
+    GuardRule("digits", r"\d{2,}"),
+    GuardRule("at", r"@[\w.]+"),
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cached_guarded_text_equals_uncached_apply_guards(seed):
+    index = _pii_index(seed)
+    embed = HashingEmbedder()
+    rule_sets = (DEFAULT_GUARDS, _CUSTOM_GUARDS, ())
+    queries = [("apple ledger", index.n_chunks), ("555 desk", 5), ("a.1 mail", 17)]
+    # each guard tuple in turn, then interleaved on the same, warm index
+    order = [(g, q) for g in rule_sets for q in queries]
+    order += [(g, q) for q in queries for g in rule_sets] * 2
+    for guards, (query, k) in order:
+        hits = search_hybrid(index, query, embed, k=k, guards=guards)
+        assert len(hits) == k
+        for hit in hits:
+            assert hit.text == apply_guards(index.chunks[hit.chunk_id].text, guards)
+    # the texts do exercise the rules and their order
+    raw = [c.text for c in index.chunks.values()]
+    assert any(apply_guards(t) != t for t in raw)
+    assert any(apply_guards(t) != apply_guards(t, _CUSTOM_GUARDS) for t in raw)
+
+
+def test_apply_guards_runs_once_per_chunk_and_guard_tuple(monkeypatch):
+    import esap.hybrid
+
+    calls = []
+
+    def counting(text, rules=DEFAULT_GUARDS):
+        calls.append(rules)
+        return apply_guards(text, rules)
+
+    monkeypatch.setattr(esap.hybrid, "apply_guards", counting)
+    index = build_toy_index()
+    pii = Chunk(chunk_id="zz-pii", doc_id="pii", version=1, token_span=(0, 1),
+                text="mail bob@example.com or call 555-123-4567", size_tokens=1)
+    index = build_hybrid([*index.chunks.values(), pii], HashingEmbedder(), {},
+                         HybridParams())
+    embed = HashingEmbedder()
+
+    def search(guards):
+        returned = set()
+        for _ in range(4):
+            hits = search_hybrid(index, "mail bob call", embed, k=index.n_chunks,
+                                 guards=guards)
+            returned |= {hit.chunk_id for hit in hits}
+        return returned, {hit.chunk_id: hit.text for hit in hits}
+
+    returned, texts = search(DEFAULT_GUARDS)
+    assert calls == [DEFAULT_GUARDS] * len(returned)
+    assert texts["zz-pii"] == "mail [REDACTED:email] or call [REDACTED:phone]"
+
+    calls.clear()
+    custom = (GuardRule("email", r"\S+@\S+"),)
+    returned, texts = search(custom)
+    assert calls == [custom] * len(returned)
+    assert texts["zz-pii"] == "mail [REDACTED:email] or call 555-123-4567"
+
+    calls.clear()
+    returned, texts = search(())
+    assert calls == [()] * len(returned)
+    assert texts == {cid: index.chunks[cid].text for cid in texts}
+    assert "bob@example.com" in texts["zz-pii"]
+
+    calls.clear()
+    search(DEFAULT_GUARDS)
+    assert calls == []
+    # a clean chunk's entry is its own text, not a copy
+    clean = next(cid for cid, text in texts.items() if "@" not in text)
+    assert index.guarded(clean, DEFAULT_GUARDS) is index.chunks[clean].text
+    # the stored chunk text is never rewritten
+    assert index.chunks["zz-pii"] is pii
+    assert pii.text == "mail bob@example.com or call 555-123-4567"
+
+
+def test_concurrent_first_lookups_return_the_uncached_text():
+    index = _pii_index(3)
+    embed = HashingEmbedder()
+    rule_sets = (DEFAULT_GUARDS, _CUSTOM_GUARDS, ())
+    wrong = []
+
+    def worker(offset: int) -> None:
+        for i in range(12):
+            guards = rule_sets[(offset + i) % len(rule_sets)]
+            for hit in search_hybrid(index, "555 apple", embed, k=index.n_chunks,
+                                     guards=guards):
+                if hit.text != apply_guards(index.chunks[hit.chunk_id].text, guards):
+                    wrong.append((hit.chunk_id, guards))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_validation_and_empty_index():
