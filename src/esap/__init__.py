@@ -75,7 +75,7 @@ from .thor import (
     interpret,
     route,
 )
-from .tokenizer import Token, token_texts, tokenize
+from .tokenizer import token_spans, token_texts
 
 __all__ = [
     "__version__",
@@ -108,7 +108,6 @@ __all__ = [
     "ThorAttemptLog",
     "ThorPipeline",
     "ThorResult",
-    "Token",
     "TraceScores",
     "VersionStore",
     "apply_guards",
@@ -138,8 +137,8 @@ __all__ = [
     "search_lexical",
     "serialize_schema",
     "supported_mask",
+    "token_spans",
     "token_texts",
-    "tokenize",
     "trace_scores",
     "validate_report",
 ]

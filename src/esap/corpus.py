@@ -12,19 +12,20 @@ import json
 import os
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import CorpusFormatError, InvalidChunkConfig, StoreWriteError, VersionNotFound
 from .jsonio import read_jsonl
-from .tokenizer import tokenize
+from .tokenizer import token_spans
 
 DEFAULT_CHUNK_SIZE = 1000
 DEFAULT_CHUNK_OVERLAP = 150
 
-_DOC_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-_EPOCH_ISO = "1970-01-01T00:00:00Z"
+_DOC_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+# Document's optional fields; absent, null or empty takes the default
+_OPTIONAL_FIELDS = ("mime", "author", "created_at", "acl")
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class Document:
     text: str
     mime: str = "text/plain"
     author: str = ""
-    created_at: str = _EPOCH_ISO
+    created_at: str = "1970-01-01T00:00:00Z"
     acl: frozenset[str] = field(default_factory=lambda: frozenset({"*"}))
 
     def to_json(self) -> dict:
@@ -50,15 +51,11 @@ class Document:
 
     @classmethod
     def from_json(cls, data: dict) -> "Document":
-        return cls(
-            doc_id=data["doc_id"],
-            version=int(data["version"]),
-            text=data["text"],
-            mime=data.get("mime", "text/plain"),
-            author=data.get("author", ""),
-            created_at=data.get("created_at", _EPOCH_ISO),
-            acl=frozenset(data.get("acl") or ["*"]),
-        )
+        given = {name: data[name] for name in _OPTIONAL_FIELDS if data.get(name)}
+        if "acl" in given:
+            given["acl"] = frozenset(given["acl"])
+        return cls(doc_id=data["doc_id"], version=int(data["version"]), text=data["text"],
+                   **given)
 
 
 @dataclass(frozen=True)
@@ -84,8 +81,8 @@ def chunk_document(doc: Document, size: int = DEFAULT_CHUNK_SIZE,
         raise InvalidChunkConfig(
             f"overlap must satisfy 0 <= overlap < size, got overlap={overlap} size={size}"
         )
-    tokens = tokenize(doc.text)
-    n = len(tokens)
+    spans = token_spans(doc.text)
+    n = len(spans)
     if n == 0:
         return []
     stride = size - overlap
@@ -94,7 +91,7 @@ def chunk_document(doc: Document, size: int = DEFAULT_CHUNK_SIZE,
     idx = 0
     while True:
         end = min(start + size, n)
-        text = doc.text[tokens[start].start:tokens[end - 1].end]
+        text = doc.text[spans[start][0]:spans[end - 1][1]]
         chunks.append(Chunk(
             chunk_id=f"{doc.doc_id}#v{doc.version}#{idx:05d}",
             doc_id=doc.doc_id,
@@ -118,19 +115,27 @@ def chunk_count(n_tokens: int, size: int, overlap: int) -> int:
     return -(-max(0, n_tokens - size) // stride) + 1
 
 
-# Document's optional string fields; absent or null takes the default
-_OPTIONAL_STRINGS = ("mime", "author", "created_at")
+def _check_document(error: type[Exception], where: str, doc_id, text, **optional) -> None:
+    """The one check of a document's fields, for corpus lines and library calls.
 
-
-def _check_document(doc_id: str, text: str, **optional) -> None:
-    if not _DOC_ID_RE.match(doc_id or ""):
-        raise StoreWriteError(f"malformed doc_id: {doc_id!r}")
+    Raises ``error(where + problem)`` at the first bad field. An optional
+    field may be absent or null; the ACL is a list, set, frozenset or tuple
+    of strings, never a bare string (which would be read as its letters).
+    """
+    if not isinstance(doc_id, str):
+        raise error(f'{where}"id" must be a string, got {type(doc_id).__name__}')
+    if not _DOC_ID_RE.fullmatch(doc_id):
+        raise error(f'{where}"id" is malformed: {doc_id!r}')
     if not isinstance(text, str):
-        raise StoreWriteError(f"document text must be a string, got {type(text).__name__}")
+        raise error(f'{where}"text" must be a string, got {type(text).__name__}')
+    acl = optional.pop("acl", None)
     for name, value in optional.items():
         if value is not None and not isinstance(value, str):
-            raise StoreWriteError(
-                f"document {name} must be a string, got {type(value).__name__}")
+            raise error(f'{where}"{name}" must be a string or null, '
+                        f'got {type(value).__name__}')
+    if acl is not None and not (isinstance(acl, (list, set, frozenset, tuple))
+                                and all(isinstance(p, str) for p in acl)):
+        raise error(f'{where}"acl" must be a list of strings')
 
 
 def _utcnow_iso() -> str:
@@ -212,22 +217,19 @@ class VersionStore:
         except OSError as exc:
             raise StoreWriteError(f"cannot write {doc.doc_id} v{doc.version}: {exc}") from exc
 
-    def ingest(self, doc_id: str, text: str, mime: str = "text/plain",
-               author: str = "", created_at: str = "",
-               acl: set[str] | frozenset[str] | None = None) -> Document:
-        """Store text as version 1 for a new doc_id, or version n+1 otherwise."""
-        _check_document(doc_id, text, mime=mime, author=author, created_at=created_at)
+    def ingest(self, doc_id: str, text: str, mime: str | None = None,
+               author: str | None = None, created_at: str | None = None,
+               acl: list[str] | set[str] | frozenset[str] | tuple[str, ...] | None = None,
+               ) -> Document:
+        """Store text as version 1 for a new doc_id, or version n+1 otherwise.
+
+        Optional fields left None or empty take ``Document``'s defaults.
+        """
+        optional = {"mime": mime, "author": author, "created_at": created_at, "acl": acl}
+        _check_document(StoreWriteError, "document: ", doc_id, text, **optional)
         with self._lock:
-            version = self.latest_version(doc_id) + 1
-            doc = Document(
-                doc_id=doc_id,
-                version=version,
-                text=text,
-                mime=mime or "text/plain",
-                author=author or "",
-                created_at=created_at or _EPOCH_ISO,
-                acl=frozenset(acl) if acl else frozenset({"*"}),
-            )
+            doc = Document.from_json({"doc_id": doc_id, "text": text, **optional,
+                                      "version": self.latest_version(doc_id) + 1})
             self._write_version(doc, "ingest")
             return doc
 
@@ -235,15 +237,8 @@ class VersionStore:
         """Append a new version carrying the target version's content."""
         with self._lock:
             target = self.get(doc_id, target_version)
-            doc = Document(
-                doc_id=doc_id,
-                version=self.latest_version(doc_id) + 1,
-                text=target.text,
-                mime=target.mime,
-                author=target.author,
-                created_at=_utcnow_iso(),
-                acl=target.acl,
-            )
+            doc = replace(target, version=self.latest_version(doc_id) + 1,
+                          created_at=_utcnow_iso())
             self._write_version(doc, "rollback")
             return doc
 
@@ -264,24 +259,16 @@ def read_corpus_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     """(line_number, record) for each document of a corpus JSONL file.
 
     One object per document: {"id", "text", "mime", "author", "created_at",
-    "acl"}; "id" is a string, "mime", "author" and "created_at" absent, null
-    or strings, "acl" absent, null or a list of strings; unknown keys are
-    ignored, missing optional keys defaulted. Raises
+    "acl"}, each field checked as ``VersionStore.ingest`` checks it; "acl"
+    is a list of strings. Unknown keys are ignored. Raises
     CorpusFormatError with the first malformed line's number.
     """
     records = read_jsonl(path, CorpusFormatError)
     for lineno, obj in records:
         if "id" not in obj or "text" not in obj:
             raise CorpusFormatError(f'line {lineno}: expected an object with "id" and "text"')
-        if not isinstance(obj["id"], str):
-            raise CorpusFormatError(f'line {lineno}: "id" must be a string')
-        for name in _OPTIONAL_STRINGS:
-            if obj.get(name) is not None and not isinstance(obj[name], str):
-                raise CorpusFormatError(f'line {lineno}: "{name}" must be a string')
-        acl = obj.get("acl")
-        if acl is not None and not (isinstance(acl, list)
-                                    and all(isinstance(p, str) for p in acl)):
-            raise CorpusFormatError(f'line {lineno}: "acl" must be a list of strings')
+        _check_document(CorpusFormatError, f"line {lineno}: ", obj["id"], obj["text"],
+                        **{name: obj.get(name) for name in _OPTIONAL_FIELDS})
     return records
 
 
@@ -290,21 +277,11 @@ def ingest_corpus(store: VersionStore, path: str | Path) -> tuple[int, int]:
 
     All or nothing: every record is checked before the first is stored.
     """
-    records = [obj for _, obj in read_corpus_jsonl(path)]
-    for obj in records:
-        _check_document(obj["id"], obj["text"])
     ingested = updated = 0
-    for obj in records:
-        existed = store.latest_version(obj["id"]) > 0
-        store.ingest(
-            obj["id"],
-            obj["text"],
-            mime=obj.get("mime", "text/plain"),
-            author=obj.get("author", ""),
-            created_at=obj.get("created_at", ""),
-            acl=set(obj.get("acl") or []),
-        )
-        if existed:
+    for _, obj in read_corpus_jsonl(path):
+        doc = store.ingest(obj["id"], obj["text"],
+                           **{name: obj.get(name) for name in _OPTIONAL_FIELDS})
+        if doc.version > 1:
             updated += 1
         else:
             ingested += 1

@@ -22,6 +22,7 @@ from .errors import (
     EvidenceNotFound,
     RunsFormatError,
 )
+from .hybrid import search_hybrid
 from .jsonio import read_jsonl
 from .tokenizer import token_texts
 
@@ -155,7 +156,7 @@ def read_runs_jsonl(path: str | Path) -> list[dict]:
 
     Each has "qid", "question", "system" and "answer" (strings) and
     "contexts" (a list of strings); "gold_answer" (a string) and
-    "human_accuracy" (a number) may be absent or null. Raises
+    "human_accuracy" (a number, not a boolean) may be absent or null. Raises
     RunsFormatError naming the first bad line.
     """
     records = []
@@ -171,8 +172,9 @@ def read_runs_jsonl(path: str | Path) -> list[dict]:
         if not isinstance(obj["contexts"], list) or not all(
                 isinstance(c, str) for c in obj["contexts"]):
             raise RunsFormatError(f"line {lineno}: contexts must be a list of strings")
-        if not isinstance(obj.get("human_accuracy"), (int, float, type(None))):
-            raise RunsFormatError(f"line {lineno}: human_accuracy must be numeric")
+        accuracy = obj.get("human_accuracy")
+        if isinstance(accuracy, bool) or not isinstance(accuracy, (int, float, type(None))):
+            raise RunsFormatError(f"line {lineno}: human_accuracy must be a number or null")
         records.append(obj)
     if not records:
         raise RunsFormatError("runs file contains no records")
@@ -378,8 +380,6 @@ def run_retrieval_benchmark(datasets: dict[str, list[dict]],
     Records whose evidence cannot be located are excluded from the averages
     and surfaced via the excluded count.
     """
-    from .hybrid import search_hybrid
-
     if not datasets or all(not records for records in datasets.values()):
         raise DatasetFormatError("no questions to evaluate")
     ks = tuple(sorted(set(int(k) for k in ks)))

@@ -14,7 +14,7 @@ import sqlite3
 import time
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import (
     SqlTimeout,
     TransportError,
 )
+from .tokenizer import token_texts
 
 EMBED_DIM = 256
 
@@ -148,7 +149,6 @@ class ExtractiveStub:
         return ChatResponse(text="Acknowledged.")
 
     def _extract(self, prompt: str) -> str:
-        from .tokenizer import token_texts
         question = prompt.rsplit("QUESTION:", 1)[-1].strip()
         q_tokens = set(token_texts(question))
         snippets = re.findall(r"^\[(\d+)\] (.+)$", prompt, flags=re.MULTILINE)
@@ -290,7 +290,6 @@ class HashingEmbedder:
         self.dim = dim
 
     def embed(self, texts: list[str]) -> np.ndarray:
-        from .tokenizer import token_texts
         dim = self.dim
         out = np.zeros((len(texts), dim), dtype=np.float32)
         for row, text in enumerate(texts):
@@ -469,6 +468,3 @@ def serialize_schema(tables: list[SchemaTable]) -> str:
         for col, other, other_col in table.foreign_keys:
             lines.append(f"{table.name}.{col} -> {other}.{other_col}")
     return "\n".join(lines)
-
-
-EmbedFn = Callable[[list[str]], np.ndarray]

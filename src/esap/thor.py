@@ -2,7 +2,8 @@
 
 The loop is bounded: one initial attempt plus max_retries corrections.
 Every attempt is logged with its SQL, outcome, and rating; an attempt is
-accepted once its rating clears the threshold. Result interpretation
+accepted once it returned a table (non-empty unless empty results are
+allowed) and its rating clears the threshold. Result interpretation
 (key values, trends, narrative) is deterministic unless a chat port is
 supplied for the narrative sentence.
 """
@@ -375,9 +376,7 @@ class ThorPipeline:
                     return value, ["model-rubric"]
             except (ModelRefusal, TransportError):
                 pass
-        if result.row_count > 0:
-            return 1.0, ["heuristic-nonempty"]
-        return 1.0 if self.allow_empty else 0.0, ["heuristic-empty"]
+        return 1.0, ["heuristic-nonempty" if result.row_count else "heuristic-empty"]
 
     def self_correct_loop(self, question: str,
                           task_type: str = "structured") -> tuple[ThorAttemptLog,
@@ -385,21 +384,19 @@ class ThorPipeline:
         log = ThorAttemptLog(question=question, task_type=task_type)
         best_result: SqlResult | None = None
         for number in range(1, self.max_retries + 2):
-            try:
-                sql = self.generate_sql(question, prior=log.attempts)
-            except ModelRefusal as exc:
-                attempt = SqlAttempt(number=number, sql="", outcome="error",
-                                     error=f"model refusal: {exc}",
-                                     rating=0.0, reasons=["execution-error"])
-                log.attempts.append(attempt)
-                continue
+            sql = ""
             result: SqlResult | None = None
             error: str | None = None
             try:
-                result = self.executor.execute(sql)
-            except (SqlSyntaxError, SqlRuntimeError, SqlTimeout,
-                    NonSelectRejected) as exc:
-                error = f"{type(exc).__name__}: {exc}"
+                sql = self.generate_sql(question, prior=log.attempts)
+            except ModelRefusal as exc:
+                error = f"model refusal: {exc}"
+            else:
+                try:
+                    result = self.executor.execute(sql)
+                except (SqlSyntaxError, SqlRuntimeError, SqlTimeout,
+                        NonSelectRejected) as exc:
+                    error = f"{type(exc).__name__}: {exc}"
             rating, reasons = self.rate(question, sql, result, error)
             attempt = SqlAttempt(
                 number=number, sql=sql,
@@ -408,7 +405,10 @@ class ThorPipeline:
                 row_count=result.row_count if result is not None else 0,
                 rating=rating, reasons=reasons)
             log.attempts.append(attempt)
-            if rating >= self.threshold:
+            # rate() scores a failed or empty attempt 0.0, which a threshold
+            # of 0.0 would clear
+            if (result is not None and (result.row_count or self.allow_empty)
+                    and rating >= self.threshold):
                 log.status = "answered"
                 best_result = result
                 break

@@ -144,6 +144,18 @@ def test_rollback_appends_new_version(tmp_path):
     assert store.get("doc-a", 2).text == "v2 text"
 
 
+def test_rollback_keeps_the_targets_fields(tmp_path):
+    store = VersionStore(tmp_path)
+    first = store.ingest("doc-a", "v1 text", mime="text/markdown", author="ann",
+                         created_at="2025-01-01T00:00:00Z", acl=["staff"])
+    store.ingest("doc-a", "v2 text")
+    rolled = store.rollback("doc-a", 1)
+    assert (rolled.mime, rolled.author, rolled.acl) == ("text/markdown", "ann",
+                                                        frozenset({"staff"}))
+    assert rolled.created_at != first.created_at
+    assert store.get("doc-a") == rolled
+
+
 def test_diff_between_versions(tmp_path):
     store = VersionStore(tmp_path)
     store.ingest("doc-a", "line one\nline two\n")
@@ -168,7 +180,7 @@ def test_audit_log_is_append_only_jsonl(tmp_path):
 
 def test_bad_doc_ids_rejected(tmp_path):
     store = VersionStore(tmp_path)
-    for bad in ("", "../escape", "a/b", ".hidden", "-lead"):
+    for bad in ("", "../escape", "a/b", ".hidden", "-lead", "trailing\n"):
         with pytest.raises(StoreWriteError):
             store.ingest(bad, "text")
 
@@ -177,7 +189,7 @@ def test_bad_doc_ids_rejected(tmp_path):
     ("mime", 5), ("author", ["a"]), ("created_at", {"y": 2025})])
 def test_non_string_optional_field_rejected(tmp_path, field, value):
     store = VersionStore(tmp_path)
-    with pytest.raises(StoreWriteError, match=f"document {field} must be a string"):
+    with pytest.raises(StoreWriteError, match=f'document: "{field}" must be a string'):
         store.ingest("doc-a", "text", **{field: value})
     assert store.doc_ids() == []
 
@@ -191,12 +203,24 @@ def test_null_optional_fields_take_the_defaults(tmp_path):
     assert store.get("a") == Document(doc_id="a", version=1, text="one")
 
 
+@pytest.mark.parametrize("acl", ["alice", ["x", 1], {"x": 1}],
+                         ids=["bare-string", "non-string-entry", "dict"])
+def test_mistyped_acl_rejected(tmp_path, acl):
+    store = VersionStore(tmp_path / "kb")
+    with pytest.raises(StoreWriteError, match='document: "acl" must be a list of strings'):
+        store.ingest("doc-a", "text", acl=acl)
+    assert store.doc_ids() == []
+    assert not (tmp_path / "kb").exists()
+
+
 def test_acl_defaults_to_wildcard(tmp_path):
     store = VersionStore(tmp_path)
     doc = store.ingest("doc-a", "x")
     assert doc.acl == frozenset({"*"})
     scoped = store.ingest("doc-b", "y", acl={"staff"})
     assert scoped.acl == frozenset({"staff"})
+    assert store.ingest("doc-c", "z", acl=("a", "b")).acl == frozenset({"a", "b"})
+    assert store.ingest("doc-d", "z", acl=[]).acl == frozenset({"*"})
 
 
 def test_document_json_round_trip():
@@ -233,6 +257,8 @@ def test_missing_required_keys_reports_line_number(tmp_path):
 
 @pytest.mark.parametrize("line, message", [
     ('{"id": 5, "text": "five"}', 'line 2: "id" must be a string'),
+    ('{"id": "bad id", "text": "two"}', 'line 2: "id" is malformed'),
+    ('{"id": "b", "text": 2}', 'line 2: "text" must be a string'),
     ('{"id": "b", "text": "two", "acl": "alice"}',
      'line 2: "acl" must be a list of strings'),
     ('{"id": "b", "text": "two", "acl": ["alice", 7]}',
@@ -243,8 +269,8 @@ def test_missing_required_keys_reports_line_number(tmp_path):
      'line 2: "author" must be a string'),
     ('{"id": "b", "text": "two", "created_at": ["x"]}',
      'line 2: "created_at" must be a string'),
-], ids=["int-id", "acl-string", "acl-non-string-entry", "array-line", "int-mime",
-        "object-author", "list-created-at"])
+], ids=["int-id", "malformed-id", "int-text", "acl-string", "acl-non-string-entry",
+        "array-line", "int-mime", "object-author", "list-created-at"])
 def test_mistyped_record_reports_line_number(tmp_path, line, message):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"id": "a", "text": "one", "acl": null}\n' + line + "\n")
@@ -252,21 +278,20 @@ def test_mistyped_record_reports_line_number(tmp_path, line, message):
         read_corpus_jsonl(path)
 
 
-@pytest.mark.parametrize("second, error", [
-    (b"{broken", CorpusFormatError),
-    (b"\xff", CorpusFormatError),
-    (b'{"id": "b", "text": "two", "acl": "alice"}', CorpusFormatError),
-    (b'{"id": "bad id", "text": "two"}', StoreWriteError),
-    (b'{"id": "b", "text": 2}', StoreWriteError),
-    (b'{"id": "b", "text": "red apple", "mime": 5, "created_at": ["x"]}',
-     CorpusFormatError),
+@pytest.mark.parametrize("second", [
+    b"{broken",
+    b"\xff",
+    b'{"id": "b", "text": "two", "acl": "alice"}',
+    b'{"id": "bad id", "text": "two"}',
+    b'{"id": "b", "text": 2}',
+    b'{"id": "b", "text": "red apple", "mime": 5, "created_at": ["x"]}',
 ], ids=["bad-json", "bad-utf8", "bad-acl", "bad-doc-id", "non-string-text",
         "non-string-mime"])
-def test_ingest_of_a_bad_corpus_stores_nothing(tmp_path, second, error):
+def test_ingest_of_a_bad_corpus_stores_nothing(tmp_path, second):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(b'{"id": "a", "text": "one"}\n' + second + b"\n")
     store = VersionStore(tmp_path / "kb")
-    with pytest.raises(error):
+    with pytest.raises(CorpusFormatError, match="line 2"):
         ingest_corpus(store, path)
     assert store.doc_ids() == []
     assert not (tmp_path / "kb").exists()

@@ -197,7 +197,10 @@ def test_read_runs_jsonl_errors(tmp_path):
     (json.dumps(run_record("s", 5, ["a"])).encode(), "line 2: answer must be a string"),
     (json.dumps(run_record("s", "a", ["a"], gold_answer=5)).encode(),
      "line 2: gold_answer must be a string or null"),
-], ids=["int", "string", "array", "bad-utf8", "system", "answer", "gold-answer"])
+    (json.dumps(run_record("s", "a", ["a"], human_accuracy=True)).encode(),
+     "line 2: human_accuracy must be a number or null"),
+], ids=["int", "string", "array", "bad-utf8", "system", "answer", "gold-answer",
+        "bool-human-accuracy"])
 def test_read_runs_jsonl_rejects_mistyped_lines(tmp_path, line, message):
     path = tmp_path / "runs.jsonl"
     path.write_bytes(json.dumps(run_record("s", "a", ["a"])).encode() + b"\n"

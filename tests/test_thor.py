@@ -311,6 +311,17 @@ def test_run_raises_with_full_log_on_exhaustion(executor):
     assert len(exc_info.value.log.attempts) == 3
 
 
+@pytest.mark.parametrize("first", ["SELECT broken FROM",
+                                   "SELECT name FROM chinook_track WHERE 0"],
+                         ids=["failed", "empty"])
+def test_zero_threshold_never_accepts_a_failed_or_empty_attempt(executor, first):
+    chat = ScriptedModel(["structured", first, "SELECT count(*) FROM chinook_track", "0.9"])
+    result = ThorPipeline(executor, chat=chat, threshold=0.0).run("count the tracks")
+    assert result.log.status == "answered"
+    assert [a.rating for a in result.log.attempts] == [0.0, 0.9]
+    assert result.table.row_count == 1
+
+
 def test_run_narrative_chat_is_separate_port(executor):
     chat = ScriptedModel(["structured", GOOD_SQL, "0.9"])
     narrative = ScriptedModel(["One standout: Quiet Harbor at 1.99."])
