@@ -100,6 +100,22 @@ def build_dense_from_texts(texts: list[str], chunk_ids: list[str], embed,
     return DenseIndex(matrix)
 
 
+def top_k(positions: np.ndarray, scores: np.ndarray,
+          k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k best (positions, scores), score descending, position ascending.
+
+    Every candidate tied with the k-th score survives the partition cut, so
+    the sort breaks ties at the cut by position. BM25 and dense search share
+    this cut.
+    """
+    n = len(positions)
+    if n > k:
+        keep = scores >= np.partition(scores, n - k)[n - k]
+        positions, scores = positions[keep], scores[keep]
+    order = np.lexsort((positions, -scores))[:k]
+    return positions[order], scores[order]
+
+
 def search_dense(index: DenseIndex, query: np.ndarray, k: int,
                  allowed: np.ndarray | None = None) -> list[tuple[int, float]]:
     """Top-k (position, cosine similarity); ties broken by position ascending.
@@ -118,12 +134,5 @@ def search_dense(index: DenseIndex, query: np.ndarray, k: int,
         candidates = np.arange(sims.shape[0])
     else:
         candidates = np.flatnonzero(allowed)
-    n = candidates.shape[0]
-    if k < n:
-        # every candidate tied with the k-th similarity stays, so the sort
-        # below breaks ties at the cut by position
-        within = sims[candidates]
-        candidates = candidates[within >= np.partition(within, n - k)[n - k]]
-    # lexsort: primary key similarity desc, secondary position asc
-    order = candidates[np.lexsort((candidates, -sims[candidates]))[:k]]
-    return [(int(i), float(sims[i])) for i in order.tolist()]
+    positions, scores = top_k(candidates, sims[candidates], k)
+    return list(zip(positions.tolist(), scores.tolist()))

@@ -98,10 +98,6 @@ class NoContext(DataError):
 
 
 # sql agent
-class EmptyResult(DataError):
-    pass
-
-
 class ThorFailed(PortError):
     def __init__(self, message: str, log=None):
         super().__init__(message)

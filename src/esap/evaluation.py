@@ -40,12 +40,13 @@ def _ngrams(tokens: list[str], n: int) -> set[tuple[str, ...]]:
     return {tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)}
 
 
-def _covered_positions(tokens: list[str], shared: set[tuple[str, ...]],
+def _covered_positions(tokens: list[str], other: set[tuple[str, ...]],
                        n: int) -> set[int]:
-    """Positions participating in at least one window whose n-gram is shared."""
+    """Positions in at least one window whose n-gram is in ``other``, the
+    other side's n-grams."""
     covered: set[int] = set()
     for i in range(len(tokens) - n + 1):
-        if tuple(tokens[i:i + n]) in shared:
+        if tuple(tokens[i:i + n]) in other:
             covered.update(range(i, i + n))
     return covered
 
@@ -66,8 +67,7 @@ def supported_mask(answer_tokens: list[str],
     context_grams: set[tuple[str, ...]] = set()
     for ctx in context_token_lists:
         context_grams |= _ngrams(ctx, n_eff)
-    shared = _ngrams(answer_tokens, n_eff) & context_grams
-    covered = _covered_positions(answer_tokens, shared, n_eff)
+    covered = _covered_positions(answer_tokens, context_grams, n_eff)
     return [i in covered for i in range(len(answer_tokens))]
 
 
@@ -82,8 +82,7 @@ def _context_positions_shared_with(reference_tokens: list[str],
     ref_grams = _ngrams(reference_tokens, n_eff)
     out: set[tuple[int, int]] = set()
     for ci, ctx in enumerate(context_token_lists):
-        shared = _ngrams(ctx, n_eff) & ref_grams
-        for pos in _covered_positions(ctx, shared, n_eff):
+        for pos in _covered_positions(ctx, ref_grams, n_eff):
             out.add((ci, pos))
     return out
 

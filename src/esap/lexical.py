@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Chunk
+from .dense import top_k
 from .errors import EmptyCorpus
 from .tokenizer import token_texts
 
@@ -124,12 +125,6 @@ def search_lexical(index: LexicalIndex, query: str, k: int,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    matched, scores = _candidates(index, query, allowed)
-    if len(matched) > k:
-        # keep every candidate scoring at least the k-th best, ties included
-        kth = len(matched) - k
-        keep = scores >= np.partition(scores, kth)[kth]
-        matched, scores = matched[keep], scores[keep]
-    order = np.lexsort((matched, -scores))[:k]
-    return list(zip([index.chunk_ids[p] for p in matched[order].tolist()],
-                    scores[order].tolist()))
+    positions, scores = top_k(*_candidates(index, query, allowed), k)
+    return list(zip([index.chunk_ids[p] for p in positions.tolist()],
+                    scores.tolist()))

@@ -315,7 +315,6 @@ class SqlResult:
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     truncated: bool = False
-    duration_ms: float = 0.0
 
     @property
     def row_count(self) -> int:
@@ -349,7 +348,6 @@ class SqliteExecutor:
 
     def execute(self, sql: str) -> SqlResult:
         uri = f"file:{self.db_path}?mode=ro"
-        started = time.perf_counter()
         try:
             conn = sqlite3.connect(uri, uri=True)
         except sqlite3.Error as exc:
@@ -410,8 +408,7 @@ class SqliteExecutor:
             rows = rows[:self.max_rows]
         return SqlResult(columns=columns,
                          rows=tuple(tuple(r) for r in rows),
-                         truncated=truncated,
-                         duration_ms=(time.perf_counter() - started) * 1000.0)
+                         truncated=truncated)
 
 
 @dataclass
@@ -426,11 +423,10 @@ class SchemaTable:
     columns: list[SchemaColumn] = field(default_factory=list)
     foreign_keys: list[tuple[str, str, str]] = field(default_factory=list)
     # (column, other_table, other_column)
-    row_count: int | None = None
 
 
-def introspect_schema(db_path: str, with_counts: bool = False) -> list[SchemaTable]:
-    """Read table/column/FK structure (and optional row counts) from SQLite."""
+def introspect_schema(db_path: str) -> list[SchemaTable]:
+    """Read table/column/FK structure from SQLite."""
     uri = f"file:{db_path}?mode=ro"
     tables = []
     try:
@@ -443,12 +439,8 @@ def introspect_schema(db_path: str, with_counts: bool = False) -> list[SchemaTab
                            for r in conn.execute(f'PRAGMA table_info("{name}")')]
                 fks = [(r[3], r[2], r[4] or r[3]) for r in
                        conn.execute(f'PRAGMA foreign_key_list("{name}")')]
-                count = None
-                if with_counts:
-                    count = conn.execute(
-                        f'SELECT COUNT(*) FROM "{name}"').fetchone()[0]
                 tables.append(SchemaTable(name=name, columns=columns,
-                                          foreign_keys=fks, row_count=count))
+                                          foreign_keys=fks))
     except sqlite3.Error as exc:
         raise SqlRuntimeError(f"cannot read schema of {db_path}: {exc}") from exc
     return tables

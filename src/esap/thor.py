@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import (
-    EmptyResult,
     ModelRefusal,
     NonSelectRejected,
     ScriptExhausted,
@@ -171,58 +170,48 @@ class ThorResult:
         return out
 
 
-def _fmt_number(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:g}"
+def _fmt(value) -> str:
+    """A cell or key value as narratives show it; floats in ``%g`` form."""
+    return f"{value:g}" if isinstance(value, float) else str(value)
 
 
-def _numeric_columns(result: SqlResult) -> list[int]:
-    cols = []
+def _classify_columns(result: SqlResult) -> tuple[list[int], int | None,
+                                                  int | None]:
+    """(numeric columns, date column, label column) of a result table.
+
+    A column is numeric or text when all its non-null cells are (booleans
+    are neither). The first text column whose cells all look like dates is
+    the date column; the first other text column is the label column.
+    """
+    numeric: list[int] = []
+    date_col = label_col = None
     for i in range(len(result.columns)):
         values = [row[i] for row in result.rows if row[i] is not None]
-        if values and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                          for v in values):
-            cols.append(i)
-    return cols
-
-
-def _text_columns(result: SqlResult) -> list[int]:
-    cols = []
-    for i in range(len(result.columns)):
-        values = [row[i] for row in result.rows if row[i] is not None]
-        if values and all(isinstance(v, str) for v in values):
-            cols.append(i)
-    return cols
-
-
-def _date_column(result: SqlResult) -> int | None:
-    for i in _text_columns(result):
-        values = [row[i] for row in result.rows if row[i] is not None]
-        if values and all(_DATE_RE.match(v) for v in values):
-            return i
-    return None
+        if not values:
+            continue
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in values):
+            numeric.append(i)
+        elif all(isinstance(v, str) for v in values):
+            if date_col is None and all(_DATE_RE.match(v) for v in values):
+                date_col = i
+            elif label_col is None:
+                label_col = i
+    return numeric, date_col, label_col
 
 
 def interpret(question: str, result: SqlResult,
               chat: ChatPort | None = None) -> Insight:
-    """Extract key values and trends from a result table, then narrate.
+    """Extract key values and trends from any result table, then narrate.
 
     Key values are max/min/total per numeric column, with the max row
-    labeled by the first text column. A trend is flagged when a numeric
+    labeled by the first text column that is not the date column. A trend is flagged when a numeric
     column is strictly monotone over at least 3 rows ordered by the first
     date-like column. The narrative comes from the chat port when one is
-    supplied and answers usably; otherwise a deterministic template.
+    supplied and answers usably; otherwise a deterministic template, which
+    for an empty table is its row count.
     """
-    if not result.rows:
-        raise EmptyResult("cannot interpret an empty result table")
-
-    numeric = _numeric_columns(result)
-    date_col = _date_column(result)
-    text_cols = [i for i in _text_columns(result) if i != date_col]
-    label_col = text_cols[0] if text_cols else None
+    numeric, date_col, label_col = _classify_columns(result)
 
     key_values: dict[str, float] = {}
     key_labels: dict[str, str] = {}
@@ -254,8 +243,7 @@ def interpret(question: str, result: SqlResult,
                                     trends)
     if chat is not None:
         table_echo = "; ".join(
-            ", ".join(f"{c}={_fmt_number(v) if not isinstance(v, str) else v}"
-                      for c, v in zip(result.columns, row))
+            ", ".join(f"{c}={_fmt(v)}" for c, v in zip(result.columns, row))
             for row in result.rows[:20])
         prompt = (f"Summarize the query result in one short paragraph.\n"
                   f"QUESTION: {question}\nROWS: {table_echo}\n"
@@ -276,19 +264,18 @@ def _template_narrative(result: SqlResult, numeric: list[int],
                         trends: list[str]) -> str:
     n = len(result.rows)
     if n == 1:
-        cells = ", ".join(
-            f"{c}={v if isinstance(v, str) else _fmt_number(v)}"
-            for c, v in zip(result.columns, result.rows[0]) if v is not None)
+        cells = ", ".join(f"{c}={_fmt(v)}" for c, v
+                          in zip(result.columns, result.rows[0]) if v is not None)
         return f"The query returned one row: {cells}."
     parts = []
     for ci in numeric:
         name = result.columns[ci]
-        fragment = (f"{name} ranges from {_fmt_number(key_values[f'{name}.min'])} "
-                    f"to {_fmt_number(key_values[f'{name}.max'])}")
+        fragment = (f"{name} ranges from {_fmt(key_values[f'{name}.min'])} "
+                    f"to {_fmt(key_values[f'{name}.max'])}")
         label = key_labels.get(f"{name}.max")
         if label is not None:
             fragment += f" (top: {label})"
-        fragment += f" and totals {_fmt_number(key_values[f'{name}.total'])}"
+        fragment += f" and totals {_fmt(key_values[f'{name}.total'])}"
         parts.append(fragment)
     sentence = f"The query returned {n} rows."
     if parts:
@@ -313,6 +300,11 @@ class ThorPipeline:
         self.allow_empty = allow_empty
         self.narrative_chat = narrative_chat
         self._schema_text: str | None = None
+
+    def _acceptable(self, result: SqlResult | None) -> bool:
+        """Whether a table may answer: non-empty unless empty answers are
+        allowed. The one acceptance rule; ``rate`` and the loop both ask it."""
+        return result is not None and (result.row_count > 0 or self.allow_empty)
 
     @property
     def schema_text(self) -> str:
@@ -353,13 +345,12 @@ class ThorPipeline:
 
     def rate(self, question: str, sql: str,
              result: SqlResult | None, error: str | None) -> tuple[float, list[str]]:
-        """Execution errors and (unless allowed) empty tables are hard zeros;
-        everything else is model-scored on a 0..1 rubric, falling back to a
-        non-empty-table heuristic when no usable score comes back."""
+        """Execution errors and tables that are not ``_acceptable`` are hard
+        zeros; everything else is model-scored on a 0..1 rubric, falling back
+        to a non-empty-table heuristic when no usable score comes back."""
         if error is not None:
             return 0.0, ["execution-error"]
-        assert result is not None
-        if result.row_count == 0 and not self.allow_empty:
+        if not self._acceptable(result):
             return 0.0, ["empty-result"]
         if self.chat is not None:
             preview = "; ".join(str(row) for row in result.rows[:5])
@@ -382,7 +373,6 @@ class ThorPipeline:
                           task_type: str = "structured") -> tuple[ThorAttemptLog,
                                                                   SqlResult | None]:
         log = ThorAttemptLog(question=question, task_type=task_type)
-        best_result: SqlResult | None = None
         for number in range(1, self.max_retries + 2):
             sql = ""
             result: SqlResult | None = None
@@ -407,12 +397,10 @@ class ThorPipeline:
             log.attempts.append(attempt)
             # rate() scores a failed or empty attempt 0.0, which a threshold
             # of 0.0 would clear
-            if (result is not None and (result.row_count or self.allow_empty)
-                    and rating >= self.threshold):
+            if self._acceptable(result) and rating >= self.threshold:
                 log.status = "answered"
-                best_result = result
-                break
-        return log, best_result
+                return log, result
+        return log, None
 
     def run(self, question: str) -> ThorResult:
         """Route, then loop to an accepted result and interpret it."""
@@ -422,7 +410,7 @@ class ThorPipeline:
             raise ThorFailed(
                 f"question routed as {task_type!r}, not structured", log=log)
         log, result = self.self_correct_loop(question, task_type)
-        if log.status != "answered" or result is None:
+        if result is None:
             raise ThorFailed(
                 f"no attempt reached rating {self.threshold} within "
                 f"{self.max_retries + 1} attempts", log=log)

@@ -617,6 +617,18 @@ def test_allow_empty_flag_lands_in_thor_config(kb, tmp_path, capsys):
     assert payload["result"]["log"]["status"] == "answered"
 
 
+def test_allow_empty_answers_an_empty_select(kb, tmp_path, capsys):
+    ports = write_script(tmp_path / "script.json", [
+        "structured", "SELECT name FROM chinook_track WHERE 0", "0.9"])
+    code, out, _ = run_cli(capsys, "sql", "--q", "Which tracks are free?",
+                           "--kb", kb, "--ports", ports, "--allow-empty")
+    assert code == 0
+    log = json.loads(out)["result"]["log"]
+    assert log["status"] == "answered"
+    assert [a["row_count"] for a in log["attempts"]] == [0]
+    assert log["narrative"] == "The query returned 0 rows."
+
+
 def test_pretty_index_ask_and_query_without_hits(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("\n".join(json.dumps({"id": doc.doc_id, "text": doc.text,

@@ -311,6 +311,12 @@ def test_select_executes(music_db):
     assert not result.truncated
 
 
+def test_same_query_gives_equal_results(music_db):
+    executor = SqliteExecutor(music_db)
+    sql = "SELECT name, unit_price FROM chinook_track ORDER BY track_id"
+    assert executor.execute(sql) == executor.execute(sql)
+
+
 def test_with_clause_allowed(music_db):
     result = SqliteExecutor(music_db).execute(
         "WITH t AS (SELECT unit_price FROM chinook_track) "
@@ -420,14 +426,13 @@ def test_database_write_protected(music_db, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_introspect_and_serialize(music_db):
-    tables = introspect_schema(music_db, with_counts=True)
+    tables = introspect_schema(music_db)
     names = [t.name for t in tables]
     assert names == sorted(names)
     assert "chinook_track" in names
     track = next(t for t in tables if t.name == "chinook_track")
     assert [c.name for c in track.columns] == \
         ["track_id", "name", "genre", "unit_price"]
-    assert track.row_count == 5
     text = serialize_schema(tables)
     assert "chinook_track(track_id:INTEGER, name:TEXT, genre:TEXT, " \
            "unit_price:REAL)" in text

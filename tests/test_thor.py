@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from esap.errors import EmptyResult, ModelRefusal, ThorFailed
+from esap.errors import ModelRefusal, ThorFailed
 from esap.fixtures import seed_music_db
 from esap.ports import ScriptedModel, SqliteExecutor, SqlResult, chat_request
 from esap.thor import (
@@ -218,9 +218,10 @@ def test_loop_logs_generation_refusals_as_attempts(executor):
 # interpretation
 # ---------------------------------------------------------------------------
 
-def test_interpret_rejects_empty_table():
-    with pytest.raises(EmptyResult):
-        interpret("q", table(["a"], []))
+def test_interpret_describes_an_empty_table():
+    insight = interpret("q", table(["a"], []))
+    assert insight.narrative == "The query returned 0 rows."
+    assert (insight.key_values, insight.key_labels, insight.trends) == ({}, {}, [])
 
 
 def test_interpret_single_row_narrative():
@@ -260,6 +261,23 @@ def test_interpret_trend_orders_by_date_not_input():
     rows = [("2024-03", 11), ("2024-01", 5), ("2024-02", 7)]
     insight = interpret("q", table(["month", "revenue"], rows))
     assert insight.trends == ["revenue increasing"]
+
+
+def test_interpret_first_date_column_orders_later_ones_label():
+    # ordered by "shipped" instead, revenue would be decreasing
+    rows = [("2024-01", "2024-09-30", 5), ("2024-02", "2024-08-31", 7),
+            ("2024-03", "2024-07-31", 11)]
+    insight = interpret("q", table(["month", "shipped", "revenue"], rows))
+    assert insight.trends == ["revenue increasing"]
+    assert insight.key_labels == {"revenue.max": "2024-07-31"}
+
+
+def test_interpret_chat_prompt_echoes_null_cells():
+    chat = ScriptedModel(["Two rows."])
+    insight = interpret("q", table(["name", "p"], [("a", None), (None, 2.5)]),
+                        chat=chat)
+    assert insight.narrative == "Two rows."
+    assert "ROWS: name=a, p=None; name=None, p=2.5\n" in chat.requests[0].last_user
 
 
 def test_interpret_chat_overrides_template():
