@@ -368,6 +368,8 @@ def cmd_eval_retrieval(args, cfg: AppConfig) -> tuple[dict, str]:
         name, sep, path = spec_arg.partition("=")
         if not sep or not name or not path:
             raise ConfigError(f"--dataset must be NAME=PATH, got {spec_arg!r}")
+        if name in datasets:
+            raise ConfigError(f"--dataset name {name!r} given twice")
         datasets[name] = read_qa_jsonl(path)
     index, embed = _load_index_and_embedder(cfg)
     store = VersionStore(cfg.kb)

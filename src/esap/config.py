@@ -21,11 +21,14 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .corpus import DEFAULT_CHUNK_OVERLAP, DEFAULT_CHUNK_SIZE
 from .dense import AnnParams
 from .errors import ConfigError
-from .hybrid import DEFAULT_GUARDS, DEFAULT_RRF_C, GuardRule
+from .evaluation import DEFAULT_KS, DEFAULT_NGRAM
+from .hybrid import DEFAULT_GUARDS, DEFAULT_K, DEFAULT_RRF_C, GuardRule
 from .jsonio import read_json
 from .ports import ENV_API_KEY, ENV_BASE_URL, ENV_MODEL
+from .thor import DEFAULT_MAX_RETRIES, DEFAULT_THRESHOLD
 
 
 def _is(value, kinds: tuple) -> bool:
@@ -66,13 +69,13 @@ _SCHEMA = {
 
 @dataclass
 class ChunkConfig:
-    size: int = 1000
-    overlap: int = 150
+    size: int = DEFAULT_CHUNK_SIZE
+    overlap: int = DEFAULT_CHUNK_OVERLAP
 
 
 @dataclass
 class RetrievalConfig:
-    k: int = 50
+    k: int = DEFAULT_K
     rrf_c: int = DEFAULT_RRF_C
 
 
@@ -87,15 +90,15 @@ class PortsConfig:
 
 @dataclass
 class ThorConfig:
-    max_retries: int = 3
-    threshold: float = 0.6
+    max_retries: int = DEFAULT_MAX_RETRIES
+    threshold: float = DEFAULT_THRESHOLD
     allow_empty: bool = False
 
 
 @dataclass
 class EvalConfig:
-    ks: list[int] = field(default_factory=lambda: [1, 2, 4, 8, 16, 50])
-    ngram_n: int = 3
+    ks: list[int] = field(default_factory=lambda: list(DEFAULT_KS))
+    ngram_n: int = DEFAULT_NGRAM
 
 
 @dataclass

@@ -4,19 +4,18 @@ The pipeline rewrites the question for retrieval, pulls the fused top-k
 snippets, lays them into a structured prompt (context, objective, style,
 tone, audience, response format), asks the chat port for a cited draft,
 and validates the draft before returning it. Insufficient drafts trigger
-bounded regeneration; a web-search escalation hook exists but is a logged
-no-op.
+bounded regeneration; escalation to web search is logged but does nothing.
 """
 
 from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ModelRefusal, NoContext, TransportError
-from .evaluation import supported_mask
-from .hybrid import DEFAULT_GUARDS, GuardRule, Hit, HybridIndex, search_hybrid
+from .evaluation import DEFAULT_NGRAM, supported_mask
+from .hybrid import DEFAULT_GUARDS, DEFAULT_K, GuardRule, Hit, HybridIndex, search_hybrid
 from .ports import ChatPort, chat_request
 from .tokenizer import token_texts
 
@@ -26,7 +25,6 @@ REFINE_INSTRUCTION = ("Rewrite the user question to maximize retrieval "
 CRITIQUE_INSTRUCTION = ("Is the draft fully supported by the context? "
                         "Reply with exactly one word: sufficient or insufficient.")
 
-DEFAULT_K = 50
 DEFAULT_REGEN_CAP = 2
 DEFAULT_SUPPORT_THRESHOLD = 0.6
 
@@ -44,22 +42,23 @@ class PersonaConfig:
 @dataclass(frozen=True)
 class CoStarPrompt:
     snippets: tuple[str, ...]          # rank order, newline-free
-    objective: str
-    style: str
-    tone: str
-    audience: str
-    response_format: str
+    persona: PersonaConfig
     question: str
 
+    @property
+    def context(self) -> str:
+        """The numbered snippet block; the critique shows the same one."""
+        return "\n".join(f"[{i}] {text}"
+                         for i, text in enumerate(self.snippets, start=1))
+
     def render(self) -> str:
-        context = "\n".join(f"[{i}] {text}"
-                            for i, text in enumerate(self.snippets, start=1))
-        return (f"# CONTEXT\n{context}\n"
-                f"# OBJECTIVE\n{self.objective}\n"
-                f"# STYLE\n{self.style}\n"
-                f"# TONE\n{self.tone}\n"
-                f"# AUDIENCE\n{self.audience}\n"
-                f"# RESPONSE\n{self.response_format}\n"
+        persona = self.persona
+        return (f"# CONTEXT\n{self.context}\n"
+                f"# OBJECTIVE\n{persona.objective}\n"
+                f"# STYLE\n{persona.style}\n"
+                f"# TONE\n{persona.tone}\n"
+                f"# AUDIENCE\n{persona.audience}\n"
+                f"# RESPONSE\n{persona.response_format}\n"
                 f"QUESTION: {self.question}")
 
 
@@ -108,15 +107,7 @@ class QuerySession:
     stages: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "question": self.question,
-            "refined_question": self.refined_question,
-            "principal": self.principal,
-            "k": self.k,
-            "chunk_size": self.chunk_size,
-            "chunk_overlap": self.chunk_overlap,
-            "stages": self.stages,
-        }
+        return asdict(self)
 
 
 _MARKER_RE = re.compile(r"\[(\d+)\]")
@@ -134,7 +125,7 @@ class DerekPipeline:
                  persona: PersonaConfig | None = None, k: int = DEFAULT_K,
                  regen_cap: int = DEFAULT_REGEN_CAP,
                  support_threshold: float = DEFAULT_SUPPORT_THRESHOLD,
-                 ngram_n: int = 3,
+                 ngram_n: int = DEFAULT_NGRAM,
                  guards: tuple[GuardRule, ...] = DEFAULT_GUARDS):
         self.index = index
         self.embed = embed
@@ -170,15 +161,8 @@ class DerekPipeline:
     def assemble_costar(self, refined: str, hits: list[Hit]) -> CoStarPrompt:
         if not hits:
             raise NoContext("no context snippets to assemble")
-        return CoStarPrompt(
-            snippets=tuple(_flatten(h.text) for h in hits),
-            objective=self.persona.objective,
-            style=self.persona.style,
-            tone=self.persona.tone,
-            audience=self.persona.audience,
-            response_format=self.persona.response_format,
-            question=refined,
-        )
+        return CoStarPrompt(snippets=tuple(_flatten(h.text) for h in hits),
+                            persona=self.persona, question=refined)
 
     def generate(self, prompt: CoStarPrompt,
                  hits: list[Hit]) -> tuple[str, list[Citation], list[str]]:
@@ -207,32 +191,31 @@ class DerekPipeline:
         cleaned = re.sub(r" +([.,;:!?])", r"\1", cleaned).strip()
         return cleaned, citations, warnings
 
-    def _support_fraction(self, draft: str, hits: list[Hit]) -> float:
+    def _support_fraction(self, draft: str, snippets: tuple[str, ...]) -> float:
         tokens = token_texts(draft)
         if not tokens:
             return 0.0
-        mask = supported_mask(tokens, [token_texts(h.text) for h in hits],
+        mask = supported_mask(tokens, [token_texts(s) for s in snippets],
                               n=self.ngram_n)
         return sum(mask) / len(tokens)
 
     def validate(self, draft: str, citations: list[Citation],
-                 hits: list[Hit]) -> tuple[str, str | None, list[dict]]:
+                 prompt: CoStarPrompt) -> tuple[str, str | None, list[dict]]:
         """Heuristic check first (citations + supported-token fraction); the
         model critique only runs when the heuristic passes, since a failed
-        heuristic already settles the verdict."""
+        heuristic already settles the verdict. Both read the snippets of the
+        draft prompt, so the critique sees the context the draft saw."""
         events: list[dict] = []
         if not citations:
             return "insufficient", "no-citation", events
-        fraction = self._support_fraction(draft, hits)
+        fraction = self._support_fraction(draft, prompt.snippets)
         events.append({"stage": "validate", "support_fraction": round(fraction, 4)})
         if fraction < self.support_threshold:
             return "insufficient", "low-support", events
-        context = "\n".join(f"[{i}] {text}" for i, text in
-                            enumerate((_flatten(h.text) for h in hits), start=1))
-        prompt = (f"Review the draft answer against the context snippets.\n"
-                  f"{context}\nDRAFT: {draft}\n{CRITIQUE_INSTRUCTION}")
+        critique = (f"Review the draft answer against the context snippets.\n"
+                    f"{prompt.context}\nDRAFT: {draft}\n{CRITIQUE_INSTRUCTION}")
         try:
-            response = self.chat.chat(chat_request(prompt))
+            response = self.chat.chat(chat_request(critique))
         except (ModelRefusal, TransportError):
             events.append({"stage": "validate", "critique": "fallback-pass"})
             return "sufficient", None, events
@@ -242,11 +225,6 @@ class DerekPipeline:
         if "sufficient" not in text:
             events.append({"stage": "validate", "critique": "unparseable-pass"})
         return "sufficient", None, events
-
-    def web_search_hook(self, question: str, trace: list[dict]) -> None:
-        """Escalation is recorded but intentionally does nothing."""
-        trace.append({"stage": "escalate", "event": "web-search-stub",
-                      "question": question})
 
     # -- composition ----------------------------------------------------------
 
@@ -259,53 +237,47 @@ class DerekPipeline:
         trace: list[dict] = []
         stages: list[dict] = []
 
-        def timed(stage: str, fn):
+        def timed(stage: str, fn, *args):
             started = time.perf_counter()
-            result = fn()
+            result = fn(*args)
             stages.append({"stage": stage,
                            "elapsed_ms": (time.perf_counter() - started) * 1000.0})
             return result
 
-        refined, fallback = timed("refine", lambda: self.refine_query(question))
+        refined, fallback = timed("refine", self.refine_query, question)
         trace.append({"stage": "refine", "fallback": fallback})
-        hits = timed("retrieve", lambda: self.retrieve(refined, principal))
+        hits = timed("retrieve", self.retrieve, refined, principal)
         trace.append({"stage": "retrieve", "hits": len(hits)})
-        prompt = timed("assemble", lambda: self.assemble_costar(refined, hits))
+        prompt = timed("assemble", self.assemble_costar, refined, hits)
         trace.append({"stage": "assemble", "snippets": len(prompt.snippets)})
 
-        regen = 0
-        drafts: list[tuple[str, list[Citation], float]] = []
-        verdict = "insufficient"
-        reason: str | None = None
-        while True:
-            draft, citations, warnings = timed(
-                "generate", lambda: self.generate(prompt, hits))
+        # (cited, supported fraction, regen) keys are unique, so max never
+        # compares the drafts themselves
+        drafts: list[tuple[tuple[bool, float, int], str, list[Citation]]] = []
+        # a cap below 0 still allows the first draft
+        for regen in range(max(self.regen_cap, 0) + 1):
+            draft, citations, warnings = timed("generate", self.generate,
+                                               prompt, hits)
             trace.append({"stage": "generate", "citations": len(citations)})
-            for warning in warnings:
-                trace.append({"stage": "generate", "warning": warning})
-            verdict, reason, events = timed(
-                "validate", lambda: self.validate(draft, citations, hits))
-            fraction = next((e["support_fraction"] for e in events
-                             if "support_fraction" in e), 0.0)
-            drafts.append((draft, citations, fraction))
+            trace.extend({"stage": "generate", "warning": warning}
+                         for warning in warnings)
+            verdict, reason, events = timed("validate", self.validate,
+                                            draft, citations, prompt)
             trace.extend(events)
             trace.append({"stage": "validate", "verdict": verdict,
                           "reason": reason})
             if verdict == "sufficient":
                 break
-            if regen >= self.regen_cap:
-                self.web_search_hook(question, trace)
-                break
-            regen += 1
-
-        if verdict == "sufficient":
-            draft, citations, _ = drafts[-1]
+            fraction = next((e["support_fraction"] for e in events
+                             if "support_fraction" in e), 0.0)
+            drafts.append(((bool(citations), fraction, regen), draft, citations))
         else:
-            # escalation returns the best draft: cited first, then the
-            # highest supported fraction, then the most recent
-            best = max(enumerate(drafts),
-                       key=lambda item: (bool(item[1][1]), item[1][2], item[0]))
-            draft, citations, _ = best[1]
+            # escalation is recorded but does nothing; it returns the best
+            # draft: cited first, then the highest supported fraction, then
+            # the most recent
+            trace.append({"stage": "escalate", "event": "web-search-stub",
+                          "question": question})
+            _, draft, citations = max(drafts)
 
         grounded = GroundedAnswer(answer=draft, citations=citations,
                                   verdict=verdict, reason=reason,

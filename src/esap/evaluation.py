@@ -377,69 +377,53 @@ def run_retrieval_benchmark(datasets: dict[str, list[dict]],
     Per-question metrics are macro-averaged within each dataset; the ALL row
     macro-averages over every included question pooled across datasets.
     Records whose evidence cannot be located are excluded from the averages
-    and surfaced via the excluded count.
+    and surfaced via the excluded count. Dataset names are row names, so
+    ``ALL`` is refused beside another dataset.
     """
     if not datasets or all(not records for records in datasets.values()):
         raise DatasetFormatError("no questions to evaluate")
+    if "ALL" in datasets and len(datasets) > 1:
+        raise ValueError("dataset name ALL is reserved for the pooled row")
     ks = tuple(sorted(set(int(k) for k in ks)))
     if not ks or ks[0] < 1:
         raise ValueError(f"ks must be positive, got {ks}")
     max_k = ks[-1]
 
-    per_dataset: dict[str, list[dict[int, tuple[float, float]]]] = {}
-    excluded: dict[str, int] = {}
+    def row(name: str, scored: list[dict[int, tuple[float, float]]],
+            excluded: int) -> dict:
+        def average(metric: int) -> dict[str, float]:
+            return {str(k): round(100.0 * sum(r[k][metric] for r in scored)
+                                  / len(scored), 2) if scored else 0.0
+                    for k in ks}
+        return {"dataset": name, "n_questions": len(scored),
+                "n_excluded": excluded, "recall": average(0),
+                "precision": average(1)}
+
+    rows = []
+    pooled: list[dict[int, tuple[float, float]]] = []
+    pooled_excluded = 0
     for name, records in datasets.items():
-        per_dataset[name] = []
-        excluded[name] = 0
+        scored = []
+        excluded = 0
         for record in records:
             try:
                 spans = locate_evidence(record, doc_tokens)
             except EvidenceNotFound:
-                excluded[name] += 1
+                excluded += 1
                 continue
             hits = search_hybrid(index, record["question"], embed, k=max_k,
                                  principal=principal)
             chunk_spans = [(h.doc_id, index.chunks[h.chunk_id].token_span[0],
                             index.chunks[h.chunk_id].token_span[1])
                            for h in hits]
-            metrics = {k: (recall_at_k(chunk_spans[:k], spans),
-                           precision_at_k(chunk_spans[:k], spans))
-                       for k in ks}
-            per_dataset[name].append(metrics)
-
-    def average(rows: list[dict[int, tuple[float, float]]]) -> tuple[dict, dict]:
-        recall = {}
-        precision = {}
-        for k in ks:
-            if rows:
-                recall[k] = 100.0 * sum(r[k][0] for r in rows) / len(rows)
-                precision[k] = 100.0 * sum(r[k][1] for r in rows) / len(rows)
-            else:
-                recall[k] = 0.0
-                precision[k] = 0.0
-        return recall, precision
-
-    rows = []
-    pooled: list[dict[int, tuple[float, float]]] = []
-    for name in datasets:
-        recall, precision = average(per_dataset[name])
-        pooled.extend(per_dataset[name])
-        rows.append({
-            "dataset": name,
-            "n_questions": len(per_dataset[name]),
-            "n_excluded": excluded[name],
-            "recall": {str(k): round(recall[k], 2) for k in ks},
-            "precision": {str(k): round(precision[k], 2) for k in ks},
-        })
+            scored.append({k: (recall_at_k(chunk_spans[:k], spans),
+                               precision_at_k(chunk_spans[:k], spans))
+                           for k in ks})
+        rows.append(row(name, scored, excluded))
+        pooled += scored
+        pooled_excluded += excluded
     if len(datasets) > 1:
-        recall, precision = average(pooled)
-        rows.append({
-            "dataset": "ALL",
-            "n_questions": len(pooled),
-            "n_excluded": sum(excluded.values()),
-            "recall": {str(k): round(recall[k], 2) for k in ks},
-            "precision": {str(k): round(precision[k], 2) for k in ks},
-        })
+        rows.append(row("ALL", pooled, pooled_excluded))
     return {
         "ks": list(ks),
         "rows": rows,

@@ -26,13 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Chunk
+from .corpus import DEFAULT_CHUNK_OVERLAP, DEFAULT_CHUNK_SIZE, Chunk
 from .dense import AnnParams, DenseIndex, build_dense_from_texts, search_dense
 from .errors import CorruptIndex, EmptyCorpus, EmptyIndex, FormatVersionMismatch
 from .jsonio import read_json
-from .lexical import LexicalIndex, build_lexical, search_lexical
+from .lexical import DEFAULT_B, DEFAULT_K1, LexicalIndex, build_lexical, search_lexical
 
 FORMAT_VERSION = 1
+DEFAULT_K = 50
 DEFAULT_RRF_C = 60
 # each retriever ranks this many times k of the principal's readable chunks
 FETCH_FACTOR = 4
@@ -72,11 +73,11 @@ class Hit:
 
 @dataclass
 class HybridParams:
-    k1: float = 1.2
-    b: float = 0.75
+    k1: float = DEFAULT_K1
+    b: float = DEFAULT_B
     rrf_c: int = DEFAULT_RRF_C
-    chunk_size: int = 1000
-    chunk_overlap: int = 150
+    chunk_size: int = DEFAULT_CHUNK_SIZE
+    chunk_overlap: int = DEFAULT_CHUNK_OVERLAP
     ann: AnnParams = field(default_factory=AnnParams)
 
 
@@ -182,7 +183,7 @@ def filter_acl(ranked: list[tuple[str, float]], chunks: dict[str, Chunk],
     return out
 
 
-def search_hybrid(index: HybridIndex, query: str, embed, k: int = 50,
+def search_hybrid(index: HybridIndex, query: str, embed, k: int = DEFAULT_K,
                   principal: str = "*",
                   guards: tuple[GuardRule, ...] = DEFAULT_GUARDS) -> list[Hit]:
     """Fused top-k over the chunks the principal may read, PII redacted.

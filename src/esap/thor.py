@@ -164,7 +164,9 @@ class ThorResult:
         if verbose:
             out["table"] = {
                 "columns": list(self.table.columns),
-                "rows": [list(r) for r in self.table.rows],
+                # JSON has no bytes: a BLOB is shown as its SQLite literal
+                "rows": [[f"X'{v.hex().upper()}'" if isinstance(v, bytes) else v
+                          for v in r] for r in self.table.rows],
                 "truncated": self.table.truncated,
             }
         return out

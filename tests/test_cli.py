@@ -382,6 +382,38 @@ def test_eval_retrieval_rejects_bad_dataset_spec(kb, capsys):
     assert "NAME=PATH" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("names, error, named", [
+    (("x", "x"), "ConfigError", "'x'"),
+    (("ALL", "b"), "ValueError", "ALL"),
+], ids=["repeated", "all"])
+def test_eval_retrieval_refuses_ambiguous_dataset_names(kb, tmp_path, capsys,
+                                                        names, error, named):
+    argv = []
+    for i, name in enumerate(names):
+        dataset = tmp_path / f"qa{i}.jsonl"
+        dataset.write_text(json.dumps({
+            "qid": f"q{i}", "question": "red apple basket",
+            "evidence": [{"doc_id": "fruit-apple", "quote": "red apple"}],
+        }) + "\n", encoding="utf-8")
+        argv += ["--dataset", f"{name}={dataset}"]
+    code, out, err = run_cli(capsys, "eval-retrieval", *argv, "--kb", kb)
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == error
+    assert named in payload["message"]
+
+
+def test_sql_verbose_shows_a_blob_as_its_sqlite_literal(kb, tmp_path, capsys):
+    script = tmp_path / "sql_script.json"
+    script.write_text(json.dumps(["structured", "SELECT x'41' AS b, 2 AS n",
+                                  "0.9"]), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "sql", "--q", "a blob?", "--kb", kb,
+                           "--ports", f"scripted:{script}", "--verbose")
+    assert code == 0
+    table = json.loads(out)["result"]["table"]
+    assert table["rows"] == [["X'41'", 2]]
+
+
 def test_eval_trace_reports_and_writes(tmp_path, capsys):
     runs = tmp_path / "runs.jsonl"
     runs.write_text(json.dumps({

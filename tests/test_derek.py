@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from esap.corpus import Document, chunk_document
-from esap.derek import CoStarPrompt, DerekPipeline, PersonaConfig
+from esap.derek import CRITIQUE_INSTRUCTION, CoStarPrompt, DerekPipeline, PersonaConfig
 from esap.errors import ModelRefusal, NoContext
 from esap.hybrid import HybridParams, build_hybrid
 from esap.ports import ExtractiveStub, HashingEmbedder, ScriptedModel, chat_request
@@ -64,8 +64,9 @@ def test_refine_rejects_blank_question(embedder):
 def test_costar_render_sections_in_order():
     prompt = CoStarPrompt(
         snippets=("first snippet", "second snippet"),
-        objective="obj", style="sty", tone="ton", audience="aud",
-        response_format="fmt", question="q?")
+        persona=PersonaConfig(objective="obj", style="sty", tone="ton",
+                              audience="aud", response_format="fmt"),
+        question="q?")
     text = prompt.render()
     assert text.index("# CONTEXT") < text.index("# OBJECTIVE") \
         < text.index("# STYLE") < text.index("# TONE") \
@@ -132,7 +133,8 @@ def test_citation_carries_chunk_version(embedder):
 def test_validate_requires_citations(embedder):
     pipe = pipeline_with(embedder, ScriptedModel([]))
     hits = pipe.retrieve("red apple")
-    verdict, reason, _ = pipe.validate("uncited draft", [], hits)
+    prompt = pipe.assemble_costar("red apple", hits)
+    verdict, reason, _ = pipe.validate("uncited draft", [], prompt)
     assert (verdict, reason) == ("insufficient", "no-citation")
 
 
@@ -143,7 +145,7 @@ def test_validate_flags_low_support(embedder):
     prompt = pipe.assemble_costar("red apple", hits)
     _, citations, _ = pipe.generate(prompt, hits)
     verdict, reason, events = pipe.validate(
-        "completely unrelated invented words everywhere", citations, hits)
+        "completely unrelated invented words everywhere", citations, prompt)
     assert (verdict, reason) == ("insufficient", "low-support")
     assert events[0]["support_fraction"] == 0.0
 
@@ -158,8 +160,32 @@ def test_validate_critique_drives_verdict(embedder):
         hits = pipe.retrieve("red apple basket")
         prompt = pipe.assemble_costar("red apple basket", hits)
         cleaned, citations, _ = pipe.generate(prompt, hits)
-        verdict, reason, _ = pipe.validate(cleaned, citations, hits)
+        verdict, reason, _ = pipe.validate(cleaned, citations, prompt)
         assert (verdict, reason) == expected, reply
+
+
+def test_critique_prompt_shows_the_drafts_context(embedder):
+    sent: list[str] = []
+
+    class Recorder:
+        def chat(self, request):
+            sent.append(request.last_user)
+            return ExtractiveStub().chat(request)
+
+    pipe = pipeline_with(embedder, Recorder())
+    hits = pipe.retrieve("red apple basket")
+    hits[0] = hits[0].__class__(**{**hits[0].__dict__,
+                                   "text": "The red apple\n  sits in the basket."})
+    prompt = pipe.assemble_costar("red apple basket", hits)
+    cleaned, citations, _ = pipe.generate(prompt, hits)
+    verdict, _, _ = pipe.validate(cleaned, citations, prompt)
+    assert verdict == "sufficient"
+    assert prompt.context in prompt.render()
+    assert sent[-1] == ("Review the draft answer against the context snippets.\n"
+                        + "\n".join(f"[{i}] {text}" for i, text
+                                    in enumerate(prompt.snippets, start=1))
+                        + f"\nDRAFT: {cleaned}\n{CRITIQUE_INSTRUCTION}")
+    assert "[1] The red apple sits in the basket.\n[2] " in sent[-1]
 
 
 def test_validate_passes_when_critique_port_fails(embedder):
@@ -170,9 +196,9 @@ def test_validate_passes_when_critique_port_fails(embedder):
     hits = pipe.retrieve("red apple basket")
     citations_source = ScriptedModel(["The red apple sits in the basket. [1]"])
     gen_pipe = pipeline_with(embedder, citations_source)
-    cleaned, citations, _ = gen_pipe.generate(
-        gen_pipe.assemble_costar("red apple basket", hits), hits)
-    verdict, reason, events = pipe.validate(cleaned, citations, hits)
+    prompt = gen_pipe.assemble_costar("red apple basket", hits)
+    cleaned, citations, _ = gen_pipe.generate(prompt, hits)
+    verdict, reason, events = pipe.validate(cleaned, citations, prompt)
     assert (verdict, reason) == ("sufficient", None)
     assert {"stage": "validate", "critique": "fallback-pass"} in events
 

@@ -396,6 +396,9 @@ def test_benchmark_all_row_pools_questions(embedder):
     single = run_retrieval_benchmark({"only": records}, index, embedder,
                                      doc_tokens, ks=(1,))
     assert [row["dataset"] for row in single["rows"]] == ["only"]
+    alone = run_retrieval_benchmark({"ALL": records}, index, embedder,
+                                    doc_tokens, ks=(1,))
+    assert [row["dataset"] for row in alone["rows"]] == ["ALL"]
 
 
 def test_benchmark_input_validation(embedder):
@@ -407,6 +410,9 @@ def test_benchmark_input_validation(embedder):
     with pytest.raises(ValueError):
         run_retrieval_benchmark({"d": records}, index, embedder, doc_tokens,
                                 ks=(0, 1))
+    with pytest.raises(ValueError, match="ALL"):
+        run_retrieval_benchmark({"d": records, "ALL": records}, index, embedder,
+                                doc_tokens)
 
 
 # ---------------------------------------------------------------------------
