@@ -1,13 +1,21 @@
 """Command-line surface: ingest, index, query, ask, sql, eval commands.
 
-Flags hold no settings of their own: each one is written into the JSON
-form of the config (``--config`` file or defaults) at the key it sets,
-and ``esap.config`` checks the result as it checks a file, before any
+Two tables declare the surface once: ``_FLAGS`` holds each flag's
+argparse settings and ``_COMMANDS`` each command's handler, help line and
+own flags (every command also takes ``_COMMON``). ``build_parser`` builds
+the parser and the ``--help`` epilog from them and ``main`` dispatches
+through ``_COMMANDS``.
+
+Flags hold no settings of their own: a flag that sets a config key names
+it in ``_FLAGS``, takes that key's type from ``esap.config`` and is
+written into the JSON form of the config (``--config`` file or defaults)
+at that key, which ``esap.config`` checks as it checks a file, before any
 command touches a kb or an index. A bad flag value is a ``ConfigError``
 naming that key (``--k 0`` names ``retrieval.k``).
 
 Each ``cmd_*`` returns ``(body, text)`` and ``main`` prints one of them:
-``text`` under ``--pretty``, otherwise ``body`` as one JSON document.
+``text`` under ``--pretty``, otherwise ``body`` as one strict JSON
+document (no ``NaN`` or ``Infinity``).
 
 Exit codes: 0 success, 1 user/config error, 2 data error, 3 external-port
 error; each error type carries its code (``esap.errors``). Every failure
@@ -20,10 +28,11 @@ import argparse
 import json
 import os
 import sys
+import textwrap
 from pathlib import Path
 
 from . import __version__
-from .config import AppConfig, config_from_dict, load_config
+from .config import _SCHEMA, AppConfig, config_from_dict, load_config
 from .corpus import VersionStore, chunk_document, ingest_corpus
 from .derek import DerekPipeline
 from .errors import ConfigError, EmptyCorpus, EsapError
@@ -62,121 +71,42 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_EPILOG = """\
-flags by command:
-  ingest          --corpus --kb --config --pretty --seed
-  index           --kb --chunk-size --overlap --config --pretty --seed
-  query           --q --k --principal --kb --config --pretty --seed
-  ask             --q --k --principal --ports --kb --config --pretty --seed
-  sql             --q --db --ports --max-retries --threshold --allow-empty
-                  --verbose --kb --config --pretty --seed
-  eval-retrieval  --dataset --ks --out --principal --kb --config --pretty --seed
-  eval-trace      --runs --ngram --out --kb --config --pretty --seed
-  version         --kb --config --pretty --seed
-"""
-
-
-def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--kb", default=None,
-                        help="knowledge-base directory (documents, audit log, index)")
-    common.add_argument("--config", default=None,
-                        help="JSON config file; flags override file values")
-    common.add_argument("--pretty", action="store_true",
-                        help="human-readable output instead of JSON")
-    common.add_argument("--seed", type=int, default=None,
-                        help="ann.seed: accepted, echoed and recorded; "
-                             "dense search is exact and uses no seed")
-
-    parser = _Parser(
-        prog="esap",
-        description="Versioned corpus, hybrid retrieval, grounded answers, "
-                    "a self-correcting SQL agent, and evaluation reports.",
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("ingest", parents=[common],
-                       help="version documents from a JSONL corpus into the kb")
-    p.add_argument("--corpus", required=True, help="JSONL corpus file")
-
-    p = sub.add_parser("index", parents=[common],
-                       help="build and persist the hybrid index")
-    p.add_argument("--chunk-size", type=int, default=None,
-                   help="window size in tokens")
-    p.add_argument("--overlap", type=int, default=None,
-                   help="window overlap in tokens (must be < size)")
-
-    p = sub.add_parser("query", parents=[common],
-                       help="fused lexical+dense top-k search")
-    p.add_argument("--q", required=True, help="query text")
-    p.add_argument("--k", type=int, default=None, help="results to return")
-    p.add_argument("--principal", default="*",
-                   help="identity for access filtering")
-
-    p = sub.add_parser("ask", parents=[common],
-                       help="grounded answer with citations and a trace")
-    p.add_argument("--q", required=True, help="question text")
-    p.add_argument("--k", type=int, default=None, help="snippets to retrieve")
-    p.add_argument("--principal", default="*",
-                   help="identity for access filtering")
-    p.add_argument("--ports", default=None,
-                   help="chat port: stub, scripted:<file>, or http")
-
-    p = sub.add_parser("sql", parents=[common],
-                       help="answer a structured question against SQLite")
-    p.add_argument("--q", required=True, help="question text")
-    p.add_argument("--db", default=None,
-                   help="SQLite file (default: <kb>/music_store.db, seeded)")
-    p.add_argument("--ports", default=None,
-                   help="chat port: scripted:<file> or http")
-    p.add_argument("--max-retries", type=int, default=None,
-                   help="correction attempts after the first")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="acceptance rating in [0, 1]")
-    p.add_argument("--allow-empty", action="store_true",
-                   help="accept empty result tables")
-    p.add_argument("--verbose", action="store_true",
-                   help="include the result table in the output")
-
-    p = sub.add_parser("eval-retrieval", parents=[common],
-                       help="Recall@k / Precision@k benchmark report")
-    p.add_argument("--dataset", action="append", required=True,
-                   metavar="NAME=PATH", help="QA JSONL dataset (repeatable)")
-    p.add_argument("--ks", default=None, help="comma-separated k grid")
-    p.add_argument("--out", default=None,
-                   help="write the JSON report here plus a .txt table")
-    p.add_argument("--principal", default="*",
-                   help="identity for access filtering")
-
-    p = sub.add_parser("eval-trace", parents=[common],
-                       help="grounding-metric benchmark over recorded runs")
-    p.add_argument("--runs", required=True, help="runs JSONL file")
-    p.add_argument("--ngram", type=int, default=None,
-                   help="n-gram size for support matching")
-    p.add_argument("--out", default=None,
-                   help="write the JSON report here plus a .txt table")
-
-    sub.add_parser("version", parents=[common], help="print tool version")
-    return parser
+# flag -> argparse settings. A flag that sets a config key names it as
+# "key" and takes its type from that key's schema entry (the first it accepts).
+_FLAGS = {
+    "--kb": dict(help="knowledge-base directory (documents, audit log, index)"),
+    "--config": dict(help="JSON config file; flags override file values"),
+    "--pretty": dict(action="store_true", help="human-readable output instead of JSON"),
+    "--seed": dict(key="ann.seed", help="ann.seed: accepted, echoed and recorded; "
+                   "dense search is exact and uses no seed"),
+    "--corpus": dict(required=True, help="JSONL corpus file"),
+    "--chunk-size": dict(key="chunk.size", help="window size in tokens"),
+    "--overlap": dict(key="chunk.overlap",
+                      help="window overlap in tokens (must be < size)"),
+    "--q": dict(required=True, help="query or question text"),
+    "--k": dict(key="retrieval.k", help="hits to retrieve"),
+    "--principal": dict(default="*", help="identity for access filtering"),
+    "--ports": dict(help="chat port: stub, scripted:<file>, or http"),
+    "--db": dict(help="SQLite file (default: <kb>/music_store.db, seeded)"),
+    "--max-retries": dict(key="thor.max_retries",
+                          help="correction attempts after the first"),
+    "--threshold": dict(key="thor.threshold", help="acceptance rating in [0, 1]"),
+    "--allow-empty": dict(action="store_true", help="accept empty result tables"),
+    "--verbose": dict(action="store_true",
+                      help="include the result table in the output"),
+    "--dataset": dict(action="append", required=True, metavar="NAME=PATH",
+                      help="QA JSONL dataset (repeatable)"),
+    "--ks": dict(help="comma-separated k grid"),
+    "--out": dict(help="write the JSON report here plus a .txt table"),
+    "--runs": dict(required=True, help="runs JSONL file"),
+    "--ngram": dict(key="eval.ngram_n", help="n-gram size for support matching"),
+}
+_COMMON = "--kb --config --pretty --seed"
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-# flag (argparse dest) -> the config key it sets
-_FLAG_KEYS = {
-    "seed": ("ann", "seed"),
-    "chunk_size": ("chunk", "size"),
-    "overlap": ("chunk", "overlap"),
-    "k": ("retrieval", "k"),
-    "ngram": ("eval", "ngram_n"),
-    "max_retries": ("thor", "max_retries"),
-    "threshold": ("thor", "threshold"),
-}
-
 
 def _resolve_config(args) -> AppConfig:
     """The config file (or the defaults) with each given flag written in.
@@ -187,9 +117,11 @@ def _resolve_config(args) -> AppConfig:
     data = (load_config(args.config) if args.config else AppConfig()).to_json()
     if args.kb is not None:
         data["kb"] = args.kb
-    for dest, (section, key) in _FLAG_KEYS.items():
-        if getattr(args, dest, None) is not None:
-            data[section][key] = getattr(args, dest)
+    for flag, settings in _FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if "key" in settings and value is not None:
+            section, key = settings["key"].split(".")
+            data[section][key] = value
     if getattr(args, "ks", None) is not None:
         try:
             data["eval"]["ks"] = [int(part) for part in args.ks.split(",")
@@ -213,7 +145,7 @@ def _resolve_config(args) -> AppConfig:
 def _document(cfg: AppConfig, body: dict) -> str:
     """JSON-mode output: ``body`` after the tool version and the config echo."""
     return json.dumps({"tool_version": __version__, "config_echo": cfg.to_json(),
-                       **body}, indent=2, ensure_ascii=False)
+                       **body}, indent=2, ensure_ascii=False, allow_nan=False)
 
 
 def _make_chat(cfg: AppConfig):
@@ -390,16 +322,50 @@ def cmd_version(args, cfg: AppConfig) -> tuple[dict, str]:
     return {}, f"esap {__version__}"
 
 
+# command -> (handler, help line, its own flags); each also takes _COMMON
 _COMMANDS = {
-    "ingest": cmd_ingest,
-    "index": cmd_index,
-    "query": cmd_query,
-    "ask": cmd_ask,
-    "sql": cmd_sql,
-    "eval-retrieval": cmd_eval_retrieval,
-    "eval-trace": cmd_eval_trace,
-    "version": cmd_version,
+    "ingest": (cmd_ingest, "version documents from a JSONL corpus into the kb",
+               "--corpus"),
+    "index": (cmd_index, "build and persist the hybrid index",
+              "--chunk-size --overlap"),
+    "query": (cmd_query, "fused lexical+dense top-k search", "--q --k --principal"),
+    "ask": (cmd_ask, "grounded answer with citations and a trace",
+            "--q --k --principal --ports"),
+    "sql": (cmd_sql, "answer a structured question against SQLite",
+            "--q --db --ports --max-retries --threshold --allow-empty --verbose"),
+    "eval-retrieval": (cmd_eval_retrieval, "Recall@k / Precision@k benchmark report",
+                       "--dataset --ks --out --principal"),
+    "eval-trace": (cmd_eval_trace, "grounding-metric benchmark over recorded runs",
+                   "--runs --ngram --out"),
+    "version": (cmd_version, "print tool version", ""),
 }
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(
+        prog="esap",
+        description="Versioned corpus, hybrid retrieval, grounded answers, "
+                    "a self-correcting SQL agent, and evaluation reports.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    epilog = ["flags by command:"]
+    for name, (_, help_line, own) in _COMMANDS.items():
+        flags = f"{own} {_COMMON}".split()
+        command = sub.add_parser(name, help=help_line)
+        for flag in flags:
+            settings = dict(_FLAGS[flag])
+            if "key" in settings:
+                section, key = settings.pop("key").split(".")
+                kinds = _SCHEMA[section][key][0]
+                settings["type"] = kinds[0] if isinstance(kinds, tuple) else kinds
+            command.add_argument(flag, **settings)
+        epilog.append(textwrap.fill(" ".join(flags), width=80,
+                                    initial_indent=f"  {name:<16}",
+                                    subsequent_indent=" " * 18,
+                                    break_on_hyphens=False))
+    parser.epilog = "\n".join(epilog) + "\n"
+    return parser
 
 
 def _fail(kind: str, message: str, code: int) -> int:
@@ -419,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     try:
         cfg = _resolve_config(args)
-        body, text = _COMMANDS[args.command](args, cfg)
+        body, text = _COMMANDS[args.command][0](args, cfg)
         print(text if args.pretty else _document(cfg, body))
         return EXIT_OK
     except EsapError as exc:

@@ -230,7 +230,12 @@ class HttpChatModel:
                 body = response.json()
                 choice = body["choices"][0]
                 text = choice["message"]["content"]
-                usage = body.get("usage", {})
+                # a null usage or count reads as 0, like an absent one
+                usage = body.get("usage")
+                usage = {} if usage is None else usage
+                prompt_tokens, completion_tokens = (
+                    0 if usage.get(key) is None else int(usage[key])
+                    for key in ("prompt_tokens", "completion_tokens"))
             except Exception as exc:
                 raise TransportError(f"malformed response body: {exc}") from exc
             if text is None or not str(text).strip():
@@ -238,8 +243,8 @@ class HttpChatModel:
             return ChatResponse(
                 text=str(text),
                 finish_reason=choice.get("finish_reason", "complete"),
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                completion_tokens=int(usage.get("completion_tokens", 0)),
+                prompt_tokens=prompt_tokens,
+                completion_tokens=completion_tokens,
                 model=payload["model"],
             )
         raise TransportError(

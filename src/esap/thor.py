@@ -10,6 +10,7 @@ supplied for the narrative sentence.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -143,7 +144,8 @@ class Insight:
     def to_json(self) -> dict:
         return {
             "narrative": self.narrative,
-            "key_values": self.key_values,
+            "key_values": {name: _json_value(value)
+                           for name, value in self.key_values.items()},
             "key_labels": self.key_labels,
             "trends": self.trends,
         }
@@ -164,9 +166,7 @@ class ThorResult:
         if verbose:
             out["table"] = {
                 "columns": list(self.table.columns),
-                # JSON has no bytes: a BLOB is shown as its SQLite literal
-                "rows": [[f"X'{v.hex().upper()}'" if isinstance(v, bytes) else v
-                          for v in r] for r in self.table.rows],
+                "rows": [[_json_value(v) for v in r] for r in self.table.rows],
                 "truncated": self.table.truncated,
             }
         return out
@@ -175,6 +175,18 @@ class ThorResult:
 def _fmt(value) -> str:
     """A cell or key value as narratives show it; floats in ``%g`` form."""
     return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+def _json_value(value):
+    """A cell or key value as strict JSON holds it. JSON has no bytes and no
+    non-finite numbers: a BLOB is its SQLite literal (``X'41'``) and an
+    inf or nan float is its ``_fmt`` string (``"inf"``, ``"-inf"``,
+    ``"nan"``); any other value is kept as it is."""
+    if isinstance(value, bytes):
+        return f"X'{value.hex().upper()}'"
+    if isinstance(value, float) and not math.isfinite(value):
+        return _fmt(value)
+    return value
 
 
 def _classify_columns(result: SqlResult) -> tuple[list[int], int | None,

@@ -216,8 +216,80 @@ def test_help_epilog_lists_flags_per_command(capsys):
         main(["--help"])
     out = capsys.readouterr().out
     for line in ("ingest          --corpus --kb --config --pretty --seed",
-                 "index           --kb --chunk-size --overlap"):
+                 "index           --chunk-size --overlap --kb --config --pretty --seed"):
         assert line in out
+
+
+_NO_COMMON = {"kb": None, "config": None, "pretty": False, "seed": None}
+_ALL_COMMON = ["--kb", "kb", "--config", "c.json", "--pretty", "--seed", "7"]
+_COMMON_SET = {"kb": "kb", "config": "c.json", "pretty": True, "seed": 7}
+
+
+# each command with its required flags only, then with every flag it takes
+_NAMESPACES = [
+    (["ingest", "--corpus", "c.jsonl"], {**_NO_COMMON, "corpus": "c.jsonl"}),
+    (["ingest", "--corpus", "c.jsonl", *_ALL_COMMON],
+     {**_COMMON_SET, "corpus": "c.jsonl"}),
+    (["index"], {**_NO_COMMON, "chunk_size": None, "overlap": None}),
+    (["index", "--chunk-size", "40", "--overlap", "5", *_ALL_COMMON],
+     {**_COMMON_SET, "chunk_size": 40, "overlap": 5}),
+    (["query", "--q", "x"],
+     {**_NO_COMMON, "q": "x", "k": None, "principal": "*"}),
+    (["query", "--q", "x", "--k", "3", "--principal", "bob", *_ALL_COMMON],
+     {**_COMMON_SET, "q": "x", "k": 3, "principal": "bob"}),
+    (["ask", "--q", "x"],
+     {**_NO_COMMON, "q": "x", "k": None, "principal": "*", "ports": None}),
+    (["ask", "--q", "x", "--k", "3", "--principal", "bob", "--ports", "stub",
+      *_ALL_COMMON],
+     {**_COMMON_SET, "q": "x", "k": 3, "principal": "bob", "ports": "stub"}),
+    (["sql", "--q", "x"],
+     {**_NO_COMMON, "q": "x", "db": None, "ports": None, "max_retries": None,
+      "threshold": None, "allow_empty": False, "verbose": False}),
+    (["sql", "--q", "x", "--db", "m.db", "--ports", "http", "--max-retries",
+      "2", "--threshold", "0.5", "--allow-empty", "--verbose", *_ALL_COMMON],
+     {**_COMMON_SET, "q": "x", "db": "m.db", "ports": "http",
+      "max_retries": 2, "threshold": 0.5, "allow_empty": True,
+      "verbose": True}),
+    (["eval-retrieval", "--dataset", "a=a.jsonl"],
+     {**_NO_COMMON, "dataset": ["a=a.jsonl"], "ks": None, "out": None,
+      "principal": "*"}),
+    (["eval-retrieval", "--dataset", "a=a.jsonl", "--dataset", "b=b.jsonl",
+      "--ks", "1,2", "--out", "r.json", "--principal", "bob", *_ALL_COMMON],
+     {**_COMMON_SET, "dataset": ["a=a.jsonl", "b=b.jsonl"], "ks": "1,2",
+      "out": "r.json", "principal": "bob"}),
+    (["eval-trace", "--runs", "r.jsonl"],
+     {**_NO_COMMON, "runs": "r.jsonl", "ngram": None, "out": None}),
+    (["eval-trace", "--runs", "r.jsonl", "--ngram", "2", "--out", "t.json",
+      *_ALL_COMMON],
+     {**_COMMON_SET, "runs": "r.jsonl", "ngram": 2, "out": "t.json"}),
+    (["version"], _NO_COMMON),
+    (["version", *_ALL_COMMON], _COMMON_SET),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _NAMESPACES, ids=[
+    f"{argv[0]}-{'full' if i % 2 else 'minimal'}"
+    for i, (argv, _) in enumerate(_NAMESPACES)])
+def test_parser_namespaces_are_pinned(argv, expected):
+    got = vars(build_parser().parse_args(argv))
+    expected = {"command": argv[0], **expected}
+    assert got == expected
+    # 3 == 3.0, so the types are compared on their own
+    assert {key: type(value) for key, value in got.items()} == \
+        {key: type(value) for key, value in expected.items()}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["query"], "the following arguments are required: --q"),
+    (["ingest", "--corpus", "c.jsonl", "--q", "x"],
+     "unrecognized arguments: --q x"),
+    (["sql", "--q", "x", "--threshold", "abc"],
+     "argument --threshold: invalid float value: 'abc'"),
+], ids=["missing-required", "other-commands-flag", "bad-float"])
+def test_parser_usage_errors_are_pinned(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "UsageError", "message": message}
 
 
 def test_epilog_flags_match_parser_surface():
@@ -414,6 +486,33 @@ def test_sql_verbose_shows_a_blob_as_its_sqlite_literal(kb, tmp_path, capsys):
     assert table["rows"] == [["X'41'", 2]]
 
 
+def strict_json(text: str):
+    # json.loads accepts NaN, Infinity and -Infinity; JSON (RFC 8259) does not
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("select, key_values, rows", [
+    ("SELECT 1e999 AS x, 2 AS n",
+     {"x.max": "inf", "x.min": "inf", "x.total": "inf",
+      "n.max": 2, "n.min": 2, "n.total": 2}, [["inf", 2]]),
+    # interpret sums inf and -inf to nan
+    ("SELECT 1e999 AS x UNION ALL SELECT -1e999",
+     {"x.max": "inf", "x.min": "-inf", "x.total": "nan"}, [["inf"], ["-inf"]]),
+], ids=["inf", "nan"])
+def test_sql_json_writes_non_finite_numbers_as_strings(kb, tmp_path, capsys,
+                                                        select, key_values, rows):
+    script = tmp_path / "sql_script.json"
+    script.write_text(json.dumps(["structured", select, "0.9"]), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "sql", "--q", "how big?", "--kb", kb,
+                           "--ports", f"scripted:{script}", "--verbose")
+    assert code == 0
+    result = strict_json(out)["result"]
+    assert result["insight"]["key_values"] == key_values
+    assert result["table"]["rows"] == rows
+
+
 def test_eval_trace_reports_and_writes(tmp_path, capsys):
     runs = tmp_path / "runs.jsonl"
     runs.write_text(json.dumps({
@@ -430,6 +529,21 @@ def test_eval_trace_reports_and_writes(tmp_path, capsys):
     assert row["pc_hallucinated"] == 0.0
     table = out_file.with_suffix(".txt").read_text(encoding="utf-8")
     assert "pc hallucinated" in table
+
+
+def test_json_mode_never_prints_a_non_finite_number(tmp_path, capsys):
+    # json.loads reads NaN in an input line; the output must not echo it
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text(json.dumps({
+        "qid": "q1", "system": "stub", "question": "q", "answer": "a",
+        "contexts": ["a"], "human_accuracy": float("nan"),
+    }) + "\n", encoding="utf-8")
+    out_file = tmp_path / "trace.json"
+    code, out, err = run_cli(capsys, "eval-trace", "--runs", str(runs),
+                             "--out", str(out_file))
+    assert code != 0 and out == "" and err.count("\n") == 1
+    strict_json(err)
+    assert not out_file.exists()
 
 
 def test_pretty_flag_switches_to_plain_text(kb, capsys):

@@ -273,6 +273,28 @@ def test_http_empty_content_is_refusal():
         make_model(session).chat(chat_request("q"))
 
 
+@pytest.mark.parametrize("usage, tokens", [
+    (None, (0, 0)),
+    ({"prompt_tokens": None, "completion_tokens": 5}, (0, 5)),
+    ({}, (0, 0)),
+    ({"prompt_tokens": "7", "completion_tokens": 2.0}, (7, 2)),
+    ({"prompt_tokens": "many"}, None),
+    ({"prompt_tokens": [3]}, None),
+    ("3 tokens", None),
+    ([3, 5], None),
+], ids=["null-usage", "null-count", "empty", "numeric-text", "word", "list-count",
+        "text-usage", "list-usage"])
+def test_http_usage_counts_or_malformed_body(usage, tokens):
+    body = {**ok_body(), "usage": usage}
+    model = make_model(FakeSession([FakeResponse(200, body)]))
+    if tokens is None:
+        with pytest.raises(TransportError, match="malformed response body"):
+            model.chat(chat_request("q"))
+    else:
+        reply = model.chat(chat_request("q"))
+        assert (reply.prompt_tokens, reply.completion_tokens) == tokens
+
+
 def test_http_needs_base_url(monkeypatch):
     monkeypatch.delenv("ESAP_BASE_URL", raising=False)
     with pytest.raises(TransportError):
