@@ -195,7 +195,7 @@ class DerekPipeline:
         tokens = token_texts(draft)
         if not tokens:
             return 0.0
-        mask = supported_mask(tokens, [token_texts(s) for s in snippets],
+        mask = supported_mask(tokens, map(token_texts, snippets),
                               n=self.ngram_n)
         return sum(mask) / len(tokens)
 

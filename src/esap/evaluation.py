@@ -14,6 +14,7 @@ number here is reproducible offline, with no model in the loop.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,22 +53,29 @@ def _covered_positions(tokens: list[str], other: set[tuple[str, ...]],
 
 
 def supported_mask(answer_tokens: list[str],
-                   context_token_lists: list[list[str]],
+                   context_token_lists: Iterable[Sequence[str]],
                    n: int = DEFAULT_NGRAM) -> list[bool]:
     """Mark each answer token that shares an n-gram with some context.
 
-    n-grams never cross context boundaries. Answers shorter than n are
-    checked with n equal to the answer length.
+    The contexts may be any iterable of token sequences, a one-shot
+    iterator included. They are read in order, and reading stops once every
+    answer n-gram has been found, so later contexts are never pulled; the
+    mask is the same as checking every context. n-grams never cross context
+    boundaries. Answers shorter than n are checked with n equal to the
+    answer length.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not answer_tokens:
         return []
     n_eff = min(n, len(answer_tokens))
-    context_grams: set[tuple[str, ...]] = set()
+    grams = _ngrams(answer_tokens, n_eff)
+    missing = set(grams)
     for ctx in context_token_lists:
-        context_grams |= _ngrams(ctx, n_eff)
-    covered = _covered_positions(answer_tokens, context_grams, n_eff)
+        missing.difference_update(zip(*(ctx[j:] for j in range(n_eff))))
+        if not missing:
+            break
+    covered = _covered_positions(answer_tokens, grams - missing, n_eff)
     return [i in covered for i in range(len(answer_tokens))]
 
 

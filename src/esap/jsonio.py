@@ -1,6 +1,7 @@
 """One reader for JSON files the program did not write.
 
-Bad UTF-8, bad JSON and a value of the wrong top-level type raise the
+Bad UTF-8, bad JSON (``NaN`` and ``Infinity`` included, which Python's
+``json`` would accept) and a value of the wrong top-level type raise the
 error class the caller passes in (``ConfigError``, ``CorruptIndex``,
 ``CorpusFormatError``, ...), naming the file or the line. Checks on the
 fields inside a value stay with the caller.
@@ -17,10 +18,14 @@ _KINDS = {"object": lambda value: isinstance(value, dict),
           and all(isinstance(item, str) for item in value)}
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def _parse(data: bytes, kind: str, error: type[Exception], where: str):
     try:
-        value = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:    # bad UTF-8, bad JSON, deep nesting
+        value = json.loads(data.decode("utf-8"), parse_constant=_refuse_constant)
+    except (ValueError, RecursionError) as exc:    # bad UTF-8 or JSON, NaN, deep nesting
         raise error(f"{where} is not valid JSON: {exc}") from exc
     if not _KINDS[kind](value):
         raise error(f"{where} must be a JSON {kind}, got {type(value).__name__}")

@@ -532,7 +532,7 @@ def test_eval_trace_reports_and_writes(tmp_path, capsys):
 
 
 def test_json_mode_never_prints_a_non_finite_number(tmp_path, capsys):
-    # json.loads reads NaN in an input line; the output must not echo it
+    # a NaN in an input line is refused; the error line must not echo it
     runs = tmp_path / "runs.jsonl"
     runs.write_text(json.dumps({
         "qid": "q1", "system": "stub", "question": "q", "answer": "a",
@@ -714,6 +714,22 @@ def test_mistyped_runs_field_is_data_error(tmp_path, capsys):
     error = json.loads(err)
     assert error["error"] == "RunsFormatError"
     assert error["message"] == "line 1: answer must be a string"
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_constant_in_runs_line_is_data_error(tmp_path, capsys, constant):
+    # Python's json module reads these constants; JSON (RFC 8259) has none
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text('{"qid": "q1", "system": "stub", "question": "q", "answer": "a", '
+                    f'"contexts": ["a"], "human_accuracy": {constant}}}\n',
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval-trace", "--runs", str(runs))
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    error = strict_json(err)
+    assert error["error"] == "RunsFormatError"
+    assert error["message"].startswith("line 1 is not valid JSON")
+    assert constant in error["message"]
 
 
 @pytest.mark.parametrize("command", COMMANDS)

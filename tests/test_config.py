@@ -176,6 +176,14 @@ def test_load_config_file_errors(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_constant_in_config_file_is_refused(tmp_path, constant):
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"thor": {{"threshold": {constant}}}}}', encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"not valid JSON: {constant}"):
+        load_config(path)
+
+
 def test_ann_config_to_params():
     cfg = config_from_dict({"ann": {"m": 8, "ef_c": 100, "ef_s": 64,
                                     "exact_threshold": 99, "mode": "exact",

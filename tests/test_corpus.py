@@ -248,6 +248,15 @@ def test_malformed_json_reports_line_number(tmp_path):
         list(read_corpus_jsonl(path))
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_constant_reports_line_number(tmp_path, constant):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "text": "one"}\n'
+                    f'{{"id": "b", "text": "two", "score": {constant}}}\n')
+    with pytest.raises(CorpusFormatError, match=f"line 2 is not valid JSON: {constant}"):
+        list(read_corpus_jsonl(path))
+
+
 def test_missing_required_keys_reports_line_number(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"id": "a"}\n')

@@ -3,7 +3,13 @@ from __future__ import annotations
 import pytest
 
 from esap.corpus import Document, chunk_document
-from esap.derek import CRITIQUE_INSTRUCTION, CoStarPrompt, DerekPipeline, PersonaConfig
+from esap.derek import (
+    CRITIQUE_INSTRUCTION,
+    Citation,
+    CoStarPrompt,
+    DerekPipeline,
+    PersonaConfig,
+)
 from esap.errors import ModelRefusal, NoContext
 from esap.hybrid import HybridParams, build_hybrid
 from esap.ports import ExtractiveStub, HashingEmbedder, ScriptedModel, chat_request
@@ -148,6 +154,22 @@ def test_validate_flags_low_support(embedder):
         "completely unrelated invented words everywhere", citations, prompt)
     assert (verdict, reason) == ("insufficient", "low-support")
     assert events[0]["support_fraction"] == 0.0
+
+
+def test_validate_reads_every_snippet_for_a_partly_supported_draft(embedder):
+    pipe = pipeline_with(embedder, ScriptedModel(["sufficient"]))
+    prompt = CoStarPrompt(("The red apple sits in the basket.",
+                           "The green pear hangs on the tree.",
+                           "Bananas are yellow and sweet."),
+                          PersonaConfig(), "what fruit?")
+    citations = [Citation(snippet_no=1, chunk_id="d-apple#v1#00000", doc_id="d-apple",
+                          version=1)]
+    # trigrams from the first and the last snippet cover 8 of 11 tokens:
+    # "the red apple" and "bananas are yellow and sweet"; "is purple and"
+    # is in no snippet, so no snippet can be skipped
+    draft = "The red apple is purple, and bananas are yellow and sweet."
+    _, _, events = pipe.validate(draft, citations, prompt)
+    assert events[0] == {"stage": "validate", "support_fraction": round(8 / 11, 4)}
 
 
 def test_validate_critique_drives_verdict(embedder):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -73,6 +74,51 @@ def test_supported_mask_edge_inputs():
     assert supported_mask([], [["a"]], n=3) == []
     with pytest.raises(ValueError):
         supported_mask(["a"], [["a"]], n=0)
+
+
+def reference_supported_mask(answer_tokens, context_token_lists, n):
+    """The plain definition: the union of every context's n-grams, then
+    each answer window looked up in it."""
+    if not answer_tokens:
+        return []
+    n_eff = min(n, len(answer_tokens))
+    context_grams = set()
+    for ctx in context_token_lists:
+        context_grams |= {tuple(ctx[i:i + n_eff])
+                          for i in range(len(ctx) - n_eff + 1)}
+    covered = set()
+    for i in range(len(answer_tokens) - n_eff + 1):
+        if tuple(answer_tokens[i:i + n_eff]) in context_grams:
+            covered.update(range(i, i + n_eff))
+    return [i in covered for i in range(len(answer_tokens))]
+
+
+def test_supported_mask_equals_the_union_definition():
+    # small vocabularies make shared n-grams common; lengths from 0 reach
+    # empty answers and contexts, and ones shorter than n
+    rng = random.Random(16)
+    for case in range(20_000):
+        vocab = [f"t{i}" for i in range(rng.randint(1, 6))]
+        n = rng.randint(1, 5)
+
+        def tokens(longest):
+            return rng.choices(vocab, k=rng.randint(0, longest))
+
+        answer = tokens(10)
+        contexts = [tokens(12) for _ in range(rng.randint(0, 5))]
+        expected = reference_supported_mask(answer, contexts, n)
+        assert supported_mask(answer, contexts, n=n) == expected, case
+        assert supported_mask(answer, iter(contexts), n=n) == expected, case
+
+
+def test_supported_mask_stops_reading_once_every_ngram_is_found():
+    answer = ["the", "red", "apple", "sits", "here"]
+
+    def contexts():
+        yield ["so", "the", "red", "apple", "sits", "here", "now"]
+        raise AssertionError("a context after full support was read")
+
+    assert supported_mask(answer, contexts(), n=3) == [True] * 5
 
 
 # ---------------------------------------------------------------------------
