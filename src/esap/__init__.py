@@ -75,7 +75,7 @@ from .thor import (
     interpret,
     route,
 )
-from .tokenizer import token_spans, token_texts
+from .tokenizer import term_ids, token_spans, token_texts
 
 __all__ = [
     "__version__",
@@ -137,6 +137,7 @@ __all__ = [
     "search_lexical",
     "serialize_schema",
     "supported_mask",
+    "term_ids",
     "token_spans",
     "token_texts",
     "trace_scores",

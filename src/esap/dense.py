@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmbedderFailure
+from .tokenizer import TermIds
 
 DEFAULT_M = 16
 DEFAULT_EF_CONSTRUCTION = 200
@@ -73,21 +74,28 @@ class DenseIndex:
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0                # all-zero rows stay zero
-    return (matrix / norms).astype(np.float32)
+    return (matrix / norms).astype(np.float32, copy=False)
 
 
 def build_dense_from_texts(texts: list[str], chunk_ids: list[str], embed,
-                           params: AnnParams | None = None) -> DenseIndex:
+                           params: AnnParams | None = None,
+                           terms: TermIds | None = None) -> DenseIndex:
     """Embed chunks (in order) and build the dense index.
 
     ``embed`` is a callable list[str] -> (n, d) array; failures are surfaced
-    with the offending chunk_id. ``params`` is validated, not stored: its
-    mode must be one of auto/exact/ann, and every mode searches exactly.
+    with the offending chunk_id. With ``terms``, the ``term_ids`` of the
+    texts, an embedder that has an ``embed_ids`` method is given those
+    instead of the texts. ``params`` is validated, not stored: its mode must
+    be one of auto/exact/ann, and every mode searches exactly.
     """
     if params is not None and params.mode not in ("auto", "exact", "ann"):
         raise ValueError(f"unknown dense mode {params.mode!r}")
+    embed_ids = getattr(embed, "embed_ids", None)
     try:
-        matrix = np.asarray(embed(texts), dtype=np.float32)
+        if terms is not None and embed_ids is not None:
+            matrix = np.asarray(embed_ids(*terms), dtype=np.float32)
+        else:
+            matrix = np.asarray(embed(texts), dtype=np.float32)
     except Exception as exc:
         raise EmbedderFailure(f"embedding failed: {exc}") from exc
     if matrix.ndim != 2 or matrix.shape[0] != len(texts):

@@ -6,12 +6,16 @@ A built index is a self-contained directory:
     index/lexical.bin   gzip JSON: chunk table and document ACLs
     index/dense.bin     magic + JSON header (dim, n) + raw float32 vectors
 
-The BM25 index is a pure function of the chunk table and k1/b, so it is not
-stored: loading rebuilds it. The dense header keeps ``"mode": "exact"`` and
-``"graph": null`` for the format version 1 shape; a graph stored by an
-earlier build is ignored and the index is searched exactly. Each data file
-is hashed as it is written; a load reads it once, refuses it unless meta.json
-holds a matching checksum, and parses only the bytes it verified.
+A build tokenizes the chunk texts once (``esap.tokenizer.term_ids``) and
+hands the term ids to both the BM25 build and, when the embedder takes them
+(``HashingEmbedder.embed_ids``), the dense build. The BM25 index is a pure
+function of the chunk table and k1/b, so it is not stored: loading rebuilds
+it, which tokenizes the chunk texts once more. The dense header keeps
+``"mode": "exact"`` and ``"graph": null`` for the format version 1 shape; a
+graph stored by an earlier build is ignored and the index is searched
+exactly. Each data file is hashed as it is written; a load reads it once,
+refuses it unless meta.json holds a matching checksum, and parses only the
+bytes it verified.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .dense import AnnParams, DenseIndex, build_dense_from_texts, search_dense
 from .errors import CorruptIndex, EmptyCorpus, EmptyIndex, FormatVersionMismatch
 from .jsonio import read_json
 from .lexical import DEFAULT_B, DEFAULT_K1, LexicalIndex, build_lexical, search_lexical
+from .tokenizer import term_ids
 
 FORMAT_VERSION = 1
 DEFAULT_K = 50
@@ -136,14 +141,21 @@ class HybridIndex:
 
 def build_hybrid(chunks: list[Chunk], embed, doc_acl: dict[str, list[str]],
                  params: HybridParams | None = None) -> HybridIndex:
+    """Index the chunks: BM25 and dense vectors, both in chunk_id order.
+
+    The chunk texts are tokenized once, by ``term_ids``; BM25 is built from
+    those ids, and so are the vectors when ``embed`` has an ``embed_ids``
+    method (``HashingEmbedder``). Any other embedder gets the texts.
+    """
     if not chunks:
         raise EmptyCorpus("cannot build an index over zero chunks")
     params = params or HybridParams()
     ordered = sorted(chunks, key=lambda c: c.chunk_id)
-    lexical = build_lexical(ordered, k1=params.k1, b=params.b)
-    dense = build_dense_from_texts([c.text for c in ordered],
-                                   [c.chunk_id for c in ordered],
-                                   embed, params.ann)
+    texts = [c.text for c in ordered]
+    terms = term_ids(texts)
+    lexical = build_lexical(ordered, k1=params.k1, b=params.b, terms=terms)
+    dense = build_dense_from_texts(texts, [c.chunk_id for c in ordered],
+                                   embed, params.ann, terms=terms)
     return HybridIndex(
         lexical=lexical,
         dense=dense,

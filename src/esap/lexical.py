@@ -12,17 +12,21 @@ term owns one slice of both (``postings[term]``), ascending by position.
 Because k1, b and avgdl are fixed at build time, each weight is that
 posting's whole BM25 term above; a query only looks up slices and adds.
 
+Build. The index is built from term ids (``esap.tokenizer.term_ids``), not
+from token strings: one key per token, sorted, gives every posting and its
+term frequency. Term ids are numbered by first occurrence; no score depends
+on that numbering.
+
 Bit identity. Scores equal those of the plain per-posting loop, not just
-closely: weights stay float64, IDF is computed with ``math.log`` per term,
+closely: weights stay float64, IDF is computed with ``math.log`` (once per
+distinct document frequency, which is the same value as once per term),
 each weight's operations run in the formula's order, and ``np.bincount``
 adds in array order, so each chunk's sum runs in query-token order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +34,7 @@ import numpy as np
 from .corpus import Chunk
 from .dense import top_k
 from .errors import EmptyCorpus
-from .tokenizer import token_texts
+from .tokenizer import TermIds, term_ids, token_texts
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -51,25 +55,29 @@ class LexicalIndex:
         return len(self.chunk_ids)
 
 
-def build_lexical(chunks: list[Chunk], k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> LexicalIndex:
+def build_lexical(chunks: list[Chunk], k1: float = DEFAULT_K1, b: float = DEFAULT_B,
+                  terms: TermIds | None = None) -> LexicalIndex:
+    """BM25 index over the chunks, built from their term ids.
+
+    ``terms`` is ``term_ids`` of the chunk texts in chunk_id order, for a
+    caller that already tokenized them; without it the texts are tokenized
+    here.
+    """
     if not chunks:
         raise EmptyCorpus("cannot build a lexical index over zero chunks")
     ordered = sorted(chunks, key=lambda c: c.chunk_id)
     n = len(ordered)
-    # term -> term id, numbered in order of first occurrence
-    vocab: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-    term_ids: list[int] = []
-    lengths: list[int] = []
-    for chunk in ordered:
-        terms = token_texts(chunk.text)
-        lengths.append(len(terms))
-        term_ids.extend(map(vocab.__getitem__, terms))
-    avgdl = sum(lengths) / n
+    if terms is None:
+        terms = term_ids([c.text for c in ordered])
+    vocab, ids, lengths = terms
+    del terms
+    avgdl = int(lengths.sum()) / n
 
     # one key per token, term-major; unique keys are the postings in CSR
-    # order and their counts are the term frequencies
-    keys = np.asarray(term_ids, dtype=np.int64)
-    del term_ids
+    # order and their counts are the term frequencies. The ids a load
+    # tokenized are freed as soon as the keys hold them
+    keys = ids.astype(np.int64)
+    del ids
     keys *= n
     keys += np.repeat(np.arange(n, dtype=np.int64), lengths)
     keys, tf = np.unique(keys, return_counts=True)
@@ -77,15 +85,19 @@ def build_lexical(chunks: list[Chunk], k1: float = DEFAULT_K1, b: float = DEFAUL
     positions = positions.astype(np.int32)
     del keys
     df = np.bincount(term, minlength=len(vocab))
-    idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df.tolist()])
+    # one math.log per distinct document frequency
+    dfs, df_index = np.unique(df, return_inverse=True)
+    idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5))
+                    for d in dfs.tolist()])[df_index]
 
     tf = tf.astype(np.float64)
-    dl = np.asarray(lengths, dtype=np.float64)[positions]
+    dl = lengths.astype(np.float64)[positions]
     weights = idf[term] * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
     del term, tf, dl
 
     bounds = [0, *np.cumsum(df).tolist()]
-    postings = {t: slice(bounds[i], bounds[i + 1]) for t, i in vocab.items()}
+    # vocab iterates in id order, the order of the slices
+    postings = dict(zip(vocab, map(slice, bounds[:-1], bounds[1:])))
     return LexicalIndex([c.chunk_id for c in ordered], postings, positions,
                         weights, avgdl, k1, b)
 

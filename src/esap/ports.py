@@ -8,6 +8,7 @@ first-class citizens so every pipeline can run deterministically offline.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import re
 import sqlite3
@@ -27,7 +28,7 @@ from .errors import (
     SqlTimeout,
     TransportError,
 )
-from .tokenizer import token_texts
+from .tokenizer import term_ids, token_texts
 
 EMBED_DIM = 256
 
@@ -269,9 +270,19 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-# memoized (token, dim) pairs: above the 38,774-term vocabulary of the
-# search benchmark's corpus, and bounded so a long-lived process stops growing
+# memoized (token, dim) pairs: each build hashes its vocabulary once and
+# each query its own tokens, so the cache spares the byte loop of
+# ``_fnv1a64`` across publish cycles and queries; it holds more than the
+# 38,774-term vocabulary of the search benchmark's corpus, and is bounded so
+# a long-lived process stops growing
 _TOKEN_SLOT_CACHE = 1 << 17
+# cells (rows x dim) per np.bincount block: 64 rows at the default dim, so
+# the temporaries of a large batch stay near half a megabyte (float64 sums,
+# and the keys and signs of the block's tokens)
+_BLOCK_CELLS = 1 << 14
+# below this squared norm every partial sum of a row's squares is an exact
+# float32 integer, so any summation order gives np.linalg.norm's value
+_EXACT_SQUARES = float(1 << 24)
 
 
 @functools.lru_cache(maxsize=_TOKEN_SLOT_CACHE)
@@ -281,12 +292,29 @@ def _token_slot(token: str, dim: int) -> tuple[int, float]:
     return h % dim, 1.0 if (h >> 63) == 0 else -1.0
 
 
+def _slots_signs(tokens, dim: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """``_token_slot`` of each token, as a tuple of slots and one of signs."""
+    slot_sign = [_token_slot(token, dim) for token in tokens]
+    if not slot_sign:
+        return (), ()
+    slots, signs = zip(*slot_sign)
+    return slots, signs
+
+
 class HashingEmbedder:
     """Deterministic feature-hashing embedder; no model weights required.
 
     Each token hashes to one of ``dim`` coordinates with a +/-1 sign taken
     from the hash's top bit; the result is L2-normalized (all-zero stays
     zero). Same text, same vector, on every platform.
+
+    A row is one ``np.bincount`` of its tokens' signs over their slots. The
+    sums are small integers, so the float32 rows, and their norms, equal
+    those of adding +/-1 token by token. ``embed_ids`` takes the output of
+    ``esap.tokenizer.term_ids`` and hashes each vocabulary term once;
+    ``embed(texts)`` tokenizes with ``term_ids`` and runs the same code,
+    except that a single text (a query) skips the vocabulary and hashes its
+    tokens as they come.
     """
 
     def __init__(self, dim: int = EMBED_DIM):
@@ -295,20 +323,64 @@ class HashingEmbedder:
         self.dim = dim
 
     def embed(self, texts: list[str]) -> np.ndarray:
+        if len(texts) != 1:
+            return self.embed_ids(*term_ids(texts))
         dim = self.dim
-        out = np.zeros((len(texts), dim), dtype=np.float32)
-        for row, text in enumerate(texts):
-            vec = out[row]
-            for token in token_texts(text):
-                slot, sign = _token_slot(token, dim)
-                vec[slot] += sign
-            norm = float(np.linalg.norm(vec))
-            if norm > 0.0:
-                vec /= norm
+        slots, signs = _slots_signs(token_texts(texts[0]), dim)
+        sums = np.bincount(slots, weights=signs, minlength=dim)
+        row = sums.astype(np.float32)
+        square = float(sums @ sums)
+        if square >= _EXACT_SQUARES:
+            row /= np.linalg.norm(row)
+        elif square:
+            row /= math.sqrt(square)
+        return row[None]
+
+    def embed_ids(self, vocab: dict[str, int], ids: np.ndarray,
+                  lengths: np.ndarray) -> np.ndarray:
+        """Vectors of texts given as ``term_ids(texts)``, one row per text.
+
+        Rows are summed in blocks of about ``_BLOCK_CELLS`` cells, so the
+        float64 sums of a large batch are never held at once.
+        """
+        dim = self.dim
+        slots, signs = _slots_signs(vocab, dim)
+        slots, signs = np.array(slots, dtype=np.int64), np.array(signs, dtype=np.float64)
+        n = len(lengths)
+        out = np.empty((n, dim), dtype=np.float32)
+        bounds = [0, *np.cumsum(lengths).tolist()]
+        step = max(1, _BLOCK_CELLS // dim)
+        for r0 in range(0, n, step):
+            rows = min(step, n - r0)
+            block = ids[bounds[r0]:bounds[r0 + rows]]
+            keys = slots[block]
+            keys += np.repeat(np.arange(0, rows * dim, dim), lengths[r0:r0 + rows])
+            sums = np.bincount(keys, weights=signs[block],
+                               minlength=rows * dim).reshape(rows, dim)
+            out[r0:r0 + rows] = _unit_rows(sums, np.einsum("ij,ij->i", sums, sums))
         return out
 
     def __call__(self, texts: list[str]) -> np.ndarray:
         return self.embed(texts)
+
+
+def _unit_rows(sums: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """float32 rows of integer ``sums`` divided by their L2 norms.
+
+    ``squares`` holds each row's sum of squares, exact in float64. Below
+    ``_EXACT_SQUARES`` the float32 norm is the float32 square root of that
+    exact value; ``np.sqrt`` in float64 rounded to float32 is that same
+    value, as a square root computed with more than twice the bits and
+    rounded once more always is. Larger rows take ``np.linalg.norm`` of the
+    float32 row, as a row on its own always did. All-zero rows stay zero.
+    """
+    rows = sums.astype(np.float32)
+    norms = np.sqrt(squares).astype(np.float32)
+    for row in np.flatnonzero(squares >= _EXACT_SQUARES).tolist():
+        norms[row] = np.linalg.norm(rows[row])
+    norms[squares == 0.0] = 1.0
+    rows /= norms[:, None]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -324,3 +324,39 @@ def test_a_missing_or_mistyped_meta_key_is_corrupt_index(tmp_path, key, value):
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(CorruptIndex, match="meta.json"):
         load_hybrid(tmp_path)
+
+
+def saved_digests(index, kb: Path) -> dict[str, str]:
+    out = save_hybrid(index, kb)
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("meta.json", "lexical.bin", "dense.bin")}
+
+
+@pytest.mark.parametrize("unicode", [False, True])
+def test_term_id_build_saves_the_text_port_build(tmp_path, unicode):
+    # HashingEmbedder is given the build's term ids; the same embedder
+    # wrapped in a plain function is given the chunk texts
+    docs = make_toy_kb_documents()
+    if unicode:
+        docs = [Document(doc_id=d.doc_id, version=1,
+                         text=d.text.replace("a", "ä").replace("e", "É") + " İstanbul straße",
+                         acl=d.acl)
+                for d in docs]
+    chunks = [c for doc in docs for c in chunk_document(doc, size=20, overlap=5)]
+    acl = {doc.doc_id: sorted(doc.acl) for doc in docs}
+    params = HybridParams(chunk_size=20, chunk_overlap=5)
+    embedder = HashingEmbedder()
+    by_ids = build_hybrid(chunks, embedder, acl, params)
+    by_texts = build_hybrid(chunks, lambda texts: embedder(texts), acl, params)
+    assert saved_digests(by_ids, tmp_path / "ids") == \
+           saved_digests(by_texts, tmp_path / "texts")
+
+
+def test_toy_index_files_keep_their_recorded_digests(tmp_path, toy_index):
+    # recorded before the build tokenized once; lexical.bin is digested
+    # decompressed, so a different zlib cannot change the digest
+    out = save_hybrid(toy_index, tmp_path)
+    dense = hashlib.sha256((out / "dense.bin").read_bytes()).hexdigest()
+    lexical = hashlib.sha256(gzip.decompress((out / "lexical.bin").read_bytes())).hexdigest()
+    assert dense == "d431a815b04c33446304b924b925d02cf6b2b1de7fbb23bbc0d52a548fcda27e"
+    assert lexical == "d03e26cf244359133a3794c48e6b00deea49bd128d97b8f631026a8f026bfa8b"

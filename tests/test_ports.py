@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from esap.errors import (
     SqlTimeout,
     TransportError,
 )
+from esap import ports
 from esap.fixtures import seed_music_db
 from esap.ports import (
     ChatRequest,
@@ -30,6 +32,7 @@ from esap.ports import (
     introspect_schema,
     serialize_schema,
 )
+from esap.tokenizer import term_ids, token_texts
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +187,73 @@ def test_embedder_token_cache_is_bounded():
     assert np.array_equal(vectors, expected)
     # the first texts' tokens were evicted and are hashed again
     assert np.array_equal(embed(texts[:50]), expected[:50])
+
+
+def reference_embed(texts: list[str], dim: int) -> np.ndarray:
+    """The per-token loop the bincount rows replaced, transcribed: +/-1
+    added into a float32 row token by token, then the row divided by its
+    ``np.linalg.norm``."""
+    out = np.zeros((len(texts), dim), dtype=np.float32)
+    for row, text in enumerate(texts):
+        vec = out[row]
+        for token in token_texts(text):
+            slot, sign = _token_slot(token, dim)
+            vec[slot] += sign
+        norm = float(np.linalg.norm(vec))
+        if norm > 0.0:
+            vec /= norm
+    return out
+
+
+# more than 4,096 tokens, so squared norms pass 2**24 and float32 partial
+# sums of squares may round: at dim 7 (first text) and dim 256 (second)
+# the square root of the exact sum differs from np.linalg.norm of the
+# float32 row in the last bit
+LONG_TEXTS = ["w57 " * 445 + "w19 " * 1592 + "w0 " * 2519,
+              "w46 " * 2665 + "w19 " * 1395 + "w51 " * 2963,
+              "apple " * 5000]
+
+
+def embedder_cases() -> list[list[str]]:
+    rng = random.Random(31)
+    words = [f"w{i}" for i in range(60)] + ["İstanbul", "straße", "ΣΟΦΙΑ", "café"]
+    texts = [" ".join(rng.choice(words) for _ in range(rng.randrange(0, 50)))
+             for _ in range(200)]
+    return [texts, ["", "...", "", "red apple"], LONG_TEXTS, texts[:3] + LONG_TEXTS,
+            [""], LONG_TEXTS[:1], texts[:1], []]
+
+
+@pytest.mark.parametrize("dim, text", [(7, LONG_TEXTS[0]), (256, LONG_TEXTS[1])])
+def test_long_texts_round_in_float32(dim, text):
+    # the premise of LONG_TEXTS: an exact norm would not match the loop
+    sums = np.zeros(dim)
+    for token in token_texts(text):
+        slot, sign = _token_slot(token, dim)
+        sums[slot] += sign
+    exact = np.float32(np.sqrt(sums @ sums))
+    assert exact != np.linalg.norm(sums.astype(np.float32))
+
+
+@pytest.mark.parametrize("dim", [1, 7, 256])
+def test_embedder_equals_the_per_token_loop(dim):
+    embed = HashingEmbedder(dim)
+    for texts in embedder_cases():
+        want = reference_embed(texts, dim)
+        got = embed(texts)
+        assert got.dtype == np.float32 and got.shape == (len(texts), dim)
+        assert np.array_equal(got, want)
+        assert np.array_equal(embed.embed_ids(*term_ids(texts)), want)
+        # one text at a time takes the query path
+        for text, row in zip(texts, want):
+            assert np.array_equal(embed([text])[0], row)
+
+
+def test_embedder_rows_across_block_boundaries(monkeypatch):
+    dim = 7
+    monkeypatch.setattr(ports, "_BLOCK_CELLS", 3 * dim)     # 3 rows per block
+    texts = [" ".join(f"t{(row * col) % 11}" for col in range(row % 5))
+             for row in range(20)]
+    assert np.array_equal(HashingEmbedder(dim)(texts), reference_embed(texts, dim))
 
 
 def test_embedder_dim_validation():

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import random
+import re
+import string
 
-from esap.tokenizer import token_spans, token_texts
+import numpy as np
+import pytest
+
+from esap.tokenizer import term_ids, token_spans, token_texts
 
 
 def test_basic_tokens_and_spans():
@@ -52,3 +57,46 @@ def test_spans_match_token_texts_on_unicode():
         assert_spans_match_texts(
             "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 30))))
     assert token_texts("İstanbul") == ["i̇stanbul"]
+
+
+def unicode_path(text: str) -> list[str]:
+    """The general rule: letter/digit runs, each lowercased after the split."""
+    return [t.lower() for t in re.findall(r"[^\W_]+", text)]
+
+
+def test_ascii_fast_path_equals_the_unicode_path():
+    # every ASCII character is drawn, letters and separators most often:
+    # upper case, digits, "_", punctuation, whitespace and control bytes
+    rng = random.Random(17)
+    common = string.ascii_letters + string.digits + "_ .,-!?\t\n\r\x0b\x0c\x1c\x1f"
+    texts = ["".join(rng.choice(common) if rng.random() < 0.8 else chr(rng.randrange(128))
+                     for _ in range(rng.randrange(0, 80)))
+             for _ in range(5000)]
+    texts.append("".join(map(chr, range(128))))
+    for text in texts:
+        assert text.isascii()
+        assert token_texts(text) == unicode_path(text), repr(text)
+    assert token_texts("MiXeD_case-Tokens42 x9Y") == ["mixed", "case", "tokens42", "x9y"]
+
+
+def test_term_ids_is_one_token_texts_pass():
+    rng = random.Random(23)
+    alphabet = "abAB c.d-e_f9 İß\n"
+    for _ in range(300):
+        texts = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 40)))
+                 for _ in range(rng.randrange(0, 8))]
+        vocab, ids, lengths = term_ids(texts)
+        tokens = [token_texts(text) for text in texts]
+        assert ids.dtype == np.int32 and lengths.dtype == np.int64
+        assert lengths.tolist() == [len(t) for t in tokens]
+        # ids are numbered by first occurrence, text after text
+        flat = [token for t in tokens for token in t]
+        assert list(vocab) == list(dict.fromkeys(flat))
+        assert list(vocab.values()) == list(range(len(vocab)))
+        terms = list(vocab)
+        assert [terms[i] for i in ids.tolist()] == flat
+    vocab, ids, lengths = term_ids([])
+    assert (vocab, ids.tolist(), lengths.tolist()) == ({}, [], [])
+    vocab, _, _ = term_ids(["red apple"])
+    with pytest.raises(KeyError):
+        vocab["pear"]                     # a lookup never adds a term
