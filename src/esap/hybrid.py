@@ -3,29 +3,47 @@
 A built index is a self-contained directory:
 
     index/meta.json     parameters, format version, checksums
-    index/lexical.bin   gzip JSON: chunk table and document ACLs
-    index/dense.bin     magic + JSON header (dim, n) + raw float32 vectors
+    index/lexical.bin   magic + 8-byte header length + JSON header, then
+                        the BM25 postings raw: positions (<i4), weights (<f8)
+    index/dense.bin     magic + 8-byte header length + JSON header (dim, n),
+                        then the raw float32 vectors
+
+The lexical header holds the chunk table as columns (one list per ``Chunk``
+field, in chunk_id order, so list order is position order), ``doc_acl``, the
+vocabulary in the order of its posting slices, the slice bounds (term i owns
+postings ``bounds[i]:bounds[i + 1]``) and ``avgdl``. The payload is exactly
+``12 * bounds[-1]`` bytes: every position, then every weight.
 
 A build tokenizes the chunk texts once (``esap.tokenizer.term_ids``) and
 hands the term ids to both the BM25 build and, when the embedder takes them
-(``HashingEmbedder.embed_ids``), the dense build. The BM25 index is a pure
-function of the chunk table and k1/b, so it is not stored: loading rebuilds
-it, which tokenizes the chunk texts once more. The dense header keeps
-``"mode": "exact"`` and ``"graph": null`` for the format version 1 shape; a
-graph stored by an earlier build is ignored and the index is searched
-exactly. Each data file is hashed as it is written; a load reads it once,
-refuses it unless meta.json holds a matching checksum, and parses only the
-bytes it verified.
+(``HashingEmbedder.embed_ids``), the dense build. A load tokenizes nothing:
+it checks the header and copies ``positions`` and ``weights`` out of the file
+bytes into the ``LexicalIndex``, with k1 and b from meta.json. The dense
+header keeps ``"mode": "exact"`` and ``"graph": null`` for the shape earlier
+builds read; a graph stored by an earlier build is ignored and the index is
+searched exactly.
+
+Format 1, which earlier builds wrote, still loads: its lexical.bin is gzip
+JSON of chunk rows and ``doc_acl``, and BM25 is rebuilt from the chunk texts
+(``build_lexical``). Nothing writes format 1; ``esap index`` writes format 2.
+
+Each data file is hashed as it is written; a load reads it once, refuses it
+unless meta.json holds a matching checksum, and parses only the bytes it
+verified. A file whose checksum holds but whose content is malformed (any
+check above, in either format) is ``CorruptIndex`` naming the file.
 """
 
 from __future__ import annotations
 
 import gzip
 import hashlib
-import io
+import itertools
 import json
+import math
+import operator
 import re
-from dataclasses import dataclass, field, fields
+import zlib
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,16 +51,17 @@ import numpy as np
 from .corpus import DEFAULT_CHUNK_OVERLAP, DEFAULT_CHUNK_SIZE, Chunk
 from .dense import AnnParams, DenseIndex, build_dense_from_texts, search_dense
 from .errors import CorruptIndex, EmptyCorpus, EmptyIndex, FormatVersionMismatch
-from .jsonio import read_json
+from .jsonio import parse_json, read_json
 from .lexical import DEFAULT_B, DEFAULT_K1, LexicalIndex, build_lexical, search_lexical
 from .tokenizer import term_ids
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DEFAULT_K = 50
 DEFAULT_RRF_C = 60
 # each retriever ranks this many times k of the principal's readable chunks
 FETCH_FACTOR = 4
 DENSE_MAGIC = b"ESAPDNS1"
+LEXICAL_MAGIC = b"ESAPLEX2"
 
 
 @dataclass(frozen=True)
@@ -241,8 +260,10 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = DEFAULT_K,
 # Persistence
 # ---------------------------------------------------------------------------
 
-# the chunk-table row format, in both directions: Chunk's own fields in order
-_CHUNK_FIELDS = tuple(f.name for f in fields(Chunk))
+# the chunk table's columns, in both directions: Chunk's own fields in order,
+# each with the one type its values take (a token span is a JSON pair)
+_CHUNK_COLUMNS = {"chunk_id": str, "doc_id": str, "version": int, "token_span": list,
+                  "text": str, "size_tokens": int}
 
 
 def _write(path: Path, parts) -> str:
@@ -255,26 +276,30 @@ def _write(path: Path, parts) -> str:
     return digest.hexdigest()
 
 
+def _framed(magic: bytes, header: dict) -> list[bytes]:
+    """A data file's leading parts: magic, 8-byte header length, JSON header."""
+    raw = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return [magic, len(raw).to_bytes(8, "little"), raw]
+
+
 def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
-    """Write the index under <kb>/index/; returns that directory."""
+    """Write the index under <kb>/index/ in format 2; returns that directory."""
     out_dir = Path(kb_root) / "index"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = [{name: getattr(index.chunks[cid], name) for name in _CHUNK_FIELDS}
-            for cid in index.chunk_ids]
-    raw = json.dumps({"chunks": rows, "doc_acl": index.doc_acl},
-                     ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-    # mtime=0 keeps the gzip container byte-stable across rebuilds; level 6
-    # is a quarter of level 9's time for about 7% more bytes; the filename
-    # keeps the header of files streamed to disk by earlier builds
-    gz_bytes = io.BytesIO()
-    with gzip.GzipFile(filename="lexical.bin", fileobj=gz_bytes, mode="wb",
-                       compresslevel=6, mtime=0) as gz:
-        gz.write(raw)
+    lexical = index.lexical
+    vocab, bounds = lexical.vocab_bounds()
+    ordered = [index.chunks[cid] for cid in index.chunk_ids]
+    columns = {name: [getattr(c, name) for c in ordered] for name in _CHUNK_COLUMNS}
+    lexical_parts = _framed(LEXICAL_MAGIC, {"chunks": columns, "doc_acl": index.doc_acl,
+                                            "vocab": vocab, "bounds": bounds,
+                                            "avgdl": lexical.avgdl})
+    lexical_parts += [np.ascontiguousarray(lexical.positions, dtype="<i4"),
+                      np.ascontiguousarray(lexical.weights, dtype="<f8")]
 
     vectors = np.ascontiguousarray(index.dense.vectors, dtype=np.float32)
-    header = json.dumps({"dim": index.dense.dim, "n": vectors.shape[0], "mode": "exact",
-                         "graph": None}, separators=(",", ":")).encode("utf-8")
+    dense_parts = _framed(DENSE_MAGIC, {"dim": index.dense.dim, "n": vectors.shape[0],
+                                        "mode": "exact", "graph": None})
     meta = {
         "format_version": FORMAT_VERSION,
         "dim": index.dense.dim,
@@ -285,14 +310,116 @@ def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
         "chunk": {"size": index.params.chunk_size,
                   "overlap": index.params.chunk_overlap},
         "checksums": {
-            "lexical.bin": _write(out_dir / "lexical.bin", [gz_bytes.getbuffer()]),
-            "dense.bin": _write(out_dir / "dense.bin", [
-                DENSE_MAGIC, len(header).to_bytes(8, "little"), header, vectors]),
+            "lexical.bin": _write(out_dir / "lexical.bin", lexical_parts),
+            "dense.bin": _write(out_dir / "dense.bin", [*dense_parts, vectors]),
         },
     }
     _write(out_dir / "meta.json",
            [(json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8")])
     return out_dir
+
+
+def _require(ok: bool, problem: str) -> None:
+    """Refuse lexical.bin, naming the problem, unless ``ok``."""
+    if not ok:
+        raise CorruptIndex(f"bad lexical.bin: {problem}")
+
+
+def _unframed(data: bytes, magic: bytes, name: str) -> tuple[dict, int]:
+    """The JSON header of a data file written by ``_framed``, and the offset
+    of the payload after it."""
+    if not data.startswith(magic):
+        raise CorruptIndex(f"bad {name} magic: {data[:len(magic)]!r}")
+    start = len(magic) + 8
+    end = start + int.from_bytes(data[len(magic):start], "little")
+    if end > len(data):
+        raise CorruptIndex(f"bad {name}: a {end - start}-byte header in a "
+                           f"{len(data)}-byte file")
+    # decoded from a view: a slice would first copy the header, which in
+    # lexical.bin holds every chunk text
+    return parse_json(memoryview(data)[start:end], CorruptIndex, f"{name} header",
+                      "object"), end
+
+
+def _chunk_table(columns) -> list[Chunk]:
+    """The chunks of a chunk table given as columns, in position order.
+
+    Every column is a list of its one type and all have the same length,
+    each token span is a pair of ints, and the chunk_ids ascend, so list
+    order is position order.
+    """
+    _require(type(columns) is dict, "the chunk table is not an object of columns")
+    cols = [columns.get(name) for name in _CHUNK_COLUMNS]
+    for (name, kind), col in zip(_CHUNK_COLUMNS.items(), cols):
+        _require(type(col) is list and set(map(type, col)) <= {kind},
+                 f"the {name} column is missing or holds a value of another type")
+    _require(len(set(map(len, cols))) == 1, "chunk columns of unequal length")
+    spans = columns["token_span"]
+    _require(set(map(len, spans)) <= {2}
+             and set(map(type, itertools.chain.from_iterable(spans))) <= {int},
+             "a token_span is not a pair of ints")
+    ids = columns["chunk_id"]
+    _require(all(map(operator.lt, ids, ids[1:])), "chunk_ids do not ascend")
+    return [Chunk(chunk_id=cid, doc_id=doc, version=version, token_span=tuple(span),
+                  text=text, size_tokens=size)
+            for cid, doc, version, span, text, size in zip(*cols)]
+
+
+def _doc_acl(doc_acl) -> dict[str, list[str]]:
+    _require(type(doc_acl) is dict
+             and all(type(acl) is list and set(map(type, acl)) <= {str}
+                     for acl in doc_acl.values()),
+             "doc_acl is not an object of principal lists")
+    return doc_acl
+
+
+def _lexical_v1(data: bytes, params: HybridParams) -> tuple[list[Chunk], dict, LexicalIndex]:
+    """Chunks, ACLs and BM25 from a format-1 file: gzip JSON of chunk rows.
+
+    BM25 is rebuilt from the chunk texts. Files written before the BM25
+    state was dropped also hold postings, chunk_lengths, k1 and b; they are
+    ignored.
+    """
+    try:
+        raw = gzip.decompress(data)
+    except (OSError, EOFError, zlib.error) as exc:
+        raise CorruptIndex(f"bad lexical.bin: {type(exc).__name__}: {exc}") from exc
+    lex = parse_json(raw, CorruptIndex, "lexical.bin", "object")
+    rows = lex.get("chunks")
+    _require(type(rows) is list and set(map(type, rows)) <= {dict},
+             "the chunk table is not a list of rows")
+    chunks = _chunk_table({name: [row.get(name) for row in rows] for name in _CHUNK_COLUMNS})
+    doc_acl = _doc_acl(lex.get("doc_acl"))
+    return chunks, doc_acl, build_lexical(chunks, k1=params.k1, b=params.b)
+
+
+def _lexical_v2(data: bytes, params: HybridParams) -> tuple[list[Chunk], dict, LexicalIndex]:
+    """Chunks, ACLs and BM25 from a format-2 file; BM25 is copied, not built."""
+    header, offset = _unframed(data, LEXICAL_MAGIC, "lexical.bin")
+    chunks = _chunk_table(header.get("chunks"))
+    doc_acl = _doc_acl(header.get("doc_acl"))
+    vocab, bounds, avgdl = header.get("vocab"), header.get("bounds"), header.get("avgdl")
+    _require(type(vocab) is list and set(map(type, vocab)) <= {str},
+             "vocab is not a list of strings")
+    _require(type(bounds) is list and set(map(type, bounds)) <= {int}
+             and len(bounds) == len(vocab) + 1 and bounds[0] == 0
+             and all(map(operator.le, bounds, bounds[1:])),
+             "posting bounds do not run from 0 up, one more than the vocabulary")
+    _require(type(avgdl) in (int, float) and math.isfinite(avgdl), "avgdl is not a number")
+    m = bounds[-1]
+    _require(len(data) - offset == 12 * m,
+             f"postings payload is {len(data) - offset} bytes, expected {12 * m}")
+    # copied out of the file bytes, so the index keeps none of them alive
+    positions = np.frombuffer(data, "<i4", m, offset).astype(np.int32)
+    weights = np.frombuffer(data, "<f8", m, offset + 4 * m).astype(np.float64)
+    _require(m == 0 or 0 <= positions.min() and positions.max() < len(chunks),
+             "a posting position is out of range")
+    _require(bool(np.isfinite(weights).all()), "a posting weight is not finite")
+    lexical = LexicalIndex.from_bounds(header["chunks"]["chunk_id"], vocab, bounds,
+                                       positions, weights, float(avgdl),
+                                       params.k1, params.b)
+    _require(len(lexical.postings) == len(vocab), "vocab repeats a term")
+    return chunks, doc_acl, lexical
 
 
 def load_hybrid(kb_root: str | Path) -> HybridIndex:
@@ -305,9 +432,10 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
     meta = read_json(in_dir / "meta.json", CorruptIndex, "meta.json", "object")
 
     version = meta.get("format_version")
-    if version != FORMAT_VERSION:
+    # True == 1 and 2.0 == 2 in Python, but neither names a format
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
         raise FormatVersionMismatch(
-            f"index format {version!r} unsupported, expected {FORMAT_VERSION}")
+            f"index format {version!r} unsupported, expected {FORMAT_VERSION} or 1")
     try:
         checksums = dict(meta["checksums"])
         params = HybridParams(k1=float(meta["k1"]), b=float(meta["b"]),
@@ -332,23 +460,18 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
                 f"got {actual[:12]}...")
         return data
 
-    lex = json.loads(gzip.decompress(read_verified("lexical.bin")))
-    # files written before the BM25 state was dropped also hold postings,
-    # chunk_lengths, k1 and b; they are ignored
-    ordered = []
-    for row in lex["chunks"]:
-        row["token_span"] = tuple(row["token_span"])
-        ordered.append(Chunk(**{name: row[name] for name in _CHUNK_FIELDS}))
-    # BM25 is built before dense.bin is read, so the two are never held at once
-    lexical = build_lexical(ordered, k1=params.k1, b=params.b)
+    # format 1 is read only so that indexes written before format 2 still load.
+    # BM25 is complete before dense.bin is read, so the two files are never
+    # held at once
+    parse_lexical = _lexical_v1 if version == 1 else _lexical_v2
+    chunks, doc_acl, lexical = parse_lexical(read_verified("lexical.bin"), params)
 
     blob = read_verified("dense.bin")
-    if not blob.startswith(DENSE_MAGIC):
-        raise CorruptIndex(f"bad dense.bin magic: {blob[:len(DENSE_MAGIC)]!r}")
-    start = len(DENSE_MAGIC) + 8
-    offset = start + int.from_bytes(blob[start - 8:start], "little")
-    header = json.loads(blob[start:offset])
-    n, dim = int(header["n"]), int(header["dim"])
+    header, offset = _unframed(blob, DENSE_MAGIC, "dense.bin")
+    try:
+        n, dim = int(header["n"]), int(header["dim"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptIndex(f"bad dense.bin header: {type(exc).__name__}: {exc}") from exc
     if len(blob) - offset != n * dim * 4:
         raise CorruptIndex(f"dense.bin payload is {len(blob) - offset} bytes, "
                            f"expected {n * dim * 4}")
@@ -357,5 +480,5 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
     vectors = np.frombuffer(blob, np.float32, n * dim, offset).reshape(n, dim).copy()
 
     return HybridIndex(lexical=lexical, dense=DenseIndex(vectors),
-                       chunks={c.chunk_id: c for c in ordered},
-                       doc_acl=lex["doc_acl"], params=params)
+                       chunks={c.chunk_id: c for c in chunks},
+                       doc_acl=doc_acl, params=params)

@@ -22,9 +22,10 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON value")
 
 
-def _parse(data: bytes, kind: str, error: type[Exception], where: str):
+def parse_json(data: bytes | memoryview, error: type[Exception], where: str, kind: str):
+    """Parse ``data``, named ``where`` in messages, as one JSON ``kind``."""
     try:
-        value = json.loads(data.decode("utf-8"), parse_constant=_refuse_constant)
+        value = json.loads(str(data, "utf-8"), parse_constant=_refuse_constant)
     except (ValueError, RecursionError) as exc:    # bad UTF-8 or JSON, NaN, deep nesting
         raise error(f"{where} is not valid JSON: {exc}") from exc
     if not _KINDS[kind](value):
@@ -38,7 +39,7 @@ def read_json(path: str | Path, error: type[Exception], what: str, kind: str):
         data = Path(path).read_bytes()
     except OSError as exc:
         raise error(f"cannot read {what}: {exc}") from exc
-    return _parse(data, kind, error, what)
+    return parse_json(data, error, what, kind)
 
 
 def read_jsonl(path: str | Path, error: type[Exception]) -> list[tuple[int, dict]]:
@@ -48,5 +49,5 @@ def read_jsonl(path: str | Path, error: type[Exception]) -> list[tuple[int, dict
     """
     # bytes.splitlines splits where text-mode reading does: \n, \r\n and \r
     lines = Path(path).read_bytes().splitlines()
-    return [(lineno, _parse(line, "object", error, f"line {lineno}"))
+    return [(lineno, parse_json(line, error, f"line {lineno}", "object"))
             for lineno, line in enumerate(lines, start=1) if line.strip()]

@@ -27,6 +27,7 @@ adds in array order, so each chunk's sum runs in query-token order.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ DEFAULT_B = 0.75
 @dataclass
 class LexicalIndex:
     chunk_ids: list[str]          # position -> chunk_id, ascending
-    postings: dict[str, slice]    # term -> its slice of positions and weights
+    postings: dict[str, slice]    # term -> its slice, slices in array order
     positions: np.ndarray         # int32 chunk positions, ascending per term
     weights: np.ndarray           # float64 BM25 contribution of each posting
     avgdl: float
@@ -53,6 +54,19 @@ class LexicalIndex:
     @property
     def n_chunks(self) -> int:
         return len(self.chunk_ids)
+
+    @classmethod
+    def from_bounds(cls, chunk_ids: list[str], vocab: Iterable[str], bounds: list[int],
+                    positions: np.ndarray, weights: np.ndarray, avgdl: float,
+                    k1: float, b: float) -> "LexicalIndex":
+        """The index whose term ``vocab[i]`` owns ``bounds[i]:bounds[i + 1]``."""
+        postings = dict(zip(vocab, map(slice, bounds[:-1], bounds[1:])))
+        return cls(chunk_ids, postings, positions, weights, avgdl, k1, b)
+
+    def vocab_bounds(self) -> tuple[list[str], list[int]]:
+        """The inverse of ``from_bounds``: the terms in array order and the
+        bounds of their slices."""
+        return list(self.postings), [0, *(s.stop for s in self.postings.values())]
 
 
 def build_lexical(chunks: list[Chunk], k1: float = DEFAULT_K1, b: float = DEFAULT_B,
@@ -95,11 +109,10 @@ def build_lexical(chunks: list[Chunk], k1: float = DEFAULT_K1, b: float = DEFAUL
     weights = idf[term] * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
     del term, tf, dl
 
-    bounds = [0, *np.cumsum(df).tolist()]
     # vocab iterates in id order, the order of the slices
-    postings = dict(zip(vocab, map(slice, bounds[:-1], bounds[1:])))
-    return LexicalIndex([c.chunk_id for c in ordered], postings, positions,
-                        weights, avgdl, k1, b)
+    return LexicalIndex.from_bounds([c.chunk_id for c in ordered], vocab,
+                                    [0, *np.cumsum(df).tolist()], positions,
+                                    weights, avgdl, k1, b)
 
 
 def _candidates(index: LexicalIndex, query: str,

@@ -8,8 +8,10 @@ ASCII text takes an exact fast path. There ``\\w`` is ``[A-Za-z0-9_]``, so
 the tokens are the runs of ``[a-z0-9]`` in the lowercased text; a byte table
 that lowers A-Z and turns every other byte but a-z and 0-9 into a space,
 followed by ``str.split``, finds those runs about four times faster than the
-pattern. Building an index tokenizes through ``term_ids``: one pass over the
-chunk texts gives the term ids that both BM25 and the hashing embedder read.
+pattern, and ``token_spans`` finds where those runs start and end by
+comparing neighbouring bytes of the table's output. Building an index
+tokenizes through ``term_ids``: one pass over the chunk texts gives the term
+ids that both BM25 and the hashing embedder read.
 """
 
 from __future__ import annotations
@@ -35,8 +37,16 @@ _ASCII_FOLD = bytes(b + 32 if 65 <= b <= 90 else b if 48 <= b <= 57 or 97 <= b <
 def token_spans(text: str) -> list[tuple[int, int]]:
     """Ordered, non-overlapping half-open char spans of the tokens of text.
 
-    ``text[a:b].lower()`` over the spans gives ``token_texts(text)``.
+    ``text[a:b].lower()`` over the spans gives ``token_texts(text)``. ASCII
+    text is scanned for edges instead: a token starts or ends wherever the
+    byte table keeps one byte and blanks its neighbour, and in ASCII a byte
+    offset is a char offset.
     """
+    if text.isascii():
+        kept = np.zeros(len(text) + 2, dtype=bool)      # a separator at each end
+        kept[1:-1] = np.frombuffer(text.encode().translate(_ASCII_FOLD), np.uint8) != 32
+        edges = iter(np.flatnonzero(kept[1:] != kept[:-1]).tolist())
+        return list(zip(edges, edges))                  # (start, end) pairs
     return [m.span() for m in _TOKEN_RE.finditer(text)]
 
 

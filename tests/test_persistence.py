@@ -5,19 +5,23 @@ import gzip
 import hashlib
 import io
 import json
+import operator
 import os
 import shutil
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from esap.corpus import chunk_document
+from esap import hybrid, lexical, tokenizer
+from esap.corpus import Document, chunk_document
 from esap.dense import search_dense
 from esap.errors import CorruptIndex, FormatVersionMismatch
 from esap.hybrid import (
     DENSE_MAGIC,
+    LEXICAL_MAGIC,
     HybridParams,
     build_hybrid,
     load_hybrid,
@@ -28,7 +32,14 @@ from esap.lexical import LexicalIndex
 from esap.ports import HashingEmbedder
 from esap.synthetic import make_clustered_texts, make_toy_kb_documents
 from esap.tokenizer import token_texts
-from esap.corpus import Document
+
+# tests/data/index_v1 holds the toy kb chunked 30/5 with this ACL, as
+# save_hybrid wrote it at format 1 before files were built in memory
+# (commit 6441e08)
+INDEX_V1 = Path(__file__).parent / "data" / "index_v1"
+INDEX_V1_ACL = {"fruit-cherry": ["bob"], "policy-returns": ["alice", "bob"]}
+QUERIES = ("red apple", "shipping cherries", "refund policy", "zzz")
+PRINCIPALS = ("*", "alice", "bob", "carol")
 
 
 def build_index(ann_mode: str = "auto", **bm25):
@@ -40,6 +51,34 @@ def build_index(ann_mode: str = "auto", **bm25):
     params.ann.mode = ann_mode
     return build_hybrid(chunks, HashingEmbedder(),
                         {doc.doc_id: ["*"] for doc in docs}, params)
+
+
+def build_v1_twin(docs=None):
+    """A fresh build of what tests/data/index_v1 holds (of ``docs`` if given)."""
+    docs = docs or make_toy_kb_documents()
+    return build_hybrid([c for d in docs for c in chunk_document(d, size=30, overlap=5)],
+                        HashingEmbedder(),
+                        {d.doc_id: INDEX_V1_ACL.get(d.doc_id, ["*"]) for d in docs},
+                        HybridParams(chunk_size=30, chunk_overlap=5))
+
+
+def replace_data_file(index_dir: Path, name: str, data: bytes) -> None:
+    """Write a data file and record its sha256, so only its content is wrong."""
+    (index_dir / name).write_bytes(data)
+    meta_path = index_dir / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["checksums"][name] = hashlib.sha256(data).hexdigest()
+    meta_path.write_text(json.dumps(meta))
+
+
+def assert_same_hits(a, b, k: int = 5) -> None:
+    embed = HashingEmbedder()
+    for query in QUERIES:
+        for principal in PRINCIPALS:
+            hits_a = search_hybrid(a, query, embed, k=k, principal=principal)
+            hits_b = search_hybrid(b, query, embed, k=k, principal=principal)
+            assert [(h.chunk_id, h.score, h.text) for h in hits_a] == \
+                   [(h.chunk_id, h.score, h.text) for h in hits_b], (query, principal)
 
 
 def assert_same_lexical(a: LexicalIndex, b: LexicalIndex) -> None:
@@ -68,16 +107,11 @@ def test_round_trip_preserves_search_results(tmp_path):
 
 
 def test_lexical_file_from_earlier_builds_is_served(tmp_path):
-    index = build_index()
-    index_dir = save_hybrid(index, tmp_path)
-    embed = HashingEmbedder()
-    queries = ("red apple", "shipping cherries", "refund policy")
-    fresh = [search_hybrid(load_hybrid(tmp_path), q, embed, k=4) for q in queries]
-
-    # earlier builds also stored the BM25 postings as [chunk_id, tf] pairs,
-    # the chunk lengths and k1/b
-    lexical_path = index_dir / "lexical.bin"
-    payload = json.loads(gzip.decompress(lexical_path.read_bytes()))
+    # format-1 files written before the BM25 state was dropped also stored
+    # the postings as [chunk_id, tf] pairs, the chunk lengths and k1/b
+    shutil.copytree(INDEX_V1, tmp_path, dirs_exist_ok=True)
+    index_dir = tmp_path / "index"
+    payload = json.loads(gzip.decompress((index_dir / "lexical.bin").read_bytes()))
     assert set(payload) == {"chunks", "doc_acl"}
     postings: dict[str, list[list]] = {}
     chunk_lengths: dict[str, int] = {}
@@ -86,17 +120,14 @@ def test_lexical_file_from_earlier_builds_is_served(tmp_path):
         chunk_lengths[row["chunk_id"]] = len(terms)
         for term, tf in Counter(terms).items():
             postings.setdefault(term, []).append([row["chunk_id"], tf])
-    payload.update(postings=postings, chunk_lengths=chunk_lengths,
-                   k1=index.lexical.k1, b=index.lexical.b)
-    lexical_path.write_bytes(gzip.compress(json.dumps(payload).encode("utf-8")))
-    meta_path = index_dir / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    meta["checksums"]["lexical.bin"] = hashlib.sha256(lexical_path.read_bytes()).hexdigest()
-    meta_path.write_text(json.dumps(meta))
+    payload.update(postings=postings, chunk_lengths=chunk_lengths, k1=1.2, b=0.75)
+    replace_data_file(index_dir, "lexical.bin",
+                      gzip.compress(json.dumps(payload).encode("utf-8")))
 
     loaded = load_hybrid(tmp_path)
-    assert_same_lexical(loaded.lexical, index.lexical)
-    assert [search_hybrid(loaded, q, embed, k=4) for q in queries] == fresh
+    fresh = build_v1_twin()
+    assert_same_lexical(loaded.lexical, fresh.lexical)
+    assert_same_hits(loaded, fresh)
 
 
 def test_layered_graph_from_earlier_builds_is_served(tmp_path):
@@ -131,13 +162,8 @@ def test_layered_graph_from_earlier_builds_is_served(tmp_path):
     for graph in (layered, single):
         header = json.dumps({"dim": int(vectors.shape[1]), "n": n, "mode": "ann",
                              "graph": graph}).encode("utf-8")
-        dense_path = index_dir / "dense.bin"
-        dense_path.write_bytes(DENSE_MAGIC + len(header).to_bytes(8, "little")
-                               + header + vectors.tobytes())
-        meta_path = index_dir / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["checksums"]["dense.bin"] = hashlib.sha256(dense_path.read_bytes()).hexdigest()
-        meta_path.write_text(json.dumps(meta))
+        replace_data_file(index_dir, "dense.bin", DENSE_MAGIC + len(header).to_bytes(8, "little")
+                          + header + vectors.tobytes())
 
         loaded = load_hybrid(tmp_path)
         assert loaded.dense.mode == "exact"
@@ -200,6 +226,17 @@ def test_format_version_gate(tmp_path):
         load_hybrid(tmp_path)
 
 
+@pytest.mark.parametrize("version", [3, 0, True, 1.0, 2.0, "2", None])
+def test_a_format_version_that_is_not_1_or_2_is_refused(tmp_path, version):
+    shutil.copytree(INDEX_V1, tmp_path, dirs_exist_ok=True)
+    meta_path = tmp_path / "index" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["format_version"] = version
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(FormatVersionMismatch):
+        load_hybrid(tmp_path)
+
+
 def test_missing_index_dir(tmp_path):
     with pytest.raises(CorruptIndex):
         load_hybrid(tmp_path / "nowhere")
@@ -227,43 +264,57 @@ def test_queries_do_not_mutate_index(tmp_path):
 # one read per data file: the bytes parsed are the bytes verified
 # ---------------------------------------------------------------------------
 
-# tests/data/index_v1 holds the toy kb chunked 30/5 with this ACL, as
-# save_hybrid wrote it at format 1 before files were built in memory
-# (commit 6441e08)
-INDEX_V1 = Path(__file__).parent / "data" / "index_v1"
-INDEX_V1_ACL = {"fruit-cherry": ["bob"], "policy-returns": ["alice", "bob"]}
-
-
 def test_index_saved_by_earlier_code_serves_the_same_hits(tmp_path):
     shutil.copytree(INDEX_V1, tmp_path, dirs_exist_ok=True)
     loaded = load_hybrid(tmp_path)
-    docs = make_toy_kb_documents()
-    fresh = build_hybrid([c for d in docs for c in chunk_document(d, size=30, overlap=5)],
-                         HashingEmbedder(),
-                         {d.doc_id: INDEX_V1_ACL.get(d.doc_id, ["*"]) for d in docs},
-                         HybridParams(chunk_size=30, chunk_overlap=5))
+    fresh = build_v1_twin()
     assert (loaded.chunks, loaded.doc_acl) == (fresh.chunks, fresh.doc_acl)
-    embed = HashingEmbedder()
-    for query in ("red apple", "shipping cherries", "refund policy", "zzz"):
-        for principal in ("*", "alice", "bob", "carol"):
-            a = search_hybrid(loaded, query, embed, k=5, principal=principal)
-            b = search_hybrid(fresh, query, embed, k=5, principal=principal)
-            assert [(h.chunk_id, h.score, h.text) for h in a] == \
-                   [(h.chunk_id, h.score, h.text) for h in b], (query, principal)
+    assert_same_hits(loaded, fresh)
+
+
+def test_a_format_1_index_saved_again_is_format_2_with_the_same_hits(tmp_path):
+    shutil.copytree(INDEX_V1, tmp_path / "v1")
+    out = save_hybrid(load_hybrid(tmp_path / "v1"), tmp_path / "v2")
+    assert json.loads((out / "meta.json").read_text())["format_version"] == 2
+    assert (out / "lexical.bin").read_bytes().startswith(LEXICAL_MAGIC)
+    upgraded = load_hybrid(tmp_path / "v2")
+    fresh = build_v1_twin()
+    assert (upgraded.chunks, upgraded.doc_acl) == (fresh.chunks, fresh.doc_acl)
+    assert_same_lexical(upgraded.lexical, fresh.lexical)
+    assert_same_hits(upgraded, fresh)
+    assert saved_digests(upgraded, tmp_path / "again") == \
+           saved_digests(fresh, tmp_path / "fresh")
+
+
+def test_a_format_2_load_tokenizes_nothing_and_builds_no_bm25(tmp_path, monkeypatch):
+    index = build_index()
+    save_hybrid(index, tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a format-2 load tokenized or rebuilt BM25")
+
+    with monkeypatch.context() as patch:
+        for module in (tokenizer, lexical, hybrid):
+            for name in ("term_ids", "token_texts", "token_spans", "build_lexical"):
+                if hasattr(module, name):
+                    patch.setattr(module, name, refuse)
+        loaded = load_hybrid(tmp_path)
+    assert_same_lexical(loaded.lexical, index.lexical)
+    assert loaded.chunks == index.chunks
+    assert_same_hits(loaded, index)
 
 
 def test_a_file_swapped_after_it_is_read_is_never_served(tmp_path, monkeypatch):
     index = build_index()
     index_dir = save_hybrid(index, tmp_path)
     # well-formed files of another index: other texts, other vectors
-    lexical = json.loads(gzip.decompress((index_dir / "lexical.bin").read_bytes()))
-    for row in lexical["chunks"]:
-        row["text"] = "swapped " + row["text"]
-    swaps = {"lexical.bin": gzip.compress(json.dumps(lexical).encode("utf-8"))}
-    blob = (index_dir / "dense.bin").read_bytes()
-    size = index.dense.vectors.nbytes
-    swaps["dense.bin"] = blob[:-size] + (-index.dense.vectors).tobytes()
+    other = build_v1_twin([replace(d, text="swapped " + d.text)
+                           for d in make_toy_kb_documents()])
+    other_dir = save_hybrid(other, tmp_path / "other")
+    assert load_hybrid(tmp_path / "other").chunks == other.chunks != index.chunks
+    swaps = {name: (other_dir / name).read_bytes() for name in ("lexical.bin", "dense.bin")}
     for name, data in swaps.items():
+        assert data != (index_dir / name).read_bytes()
         (tmp_path / name).write_bytes(data)
 
     opened: Counter = Counter()
@@ -326,6 +377,132 @@ def test_a_missing_or_mistyped_meta_key_is_corrupt_index(tmp_path, key, value):
         load_hybrid(tmp_path)
 
 
+# ---------------------------------------------------------------------------
+# a lexical.bin whose checksum holds but whose content is malformed
+# ---------------------------------------------------------------------------
+
+def frame(header, payload: bytes, magic: bytes = LEXICAL_MAGIC) -> bytes:
+    """A format-2 lexical.bin around a header (a dict, or raw bytes)."""
+    raw = header if isinstance(header, bytes) else \
+        json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return magic + len(raw).to_bytes(8, "little") + raw + payload
+
+
+def edited(mutate):
+    def case(header, payload, m):
+        mutate(header)
+        return frame(header, payload)
+    return case
+
+
+def with_position(value):
+    def case(header, payload, m):
+        positions = np.frombuffer(payload, "<i4", m).copy()
+        positions[0] = value
+        return frame(header, positions.tobytes() + payload[4 * m:])
+    return case
+
+
+def with_weight(value):
+    def case(header, payload, m):
+        weights = np.frombuffer(payload, "<f8", m, 4 * m).copy()
+        weights[-1] = value
+        return frame(header, payload[:4 * m] + weights.tobytes())
+    return case
+
+
+def reversed_columns(header):
+    for column in header["chunks"].values():
+        column.reverse()
+
+
+def rows(header):
+    columns = header["chunks"]
+    header["chunks"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+V2_CASES = {
+    "magic": lambda h, p, m: frame(h, p, magic=b"ESAPLEX9"),
+    "format-1-body": lambda h, p, m: gzip.compress(json.dumps(h).encode("utf-8")),
+    "header-past-the-end": lambda h, p, m: LEXICAL_MAGIC + (1 << 40).to_bytes(8, "little"),
+    "truncated-length": lambda h, p, m: LEXICAL_MAGIC + b"\x01\x00",
+    "header-not-json": lambda h, p, m: frame(b"{not json", p),
+    "header-array": lambda h, p, m: frame(b"[]", p),
+    "header-nan": lambda h, p, m: frame(b'{"avgdl": NaN}', p),
+    "chunks-as-rows": edited(rows),
+    "no-token_span": edited(lambda h: h["chunks"].pop("token_span")),
+    "short-column": edited(lambda h: h["chunks"]["text"].pop()),
+    "text-not-a-string": edited(lambda h: operator.setitem(h["chunks"]["text"], 0, 5)),
+    "version-bool": edited(lambda h: operator.setitem(h["chunks"]["version"], 0, True)),
+    "span-of-three": edited(lambda h: operator.setitem(h["chunks"]["token_span"], 0, [0, 1, 2])),
+    "span-of-strings": edited(lambda h: operator.setitem(h["chunks"]["token_span"], 0, ["0", "1"])),
+    "ids-descending": edited(reversed_columns),
+    "id-repeated": edited(lambda h: operator.setitem(h["chunks"]["chunk_id"], 1,
+                                                     h["chunks"]["chunk_id"][0])),
+    "doc_acl-string": edited(lambda h: h.update(doc_acl="x")),
+    "doc_acl-entry-string": edited(lambda h: h.update(doc_acl={"fruit-apple": "alice"})),
+    "vocab-not-strings": edited(lambda h: operator.setitem(h["vocab"], 0, 1)),
+    "vocab-repeats": edited(lambda h: operator.setitem(h["vocab"], 1, h["vocab"][0])),
+    "bounds-from-1": edited(lambda h: operator.setitem(h["bounds"], 0, 1)),
+    "bounds-decrease": edited(lambda h: operator.setitem(h["bounds"], 1, h["bounds"][2] + 1)),
+    "bounds-too-long": edited(lambda h: h["bounds"].append(h["bounds"][-1])),
+    "bounds-float": edited(lambda h: operator.setitem(h["bounds"], 1, float(h["bounds"][1]))),
+    "avgdl-missing": edited(lambda h: h.pop("avgdl")),
+    "avgdl-string": edited(lambda h: h.update(avgdl="7.5")),
+    "payload-short": lambda h, p, m: frame(h, p[:-1]),
+    "payload-long": lambda h, p, m: frame(h, p + bytes(12)),
+    "position-negative": with_position(-1),
+    "position-past-the-end": with_position(10_000),
+    "weight-nan": with_weight(np.nan),
+    "weight-inf": with_weight(np.inf),
+}
+
+
+@pytest.mark.parametrize("case", [pytest.param(case, id=name) for name, case in V2_CASES.items()])
+def test_a_malformed_format_2_lexical_file_is_corrupt_index(tmp_path, case):
+    index_dir = save_hybrid(build_index(), tmp_path)
+    data = (index_dir / "lexical.bin").read_bytes()
+    start = len(LEXICAL_MAGIC) + 8
+    end = start + int.from_bytes(data[len(LEXICAL_MAGIC):start], "little")
+    header, payload = json.loads(data[start:end]), data[end:]
+    assert frame(header, payload) == data
+    replace_data_file(index_dir, "lexical.bin", case(header, payload, header["bounds"][-1]))
+    with pytest.raises(CorruptIndex, match="lexical.bin") as refused:
+        load_hybrid(tmp_path)
+    assert refused.value.exit_code == 2
+
+
+def v1_edited(mutate):
+    def case(payload):
+        mutate(payload)
+        return gzip.compress(json.dumps(payload).encode("utf-8"))
+    return case
+
+
+V1_CASES = {
+    "row-without-token_span": v1_edited(lambda p: p["chunks"][0].pop("token_span")),
+    "chunks-object": v1_edited(lambda p: p.update(chunks={"fruit-apple#v1#00000": {}})),
+    "text-not-a-string": v1_edited(lambda p: p["chunks"][0].update(text=5)),
+    "ids-descending": v1_edited(lambda p: p["chunks"].reverse()),
+    "doc_acl-string": v1_edited(lambda p: p.update(doc_acl="x")),
+    "not-json": lambda p: gzip.compress(b"{not json"),
+    "an-array": lambda p: gzip.compress(b"[]"),
+    "not-gzip": lambda p: json.dumps(p).encode("utf-8"),
+    "truncated-gzip": lambda p: gzip.compress(json.dumps(p).encode("utf-8"))[:-12],
+}
+
+
+@pytest.mark.parametrize("case", [pytest.param(case, id=name) for name, case in V1_CASES.items()])
+def test_a_malformed_format_1_lexical_file_is_corrupt_index(tmp_path, case):
+    shutil.copytree(INDEX_V1, tmp_path, dirs_exist_ok=True)
+    index_dir = tmp_path / "index"
+    payload = json.loads(gzip.decompress((index_dir / "lexical.bin").read_bytes()))
+    replace_data_file(index_dir, "lexical.bin", case(payload))
+    with pytest.raises(CorruptIndex, match="lexical.bin") as refused:
+        load_hybrid(tmp_path)
+    assert refused.value.exit_code == 2
+
+
 def saved_digests(index, kb: Path) -> dict[str, str]:
     out = save_hybrid(index, kb)
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
@@ -353,10 +530,10 @@ def test_term_id_build_saves_the_text_port_build(tmp_path, unicode):
 
 
 def test_toy_index_files_keep_their_recorded_digests(tmp_path, toy_index):
-    # recorded before the build tokenized once; lexical.bin is digested
-    # decompressed, so a different zlib cannot change the digest
-    out = save_hybrid(toy_index, tmp_path)
-    dense = hashlib.sha256((out / "dense.bin").read_bytes()).hexdigest()
-    lexical = hashlib.sha256(gzip.decompress((out / "lexical.bin").read_bytes())).hexdigest()
-    assert dense == "d431a815b04c33446304b924b925d02cf6b2b1de7fbb23bbc0d52a548fcda27e"
-    assert lexical == "d03e26cf244359133a3794c48e6b00deea49bd128d97b8f631026a8f026bfa8b"
+    # dense.bin recorded before the build tokenized once; lexical.bin
+    # recorded when format 2 stored the BM25 columns
+    digests = saved_digests(toy_index, tmp_path)
+    assert digests["dense.bin"] == \
+        "d431a815b04c33446304b924b925d02cf6b2b1de7fbb23bbc0d52a548fcda27e"
+    assert digests["lexical.bin"] == \
+        "ca09ec4d8bee2bbe1a42af2e5767be3d337bac4c0388feef297b56a4e7842a32"

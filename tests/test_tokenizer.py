@@ -7,6 +7,8 @@ import string
 import numpy as np
 import pytest
 
+from esap import corpus
+from esap.corpus import Document, chunk_document
 from esap.tokenizer import term_ids, token_spans, token_texts
 
 
@@ -77,6 +79,47 @@ def test_ascii_fast_path_equals_the_unicode_path():
         assert text.isascii()
         assert token_texts(text) == unicode_path(text), repr(text)
     assert token_texts("MiXeD_case-Tokens42 x9Y") == ["mixed", "case", "tokens42", "x9y"]
+
+
+def pattern_spans(text: str) -> list[tuple[int, int]]:
+    return [m.span() for m in re.finditer(r"[^\W_]+", text)]
+
+
+def random_ascii_texts(seed: int, count: int) -> list[str]:
+    # upper case, digits, "_", punctuation, whitespace and control bytes,
+    # separators leading and trailing, and the empty text
+    rng = random.Random(seed)
+    common = string.ascii_letters + string.digits + "_ .,-!?\t\n\x00\x7f"
+    texts = ["", " ", "_", "a", "Z9", "__x__", " lead", "trail. ", "\x00only\x7f"]
+    for _ in range(count):
+        body = "".join(rng.choice(common) if rng.random() < 0.9 else chr(rng.randrange(128))
+                       for _ in range(rng.randrange(0, 120)))
+        texts.append(rng.choice(["", " ", "_-", "\n"]) + body + rng.choice(["", " ", "!_", "\t"]))
+    return texts
+
+
+def test_ascii_span_scan_equals_the_pattern():
+    texts = random_ascii_texts(29, 5000)
+    texts.append("".join(map(chr, range(128))))
+    for text in texts:
+        assert text.isascii()
+        assert token_spans(text) == pattern_spans(text), repr(text)
+        assert all(type(x) is int for span in token_spans(text) for x in span)
+
+
+def test_chunks_are_unchanged_by_the_span_scan(monkeypatch):
+    texts = random_ascii_texts(31, 400)
+    rng = random.Random(37)
+    sizes = [rng.randrange(1, 12) for _ in texts]
+    settings = [(size, rng.randrange(size)) for size in sizes]     # (size, overlap)
+
+    def chunks():
+        return [chunk_document(Document(doc_id="d", version=1, text=text), size, overlap)
+                for text, (size, overlap) in zip(texts, settings)]
+
+    scanned = chunks()
+    monkeypatch.setattr(corpus, "token_spans", pattern_spans)
+    assert scanned == chunks()
 
 
 def test_term_ids_is_one_token_texts_pass():
