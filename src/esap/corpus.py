@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import CorpusFormatError, InvalidChunkConfig, StoreWriteError, VersionNotFound
-from .jsonio import read_jsonl
+from .jsonio import read_json, read_jsonl
 from .tokenizer import token_spans
 
 DEFAULT_CHUNK_SIZE = 1000
@@ -83,27 +83,14 @@ def chunk_document(doc: Document, size: int = DEFAULT_CHUNK_SIZE,
         )
     spans = token_spans(doc.text)
     n = len(spans)
-    if n == 0:
-        return []
-    stride = size - overlap
-    chunks: list[Chunk] = []
-    start = 0
-    idx = 0
-    while True:
+    chunks = []
+    for idx in range(chunk_count(n, size, overlap)):
+        start = idx * (size - overlap)
         end = min(start + size, n)
-        text = doc.text[spans[start][0]:spans[end - 1][1]]
-        chunks.append(Chunk(
-            chunk_id=f"{doc.doc_id}#v{doc.version}#{idx:05d}",
-            doc_id=doc.doc_id,
-            version=doc.version,
-            token_span=(start, end),
-            text=text,
-            size_tokens=end - start,
-        ))
-        if start + size >= n:
-            break
-        start += stride
-        idx += 1
+        chunks.append(Chunk(chunk_id=f"{doc.doc_id}#v{doc.version}#{idx:05d}",
+                            doc_id=doc.doc_id, version=doc.version, token_span=(start, end),
+                            text=doc.text[spans[start][0]:spans[end - 1][1]],
+                            size_tokens=end - start))
     return chunks
 
 
@@ -185,12 +172,21 @@ class VersionStore:
         return versions[-1] if versions else 0
 
     def get(self, doc_id: str, version: int | None = None) -> Document:
+        """The stored version, by default the latest, checked as a corpus line
+        is; a bad file is ``CorpusFormatError`` naming it."""
         if version is None:
             version = self.latest_version(doc_id)
         path = self._version_path(doc_id, version)
         if version < 1 or not path.exists():
             raise VersionNotFound(f"{doc_id} has no version {version}")
-        return Document.from_json(json.loads(path.read_text(encoding="utf-8")))
+        data = read_json(path, CorpusFormatError, str(path), "object")
+        # True == 1 in Python, but a bool names no version
+        if (data.get("doc_id"), data.get("version")) != (doc_id, version) \
+                or type(data["version"]) is not int:
+            raise CorpusFormatError(f'{path}: expected "doc_id" {doc_id!r}, "version" {version}')
+        _check_document(CorpusFormatError, f"{path}: ", doc_id, data.get("text"),
+                        **{name: data.get(name) for name in _OPTIONAL_FIELDS})
+        return Document.from_json(data)
 
     def latest_documents(self) -> list[Document]:
         return [self.get(doc_id) for doc_id in self.doc_ids()]

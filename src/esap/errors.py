@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``require``."""
+
+
+def require(ok: bool, problem: str) -> None:
+    """Raise ``ValueError(problem)`` unless ``ok``; the caller names the file."""
+    if not ok:
+        raise ValueError(problem)
 
 
 class EsapError(Exception):

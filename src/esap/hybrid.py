@@ -4,24 +4,19 @@ A built index is a self-contained directory:
 
     index/meta.json     parameters, format version, checksums
     index/lexical.bin   magic + 8-byte header length + JSON header, then
-                        the BM25 postings raw: positions (<i4), weights (<f8)
+                        the BM25 columns raw
     index/dense.bin     magic + 8-byte header length + JSON header (dim, n),
                         then the raw float32 vectors
 
-The lexical header holds the chunk table as columns (one list per ``Chunk``
-field, in chunk_id order, so list order is position order), ``doc_acl``, the
-vocabulary in the order of its posting slices, the slice bounds (term i owns
-postings ``bounds[i]:bounds[i + 1]``) and ``avgdl``. The payload is exactly
-``12 * bounds[-1]`` bytes: every position, then every weight.
-
-A build tokenizes the chunk texts once (``esap.tokenizer.term_ids``) and
-hands the term ids to both the BM25 build and, when the embedder takes them
-(``HashingEmbedder.embed_ids``), the dense build. A load tokenizes nothing:
-it checks the header and copies ``positions`` and ``weights`` out of the file
-bytes into the ``LexicalIndex``, with k1 and b from meta.json. The dense
+This module writes and reads ``meta.json`` (k1 and b among it), the
+checksums, the framing of both data files and the first two keys of the
+lexical header: the chunk table as columns (one list per ``Chunk`` field,
+in chunk_id order, so list order is position order) and ``doc_acl``. The
+rest of ``lexical.bin`` (the BM25 header keys and the payload) and every
+check on it belong to ``esap.lexical`` (``to_columns``, ``from_columns``).
+A load tokenizes nothing: it copies BM25 out of the file bytes. The dense
 header keeps ``"mode": "exact"`` and ``"graph": null`` for the shape earlier
-builds read; a graph stored by an earlier build is ignored and the index is
-searched exactly.
+builds read; a graph stored by an earlier build is ignored.
 
 Format 1, which earlier builds wrote, still loads: its lexical.bin is gzip
 JSON of chunk rows and ``doc_acl``, and BM25 is rebuilt from the chunk texts
@@ -29,8 +24,8 @@ JSON of chunk rows and ``doc_acl``, and BM25 is rebuilt from the chunk texts
 
 Each data file is hashed as it is written; a load reads it once, refuses it
 unless meta.json holds a matching checksum, and parses only the bytes it
-verified. A file whose checksum holds but whose content is malformed (any
-check above, in either format) is ``CorruptIndex`` naming the file.
+verified. A file whose checksum holds but whose content is malformed, in
+either format, is ``CorruptIndex`` naming the file.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ import gzip
 import hashlib
 import itertools
 import json
-import math
 import operator
 import re
 import zlib
@@ -50,9 +44,10 @@ import numpy as np
 
 from .corpus import DEFAULT_CHUNK_OVERLAP, DEFAULT_CHUNK_SIZE, Chunk
 from .dense import AnnParams, DenseIndex, build_dense_from_texts, search_dense
-from .errors import CorruptIndex, EmptyCorpus, EmptyIndex, FormatVersionMismatch
+from .errors import CorruptIndex, EmptyCorpus, EmptyIndex, FormatVersionMismatch, require
 from .jsonio import parse_json, read_json
-from .lexical import DEFAULT_B, DEFAULT_K1, LexicalIndex, build_lexical, search_lexical
+from .lexical import (DEFAULT_B, DEFAULT_K1, LexicalIndex, build_lexical, from_columns,
+                      search_lexical, to_columns)
 from .tokenizer import term_ids
 
 FORMAT_VERSION = 2
@@ -287,15 +282,11 @@ def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
     out_dir = Path(kb_root) / "index"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    lexical = index.lexical
-    vocab, bounds = lexical.vocab_bounds()
     ordered = [index.chunks[cid] for cid in index.chunk_ids]
     columns = {name: [getattr(c, name) for c in ordered] for name in _CHUNK_COLUMNS}
+    bm25_header, bm25_payload = to_columns(index.lexical)
     lexical_parts = _framed(LEXICAL_MAGIC, {"chunks": columns, "doc_acl": index.doc_acl,
-                                            "vocab": vocab, "bounds": bounds,
-                                            "avgdl": lexical.avgdl})
-    lexical_parts += [np.ascontiguousarray(lexical.positions, dtype="<i4"),
-                      np.ascontiguousarray(lexical.weights, dtype="<f8")]
+                                            **bm25_header}) + bm25_payload
 
     vectors = np.ascontiguousarray(index.dense.vectors, dtype=np.float32)
     dense_parts = _framed(DENSE_MAGIC, {"dim": index.dense.dim, "n": vectors.shape[0],
@@ -317,12 +308,6 @@ def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
     _write(out_dir / "meta.json",
            [(json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8")])
     return out_dir
-
-
-def _require(ok: bool, problem: str) -> None:
-    """Refuse lexical.bin, naming the problem, unless ``ok``."""
-    if not ok:
-        raise CorruptIndex(f"bad lexical.bin: {problem}")
 
 
 def _unframed(data: bytes, magic: bytes, name: str) -> tuple[dict, int]:
@@ -348,28 +333,28 @@ def _chunk_table(columns) -> list[Chunk]:
     each token span is a pair of ints, and the chunk_ids ascend, so list
     order is position order.
     """
-    _require(type(columns) is dict, "the chunk table is not an object of columns")
+    require(type(columns) is dict, "the chunk table is not an object of columns")
     cols = [columns.get(name) for name in _CHUNK_COLUMNS]
     for (name, kind), col in zip(_CHUNK_COLUMNS.items(), cols):
-        _require(type(col) is list and set(map(type, col)) <= {kind},
-                 f"the {name} column is missing or holds a value of another type")
-    _require(len(set(map(len, cols))) == 1, "chunk columns of unequal length")
+        require(type(col) is list and set(map(type, col)) <= {kind},
+                f"the {name} column is missing or holds a value of another type")
+    require(len(set(map(len, cols))) == 1, "chunk columns of unequal length")
     spans = columns["token_span"]
-    _require(set(map(len, spans)) <= {2}
-             and set(map(type, itertools.chain.from_iterable(spans))) <= {int},
-             "a token_span is not a pair of ints")
+    require(set(map(len, spans)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(spans))) <= {int},
+            "a token_span is not a pair of ints")
     ids = columns["chunk_id"]
-    _require(all(map(operator.lt, ids, ids[1:])), "chunk_ids do not ascend")
+    require(all(map(operator.lt, ids, ids[1:])), "chunk_ids do not ascend")
     return [Chunk(chunk_id=cid, doc_id=doc, version=version, token_span=tuple(span),
                   text=text, size_tokens=size)
             for cid, doc, version, span, text, size in zip(*cols)]
 
 
 def _doc_acl(doc_acl) -> dict[str, list[str]]:
-    _require(type(doc_acl) is dict
-             and all(type(acl) is list and set(map(type, acl)) <= {str}
-                     for acl in doc_acl.values()),
-             "doc_acl is not an object of principal lists")
+    require(type(doc_acl) is dict
+            and all(type(acl) is list and set(map(type, acl)) <= {str}
+                    for acl in doc_acl.values()),
+            "doc_acl is not an object of principal lists")
     return doc_acl
 
 
@@ -386,8 +371,8 @@ def _lexical_v1(data: bytes, params: HybridParams) -> tuple[list[Chunk], dict, L
         raise CorruptIndex(f"bad lexical.bin: {type(exc).__name__}: {exc}") from exc
     lex = parse_json(raw, CorruptIndex, "lexical.bin", "object")
     rows = lex.get("chunks")
-    _require(type(rows) is list and set(map(type, rows)) <= {dict},
-             "the chunk table is not a list of rows")
+    require(type(rows) is list and set(map(type, rows)) <= {dict},
+            "the chunk table is not a list of rows")
     chunks = _chunk_table({name: [row.get(name) for row in rows] for name in _CHUNK_COLUMNS})
     doc_acl = _doc_acl(lex.get("doc_acl"))
     return chunks, doc_acl, build_lexical(chunks, k1=params.k1, b=params.b)
@@ -398,28 +383,8 @@ def _lexical_v2(data: bytes, params: HybridParams) -> tuple[list[Chunk], dict, L
     header, offset = _unframed(data, LEXICAL_MAGIC, "lexical.bin")
     chunks = _chunk_table(header.get("chunks"))
     doc_acl = _doc_acl(header.get("doc_acl"))
-    vocab, bounds, avgdl = header.get("vocab"), header.get("bounds"), header.get("avgdl")
-    _require(type(vocab) is list and set(map(type, vocab)) <= {str},
-             "vocab is not a list of strings")
-    _require(type(bounds) is list and set(map(type, bounds)) <= {int}
-             and len(bounds) == len(vocab) + 1 and bounds[0] == 0
-             and all(map(operator.le, bounds, bounds[1:])),
-             "posting bounds do not run from 0 up, one more than the vocabulary")
-    _require(type(avgdl) in (int, float) and math.isfinite(avgdl), "avgdl is not a number")
-    m = bounds[-1]
-    _require(len(data) - offset == 12 * m,
-             f"postings payload is {len(data) - offset} bytes, expected {12 * m}")
-    # copied out of the file bytes, so the index keeps none of them alive
-    positions = np.frombuffer(data, "<i4", m, offset).astype(np.int32)
-    weights = np.frombuffer(data, "<f8", m, offset + 4 * m).astype(np.float64)
-    _require(m == 0 or 0 <= positions.min() and positions.max() < len(chunks),
-             "a posting position is out of range")
-    _require(bool(np.isfinite(weights).all()), "a posting weight is not finite")
-    lexical = LexicalIndex.from_bounds(header["chunks"]["chunk_id"], vocab, bounds,
-                                       positions, weights, float(avgdl),
-                                       params.k1, params.b)
-    _require(len(lexical.postings) == len(vocab), "vocab repeats a term")
-    return chunks, doc_acl, lexical
+    return chunks, doc_acl, from_columns(header, memoryview(data)[offset:],
+                                         header["chunks"]["chunk_id"], params.k1, params.b)
 
 
 def load_hybrid(kb_root: str | Path) -> HybridIndex:
@@ -464,7 +429,10 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
     # BM25 is complete before dense.bin is read, so the two files are never
     # held at once
     parse_lexical = _lexical_v1 if version == 1 else _lexical_v2
-    chunks, doc_acl, lexical = parse_lexical(read_verified("lexical.bin"), params)
+    try:
+        chunks, doc_acl, lexical = parse_lexical(read_verified("lexical.bin"), params)
+    except ValueError as exc:
+        raise CorruptIndex(f"bad lexical.bin: {exc}") from exc
 
     blob = read_verified("dense.bin")
     header, offset = _unframed(blob, DENSE_MAGIC, "dense.bin")

@@ -126,6 +126,12 @@ def test_type_errors_are_loud():
             config_from_dict(data)
     with pytest.raises(ConfigError, match=r"guards\[0\] needs kind and pattern"):
         config_from_dict({"guards": [{"kind": "badge", "pattern": 5}]})
+    with pytest.raises(ConfigError, match="config key kb must be a string"):
+        config_from_dict({"kb": 5})
+    with pytest.raises(ConfigError, match="config key guards must be a list"):
+        config_from_dict({"guards": {"kind": "badge", "pattern": "B"}})
+    with pytest.raises(ConfigError, match=r"config key guards\[1\] must be an object"):
+        config_from_dict({"guards": [{"kind": "badge", "pattern": "B"}, "B-1"]})
 
 
 def test_enum_fields_validated():

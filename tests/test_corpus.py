@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 
 import pytest
 
+from esap.cli import main
 from esap.corpus import (
     Document,
     VersionStore,
@@ -201,6 +203,37 @@ def test_null_optional_fields_take_the_defaults(tmp_path):
     store = VersionStore(tmp_path / "kb")
     assert ingest_corpus(store, path) == (1, 0)
     assert store.get("a") == Document(doc_id="a", version=1, text="one")
+
+
+# a stored version's file replaced by each of these is refused, not read
+STORED_VERSION_CASES = {
+    "empty-object": "{}",
+    "not-json": "not json",
+    "an-array": "[]",
+    "bare-string-acl": '{"doc_id": "a", "version": 1, "text": "x", "acl": "bob"}',
+    "text-not-a-string": '{"doc_id": "a", "version": 1, "text": 5}',
+    "version-bool": '{"doc_id": "a", "version": true, "text": "x"}',
+    "version-of-another-file": '{"doc_id": "a", "version": 2, "text": "x"}',
+    "doc_id-of-another-document": '{"doc_id": "b", "version": 1, "text": "x"}',
+}
+
+
+@pytest.mark.parametrize("content", STORED_VERSION_CASES.values(), ids=STORED_VERSION_CASES)
+def test_a_malformed_stored_version_is_corpus_format_error(tmp_path, capsys, content):
+    store = VersionStore(tmp_path / "kb")
+    store.ingest("a", "hello world", acl=["bob"])
+    path = tmp_path / "kb" / "docs" / "a" / "1.json"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=re.escape(str(path))) as refused:
+        store.get("a")
+    assert refused.value.exit_code == 2
+    # the CLI prints that error as one JSON line and indexes nothing
+    assert main(["index", "--kb", str(tmp_path / "kb")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "CorpusFormatError",
+                                        "message": str(refused.value)}
+    assert not (tmp_path / "kb" / "index").exists()
 
 
 @pytest.mark.parametrize("acl", ["alice", ["x", 1], {"x": 1}],

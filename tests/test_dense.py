@@ -106,6 +106,14 @@ def test_embedder_failure_carries_chunk_id():
     assert err.value.chunk_id == "x1"
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 4), (4, 4), (3, 4, 1)],
+                         ids=["one-dim", "a-row-short", "a-row-over", "three-dim"])
+def test_an_embedding_of_the_wrong_shape_is_refused(shape):
+    with pytest.raises(EmbedderFailure, match=r"expected \(3, d\)"):
+        build_dense_from_texts(["a", "b", "c"], ["x0", "x1", "x2"],
+                               lambda texts: np.ones(shape, dtype=np.float32))
+
+
 def test_embedder_exception_wrapped():
     def explode(texts):
         raise RuntimeError("remote down")

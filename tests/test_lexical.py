@@ -9,7 +9,7 @@ import pytest
 from esap.corpus import Chunk
 from esap.errors import EmptyCorpus
 from esap.lexical import build_lexical, score_query, search_lexical
-from esap.tokenizer import token_texts
+from esap.tokenizer import term_ids, token_texts
 
 
 def make_chunks(texts: list[str]) -> list[Chunk]:
@@ -83,19 +83,34 @@ def test_k_validation():
         search_lexical(index, "a", 0)
 
 
+def row(index, column, term: str) -> list:
+    """The term's row of ``column`` (``index.positions`` or ``index.weights``)."""
+    r = index.postings[term]
+    return column[index.bounds[r]:index.bounds[r + 1]].tolist()
+
+
 def test_postings_sorted_and_avgdl():
     texts = ["b b a", "a c", "a"]
     index = build_lexical(make_chunks(texts))
     assert index.n_chunks == 3
     assert index.avgdl == pytest.approx((3 + 2 + 1) / 3)
     assert index.chunk_ids == ["c000", "c001", "c002"]
-    assert index.positions[index.postings["a"]].tolist() == [0, 1, 2]
-    assert index.positions[index.postings["b"]].tolist() == [0]
+    # rows in order of first occurrence, each term's postings ascending
+    assert index.postings == {"b": 0, "a": 1, "c": 2}
+    assert index.bounds == [0, 1, 4, 5]
+    assert row(index, index.positions, "a") == [0, 1, 2]
+    assert row(index, index.positions, "b") == [0]
     # "b" occurs twice in c000 (|d| = 3) and in one chunk of three
     k1, b, tf, avgdl = 1.2, 0.75, 2, (3 + 2 + 1) / 3
     idf = math.log(1.0 + (3 - 1 + 0.5) / (1 + 0.5))
     want = idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * 3 / avgdl))
-    assert index.weights[index.postings["b"]].tolist() == [want]
+    assert row(index, index.weights, "b") == [want]
+
+
+def test_the_term_id_vocabulary_is_the_postings_map():
+    chunks = make_chunks(["b b a", "a c", "a"])
+    terms = term_ids([c.text for c in chunks])
+    assert build_lexical(chunks, terms=terms).postings is terms[0]
 
 
 def test_matches_brute_force_on_random_corpora():

@@ -83,8 +83,8 @@ def assert_same_hits(a, b, k: int = 5) -> None:
 
 def assert_same_lexical(a: LexicalIndex, b: LexicalIndex) -> None:
     # dataclass == would compare the numpy arrays elementwise and raise
-    assert (a.chunk_ids, a.postings, a.n_chunks, a.avgdl, a.k1, a.b) == \
-           (b.chunk_ids, b.postings, b.n_chunks, b.avgdl, b.k1, b.b)
+    assert (a.chunk_ids, a.postings, a.bounds, a.n_chunks, a.avgdl, a.k1, a.b) == \
+           (b.chunk_ids, b.postings, b.bounds, b.n_chunks, b.avgdl, b.k1, b.b)
     for x, y in ((a.positions, b.positions), (a.weights, b.weights)):
         assert x.dtype == y.dtype
         assert np.array_equal(x, y)
@@ -499,6 +499,44 @@ def test_a_malformed_format_1_lexical_file_is_corrupt_index(tmp_path, case):
     payload = json.loads(gzip.decompress((index_dir / "lexical.bin").read_bytes()))
     replace_data_file(index_dir, "lexical.bin", case(payload))
     with pytest.raises(CorruptIndex, match="lexical.bin") as refused:
+        load_hybrid(tmp_path)
+    assert refused.value.exit_code == 2
+
+
+@pytest.mark.parametrize("name", ["lexical.bin", "dense.bin"])
+def test_a_missing_data_file_is_corrupt_index(tmp_path, name):
+    index_dir = save_hybrid(build_index(), tmp_path)
+    (index_dir / name).unlink()
+    with pytest.raises(CorruptIndex, match=f"missing index file {name}") as refused:
+        load_hybrid(tmp_path)
+    assert refused.value.exit_code == 2
+
+
+def without(key):
+    return lambda h, p: frame({k: v for k, v in h.items() if k != key}, p, DENSE_MAGIC)
+
+
+DENSE_CASES = {
+    "magic": lambda h, p: frame(h, p, magic=b"ESAPDNS9"),
+    "no-n": without("n"),
+    "no-dim": without("dim"),
+    "n-not-a-number": lambda h, p: frame({**h, "n": "many"}, p, DENSE_MAGIC),
+    "payload-short": lambda h, p: frame(h, p[:-4], DENSE_MAGIC),
+    "payload-long": lambda h, p: frame(h, p + bytes(4), DENSE_MAGIC),
+    "payload-of-another-dim": lambda h, p: frame({**h, "dim": h["dim"] - 1}, p, DENSE_MAGIC),
+}
+
+
+@pytest.mark.parametrize("case", [pytest.param(case, id=name) for name, case in DENSE_CASES.items()])
+def test_a_malformed_dense_file_is_corrupt_index(tmp_path, case):
+    index_dir = save_hybrid(build_index(), tmp_path)
+    data = (index_dir / "dense.bin").read_bytes()
+    start = len(DENSE_MAGIC) + 8
+    end = start + int.from_bytes(data[len(DENSE_MAGIC):start], "little")
+    header, payload = json.loads(data[start:end]), data[end:]
+    assert frame(header, payload, DENSE_MAGIC) == data
+    replace_data_file(index_dir, "dense.bin", case(header, payload))
+    with pytest.raises(CorruptIndex, match="dense.bin") as refused:
         load_hybrid(tmp_path)
     assert refused.value.exit_code == 2
 

@@ -485,6 +485,12 @@ def test_runtime_error_classified(music_db):
         SqliteExecutor(music_db).execute("SELECT * FROM missing_table")
 
 
+def test_a_database_sqlite_cannot_open_is_runtime_error(tmp_path):
+    with pytest.raises(SqlRuntimeError, match="cannot open database"):
+        SqliteExecutor(str(tmp_path / "absent.db")).execute("SELECT 1")
+    assert not (tmp_path / "absent.db").exists()
+
+
 def test_row_budget_truncates(music_db):
     ex = SqliteExecutor(music_db, max_rows=2)
     result = ex.execute("SELECT track_id FROM chinook_track ORDER BY track_id")

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
-from esap.errors import ModelRefusal, ThorFailed
+from esap.errors import ModelRefusal, SqlRuntimeError, ThorFailed, TransportError
 from esap.fixtures import seed_music_db
 from esap.ports import ScriptedModel, SqliteExecutor, SqlResult, chat_request
 from esap.thor import (
@@ -109,6 +111,16 @@ def test_rate_model_rubric_parsed_and_clamped(executor):
 
 def test_rate_unscoreable_reply_uses_nonempty_heuristic(executor):
     pipe = ThorPipeline(executor, chat=ScriptedModel(["no idea, sorry"]))
+    rating, reasons = pipe.rate("q", "sql", table(["a"], [(1,)]), None)
+    assert (rating, reasons) == (1.0, ["heuristic-nonempty"])
+
+
+@pytest.mark.parametrize("failure", [ModelRefusal, TransportError])
+def test_rate_falls_back_to_the_heuristic_when_the_port_fails(executor, failure):
+    class Failing:
+        def chat(self, request):
+            raise failure("down")
+    pipe = ThorPipeline(executor, chat=Failing())
     rating, reasons = pipe.rate("q", "sql", table(["a"], [(1,)]), None)
     assert (rating, reasons) == (1.0, ["heuristic-nonempty"])
 
@@ -249,6 +261,9 @@ def test_interpret_flags_strictly_monotone_trends():
     rows = [("2024-01", 5, 9), ("2024-02", 7, 9), ("2024-03", 11, 2)]
     insight = interpret("q", table(["month", "revenue", "returns"], rows))
     assert insight.trends == ["revenue increasing"]
+    rows = [("2024-01", 5, 9), ("2024-02", 7, 4), ("2024-03", 11, 2)]
+    insight = interpret("q", table(["month", "revenue", "returns"], rows))
+    assert insight.trends == ["revenue increasing", "returns decreasing"]
 
 
 def test_interpret_trend_needs_three_rows():
@@ -311,6 +326,14 @@ def test_run_answers_structured_question(executor):
     assert payload["table"]["rows"] == [["Quiet Harbor", 1.99]]
     assert payload["log"]["attempts"][0]["rating"] == 0.9
     assert result.log.narrative == result.insight.narrative
+
+
+def test_run_on_a_database_with_no_tables_is_runtime_error(tmp_path):
+    path = tmp_path / "empty.db"
+    sqlite3.connect(path).close()
+    pipe = ThorPipeline(SqliteExecutor(str(path)), chat=ScriptedModel(["structured"]))
+    with pytest.raises(SqlRuntimeError, match="database has no tables"):
+        pipe.run("how many tracks are there?")
 
 
 def test_run_rejects_non_structured_questions(executor):
