@@ -16,14 +16,18 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .errors import CorpusFormatError, InvalidChunkConfig, StoreWriteError, VersionNotFound
 from .jsonio import read_json, read_jsonl
-from .tokenizer import token_spans
+from .tokenizer import token_edges
 
 DEFAULT_CHUNK_SIZE = 1000
 DEFAULT_CHUNK_OVERLAP = 150
 
 _DOC_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+# the one name a stored version's file has: "<n>.json", n >= 1, no leading zero
+_VERSION_FILE_RE = re.compile(r"[1-9][0-9]*\.json")
 # Document's optional fields; absent, null or empty takes the default
 _OPTIONAL_FIELDS = ("mime", "author", "created_at", "acl")
 
@@ -81,17 +85,17 @@ def chunk_document(doc: Document, size: int = DEFAULT_CHUNK_SIZE,
         raise InvalidChunkConfig(
             f"overlap must satisfy 0 <= overlap < size, got overlap={overlap} size={size}"
         )
-    spans = token_spans(doc.text)
-    n = len(spans)
-    chunks = []
-    for idx in range(chunk_count(n, size, overlap)):
-        start = idx * (size - overlap)
-        end = min(start + size, n)
-        chunks.append(Chunk(chunk_id=f"{doc.doc_id}#v{doc.version}#{idx:05d}",
-                            doc_id=doc.doc_id, version=doc.version, token_span=(start, end),
-                            text=doc.text[spans[start][0]:spans[end - 1][1]],
-                            size_tokens=end - start))
-    return chunks
+    starts, ends = token_edges(doc.text)
+    n = len(starts)
+    # no window reaches past token n, so a size or stride above n (which
+    # need not fit an int64) acts as n
+    first = np.arange(chunk_count(n, size, overlap)) * min(size - overlap, n)
+    last = np.minimum(first + min(size, n), n)
+    bounds = zip(first.tolist(), last.tolist(), starts[first].tolist(), ends[last - 1].tolist())
+    text, prefix = doc.text, f"{doc.doc_id}#v{doc.version}#"
+    return [Chunk(chunk_id=f"{prefix}{idx:05d}", doc_id=doc.doc_id, version=doc.version,
+                  token_span=(start, end), text=text[a:b], size_tokens=end - start)
+            for idx, (start, end, a, b) in enumerate(bounds)]
 
 
 def chunk_count(n_tokens: int, size: int, overlap: int) -> int:
@@ -155,17 +159,38 @@ class VersionStore:
 
     # -- reads -------------------------------------------------------------
 
-    def doc_ids(self) -> list[str]:
+    def _latest_versions(self) -> dict[str, int]:
+        """Latest version of each document, by doc_id in sorted order.
+
+        A directory that holds no version yet (a crash between its ``mkdir``
+        and the first write leaves one) holds no document.
+        """
         docs = self.root / "docs"
         if not docs.is_dir():
-            return []
-        return sorted(p.name for p in docs.iterdir() if p.is_dir())
+            return {}
+        latest = {}
+        for doc_id in sorted(p.name for p in docs.iterdir() if p.is_dir()):
+            versions = self.versions(doc_id)
+            if versions:
+                latest[doc_id] = versions[-1]
+        return latest
+
+    def doc_ids(self) -> list[str]:
+        return list(self._latest_versions())
 
     def versions(self, doc_id: str) -> list[int]:
+        """Stored version numbers, ascending; any other ``*.json`` in the
+        document's directory is ``CorpusFormatError`` naming it."""
         d = self._doc_dir(doc_id)
         if not d.is_dir():
             return []
-        return sorted(int(p.stem) for p in d.glob("*.json"))
+        versions = []
+        for path in d.glob("*.json"):
+            if not _VERSION_FILE_RE.fullmatch(path.name):
+                raise CorpusFormatError(f"{path}: not a version file (expected <n>.json, "
+                                        f"n >= 1 without leading zeros)")
+            versions.append(int(path.stem))
+        return sorted(versions)
 
     def latest_version(self, doc_id: str) -> int:
         versions = self.versions(doc_id)
@@ -189,7 +214,8 @@ class VersionStore:
         return Document.from_json(data)
 
     def latest_documents(self) -> list[Document]:
-        return [self.get(doc_id) for doc_id in self.doc_ids()]
+        return [self.get(doc_id, version)
+                for doc_id, version in self._latest_versions().items()]
 
     # -- writes ------------------------------------------------------------
 

@@ -8,10 +8,13 @@ ASCII text takes an exact fast path. There ``\\w`` is ``[A-Za-z0-9_]``, so
 the tokens are the runs of ``[a-z0-9]`` in the lowercased text; a byte table
 that lowers A-Z and turns every other byte but a-z and 0-9 into a space,
 followed by ``str.split``, finds those runs about four times faster than the
-pattern, and ``token_spans`` finds where those runs start and end by
-comparing neighbouring bytes of the table's output. Building an index
-tokenizes through ``term_ids``: one pass over the chunk texts gives the term
-ids that both BM25 and the hashing embedder read.
+pattern, and ``token_edges`` finds where those runs start and end by
+comparing neighbouring bytes of the table's output. It returns the starts
+and the ends as two int arrays, so the chunker reads a window's char bounds
+from them without building a pair per token (``token_spans`` pairs them up
+for callers that want pairs). Building an index tokenizes through
+``term_ids``: one pass over the chunk texts gives the term ids that both
+BM25 and the hashing embedder read.
 """
 
 from __future__ import annotations
@@ -34,20 +37,33 @@ _ASCII_FOLD = bytes(b + 32 if 65 <= b <= 90 else b if 48 <= b <= 57 or 97 <= b <
                     else 32 for b in range(256))
 
 
-def token_spans(text: str) -> list[tuple[int, int]]:
-    """Ordered, non-overlapping half-open char spans of the tokens of text.
+def token_edges(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Char offsets where the tokens of text start and end, as two int arrays.
 
-    ``text[a:b].lower()`` over the spans gives ``token_texts(text)``. ASCII
-    text is scanned for edges instead: a token starts or ends wherever the
-    byte table keeps one byte and blanks its neighbour, and in ASCII a byte
-    offset is a char offset.
+    Token i is ``text[starts[i]:ends[i]]``; the spans are ordered and do
+    not overlap. ASCII text is scanned for edges instead of matched: a token
+    starts or ends wherever the byte table keeps one byte and blanks its
+    neighbour, and in ASCII a byte offset is a char offset. Other text takes
+    the pattern's spans.
     """
     if text.isascii():
         kept = np.zeros(len(text) + 2, dtype=bool)      # a separator at each end
         kept[1:-1] = np.frombuffer(text.encode().translate(_ASCII_FOLD), np.uint8) != 32
-        edges = iter(np.flatnonzero(kept[1:] != kept[:-1]).tolist())
-        return list(zip(edges, edges))                  # (start, end) pairs
-    return [m.span() for m in _TOKEN_RE.finditer(text)]
+        edges = np.flatnonzero(kept[1:] != kept[:-1])
+    else:
+        edges = np.fromiter(itertools.chain.from_iterable(
+            m.span() for m in _TOKEN_RE.finditer(text)), dtype=np.intp)
+    return edges[0::2], edges[1::2]
+
+
+def token_spans(text: str) -> list[tuple[int, int]]:
+    """Ordered, non-overlapping half-open char spans of the tokens of text.
+
+    ``text[a:b].lower()`` over the spans gives ``token_texts(text)``; the
+    spans are ``token_edges(text)`` paired up, as plain ints.
+    """
+    starts, ends = token_edges(text)
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 def token_texts(text: str) -> list[str]:

@@ -111,6 +111,28 @@ def test_index_of_an_empty_kb_is_data_error(tmp_path, capsys):
     assert "run ingest first" in error["message"]
 
 
+@pytest.mark.parametrize("name", ["notes.json", "01.json"])
+def test_index_refuses_a_stray_json_file_by_name(kb, capsys, name):
+    doc_dir = Path(kb) / "docs" / make_toy_kb_documents()[0].doc_id
+    stray = doc_dir / name
+    stray.write_bytes((doc_dir / "1.json").read_bytes())
+    index_before = {p.name: p.read_bytes() for p in (Path(kb) / "index").iterdir()}
+    code, out, err = run_cli(capsys, "index", "--kb", kb)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "CorpusFormatError"
+    assert str(stray) in error["message"]
+    assert {p.name: p.read_bytes() for p in (Path(kb) / "index").iterdir()} == index_before
+
+
+def test_index_skips_a_document_directory_without_a_version(kb, capsys):
+    code, out, _ = run_cli(capsys, "index", "--kb", kb)
+    assert code == 0
+    (Path(kb) / "docs" / "zz-empty").mkdir()
+    assert run_cli(capsys, "index", "--kb", kb) == (code, out, "")
+
+
 def test_read_only_commands_create_no_kb(tmp_path, capsys):
     fresh = tmp_path / "fresh"
     code, _, err = run_cli(capsys, "index", "--kb", str(fresh))

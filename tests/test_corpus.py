@@ -47,6 +47,9 @@ def test_single_window_when_size_covers_text():
     chunks = chunk_document(make_doc("a b c"), size=10, overlap=2)
     assert len(chunks) == 1
     assert chunks[0].token_span == (0, 3)
+    # sizes and strides past int64 are one window too
+    for overlap in (0, 2, 10 ** 20 - 1):
+        assert chunk_document(make_doc("a b c"), size=10 ** 20, overlap=overlap) == chunks
 
 
 def test_empty_document_yields_no_chunks():
@@ -234,6 +237,50 @@ def test_a_malformed_stored_version_is_corpus_format_error(tmp_path, capsys, con
     assert json.loads(captured.err) == {"error": "CorpusFormatError",
                                         "message": str(refused.value)}
     assert not (tmp_path / "kb" / "index").exists()
+
+
+# "<n>.json" with n >= 1 and no leading zero is the only version file
+# name; int() would read most of these as a version number
+STRAY_FILE_NAMES = ["notes.json", "01.json", "0.json", "-1.json", "+1.json", " 1.json",
+                    "1_0.json", "1.5.json", "\u0661.json", ".json"]
+
+
+@pytest.mark.parametrize("name", STRAY_FILE_NAMES)
+def test_a_stray_json_file_in_a_document_directory_is_refused(tmp_path, name):
+    store = VersionStore(tmp_path / "kb")
+    store.ingest("a", "hello world")
+    doc_dir = tmp_path / "kb" / "docs" / "a"
+    stray = doc_dir / name
+    # a well-formed copy of version 1, so only the name is wrong
+    stray.write_bytes((doc_dir / "1.json").read_bytes())
+    reads = {"versions": lambda: store.versions("a"), "get": lambda: store.get("a"),
+             "latest_documents": store.latest_documents, "doc_ids": store.doc_ids,
+             "ingest": lambda: store.ingest("a", "again")}
+    for read in reads.values():
+        with pytest.raises(CorpusFormatError, match=re.escape(str(stray))) as refused:
+            read()
+        assert refused.value.exit_code == 2
+    assert sorted(p.name for p in doc_dir.iterdir()) == sorted(["1.json", name])
+    # version files are read as before
+    assert store.get("a", 1).text == "hello world"
+
+
+@pytest.mark.parametrize("leftover", [None, "1.json.tmp"], ids=["empty", "temp-file-only"])
+def test_a_document_directory_without_a_version_holds_no_document(tmp_path, leftover):
+    # a crash between a directory's mkdir and its first version leaves this
+    store = VersionStore(tmp_path / "kb")
+    good = store.ingest("a", "hello world")
+    empty = tmp_path / "kb" / "docs" / "b"
+    empty.mkdir()
+    if leftover:
+        (empty / leftover).write_text("{", encoding="utf-8")
+    assert store.doc_ids() == ["a"]
+    assert store.latest_documents() == [good]
+    assert store.versions("b") == [] and store.latest_version("b") == 0
+    with pytest.raises(VersionNotFound):
+        store.get("b")
+    assert store.ingest("b", "second").version == 1
+    assert store.doc_ids() == ["a", "b"]
 
 
 @pytest.mark.parametrize("acl", ["alice", ["x", 1], {"x": 1}],

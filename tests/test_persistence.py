@@ -295,7 +295,8 @@ def test_a_format_2_load_tokenizes_nothing_and_builds_no_bm25(tmp_path, monkeypa
 
     with monkeypatch.context() as patch:
         for module in (tokenizer, lexical, hybrid):
-            for name in ("term_ids", "token_texts", "token_spans", "build_lexical"):
+            for name in ("term_ids", "token_texts", "token_spans", "token_edges",
+                         "build_lexical"):
                 if hasattr(module, name):
                     patch.setattr(module, name, refuse)
         loaded = load_hybrid(tmp_path)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import string
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ from esap.ports import (
     SqliteExecutor,
     _TOKEN_SLOT_CACHE,
     _fnv1a64,
+    _fnv1a64_array,
+    _term_slots,
     _token_slot,
     chat_request,
     introspect_schema,
@@ -172,11 +175,13 @@ def test_embedder_single_token_coordinates():
 
 
 def test_embedder_token_cache_is_bounded():
+    # single-text calls (queries) fill the cache; a many-text call hashes
+    # its vocabulary as arrays and leaves the cache alone
     dim = 64
     texts = [" ".join(f"bound{row}x{col}" for col in range(10))
              for row in range(_TOKEN_SLOT_CACHE // 10 + 100)]
     embed = HashingEmbedder(dim)
-    vectors = embed(texts)
+    vectors = np.concatenate([embed([text]) for text in texts])
     assert _token_slot.cache_info().currsize <= _TOKEN_SLOT_CACHE
     expected = np.zeros((len(texts), dim), dtype=np.float32)
     for row, text in enumerate(texts):
@@ -186,7 +191,51 @@ def test_embedder_token_cache_is_bounded():
         expected[row] /= np.linalg.norm(expected[row])
     assert np.array_equal(vectors, expected)
     # the first texts' tokens were evicted and are hashed again
+    assert np.array_equal(np.concatenate([embed([text]) for text in texts[:50]]),
+                          expected[:50])
+    before = _token_slot.cache_info()
     assert np.array_equal(embed(texts[:50]), expected[:50])
+    assert _token_slot.cache_info() == before
+
+
+def random_terms(rng: random.Random, count: int, ascii_only: bool) -> list[str]:
+    """count terms of 1 to 300 UTF-8 bytes; outside ASCII, chars of 2, 3 and
+    4 bytes and ones that change under case mapping."""
+    alphabet = string.ascii_lowercase + string.digits
+    if not ascii_only:
+        alphabet += "İßσΣé中文字語𝔘"
+    terms = []
+    for _ in range(count):
+        limit, term = rng.randrange(1, 301), ""
+        while True:
+            char = rng.choice(alphabet)
+            if len((term + char).encode("utf-8")) > limit:
+                break
+            term += char
+        terms.append(term or "x")
+    return terms
+
+
+@pytest.mark.parametrize("dim", [1, 7, 256])
+def test_array_hash_equals_the_scalar_hash(dim, monkeypatch):
+    rng = random.Random(53)
+    named = ["İstanbul", "straße", "中文字", "語", "apple"]
+    vocabularies = [[], ["a"], named, named * 3]
+    for count in (1, 5, 31, 32, 33, 100, 400):
+        for ascii_only in (True, False):
+            terms = random_terms(rng, count, ascii_only)
+            vocabularies.append(terms + rng.sample(terms, min(count, 7)))    # repeats
+    vocabularies.append(named + random_terms(rng, 200, True))
+    # every column an array step, the default, every column in the scalar loop
+    for column_min in (1, ports._ARRAY_COLUMN_MIN, 1 << 30):
+        monkeypatch.setattr(ports, "_ARRAY_COLUMN_MIN", column_min)
+        for terms in vocabularies:
+            hashes = _fnv1a64_array(terms)
+            assert hashes.dtype == np.uint64 and hashes.shape == (len(terms),)
+            assert hashes.tolist() == [_fnv1a64(t.encode("utf-8")) for t in terms]
+            slots, signs = _term_slots(terms, dim)
+            assert list(zip(slots.tolist(), signs.tolist())) == \
+                   [_token_slot(t, dim) for t in terms]
 
 
 def reference_embed(texts: list[str], dim: int) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 
 from esap import corpus
 from esap.corpus import Document, chunk_document
-from esap.tokenizer import term_ids, token_spans, token_texts
+from esap.tokenizer import term_ids, token_edges, token_spans, token_texts
 
 
 def test_basic_tokens_and_spans():
@@ -118,8 +118,30 @@ def test_chunks_are_unchanged_by_the_span_scan(monkeypatch):
                 for text, (size, overlap) in zip(texts, settings)]
 
     scanned = chunks()
-    monkeypatch.setattr(corpus, "token_spans", pattern_spans)
+    monkeypatch.setattr(corpus, "token_edges", pattern_edges)
     assert scanned == chunks()
+    # plain ints, as the per-token loop sliced with
+    assert all(type(x) is int for doc in scanned for chunk in doc
+               for x in (*chunk.token_span, chunk.version, chunk.size_tokens))
+
+
+def pattern_edges(text: str) -> tuple[np.ndarray, np.ndarray]:
+    spans = np.array(pattern_spans(text), dtype=np.intp).reshape(-1, 2)
+    return spans[:, 0], spans[:, 1]
+
+
+def test_token_edges_equal_the_pattern():
+    rng = random.Random(41)
+    alphabet = "aZ9_ .-\n\x00İßΣ中文́"
+    texts = random_ascii_texts(43, 1000) + [
+        "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 80)))
+        for _ in range(1000)]
+    for text in texts:
+        starts, ends = token_edges(text)
+        want_starts, want_ends = pattern_edges(text)
+        assert starts.dtype.kind == ends.dtype.kind == "i"
+        assert starts.tolist() == want_starts.tolist(), repr(text)
+        assert ends.tolist() == want_ends.tolist(), repr(text)
 
 
 def test_term_ids_is_one_token_texts_pass():
