@@ -304,9 +304,12 @@ def cmd_eval_retrieval(args, cfg: AppConfig) -> tuple[dict, str]:
             raise ConfigError(f"--dataset name {name!r} given twice")
         datasets[name] = read_qa_jsonl(path)
     index, embed = _load_index_and_embedder(cfg)
+    # evidence is located in the versions the index was built from, which
+    # its chunk spans count tokens of, not in the kb's latest versions
     store = VersionStore(cfg.kb)
-    doc_tokens = {doc.doc_id: token_texts(doc.text)
-                  for doc in store.latest_documents()}
+    indexed = sorted({(c.doc_id, c.version) for c in index.chunks.values()})
+    doc_tokens = {doc_id: token_texts(store.get(doc_id, version).text)
+                  for doc_id, version in indexed}
     report = run_retrieval_benchmark(datasets, index, embed, doc_tokens,
                                      ks=ks, principal=args.principal)
     return _report(args, cfg, report, render_retrieval_table(report))

@@ -12,6 +12,7 @@ import json
 import os
 import re
 import threading
+import uuid
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -136,9 +137,13 @@ def _utcnow_iso() -> str:
 class VersionStore:
     """Directory-backed immutable version store with an append-only audit log.
 
-    Single writer, many readers: mutations are serialized by an in-process
-    lock and land atomically (temp file + rename). The directory is made by
-    the first write; a store that was never written holds no documents.
+    Many writers, many readers: writes in one process take turns under a
+    lock, and a version is written whole to a temp file of the writer's own
+    and published under its number with ``os.link``, which never replaces
+    an existing file. A writer that finds its number taken (another process
+    stored it first) takes the next one, so a stored version is never
+    overwritten. The directory is made by the first write; a store that was
+    never written holds no documents.
     """
 
     def __init__(self, root: str | Path):
@@ -219,15 +224,25 @@ class VersionStore:
 
     # -- writes ------------------------------------------------------------
 
-    def _write_version(self, doc: Document, op: str) -> None:
+    def _write_version(self, doc: Document, op: str) -> Document:
+        """Store doc under the first free number from ``doc.version`` on and
+        append its audit line; returns the document as stored."""
         doc_dir = self._doc_dir(doc.doc_id)
+        # "*.tmp" is never read as a version; the name is this writer's alone
+        tmp = doc_dir / f"{uuid.uuid4().hex}.tmp"
         try:
             doc_dir.mkdir(parents=True, exist_ok=True)
-            path = self._version_path(doc.doc_id, doc.version)
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps(doc.to_json(), ensure_ascii=False, sort_keys=True),
-                           encoding="utf-8")
-            os.replace(tmp, path)
+            try:
+                while True:
+                    tmp.write_text(json.dumps(doc.to_json(), ensure_ascii=False,
+                                              sort_keys=True), encoding="utf-8")
+                    try:
+                        os.link(tmp, self._version_path(doc.doc_id, doc.version))
+                        break
+                    except FileExistsError:
+                        doc = replace(doc, version=self.latest_version(doc.doc_id) + 1)
+            finally:
+                tmp.unlink(missing_ok=True)
             audit = {
                 "op": op,
                 "doc_id": doc.doc_id,
@@ -238,6 +253,7 @@ class VersionStore:
                 fh.write(json.dumps(audit, sort_keys=True) + "\n")
         except OSError as exc:
             raise StoreWriteError(f"cannot write {doc.doc_id} v{doc.version}: {exc}") from exc
+        return doc
 
     def ingest(self, doc_id: str, text: str, mime: str | None = None,
                author: str | None = None, created_at: str | None = None,
@@ -252,8 +268,7 @@ class VersionStore:
         with self._lock:
             doc = Document.from_json({"doc_id": doc_id, "text": text, **optional,
                                       "version": self.latest_version(doc_id) + 1})
-            self._write_version(doc, "ingest")
-            return doc
+            return self._write_version(doc, "ingest")
 
     def rollback(self, doc_id: str, target_version: int) -> Document:
         """Append a new version carrying the target version's content."""
@@ -261,8 +276,7 @@ class VersionStore:
             target = self.get(doc_id, target_version)
             doc = replace(target, version=self.latest_version(doc_id) + 1,
                           created_at=_utcnow_iso())
-            self._write_version(doc, "rollback")
-            return doc
+            return self._write_version(doc, "rollback")
 
     def diff(self, doc_id: str, version_a: int, version_b: int) -> str:
         """Line-based unified diff between two stored versions."""

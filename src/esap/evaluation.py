@@ -163,22 +163,27 @@ def read_runs_jsonl(path: str | Path) -> list[dict]:
 
     Each has "qid", "question", "system" and "answer" (strings) and
     "contexts" (a list of strings); "gold_answer" (a string) and
-    "human_accuracy" (a number, not a boolean) may be absent or null. Raises
-    RunsFormatError naming the first bad line.
+    "human_accuracy" (a number, not a boolean) may be absent or null. The
+    answer is not blank and some context is not, as ``trace_scores``
+    requires. Raises RunsFormatError naming the first bad line.
     """
     records = []
     for lineno, obj in read_jsonl(path, RunsFormatError):
         for key in ("qid", "system", "question", "answer", "contexts"):
             if key not in obj:
                 raise RunsFormatError(f"line {lineno}: missing key {key!r}")
-        for key in ("system", "answer"):
+        for key in ("qid", "system", "question", "answer"):
             if not isinstance(obj[key], str):
                 raise RunsFormatError(f"line {lineno}: {key} must be a string")
+        if not obj["answer"].strip():
+            raise RunsFormatError(f"line {lineno}: answer is blank")
         if not isinstance(obj.get("gold_answer"), (str, type(None))):
             raise RunsFormatError(f"line {lineno}: gold_answer must be a string or null")
         if not isinstance(obj["contexts"], list) or not all(
                 isinstance(c, str) for c in obj["contexts"]):
             raise RunsFormatError(f"line {lineno}: contexts must be a list of strings")
+        if not any(c.strip() for c in obj["contexts"]):
+            raise RunsFormatError(f"line {lineno}: contexts hold no non-blank string")
         accuracy = obj.get("human_accuracy")
         if isinstance(accuracy, bool) or not isinstance(accuracy, (int, float, type(None))):
             raise RunsFormatError(f"line {lineno}: human_accuracy must be a number or null")

@@ -18,25 +18,23 @@ A load tokenizes nothing: it copies BM25 out of the file bytes. The dense
 header keeps ``"mode": "exact"`` and ``"graph": null`` for the shape earlier
 builds read; a graph stored by an earlier build is ignored.
 
-Format 1, which earlier builds wrote, still loads: its lexical.bin is gzip
-JSON of chunk rows and ``doc_acl``, and BM25 is rebuilt from the chunk texts
-(``build_lexical``). Nothing writes format 1; ``esap index`` writes format 2.
+Format 2 is the only format a load reads. Any other ``format_version``,
+format 1 included, is ``FormatVersionMismatch``: the index is derived from
+the kb, and ``esap index`` rebuilds it.
 
 Each data file is hashed as it is written; a load reads it once, refuses it
 unless meta.json holds a matching checksum, and parses only the bytes it
-verified. A file whose checksum holds but whose content is malformed, in
-either format, is ``CorruptIndex`` naming the file.
+verified. A file whose checksum holds but whose content is malformed is
+``CorruptIndex`` naming the file.
 """
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import itertools
 import json
 import operator
 import re
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -350,39 +348,15 @@ def _chunk_table(columns) -> list[Chunk]:
             for cid, doc, version, span, text, size in zip(*cols)]
 
 
-def _doc_acl(doc_acl) -> dict[str, list[str]]:
+def _read_lexical(data: bytes, params: HybridParams) -> tuple[list[Chunk], dict, LexicalIndex]:
+    """Chunks, ACLs and BM25 from lexical.bin; BM25 is copied, not built."""
+    header, offset = _unframed(data, LEXICAL_MAGIC, "lexical.bin")
+    chunks = _chunk_table(header.get("chunks"))
+    doc_acl = header.get("doc_acl")
     require(type(doc_acl) is dict
             and all(type(acl) is list and set(map(type, acl)) <= {str}
                     for acl in doc_acl.values()),
             "doc_acl is not an object of principal lists")
-    return doc_acl
-
-
-def _lexical_v1(data: bytes, params: HybridParams) -> tuple[list[Chunk], dict, LexicalIndex]:
-    """Chunks, ACLs and BM25 from a format-1 file: gzip JSON of chunk rows.
-
-    BM25 is rebuilt from the chunk texts. Files written before the BM25
-    state was dropped also hold postings, chunk_lengths, k1 and b; they are
-    ignored.
-    """
-    try:
-        raw = gzip.decompress(data)
-    except (OSError, EOFError, zlib.error) as exc:
-        raise CorruptIndex(f"bad lexical.bin: {type(exc).__name__}: {exc}") from exc
-    lex = parse_json(raw, CorruptIndex, "lexical.bin", "object")
-    rows = lex.get("chunks")
-    require(type(rows) is list and set(map(type, rows)) <= {dict},
-            "the chunk table is not a list of rows")
-    chunks = _chunk_table({name: [row.get(name) for row in rows] for name in _CHUNK_COLUMNS})
-    doc_acl = _doc_acl(lex.get("doc_acl"))
-    return chunks, doc_acl, build_lexical(chunks, k1=params.k1, b=params.b)
-
-
-def _lexical_v2(data: bytes, params: HybridParams) -> tuple[list[Chunk], dict, LexicalIndex]:
-    """Chunks, ACLs and BM25 from a format-2 file; BM25 is copied, not built."""
-    header, offset = _unframed(data, LEXICAL_MAGIC, "lexical.bin")
-    chunks = _chunk_table(header.get("chunks"))
-    doc_acl = _doc_acl(header.get("doc_acl"))
     return chunks, doc_acl, from_columns(header, memoryview(data)[offset:],
                                          header["chunks"]["chunk_id"], params.k1, params.b)
 
@@ -397,10 +371,11 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
     meta = read_json(in_dir / "meta.json", CorruptIndex, "meta.json", "object")
 
     version = meta.get("format_version")
-    # True == 1 and 2.0 == 2 in Python, but neither names a format
-    if type(version) is not int or version not in (1, FORMAT_VERSION):
+    # 2.0 == 2 in Python, but names no format
+    if type(version) is not int or version != FORMAT_VERSION:
         raise FormatVersionMismatch(
-            f"index format {version!r} unsupported, expected {FORMAT_VERSION} or 1")
+            f"index format {version!r} unsupported, expected {FORMAT_VERSION}; "
+            f"run `esap index` to rebuild it")
     try:
         checksums = dict(meta["checksums"])
         params = HybridParams(k1=float(meta["k1"]), b=float(meta["b"]),
@@ -425,12 +400,10 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
                 f"got {actual[:12]}...")
         return data
 
-    # format 1 is read only so that indexes written before format 2 still load.
     # BM25 is complete before dense.bin is read, so the two files are never
     # held at once
-    parse_lexical = _lexical_v1 if version == 1 else _lexical_v2
     try:
-        chunks, doc_acl, lexical = parse_lexical(read_verified("lexical.bin"), params)
+        chunks, doc_acl, lexical = _read_lexical(read_verified("lexical.bin"), params)
     except ValueError as exc:
         raise CorruptIndex(f"bad lexical.bin: {exc}") from exc
 

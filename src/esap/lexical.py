@@ -79,8 +79,8 @@ def build_lexical(chunks: list[Chunk], k1: float = DEFAULT_K1, b: float = DEFAUL
 
     # one key per token, term-major; unique keys are the postings in CSR
     # order and their counts are the term frequencies. Ids tokenized here
-    # (a format-1 load) are freed as soon as the keys hold them; a caller
-    # that passed ``terms`` still holds its own
+    # (a call without ``terms``) are freed as soon as the keys hold them; a
+    # caller that passed ``terms`` still holds its own
     keys = ids.astype(np.int64)
     del ids
     keys *= n

@@ -469,6 +469,37 @@ def test_eval_retrieval_writes_report_files(kb, tmp_path, capsys):
     assert "R@1" in table and "toy" in table
 
 
+def test_eval_retrieval_locates_evidence_in_the_indexed_versions(tmp_path, capsys):
+    # a version ingested after the index was built shifts every token of
+    # the document; the chunk spans still count tokens of the indexed one
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus)
+    kb_dir = str(tmp_path / "kb")
+    assert main(["ingest", "--corpus", str(corpus), "--kb", kb_dir]) == 0
+    assert main(["index", "--kb", kb_dir, "--chunk-size", "8", "--overlap", "0"]) == 0
+    dataset = tmp_path / "qa.jsonl"
+    dataset.write_text(json.dumps({
+        "qid": "q1", "question": "red apple basket",
+        "evidence": [{"doc_id": "fruit-apple", "quote": "The red apple sits in the basket"}],
+    }) + "\n", encoding="utf-8")
+    argv = ["eval-retrieval", "--dataset", f"toy={dataset}", "--ks", "1", "--kb", kb_dir]
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    indexed = json.loads(out)["report"]["rows"][0]
+    assert indexed["recall"]["1"] == 100.0
+
+    apple = next(d for d in make_toy_kb_documents() if d.doc_id == "fruit-apple")
+    updated = tmp_path / "update.jsonl"
+    updated.write_text(json.dumps({"id": "fruit-apple", "text": " ".join(
+        f"preface{i}" for i in range(24)) + " " + apple.text}) + "\n", encoding="utf-8")
+    assert main(["ingest", "--corpus", str(updated), "--kb", kb_dir]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["report"]["rows"][0] == indexed
+
+
 def test_eval_retrieval_rejects_bad_dataset_spec(kb, capsys):
     code, _, err = run_cli(capsys, "eval-retrieval", "--dataset", "nopath",
                            "--kb", kb)
@@ -619,6 +650,19 @@ def test_meta_json_that_is_not_a_json_object_is_data_error(kb, capsys, content):
     assert "meta.json" in error["message"]
 
 
+def test_a_format_1_index_is_refused_with_its_remedy(kb, capsys):
+    meta_path = Path(kb) / "index" / "meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["format_version"] = 1
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    code, out, err = run_cli(capsys, "query", "--q", "red apple", "--kb", kb)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "FormatVersionMismatch"
+    assert "esap index" in error["message"]
+
+
 def test_serving_commands_fuse_with_the_configs_rrf_c(kb, tmp_path, capsys):
     # the kb was indexed with the default rrf_c 60, and meta.json keeps it
     meta = json.loads((Path(kb) / "index" / "meta.json").read_text(encoding="utf-8"))
@@ -736,6 +780,25 @@ def test_mistyped_runs_field_is_data_error(tmp_path, capsys):
     error = json.loads(err)
     assert error["error"] == "RunsFormatError"
     assert error["message"] == "line 1: answer must be a string"
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"answer": "  "}, "line 1: answer is blank"),
+    ({"contexts": []}, "line 1: contexts hold no non-blank string"),
+    ({"qid": 5}, "line 1: qid must be a string"),
+    ({"question": 7}, "line 1: question must be a string"),
+], ids=["blank-answer", "no-contexts", "qid", "question"])
+def test_a_runs_record_that_cannot_be_scored_is_data_error(tmp_path, capsys, fields,
+                                                           message):
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text(json.dumps({"qid": "q1", "system": "stub", "question": "q",
+                                "answer": "a", "contexts": ["a"], **fields}) + "\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval-trace", "--runs", str(runs))
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert (error["error"], error["message"]) == ("RunsFormatError", message)
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])

@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import esap
 from esap.cli import main
 from esap.corpus import (
     Document,
@@ -181,6 +186,63 @@ def test_audit_log_is_append_only_jsonl(tmp_path):
     assert [e["op"] for e in entries] == ["ingest", "ingest", "rollback"]
     assert [e["doc_id"] for e in entries] == ["doc-a", "doc-b", "doc-a"]
     assert all({"op", "doc_id", "version", "timestamp"} <= set(e) for e in entries)
+
+
+def audited_versions(store: VersionStore) -> list[int]:
+    return [json.loads(line)["version"] for line in store.audit_path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("op", ["ingest", "rollback"])
+def test_a_stale_writer_takes_the_next_version_and_overwrites_none(tmp_path, op):
+    # the stale store read latest_version before the other one stored v1
+    first = VersionStore(tmp_path).ingest("a", "first")
+    stale = VersionStore(tmp_path)
+    reads = [0]
+    stale.latest_version = lambda doc_id: reads.pop() if reads else \
+        VersionStore.latest_version(stale, doc_id)
+    second = stale.ingest("a", "second") if op == "ingest" else stale.rollback("a", 1)
+    assert second.version == 2
+    assert stale.get("a", 1) == first
+    assert stale.get("a", 2) == second
+    assert audited_versions(stale) == [1, 2]
+    assert sorted(p.name for p in (tmp_path / "docs" / "a").iterdir()) == ["1.json", "2.json"]
+
+
+_WRITER = """
+import json, sys, time
+from pathlib import Path
+from esap.corpus import VersionStore
+kb, name, n = sys.argv[1:]
+store = VersionStore(kb)
+(Path(kb) / f"ready-{name}").touch()
+while len(list(Path(kb).glob("ready-*"))) < 2:
+    time.sleep(0.001)
+print(json.dumps([store.ingest("a", f"{name}-{i}").version for i in range(int(n))]))
+"""
+
+
+def test_two_processes_ingesting_one_document_store_every_version_once(tmp_path):
+    # both writers start together at a barrier of ready files
+    n = 50
+    env = {**os.environ, "PYTHONPATH": str(Path(esap.__file__).parents[1])}
+    writers = {name: subprocess.Popen([sys.executable, "-c", _WRITER, str(tmp_path), name,
+                                       str(n)], stdout=subprocess.PIPE, text=True, env=env)
+               for name in ("p", "q")}
+    try:
+        outs = {name: proc.communicate(timeout=60)[0] for name, proc in writers.items()}
+    finally:
+        for proc in writers.values():
+            proc.kill()
+            proc.wait()
+    assert [proc.returncode for proc in writers.values()] == [0, 0]
+    claimed = {name: json.loads(out) for name, out in outs.items()}
+    assert sorted(claimed["p"] + claimed["q"]) == list(range(1, 2 * n + 1))
+    store = VersionStore(tmp_path)
+    assert store.versions("a") == list(range(1, 2 * n + 1))
+    for name, versions in claimed.items():
+        assert [store.get("a", v).text for v in versions] == [f"{name}-{i}" for i in range(n)]
+    assert sorted(audited_versions(store)) == list(range(1, 2 * n + 1))
+    assert not list((tmp_path / "docs" / "a").glob("*.tmp"))
 
 
 def test_bad_doc_ids_rejected(tmp_path):

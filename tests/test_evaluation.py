@@ -245,14 +245,32 @@ def test_read_runs_jsonl_errors(tmp_path):
      "line 2: gold_answer must be a string or null"),
     (json.dumps(run_record("s", "a", ["a"], human_accuracy=True)).encode(),
      "line 2: human_accuracy must be a number or null"),
+    (json.dumps(run_record("s", "a", ["a"], qid=5)).encode(), "line 2: qid must be a string"),
+    (json.dumps(run_record("s", "a", ["a"], question=7)).encode(),
+     "line 2: question must be a string"),
+    (json.dumps(run_record("s", " \n", ["a"])).encode(), "line 2: answer is blank"),
+    (json.dumps(run_record("s", "a", [])).encode(),
+     "line 2: contexts hold no non-blank string"),
+    (json.dumps(run_record("s", "a", ["", " \t"])).encode(),
+     "line 2: contexts hold no non-blank string"),
 ], ids=["int", "string", "array", "bad-utf8", "system", "answer", "gold-answer",
-        "bool-human-accuracy"])
+        "bool-human-accuracy", "qid", "question", "blank-answer", "no-contexts",
+        "blank-contexts"])
 def test_read_runs_jsonl_rejects_mistyped_lines(tmp_path, line, message):
     path = tmp_path / "runs.jsonl"
     path.write_bytes(json.dumps(run_record("s", "a", ["a"])).encode() + b"\n"
                      + line + b"\n")
     with pytest.raises(RunsFormatError, match=message):
         read_runs_jsonl(path)
+
+
+def test_every_record_read_from_a_runs_file_can_be_scored(tmp_path):
+    # the checks refuse exactly what trace_scores raises on: one blank
+    # context beside a non-blank one is scored
+    path = tmp_path / "runs.jsonl"
+    write_jsonl(path, [run_record("s", " a ", ["", "a"])])
+    run = read_runs_jsonl(path)[0]
+    assert trace_scores(run["answer"], run["contexts"]).pc_hallucinated == 0.0
 
 
 def test_read_runs_jsonl_accepts_a_null_gold_answer(tmp_path):

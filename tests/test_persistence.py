@@ -7,7 +7,6 @@ import io
 import json
 import operator
 import os
-import shutil
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -31,35 +30,20 @@ from esap.hybrid import (
 from esap.lexical import LexicalIndex
 from esap.ports import HashingEmbedder
 from esap.synthetic import make_clustered_texts, make_toy_kb_documents
-from esap.tokenizer import token_texts
 
-# tests/data/index_v1 holds the toy kb chunked 30/5 with this ACL, as
-# save_hybrid wrote it at format 1 before files were built in memory
-# (commit 6441e08)
-INDEX_V1 = Path(__file__).parent / "data" / "index_v1"
-INDEX_V1_ACL = {"fruit-cherry": ["bob"], "policy-returns": ["alice", "bob"]}
+# the toy kb's ACL in build_index: some documents hidden from some PRINCIPALS
+TOY_ACL = {"fruit-cherry": ["bob"], "policy-returns": ["alice", "bob"]}
 QUERIES = ("red apple", "shipping cherries", "refund policy", "zzz")
 PRINCIPALS = ("*", "alice", "bob", "carol")
 
 
-def build_index(ann_mode: str = "auto", **bm25):
-    docs = make_toy_kb_documents()
-    chunks = []
-    for doc in docs:
-        chunks.extend(chunk_document(doc, size=30, overlap=5))
-    params = HybridParams(chunk_size=30, chunk_overlap=5, **bm25)
-    params.ann.mode = ann_mode
-    return build_hybrid(chunks, HashingEmbedder(),
-                        {doc.doc_id: ["*"] for doc in docs}, params)
-
-
-def build_v1_twin(docs=None):
-    """A fresh build of what tests/data/index_v1 holds (of ``docs`` if given)."""
+def build_index(docs=None, **bm25):
+    """The toy kb (or ``docs``) chunked 30/5 under TOY_ACL."""
     docs = docs or make_toy_kb_documents()
     return build_hybrid([c for d in docs for c in chunk_document(d, size=30, overlap=5)],
                         HashingEmbedder(),
-                        {d.doc_id: INDEX_V1_ACL.get(d.doc_id, ["*"]) for d in docs},
-                        HybridParams(chunk_size=30, chunk_overlap=5))
+                        {d.doc_id: TOY_ACL.get(d.doc_id, ["*"]) for d in docs},
+                        HybridParams(chunk_size=30, chunk_overlap=5, **bm25))
 
 
 def replace_data_file(index_dir: Path, name: str, data: bytes) -> None:
@@ -104,30 +88,6 @@ def test_round_trip_preserves_search_results(tmp_path):
     assert np.array_equal(index.dense.vectors, loaded.dense.vectors)
     assert loaded.params.chunk_size == 30
     assert loaded.doc_acl == index.doc_acl
-
-
-def test_lexical_file_from_earlier_builds_is_served(tmp_path):
-    # format-1 files written before the BM25 state was dropped also stored
-    # the postings as [chunk_id, tf] pairs, the chunk lengths and k1/b
-    shutil.copytree(INDEX_V1, tmp_path, dirs_exist_ok=True)
-    index_dir = tmp_path / "index"
-    payload = json.loads(gzip.decompress((index_dir / "lexical.bin").read_bytes()))
-    assert set(payload) == {"chunks", "doc_acl"}
-    postings: dict[str, list[list]] = {}
-    chunk_lengths: dict[str, int] = {}
-    for row in payload["chunks"]:
-        terms = token_texts(row["text"])
-        chunk_lengths[row["chunk_id"]] = len(terms)
-        for term, tf in Counter(terms).items():
-            postings.setdefault(term, []).append([row["chunk_id"], tf])
-    payload.update(postings=postings, chunk_lengths=chunk_lengths, k1=1.2, b=0.75)
-    replace_data_file(index_dir, "lexical.bin",
-                      gzip.compress(json.dumps(payload).encode("utf-8")))
-
-    loaded = load_hybrid(tmp_path)
-    fresh = build_v1_twin()
-    assert_same_lexical(loaded.lexical, fresh.lexical)
-    assert_same_hits(loaded, fresh)
 
 
 def test_layered_graph_from_earlier_builds_is_served(tmp_path):
@@ -216,25 +176,35 @@ def test_lexical_corruption_detected(tmp_path):
         load_hybrid(tmp_path)
 
 
-def test_format_version_gate(tmp_path):
-    save_hybrid(build_index(), tmp_path)
-    meta_path = tmp_path / "index" / "meta.json"
+def with_format_version(kb: Path, version) -> Path:
+    """A fresh build saved under kb, its meta.json saying ``version``."""
+    save_hybrid(build_index(), kb)
+    meta_path = kb / "index" / "meta.json"
     meta = json.loads(meta_path.read_text())
-    meta["format_version"] = 999
+    meta["format_version"] = version
     meta_path.write_text(json.dumps(meta))
+    return kb
+
+
+def test_format_version_gate(tmp_path):
     with pytest.raises(FormatVersionMismatch):
-        load_hybrid(tmp_path)
+        load_hybrid(with_format_version(tmp_path, 999))
 
 
 @pytest.mark.parametrize("version", [3, 0, True, 1.0, 2.0, "2", None])
 def test_a_format_version_that_is_not_1_or_2_is_refused(tmp_path, version):
-    shutil.copytree(INDEX_V1, tmp_path, dirs_exist_ok=True)
-    meta_path = tmp_path / "index" / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    meta["format_version"] = version
-    meta_path.write_text(json.dumps(meta))
-    with pytest.raises(FormatVersionMismatch):
-        load_hybrid(tmp_path)
+    with pytest.raises(FormatVersionMismatch, match="run `esap index`") as refused:
+        load_hybrid(with_format_version(tmp_path, version))
+    assert refused.value.exit_code == 2
+
+
+def test_a_format_1_index_is_refused_like_any_other_format(tmp_path):
+    # the index is derived from the kb, so the remedy is to rebuild it
+    with pytest.raises(FormatVersionMismatch) as refused:
+        load_hybrid(with_format_version(tmp_path, 1))
+    assert str(refused.value) == \
+        "index format 1 unsupported, expected 2; run `esap index` to rebuild it"
+    assert refused.value.exit_code == 2
 
 
 def test_missing_index_dir(tmp_path):
@@ -264,28 +234,6 @@ def test_queries_do_not_mutate_index(tmp_path):
 # one read per data file: the bytes parsed are the bytes verified
 # ---------------------------------------------------------------------------
 
-def test_index_saved_by_earlier_code_serves_the_same_hits(tmp_path):
-    shutil.copytree(INDEX_V1, tmp_path, dirs_exist_ok=True)
-    loaded = load_hybrid(tmp_path)
-    fresh = build_v1_twin()
-    assert (loaded.chunks, loaded.doc_acl) == (fresh.chunks, fresh.doc_acl)
-    assert_same_hits(loaded, fresh)
-
-
-def test_a_format_1_index_saved_again_is_format_2_with_the_same_hits(tmp_path):
-    shutil.copytree(INDEX_V1, tmp_path / "v1")
-    out = save_hybrid(load_hybrid(tmp_path / "v1"), tmp_path / "v2")
-    assert json.loads((out / "meta.json").read_text())["format_version"] == 2
-    assert (out / "lexical.bin").read_bytes().startswith(LEXICAL_MAGIC)
-    upgraded = load_hybrid(tmp_path / "v2")
-    fresh = build_v1_twin()
-    assert (upgraded.chunks, upgraded.doc_acl) == (fresh.chunks, fresh.doc_acl)
-    assert_same_lexical(upgraded.lexical, fresh.lexical)
-    assert_same_hits(upgraded, fresh)
-    assert saved_digests(upgraded, tmp_path / "again") == \
-           saved_digests(fresh, tmp_path / "fresh")
-
-
 def test_a_format_2_load_tokenizes_nothing_and_builds_no_bm25(tmp_path, monkeypatch):
     index = build_index()
     save_hybrid(index, tmp_path)
@@ -309,8 +257,8 @@ def test_a_file_swapped_after_it_is_read_is_never_served(tmp_path, monkeypatch):
     index = build_index()
     index_dir = save_hybrid(index, tmp_path)
     # well-formed files of another index: other texts, other vectors
-    other = build_v1_twin([replace(d, text="swapped " + d.text)
-                           for d in make_toy_kb_documents()])
+    other = build_index([replace(d, text="swapped " + d.text)
+                         for d in make_toy_kb_documents()])
     other_dir = save_hybrid(other, tmp_path / "other")
     assert load_hybrid(tmp_path / "other").chunks == other.chunks != index.chunks
     swaps = {name: (other_dir / name).read_bytes() for name in ("lexical.bin", "dense.bin")}
@@ -424,7 +372,7 @@ def rows(header):
 
 V2_CASES = {
     "magic": lambda h, p, m: frame(h, p, magic=b"ESAPLEX9"),
-    "format-1-body": lambda h, p, m: gzip.compress(json.dumps(h).encode("utf-8")),
+    "gzip-json-body": lambda h, p, m: gzip.compress(json.dumps(h).encode("utf-8")),
     "header-past-the-end": lambda h, p, m: LEXICAL_MAGIC + (1 << 40).to_bytes(8, "little"),
     "truncated-length": lambda h, p, m: LEXICAL_MAGIC + b"\x01\x00",
     "header-not-json": lambda h, p, m: frame(b"{not json", p),
@@ -468,37 +416,6 @@ def test_a_malformed_format_2_lexical_file_is_corrupt_index(tmp_path, case):
     header, payload = json.loads(data[start:end]), data[end:]
     assert frame(header, payload) == data
     replace_data_file(index_dir, "lexical.bin", case(header, payload, header["bounds"][-1]))
-    with pytest.raises(CorruptIndex, match="lexical.bin") as refused:
-        load_hybrid(tmp_path)
-    assert refused.value.exit_code == 2
-
-
-def v1_edited(mutate):
-    def case(payload):
-        mutate(payload)
-        return gzip.compress(json.dumps(payload).encode("utf-8"))
-    return case
-
-
-V1_CASES = {
-    "row-without-token_span": v1_edited(lambda p: p["chunks"][0].pop("token_span")),
-    "chunks-object": v1_edited(lambda p: p.update(chunks={"fruit-apple#v1#00000": {}})),
-    "text-not-a-string": v1_edited(lambda p: p["chunks"][0].update(text=5)),
-    "ids-descending": v1_edited(lambda p: p["chunks"].reverse()),
-    "doc_acl-string": v1_edited(lambda p: p.update(doc_acl="x")),
-    "not-json": lambda p: gzip.compress(b"{not json"),
-    "an-array": lambda p: gzip.compress(b"[]"),
-    "not-gzip": lambda p: json.dumps(p).encode("utf-8"),
-    "truncated-gzip": lambda p: gzip.compress(json.dumps(p).encode("utf-8"))[:-12],
-}
-
-
-@pytest.mark.parametrize("case", [pytest.param(case, id=name) for name, case in V1_CASES.items()])
-def test_a_malformed_format_1_lexical_file_is_corrupt_index(tmp_path, case):
-    shutil.copytree(INDEX_V1, tmp_path, dirs_exist_ok=True)
-    index_dir = tmp_path / "index"
-    payload = json.loads(gzip.decompress((index_dir / "lexical.bin").read_bytes()))
-    replace_data_file(index_dir, "lexical.bin", case(payload))
     with pytest.raises(CorruptIndex, match="lexical.bin") as refused:
         load_hybrid(tmp_path)
     assert refused.value.exit_code == 2
