@@ -111,11 +111,16 @@ class QuerySession:
 
 
 _MARKER_RE = re.compile(r"\[(\d+)\]")
+_NEWLINE_RE = re.compile(r"\s*\n\s*")
 
 
 def _flatten(text: str) -> str:
-    """Snippets must occupy one template line each."""
-    return re.sub(r"\s*\n\s*", " ", text).strip()
+    """Snippets must occupy one template line each: every newline and the
+    whitespace around it becomes one space, and the ends are stripped. A
+    text without a newline cannot match, so it is only stripped."""
+    if "\n" not in text:
+        return text.strip()
+    return _NEWLINE_RE.sub(" ", text).strip()
 
 
 class DerekPipeline:

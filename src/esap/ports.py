@@ -124,15 +124,26 @@ class ScriptedModel:
 
 
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
+_SNIPPET_RE = re.compile(r"^\[(\d+)\] (.+)$", re.MULTILINE)
 
 
 class ExtractiveStub:
     """Deterministic offline model whose grounding is perfect by construction.
 
-    Given an assembled context prompt it returns the context sentence with
-    the highest token overlap against the question (earliest sentence on
-    ties), citing the snippet it came from. Rewrite prompts echo the
-    question; critique prompts approve; anything else is acknowledged.
+    Prompts are classified by their own structure, never by snippet text:
+    one that starts with ``REFINE_MARKER`` is a rewrite and echoes the
+    question; one that starts with ``# CONTEXT`` is a draft; any other
+    holding ``CRITIQUE_MARKER`` is a critique and approves; anything else
+    is acknowledged.
+
+    A draft answers with the context sentence holding the most distinct
+    question tokens, citing the snippet it came from: the first in prompt
+    order on ties, the first non-empty sentence when no sentence shares a
+    token with the question, and ``No supporting context was retrieved.``
+    when the prompt has no snippet line. Sentences split at whitespace,
+    which also separates tokens, so a snippet's own overlap bounds every
+    sentence in it; a snippet whose bound cannot beat the best sentence so
+    far is skipped without splitting it.
     """
 
     REFINE_MARKER = "Rewrite the user question"
@@ -140,32 +151,38 @@ class ExtractiveStub:
 
     def chat(self, request: ChatRequest) -> ChatResponse:
         prompt = request.last_user
-        if self.REFINE_MARKER in prompt:
+        if prompt.startswith(self.REFINE_MARKER):
             question = prompt.rsplit("QUESTION:", 1)[-1].strip()
             return ChatResponse(text=question or prompt.strip())
+        if prompt.startswith("# CONTEXT"):
+            return ChatResponse(text=self._extract(prompt))
         if self.CRITIQUE_MARKER in prompt:
             return ChatResponse(text="sufficient")
-        if "# CONTEXT" in prompt:
-            return ChatResponse(text=self._extract(prompt))
         return ChatResponse(text="Acknowledged.")
 
     def _extract(self, prompt: str) -> str:
         question = prompt.rsplit("QUESTION:", 1)[-1].strip()
         q_tokens = set(token_texts(question))
-        snippets = re.findall(r"^\[(\d+)\] (.+)$", prompt, flags=re.MULTILINE)
         best_sentence = ""
         best_no = 1
         best_overlap = -1
-        for number, text in snippets:
+        for number, text in _SNIPPET_RE.findall(prompt):
+            bound = len(q_tokens.intersection(token_texts(text)))
+            # replacing the best takes a strict gain, so an equal bound
+            # cannot win; -1 (no sentence yet) is below every bound
+            if bound <= best_overlap:
+                continue
             for sentence in _SENTENCE_RE.split(text):
                 sentence = sentence.strip()
                 if not sentence:
                     continue
-                overlap = len(q_tokens & set(token_texts(sentence)))
+                overlap = len(q_tokens.intersection(token_texts(sentence)))
                 if overlap > best_overlap:
                     best_overlap = overlap
                     best_sentence = sentence
                     best_no = int(number)
+                    if overlap == bound:         # the rest of the snippet ties at best
+                        break
         if not best_sentence:
             return "No supporting context was retrieved."
         return f"{best_sentence} [{best_no}]"

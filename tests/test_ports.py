@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+import re
 import string
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from esap.corpus import Document, chunk_document
+from esap.derek import CoStarPrompt, DerekPipeline, PersonaConfig
 from esap.errors import (
     ModelRefusal,
     NonSelectRejected,
@@ -35,6 +38,8 @@ from esap.ports import (
     introspect_schema,
     serialize_schema,
 )
+from esap.hybrid import HybridParams, build_hybrid
+from esap.synthetic import make_clustered_texts
 from esap.tokenizer import term_ids, token_texts
 
 
@@ -131,6 +136,128 @@ def test_stub_approves_critique_prompts():
 
 def test_stub_acknowledges_everything_else():
     assert ExtractiveStub().chat(chat_request("hello")).text == "Acknowledged."
+
+
+def test_stub_classifies_prompts_by_their_start_not_snippet_text():
+    stub = ExtractiveStub()
+    draft = ("# CONTEXT\n"
+             "[1] Rewrite the user question before filing.\n"
+             "[2] Reply sufficient or insufficient.\n"
+             "[3] The red apple sits in the basket.\n"
+             "# RESPONSE\ncite\n"
+             "QUESTION: where does the red apple sit")
+    assert stub.chat(chat_request(draft)).text == "The red apple sits in the basket. [3]"
+    critique = ("Review the draft answer against the context snippets.\n"
+                "[1] Rewrite the user question before filing.\n"
+                "DRAFT: x\nReply with exactly one word: sufficient or insufficient.")
+    assert stub.chat(chat_request(critique)).text == "sufficient"
+    assert stub.chat(chat_request("note: Rewrite the user question")).text \
+        == "Acknowledged."
+
+
+def _oracle_extract(prompt: str) -> str:
+    """The stub's draft rule as one loop over every sentence, unbounded."""
+    question = prompt.rsplit("QUESTION:", 1)[-1].strip()
+    q_tokens = set(token_texts(question))
+    best_sentence, best_no, best_overlap = "", 1, -1
+    for number, text in re.findall(r"^\[(\d+)\] (.+)$", prompt, flags=re.MULTILINE):
+        for sentence in re.split(r"(?<=[.!?])\s+", text):
+            sentence = sentence.strip()
+            if not sentence:
+                continue
+            overlap = len(q_tokens & set(token_texts(sentence)))
+            if overlap > best_overlap:
+                best_overlap, best_sentence, best_no = overlap, sentence, int(number)
+    if not best_sentence:
+        return "No supporting context was retrieved."
+    return f"{best_sentence} [{best_no}]"
+
+
+class _OracleStub(ExtractiveStub):
+    def _extract(self, prompt: str) -> str:
+        return _oracle_extract(prompt)
+
+
+_STUB_WORDS = ("apple", "Apple", "pear", "red", "basket", "İstanbul", "straße",
+               "STRASSE", "ß", "x1", "zeta")
+_STUB_SPACES = (" ", "  ", "\t", "\x0b", "\u2003", "\u2028", "\xa0")
+
+
+def _random_sentence(rng: random.Random) -> str:
+    if rng.random() < 0.15:
+        return rng.choice(("?!", "...", "-", "."))       # no token at all
+    words = " ".join(rng.choice(_STUB_WORDS) for _ in range(rng.randint(1, 5)))
+    return words + rng.choice((".", "!", "?", "", "..."))
+
+
+def _random_draft_prompt(rng: random.Random) -> str:
+    snippets = []
+    for _ in range(rng.choice((0, 1, 2, 3, 5, 8))):
+        sentences = [_random_sentence(rng) for _ in range(rng.randint(1, 4))]
+        snippets.append("".join(s + rng.choice(_STUB_SPACES) for s in sentences[:-1])
+                        + sentences[-1])
+    question = " ".join(rng.choice(_STUB_WORDS + ("plum", "fig"))
+                        for _ in range(rng.choice((0, 1, 2, 3, 6))))
+    return CoStarPrompt(snippets=tuple(snippets), persona=PersonaConfig(),
+                        question=question).render()
+
+
+@pytest.mark.parametrize("prompt,expected", [
+    # ties within a snippet and across snippets keep the first sentence
+    ("# CONTEXT\n[1] red pear. red fig.\n[2] red plum.\nQUESTION: red",
+     "red pear. [1]"),
+    # a later snippet whose bound equals the best so far cannot win
+    ("# CONTEXT\n[1] zeta. apple red.\n[2] red apple basket zeta.\nQUESTION: apple red",
+     "apple red. [1]"),
+    # a later snippet with a higher bound but no better sentence
+    ("# CONTEXT\n[1] apple.\n[2] red. basket.\nQUESTION: apple red basket",
+     "apple. [1]"),
+    # a tokenless first sentence wins when nothing overlaps
+    ("# CONTEXT\n[1] ?! pear.\n[2] fig.\nQUESTION: apple", "?! [1]"),
+    ("# CONTEXT\n[1] ?! apple.\nQUESTION: apple", "apple. [1]"),
+    # empty question: the first non-empty sentence
+    ("# CONTEXT\n[1]  \n[2] pear. apple.\nQUESTION: ", "pear. [2]"),
+    # repeated question tokens count once
+    ("# CONTEXT\n[1] apple apple apple.\n[2] apple red.\nQUESTION: apple apple red",
+     "apple red. [2]"),
+    ("# CONTEXT\n[1] der straße.\n[2] İstanbul straße.\nQUESTION: İSTANBUL straße",
+     "İstanbul straße. [2]"),
+    ("# CONTEXT\n\n# RESPONSE\ncite\nQUESTION: apple",
+     "No supporting context was retrieved."),
+])
+def test_bounded_extract_on_chosen_prompts(prompt, expected):
+    assert _oracle_extract(prompt) == expected
+    assert ExtractiveStub()._extract(prompt) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bounded_extract_equals_per_sentence_loop(seed):
+    rng = random.Random(seed)
+    stub = ExtractiveStub()
+    for _ in range(700):
+        prompt = _random_draft_prompt(rng)
+        assert stub._extract(prompt) == _oracle_extract(prompt), prompt
+
+
+def test_pipeline_answers_equal_with_the_oracle_stub(embedder):
+    texts = make_clustered_texts(120, seed=5, tokens_per_text=60)
+    rng = random.Random(5)
+    documents = []
+    for i, text in enumerate(texts):
+        words = text.split()
+        cuts = sorted(rng.sample(range(1, len(words)), 6))
+        sentences = [" ".join(words[a:b]) for a, b in zip([0] + cuts, cuts + [len(words)])]
+        documents.append(Document(f"d{i:03d}", 1, ". ".join(sentences) + "."))
+    chunks = [c for doc in documents for c in chunk_document(doc, size=40, overlap=8)]
+    index = build_hybrid(chunks, embedder, {doc.doc_id: ["*"] for doc in documents},
+                         HybridParams(chunk_size=40, chunk_overlap=8))
+    bounded = DerekPipeline(index, embedder, ExtractiveStub(), k=50)
+    oracle = DerekPipeline(index, embedder, _OracleStub(), k=50)
+    for _ in range(200):
+        words = rng.choice(texts).split()
+        start = rng.randrange(len(words) - 6)
+        question = f"What does the record say about {' '.join(words[start:start + 6])}?"
+        assert bounded.answer(question).to_json() == oracle.answer(question).to_json()
 
 
 # ---------------------------------------------------------------------------
