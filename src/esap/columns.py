@@ -1,0 +1,51 @@
+"""Raw little-endian columns, the sections of an index data file.
+
+A string column is two sections: its strings joined into one UTF-8 block,
+and ``<i8`` char offsets into the decoded block (one more than there are
+strings, from 0 up to the block's length), so string i is
+``block[offsets[i]:offsets[i + 1]]``. A number column is one section of a
+fixed dtype. Readers take ``memoryview``s of verified file bytes and never
+copy them into ``bytes``; a malformed column is a ``ValueError`` naming it,
+for the caller to name the file.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import require
+
+
+def is_count(value) -> bool:
+    """A JSON int >= 0 (a bool names no count)."""
+    return type(value) is int and value >= 0
+
+
+def string_sections(name: str, strings: list[str]) -> list[tuple[str, bytes | np.ndarray]]:
+    """The two sections of a string column: ``name`` and ``name_offsets``."""
+    offsets = np.zeros(len(strings) + 1, dtype="<i8")
+    np.cumsum(np.fromiter(map(len, strings), dtype=np.int64, count=len(strings)),
+              out=offsets[1:])
+    return [(name, "".join(strings).encode("utf-8")), (f"{name}_offsets", offsets)]
+
+
+def read_array(view: memoryview, dtype: str, count: int, name: str) -> np.ndarray:
+    """The ``count`` values of ``dtype`` that make up a section, as a
+    read-only view of its bytes; the caller copies what it keeps."""
+    size = np.dtype(dtype).itemsize * count
+    require(len(view) == size, f"the {name} section is {len(view)} bytes, expected {size}")
+    return np.frombuffer(view, dtype, count)
+
+
+def read_strings(sections: dict[str, memoryview], name: str, count: int) -> list[str]:
+    """The ``count`` strings of the column ``string_sections`` wrote as ``name``."""
+    offsets = read_array(sections[f"{name}_offsets"], "<i8", count + 1, f"{name}_offsets")
+    try:
+        block = str(sections[name], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"the {name} section is not UTF-8: {exc}") from exc
+    require(offsets[0] == 0 and offsets[-1] == len(block)
+            and not (offsets[1:] < offsets[:-1]).any(),
+            f"the {name} offsets do not run up from 0 to the block's length")
+    bounds = offsets.tolist()
+    return [block[a:b] for a, b in zip(bounds, bounds[1:])]

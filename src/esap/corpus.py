@@ -134,6 +134,24 @@ def _utcnow_iso() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _stored_versions(doc_dir: str) -> list[int]:
+    """The version numbers in a document directory, ascending, from one
+    listing; [] when there is no such directory. Any other ``*.json`` is
+    ``CorpusFormatError`` naming it."""
+    try:
+        with os.scandir(doc_dir) as entries:
+            names = [e.name for e in entries if e.name.endswith(".json")]
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+    versions = []
+    for name in names:
+        if not _VERSION_FILE_RE.fullmatch(name):
+            raise CorpusFormatError(f"{os.path.join(doc_dir, name)}: not a version file "
+                                    f"(expected <n>.json, n >= 1 without leading zeros)")
+        versions.append(int(name[:-len(".json")]))
+    return sorted(versions)
+
+
 class VersionStore:
     """Directory-backed immutable version store with an append-only audit log.
 
@@ -170,12 +188,14 @@ class VersionStore:
         A directory that holds no version yet (a crash between its ``mkdir``
         and the first write leaves one) holds no document.
         """
-        docs = self.root / "docs"
-        if not docs.is_dir():
+        try:
+            with os.scandir(self.root / "docs") as entries:
+                doc_dirs = sorted((e.name, e.path) for e in entries if e.is_dir())
+        except (FileNotFoundError, NotADirectoryError):
             return {}
         latest = {}
-        for doc_id in sorted(p.name for p in docs.iterdir() if p.is_dir()):
-            versions = self.versions(doc_id)
+        for doc_id, path in doc_dirs:
+            versions = _stored_versions(path)
             if versions:
                 latest[doc_id] = versions[-1]
         return latest
@@ -186,16 +206,7 @@ class VersionStore:
     def versions(self, doc_id: str) -> list[int]:
         """Stored version numbers, ascending; any other ``*.json`` in the
         document's directory is ``CorpusFormatError`` naming it."""
-        d = self._doc_dir(doc_id)
-        if not d.is_dir():
-            return []
-        versions = []
-        for path in d.glob("*.json"):
-            if not _VERSION_FILE_RE.fullmatch(path.name):
-                raise CorpusFormatError(f"{path}: not a version file (expected <n>.json, "
-                                        f"n >= 1 without leading zeros)")
-            versions.append(int(path.stem))
-        return sorted(versions)
+        return _stored_versions(str(self._doc_dir(doc_id)))
 
     def latest_version(self, doc_id: str) -> int:
         versions = self.versions(doc_id)

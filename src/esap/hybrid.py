@@ -4,23 +4,30 @@ A built index is a self-contained directory:
 
     index/meta.json     parameters, format version, checksums
     index/lexical.bin   magic + 8-byte header length + JSON header, then
-                        the BM25 columns raw
+                        raw little-endian sections
     index/dense.bin     magic + 8-byte header length + JSON header (dim, n),
                         then the raw float32 vectors
 
-This module writes and reads ``meta.json`` (k1 and b among it), the
-checksums, the framing of both data files and the first two keys of the
-lexical header: the chunk table as columns (one list per ``Chunk`` field,
-in chunk_id order, so list order is position order) and ``doc_acl``. The
-rest of ``lexical.bin`` (the BM25 header keys and the payload) and every
-check on it belong to ``esap.lexical`` (``to_columns``, ``from_columns``).
-A load tokenizes nothing: it copies BM25 out of the file bytes. The dense
-header keeps ``"mode": "exact"`` and ``"graph": null`` for the shape earlier
-builds read; a graph stored by an earlier build is ignored.
+The lexical header is small: the chunk, document, term and posting counts,
+the tf type, ``doc_acl`` and each section's byte length, in file order.
+The sections (``esap.columns``) are the chunk table in chunk_id order, so
+position order is file order: chunk ids, a document table (the doc_ids, and
+one ``<i4`` row into it per chunk), chunk texts (string columns: one UTF-8
+block each, with ``<i8`` char offsets), then version, token span and
+size_tokens as ``<i8`` columns; then the BM25 sections.
 
-Format 2 is the only format a load reads. Any other ``format_version``,
-format 1 included, is ``FormatVersionMismatch``: the index is derived from
-the kb, and ``esap index`` rebuilds it.
+This module writes and reads ``meta.json`` (k1 and b among it), the
+checksums, the framing of both data files, the section table and the chunk
+table. The BM25 header keys and sections and every check on them belong to
+``esap.lexical`` (``to_columns``, ``from_columns``), which stores term
+frequencies and rebuilds the weights at load exactly as the build computed
+them. A load tokenizes nothing. The dense header keeps ``"mode": "exact"``
+and ``"graph": null`` for the shape earlier builds read; a graph stored by
+an earlier build is ignored.
+
+Format 3 is the only format a load reads. Any other ``format_version``,
+formats 1 and 2 included, is ``FormatVersionMismatch``: the index is derived
+from the kb, and ``esap index`` rebuilds it.
 
 Each data file is hashed as it is written; a load reads it once, refuses it
 unless meta.json holds a matching checksum, and parses only the bytes it
@@ -31,7 +38,6 @@ verified. A file whose checksum holds but whose content is malformed is
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import operator
 import re
@@ -40,21 +46,22 @@ from pathlib import Path
 
 import numpy as np
 
+from .columns import is_count, read_array, read_strings, string_sections
 from .corpus import DEFAULT_CHUNK_OVERLAP, DEFAULT_CHUNK_SIZE, Chunk
 from .dense import AnnParams, DenseIndex, build_dense_from_texts, search_dense
 from .errors import CorruptIndex, EmptyCorpus, EmptyIndex, FormatVersionMismatch, require
 from .jsonio import parse_json, read_json
-from .lexical import (DEFAULT_B, DEFAULT_K1, LexicalIndex, build_lexical, from_columns,
-                      search_lexical, to_columns)
+from .lexical import (DEFAULT_B, DEFAULT_K1, SECTIONS, LexicalIndex, build_lexical,
+                      from_columns, search_lexical, to_columns)
 from .tokenizer import term_ids
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DEFAULT_K = 50
 DEFAULT_RRF_C = 60
 # each retriever ranks this many times k of the principal's readable chunks
 FETCH_FACTOR = 4
 DENSE_MAGIC = b"ESAPDNS1"
-LEXICAL_MAGIC = b"ESAPLEX2"
+LEXICAL_MAGIC = b"ESAPLEX3"
 
 
 @dataclass(frozen=True)
@@ -137,14 +144,23 @@ class HybridIndex:
             self._masks[principal] = mask
         return mask
 
-    def guarded(self, chunk_id: str, guards: tuple[GuardRule, ...]) -> str:
+    def guarded_texts(self, guards: tuple[GuardRule, ...]) -> dict[str, str]:
+        """The guard tuple's cache, chunk_id -> redacted text; ``guarded``
+        fills it."""
+        return self._guarded.setdefault(guards, {})
+
+    def guarded(self, chunk_id: str, guards: tuple[GuardRule, ...],
+                texts: dict[str, str] | None = None) -> str:
         """The chunk's text under ``apply_guards``, computed once per guard tuple.
 
-        A chunk without a match costs one reference: ``re.sub`` hands back
-        its input unchanged. Two first lookups at once only repeat the same
-        pure computation.
+        ``texts`` is ``guarded_texts(guards)`` for a caller that looked it up
+        already; hashing a guard tuple hashes every rule in it. A chunk
+        without a match costs one reference: ``re.sub`` hands back its input
+        unchanged. Two first lookups at once only repeat the same pure
+        computation.
         """
-        texts = self._guarded.setdefault(guards, {})
+        if texts is None:
+            texts = self.guarded_texts(guards)
         text = texts.get(chunk_id)
         if text is None:
             text = texts[chunk_id] = apply_guards(self.chunks[chunk_id].text, guards)
@@ -221,7 +237,8 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = DEFAULT_K,
     who may read nothing gets ``[]``. Redaction happens last, on the text
     actually returned: ``apply_guards`` runs once per chunk and guard tuple,
     the first time that chunk is returned, and later hits read the result
-    cached on the index (``HybridIndex.guarded``).
+    cached on the index (``HybridIndex.guarded``; the guard tuple's cache is
+    looked up once per search).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -241,11 +258,12 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = DEFAULT_K,
         [cid for cid, _ in lex_hits],
         [index.chunk_ids[pos] for pos, _ in dense_hits],
     ]
+    texts = index.guarded_texts(guards)
     out = []
     for chunk_id, score in rrf_fuse(rankings, c=index.params.rrf_c)[:k]:
         chunk = index.chunks[chunk_id]
         out.append(Hit(chunk_id=chunk_id, doc_id=chunk.doc_id, score=score,
-                       text=index.guarded(chunk_id, guards)))
+                       text=index.guarded(chunk_id, guards, texts)))
     return out
 
 
@@ -253,10 +271,9 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = DEFAULT_K,
 # Persistence
 # ---------------------------------------------------------------------------
 
-# the chunk table's columns, in both directions: Chunk's own fields in order,
-# each with the one type its values take (a token span is a JSON pair)
-_CHUNK_COLUMNS = {"chunk_id": str, "doc_id": str, "version": int, "token_span": list,
-                  "text": str, "size_tokens": int}
+# the chunk table's sections, in file order; the BM25 sections follow them
+_CHUNK_SECTIONS = ("chunk_id", "chunk_id_offsets", "doc_id", "doc_id_offsets", "doc_row",
+                   "text", "text_offsets", "version", "token_span", "size_tokens")
 
 
 def _write(path: Path, parts) -> str:
@@ -276,15 +293,28 @@ def _framed(magic: bytes, header: dict) -> list[bytes]:
 
 
 def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
-    """Write the index under <kb>/index/ in format 2; returns that directory."""
+    """Write the index under <kb>/index/ in format 3; returns that directory."""
     out_dir = Path(kb_root) / "index"
     out_dir.mkdir(parents=True, exist_ok=True)
 
     ordered = [index.chunks[cid] for cid in index.chunk_ids]
-    columns = {name: [getattr(c, name) for c in ordered] for name in _CHUNK_COLUMNS}
-    bm25_header, bm25_payload = to_columns(index.lexical)
-    lexical_parts = _framed(LEXICAL_MAGIC, {"chunks": columns, "doc_acl": index.doc_acl,
-                                            **bm25_header}) + bm25_payload
+    docs = {doc_id: row for row, doc_id in
+            enumerate(dict.fromkeys(c.doc_id for c in ordered))}
+    bm25_header, bm25_sections = to_columns(index.lexical)
+    sections = [
+        *string_sections("chunk_id", index.chunk_ids),
+        *string_sections("doc_id", list(docs)),
+        ("doc_row", np.array([docs[c.doc_id] for c in ordered], dtype="<i4")),
+        *string_sections("text", [c.text for c in ordered]),
+        ("version", np.array([c.version for c in ordered], dtype="<i8")),
+        ("token_span", np.array([c.token_span for c in ordered], dtype="<i8")),
+        ("size_tokens", np.array([c.size_tokens for c in ordered], dtype="<i8")),
+        *bm25_sections,
+    ]
+    header = {"chunks": len(ordered), "docs": len(docs), **bm25_header,
+              "doc_acl": index.doc_acl,
+              "sections": {name: memoryview(part).nbytes for name, part in sections}}
+    lexical_parts = _framed(LEXICAL_MAGIC, header) + [part for _, part in sections]
 
     vectors = np.ascontiguousarray(index.dense.vectors, dtype=np.float32)
     dense_parts = _framed(DENSE_MAGIC, {"dim": index.dense.dim, "n": vectors.shape[0],
@@ -318,47 +348,61 @@ def _unframed(data: bytes, magic: bytes, name: str) -> tuple[dict, int]:
     if end > len(data):
         raise CorruptIndex(f"bad {name}: a {end - start}-byte header in a "
                            f"{len(data)}-byte file")
-    # decoded from a view: a slice would first copy the header, which in
-    # lexical.bin holds every chunk text
+    # decoded from a view: a slice would copy the header's bytes first
     return parse_json(memoryview(data)[start:end], CorruptIndex, f"{name} header",
                       "object"), end
 
 
-def _chunk_table(columns) -> list[Chunk]:
-    """The chunks of a chunk table given as columns, in position order.
+def _sections(header: dict, payload: memoryview) -> dict[str, memoryview]:
+    """The payload split into its sections, by name: views, not copies.
 
-    Every column is a list of its one type and all have the same length,
-    each token span is a pair of ints, and the chunk_ids ascend, so list
-    order is position order.
+    The header's section table names the chunk table's sections and then
+    the BM25 sections, in file order, and their byte lengths add up to the
+    payload's.
     """
-    require(type(columns) is dict, "the chunk table is not an object of columns")
-    cols = [columns.get(name) for name in _CHUNK_COLUMNS]
-    for (name, kind), col in zip(_CHUNK_COLUMNS.items(), cols):
-        require(type(col) is list and set(map(type, col)) <= {kind},
-                f"the {name} column is missing or holds a value of another type")
-    require(len(set(map(len, cols))) == 1, "chunk columns of unequal length")
-    spans = columns["token_span"]
-    require(set(map(len, spans)) <= {2}
-            and set(map(type, itertools.chain.from_iterable(spans))) <= {int},
-            "a token_span is not a pair of ints")
-    ids = columns["chunk_id"]
-    require(all(map(operator.lt, ids, ids[1:])), "chunk_ids do not ascend")
-    return [Chunk(chunk_id=cid, doc_id=doc, version=version, token_span=tuple(span),
-                  text=text, size_tokens=size)
-            for cid, doc, version, span, text, size in zip(*cols)]
+    lengths = header.get("sections")
+    require(type(lengths) is dict and tuple(lengths) == _CHUNK_SECTIONS + SECTIONS
+            and all(map(is_count, lengths.values())),
+            "the section table does not list every section's byte length in order")
+    total = sum(lengths.values())
+    require(total == len(payload),
+            f"the sections add up to {total} bytes, the payload is {len(payload)}")
+    sections, start = {}, 0
+    for name, size in lengths.items():
+        sections[name] = payload[start:start + size]
+        start += size
+    return sections
 
 
 def _read_lexical(data: bytes, params: HybridParams) -> tuple[list[Chunk], dict, LexicalIndex]:
-    """Chunks, ACLs and BM25 from lexical.bin; BM25 is copied, not built."""
+    """Chunks, ACLs and BM25 from lexical.bin; BM25 is rebuilt from term
+    frequencies, not from text.
+
+    The chunk_ids ascend, so section order is position order, and every
+    chunk's document row is in the document table.
+    """
     header, offset = _unframed(data, LEXICAL_MAGIC, "lexical.bin")
-    chunks = _chunk_table(header.get("chunks"))
+    sections = _sections(header, memoryview(data)[offset:])
+    n, n_docs = header.get("chunks"), header.get("docs")
+    require(is_count(n) and n > 0 and is_count(n_docs),
+            "the chunk or document count is not a count, or no chunk is stored")
     doc_acl = header.get("doc_acl")
     require(type(doc_acl) is dict
             and all(type(acl) is list and set(map(type, acl)) <= {str}
                     for acl in doc_acl.values()),
             "doc_acl is not an object of principal lists")
-    return chunks, doc_acl, from_columns(header, memoryview(data)[offset:],
-                                         header["chunks"]["chunk_id"], params.k1, params.b)
+
+    ids = read_strings(sections, "chunk_id", n)
+    require(all(map(operator.lt, ids, ids[1:])), "chunk_ids do not ascend")
+    doc_ids = read_strings(sections, "doc_id", n_docs)
+    rows = read_array(sections["doc_row"], "<i4", n, "doc_row")
+    require(0 <= rows.min() and rows.max() < n_docs, "a doc row is out of range")
+    spans = read_array(sections["token_span"], "<i8", 2 * n, "token_span").tolist()
+    chunks = list(map(Chunk, ids, map(doc_ids.__getitem__, rows.tolist()),
+                      read_array(sections["version"], "<i8", n, "version").tolist(),
+                      zip(spans[0::2], spans[1::2]), read_strings(sections, "text", n),
+                      read_array(sections["size_tokens"], "<i8", n, "size_tokens").tolist()))
+    return chunks, doc_acl, from_columns(header, sections, ids, params.k1, params.b)
 
 
 def load_hybrid(kb_root: str | Path) -> HybridIndex:
@@ -371,7 +415,7 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
     meta = read_json(in_dir / "meta.json", CorruptIndex, "meta.json", "object")
 
     version = meta.get("format_version")
-    # 2.0 == 2 in Python, but names no format
+    # 3.0 == 3 in Python, but names no format
     if type(version) is not int or version != FORMAT_VERSION:
         raise FormatVersionMismatch(
             f"index format {version!r} unsupported, expected {FORMAT_VERSION}; "

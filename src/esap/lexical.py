@@ -7,17 +7,25 @@ token sequence, so repeated query terms contribute once per occurrence.
 
 Layout. Chunks are addressed by position: their index in chunk_id order, so
 position order is chunk_id order. The postings are compressed sparse rows:
-``positions`` (int32) and ``weights`` (float64) are parallel arrays, and
-each term owns one row of both. ``postings`` maps a term to its row, and row
+``positions`` (int32), ``tf`` (the smallest unsigned type that holds the
+largest term frequency) and ``weights`` (float64) are parallel arrays, and
+each term owns one row of them. ``postings`` maps a term to its row, and row
 r is ``[bounds[r]:bounds[r + 1]]`` of the arrays, ascending by position.
-Because k1, b and avgdl are fixed at build time, each weight is that
-posting's whole BM25 term above; a query only looks up rows and adds.
+Because k1, b and avgdl are fixed once the postings are known, each weight
+is that posting's whole BM25 term above; a query only looks up rows and adds.
 
 Build. The index is built from term ids (``esap.tokenizer.term_ids``), not
 from token strings: one key per token, sorted, gives every posting and its
 term frequency. Term ids are numbered by first occurrence and a term's id is
 its row, so the ``term_ids`` vocabulary is ``postings`` itself; no score
 depends on that numbering.
+
+Storage. ``to_columns`` and ``from_columns`` write and read the BM25
+sections of ``lexical.bin``: the vocabulary in row order, the row bounds,
+the positions and the term frequencies (Zobel & Moffat 2006). Weights are
+not stored: ``bm25_weights`` derives them, and avgdl, from the postings
+alone, at a build and at a load alike, so a loaded index scores bit for bit
+as the built one did, and a load tokenizes nothing.
 
 Bit identity. Scores equal those of the plain per-posting loop, not just
 closely: weights stay float64, IDF is computed with ``math.log`` (once per
@@ -29,11 +37,11 @@ adds in array order, so each chunk's sum runs in query-token order.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .columns import is_count, read_array, read_strings, string_sections
 from .corpus import Chunk
 from .dense import top_k
 from .errors import EmptyCorpus, require
@@ -41,6 +49,12 @@ from .tokenizer import TermIds, term_ids, token_texts
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
+# the sections ``to_columns`` writes, in file order
+SECTIONS = ("vocab", "vocab_offsets", "bounds", "positions", "tf")
+# the term frequency types a file may name
+_TF_TYPES = ("u1", "u2", "u4", "u8")
+# postings per block of BM25 denominators (bm25_weights)
+_BLOCK = 1 << 16
 
 
 @dataclass
@@ -49,6 +63,7 @@ class LexicalIndex:
     postings: dict[str, int]      # term -> its row, iterating in row order
     bounds: list[int]             # row r is [bounds[r]:bounds[r + 1]] of the arrays
     positions: np.ndarray         # int32 chunk positions, ascending per row
+    tf: np.ndarray                # unsigned term frequency of each posting
     weights: np.ndarray           # float64 BM25 contribution of each posting
     avgdl: float
     k1: float
@@ -57,6 +72,48 @@ class LexicalIndex:
     @property
     def n_chunks(self) -> int:
         return len(self.chunk_ids)
+
+
+def bm25_weights(bounds, positions: np.ndarray, tf: np.ndarray, n: int,
+                 k1: float, b: float) -> tuple[np.ndarray, float]:
+    """Each posting's BM25 term, and avgdl, from the postings of n chunks.
+
+    A term's document frequency is its row's length and a chunk's length
+    the sum of its term frequencies. The weights are computed in place, each
+    operation in the formula's order: the numerator over every posting, then
+    the denominator a block of ``_BLOCK`` postings at a time, as are the
+    lengths. So no array holds a term per posting, and none but the weights
+    a float per posting.
+    """
+    m = len(positions)
+    df = np.diff(np.asarray(bounds, dtype=np.int64))
+    # a block at a time, as bincount copies its input to intp and float64;
+    # sums of integers are exact in any order
+    lengths = np.zeros(n)
+    for start in range(0, m, _BLOCK):
+        lengths += np.bincount(positions[start:start + _BLOCK], tf[start:start + _BLOCK],
+                               minlength=n)
+    avgdl = int(lengths.sum()) / n
+    # one math.log per distinct document frequency
+    dfs, df_index = np.unique(df, return_inverse=True)
+    idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5))
+                    for d in dfs.tolist()])[df_index]
+    weights = np.repeat(idf, df)
+    del idf, df_index
+    weights *= tf
+    weights *= k1 + 1.0
+    block = np.empty(min(m, _BLOCK))
+    for start in range(0, m, _BLOCK):
+        norm = block[:m - start]
+        # positions are in range; "clip" spares the bounds check that copies out
+        np.take(lengths, positions[start:start + _BLOCK], out=norm, mode="clip")
+        norm *= b
+        norm /= avgdl
+        norm += 1.0 - b
+        norm *= k1
+        norm += tf[start:start + _BLOCK]
+        weights[start:start + _BLOCK] /= norm
+    return weights, avgdl
 
 
 def build_lexical(chunks: list[Chunk], k1: float = DEFAULT_K1, b: float = DEFAULT_B,
@@ -75,7 +132,6 @@ def build_lexical(chunks: list[Chunk], k1: float = DEFAULT_K1, b: float = DEFAUL
         terms = term_ids([c.text for c in ordered])
     vocab, ids, lengths = terms
     del terms
-    avgdl = int(lengths.sum()) / n
 
     # one key per token, term-major; unique keys are the postings in CSR
     # order and their counts are the term frequencies. Ids tokenized here
@@ -86,58 +142,55 @@ def build_lexical(chunks: list[Chunk], k1: float = DEFAULT_K1, b: float = DEFAUL
     keys *= n
     keys += np.repeat(np.arange(n, dtype=np.int64), lengths)
     keys, tf = np.unique(keys, return_counts=True)
-    term, positions = np.divmod(keys, n)
-    positions = positions.astype(np.int32)
-    del keys
-    df = np.bincount(term, minlength=len(vocab))
-    # one math.log per distinct document frequency
-    dfs, df_index = np.unique(df, return_inverse=True)
-    idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5))
-                    for d in dfs.tolist()])[df_index]
-
-    tf = tf.astype(np.float64)
-    dl = lengths.astype(np.float64)[positions]
-    weights = idf[term] * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
-    del term, tf, dl
-
     # term id r is row r, and vocab iterates in id order
-    return LexicalIndex([c.chunk_id for c in ordered], vocab, [0, *np.cumsum(df).tolist()],
-                        positions, weights, avgdl, k1, b)
+    bounds = np.zeros(len(vocab) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=len(vocab)), out=bounds[1:])
+    positions = np.remainder(keys, n, out=keys).astype(np.int32)
+    del keys
+    tf = tf.astype(np.min_scalar_type(tf.max(initial=0)))
+    weights, avgdl = bm25_weights(bounds, positions, tf, n, k1, b)
+    return LexicalIndex([c.chunk_id for c in ordered], vocab, bounds.tolist(),
+                        positions, tf, weights, avgdl, k1, b)
 
 
-def to_columns(index: LexicalIndex) -> tuple[dict, list[np.ndarray]]:
-    """The BM25 part of a saved index: header keys for the vocabulary in row
-    order, the bounds and avgdl, and a payload of every position (``<i4``),
-    then every weight (``<f8``). The caller frames them and stores k1 and b."""
-    return ({"vocab": list(index.postings), "bounds": index.bounds, "avgdl": index.avgdl},
-            [np.ascontiguousarray(index.positions, dtype="<i4"),
-             np.ascontiguousarray(index.weights, dtype="<f8")])
+def to_columns(index: LexicalIndex) -> tuple[dict, list[tuple[str, bytes | np.ndarray]]]:
+    """The BM25 part of a saved index: header keys for the term and posting
+    counts and the tf type, and the ``SECTIONS``: the vocabulary in row
+    order (a string column), the row bounds (``<i8``), every position
+    (``<i4``) and every term frequency. The caller frames them and stores k1
+    and b."""
+    tf_type = f"u{index.tf.dtype.itemsize}"
+    return ({"terms": len(index.postings), "postings": len(index.positions), "tf": tf_type},
+            [*string_sections("vocab", list(index.postings)),
+             ("bounds", np.asarray(index.bounds, dtype="<i8")),
+             ("positions", np.ascontiguousarray(index.positions, dtype="<i4")),
+             ("tf", np.ascontiguousarray(index.tf, dtype=f"<{tf_type}"))])
 
 
-def from_columns(header: dict, payload: bytes | memoryview, chunk_ids: list[str],
+def from_columns(header: dict, sections: dict[str, memoryview], chunk_ids: list[str],
                  k1: float, b: float) -> LexicalIndex:
-    """The index ``to_columns`` gave ``header`` and ``payload`` (a buffer);
-    a malformed column is a ``ValueError`` naming the problem. The arrays
-    are copied out of ``payload``, so the index keeps none of its bytes."""
-    vocab, bounds, avgdl = header.get("vocab"), header.get("bounds"), header.get("avgdl")
-    require(type(vocab) is list and set(map(type, vocab)) <= {str},
-            "vocab is not a list of strings")
-    require(type(bounds) is list and set(map(type, bounds)) <= {int}
-            and len(bounds) == len(vocab) + 1 and bounds[0] == 0
-            and all(map(operator.le, bounds, bounds[1:])),
-            "posting bounds do not run from 0 up, one more than the vocabulary")
-    require(type(avgdl) in (int, float) and math.isfinite(avgdl), "avgdl is not a number")
-    m = bounds[-1]
-    require(len(payload) == 12 * m,
-            f"postings payload is {len(payload)} bytes, expected {12 * m}")
-    positions = np.frombuffer(payload, "<i4", m).astype(np.int32)
-    weights = np.frombuffer(payload, "<f8", m, 4 * m).astype(np.float64)
+    """The index ``to_columns`` gave ``header`` and the ``SECTIONS`` (views of
+    the file bytes, by name); a malformed column is a ``ValueError`` naming
+    the problem. The arrays are copied out of the sections, so the index
+    keeps none of their bytes, and the weights are rebuilt by
+    ``bm25_weights``."""
+    v, m, tf_type = header.get("terms"), header.get("postings"), header.get("tf")
+    require(is_count(v) and is_count(m), "the term or posting count is not a count")
+    require(tf_type in _TF_TYPES, f"the tf type is not one of {', '.join(_TF_TYPES)}")
+    vocab = read_strings(sections, "vocab", v)
+    postings = dict(zip(vocab, range(v)))
+    require(len(postings) == v, "vocab repeats a term")
+    bounds = read_array(sections["bounds"], "<i8", v + 1, "bounds")
+    require(bounds[0] == 0 and bounds[-1] == m and not (bounds[1:] < bounds[:-1]).any(),
+            "posting bounds do not run up from 0 to the posting count")
+    positions = read_array(sections["positions"], "<i4", m, "positions").astype(np.int32)
     require(m == 0 or 0 <= positions.min() and positions.max() < len(chunk_ids),
             "a posting position is out of range")
-    require(bool(np.isfinite(weights).all()), "a posting weight is not finite")
-    postings = dict(zip(vocab, range(len(vocab))))
-    require(len(postings) == len(vocab), "vocab repeats a term")
-    return LexicalIndex(chunk_ids, postings, bounds, positions, weights, float(avgdl), k1, b)
+    tf = read_array(sections["tf"], f"<{tf_type}", m, "tf").astype(tf_type)
+    require(m == 0 or tf.min() > 0, "a term frequency is 0")
+    weights, avgdl = bm25_weights(bounds, positions, tf, len(chunk_ids), k1, b)
+    return LexicalIndex(chunk_ids, postings, bounds.tolist(), positions, tf, weights,
+                        avgdl, k1, b)
 
 
 def _candidates(index: LexicalIndex, query: str,

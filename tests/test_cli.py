@@ -650,10 +650,12 @@ def test_meta_json_that_is_not_a_json_object_is_data_error(kb, capsys, content):
     assert "meta.json" in error["message"]
 
 
-def test_a_format_1_index_is_refused_with_its_remedy(kb, capsys):
+def assert_refused_with_its_remedy(kb, capsys, version: int) -> None:
+    """``esap query`` on the kb, its meta.json saying ``version``, exits 2
+    with one JSON line naming ``esap index``."""
     meta_path = Path(kb) / "index" / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    meta["format_version"] = 1
+    meta["format_version"] = version
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
     code, out, err = run_cli(capsys, "query", "--q", "red apple", "--kb", kb)
     assert code == 2
@@ -661,6 +663,14 @@ def test_a_format_1_index_is_refused_with_its_remedy(kb, capsys):
     error = json.loads(err)
     assert error["error"] == "FormatVersionMismatch"
     assert "esap index" in error["message"]
+
+
+def test_a_format_1_index_is_refused_with_its_remedy(kb, capsys):
+    assert_refused_with_its_remedy(kb, capsys, 1)
+
+
+def test_a_format_2_index_is_refused_with_its_remedy(kb, capsys):
+    assert_refused_with_its_remedy(kb, capsys, 2)
 
 
 def test_serving_commands_fuse_with_the_configs_rrf_c(kb, tmp_path, capsys):

@@ -327,6 +327,26 @@ def test_a_stray_json_file_in_a_document_directory_is_refused(tmp_path, name):
     assert store.get("a", 1).text == "hello world"
 
 
+def test_a_store_read_lists_each_directory_once(tmp_path, monkeypatch):
+    store = VersionStore(tmp_path / "kb")
+    for doc_id in ("a", "b", "c"):
+        for _ in range(3):
+            store.ingest(doc_id, f"{doc_id} text")
+    listed = []
+    real_scandir = os.scandir
+
+    def counting_scandir(path):
+        listed.append(Path(path).name)
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", counting_scandir)
+    assert store.versions("b") == [1, 2, 3]
+    assert listed == ["b"]
+    listed.clear()
+    assert store.doc_ids() == ["a", "b", "c"]
+    assert listed == ["docs", "a", "b", "c"]
+
+
 @pytest.mark.parametrize("leftover", [None, "1.json.tmp"], ids=["empty", "temp-file-only"])
 def test_a_document_directory_without_a_version_holds_no_document(tmp_path, leftover):
     # a crash between a directory's mkdir and its first version leaves this

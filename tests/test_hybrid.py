@@ -406,6 +406,27 @@ def test_apply_guards_runs_once_per_chunk_and_guard_tuple(monkeypatch):
     assert pii.text == "mail bob@example.com or call 555-123-4567"
 
 
+def test_the_guard_cache_is_looked_up_once_per_search():
+    # a guard tuple is hashed, rule by rule, each time its cache is looked up
+    hashed = []
+
+    class CountingRule(GuardRule):
+        def __hash__(self):
+            hashed.append(self.kind)
+            return super().__hash__()
+
+    guards = tuple(CountingRule(rule.kind, rule.pattern) for rule in DEFAULT_GUARDS)
+    index = _pii_index(4)
+    embed = HashingEmbedder()
+    for k in (1, 10, index.n_chunks):
+        hashed.clear()
+        hits = search_hybrid(index, "555 apple", embed, k=k, guards=guards)
+        assert len(hits) == k
+        assert hashed == [rule.kind for rule in guards]
+        assert [hit.text for hit in hits] == \
+            [apply_guards(index.chunks[hit.chunk_id].text) for hit in hits]
+
+
 def test_concurrent_first_lookups_return_the_uncached_text():
     index = _pii_index(3)
     embed = HashingEmbedder()

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from esap import lexical
 from esap.corpus import Chunk
 from esap.errors import EmptyCorpus
 from esap.lexical import build_lexical, score_query, search_lexical
@@ -189,3 +190,20 @@ def test_bit_identical_where_numpy_log_rounds_differently():
     index = build_lexical(chunks)
     for query in ("a", "a w1", "w3 a a"):
         assert score_query(index, query) == old_bm25(chunks, query)
+
+
+@pytest.mark.parametrize("block", [1, 3, 16])
+def test_bit_identical_when_weights_are_computed_in_blocks(monkeypatch, block):
+    # bm25_weights divides by the length norm a block of postings at a time
+    monkeypatch.setattr(lexical, "_BLOCK", block)
+    rng = random.Random(block)
+    vocab = [f"w{i}" for i in range(9)]
+    several_blocks = 0
+    for _ in range(30):
+        chunks = make_chunks([" ".join(rng.choice(vocab) for _ in range(rng.randrange(0, 12)))
+                              for _ in range(rng.randrange(1, 20))])
+        index = build_lexical(chunks, k1=1.6, b=0.4)
+        several_blocks += len(index.positions) > 2 * block
+        query = " ".join(rng.choice(vocab) for _ in range(4))
+        assert score_query(index, query) == old_bm25(chunks, query, k1=1.6, b=0.4)
+    assert several_blocks >= 10

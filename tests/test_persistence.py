@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from esap import hybrid, lexical, tokenizer
-from esap.corpus import Document, chunk_document
+from esap.corpus import Chunk, Document, chunk_document
 from esap.dense import search_dense
 from esap.errors import CorruptIndex, FormatVersionMismatch
 from esap.hybrid import (
@@ -55,9 +55,9 @@ def replace_data_file(index_dir: Path, name: str, data: bytes) -> None:
     meta_path.write_text(json.dumps(meta))
 
 
-def assert_same_hits(a, b, k: int = 5) -> None:
+def assert_same_hits(a, b, k: int = 5, queries=QUERIES) -> None:
     embed = HashingEmbedder()
-    for query in QUERIES:
+    for query in queries:
         for principal in PRINCIPALS:
             hits_a = search_hybrid(a, query, embed, k=k, principal=principal)
             hits_b = search_hybrid(b, query, embed, k=k, principal=principal)
@@ -69,9 +69,9 @@ def assert_same_lexical(a: LexicalIndex, b: LexicalIndex) -> None:
     # dataclass == would compare the numpy arrays elementwise and raise
     assert (a.chunk_ids, a.postings, a.bounds, a.n_chunks, a.avgdl, a.k1, a.b) == \
            (b.chunk_ids, b.postings, b.bounds, b.n_chunks, b.avgdl, b.k1, b.b)
-    for x, y in ((a.positions, b.positions), (a.weights, b.weights)):
+    for x, y in ((a.positions, b.positions), (a.tf, b.tf), (a.weights, b.weights)):
         assert x.dtype == y.dtype
-        assert np.array_equal(x, y)
+        assert x.tobytes() == y.tobytes()
 
 
 def test_round_trip_preserves_search_results(tmp_path):
@@ -88,6 +88,56 @@ def test_round_trip_preserves_search_results(tmp_path):
     assert np.array_equal(index.dense.vectors, loaded.dense.vectors)
     assert loaded.params.chunk_size == 30
     assert loaded.doc_acl == index.doc_acl
+
+
+# words with ASCII, Latin-1, wider and case-changing letters; ids and doc_ids
+# take their prefixes from the same mix
+WORDS = ("apple", "Basket", "x1", "straße", "İstanbul", "ünïcode", "日本語", "naïve", "ÉTÉ",
+         "42", "zz")
+SEPARATORS = (" ", ", ", "\n", " — ", "\t")
+
+
+def random_chunks(rng: np.random.Generator, n: int) -> list[Chunk]:
+    """n chunks of random ids, documents, spans and texts of up to 30 words;
+    some texts hold no token at all."""
+    chunks = []
+    for i in range(n):
+        words = rng.choice(WORDS, size=int(rng.integers(0, 31))).tolist()
+        text = "".join(w + str(rng.choice(SEPARATORS)) for w in words)
+        if rng.random() < 0.1:
+            text = rng.choice(["", "— !", "  \n"])
+        start = int(rng.integers(0, 1000))
+        chunks.append(Chunk(chunk_id=f"{rng.choice(['c', 'ü', '文書', 'Z'])}-{i:03d}",
+                            doc_id=str(rng.choice(["doc-a", "dök-b", "文書-c", "d"])),
+                            version=int(rng.integers(1, 5)),
+                            token_span=(start, start + len(words)),
+                            text=text, size_tokens=len(words)))
+    return chunks
+
+
+@pytest.mark.parametrize("seed, max_tf, tf_type", [(0, 255, "u1"), (1, 256, "u2"),
+                                                   (2, 65535, "u2"), (3, 65536, "u4")])
+def test_a_saved_index_loads_back_equal_to_the_built_one(tmp_path, seed, max_tf, tf_type):
+    rng = np.random.default_rng(seed)
+    # one chunk repeats a term max_tf times; no other term comes close
+    chunks = [*random_chunks(rng, 60),
+              Chunk(chunk_id="tf-max", doc_id="d", version=1, token_span=(0, max_tf),
+                    text="ä " * max_tf + "apple", size_tokens=max_tf + 1),
+              Chunk(chunk_id="tf-none", doc_id="d", version=2, token_span=(0, 0),
+                    text="", size_tokens=0)]
+    doc_acl = {"doc-a": ["alice"], "dök-b": ["bob", "alice"], "文書-c": ["*"]}
+    index = build_hybrid(chunks, HashingEmbedder(), doc_acl,
+                         HybridParams(k1=float(rng.uniform(0.5, 2.0)),
+                                      b=float(rng.uniform(0.0, 1.0))))
+    assert index.lexical.tf.dtype == np.dtype(tf_type)
+    assert int(index.lexical.tf.max()) == max_tf
+    save_hybrid(index, tmp_path)
+    loaded = load_hybrid(tmp_path)
+    assert_same_lexical(loaded.lexical, index.lexical)
+    assert list(loaded.chunks.items()) == list(index.chunks.items())
+    assert loaded.doc_acl == doc_acl
+    queries = ["ä apple", *(" ".join(rng.choice(WORDS, size=3)) for _ in range(20))]
+    assert_same_hits(loaded, index, k=8, queries=queries)
 
 
 def test_layered_graph_from_earlier_builds_is_served(tmp_path):
@@ -191,7 +241,7 @@ def test_format_version_gate(tmp_path):
         load_hybrid(with_format_version(tmp_path, 999))
 
 
-@pytest.mark.parametrize("version", [3, 0, True, 1.0, 2.0, "2", None])
+@pytest.mark.parametrize("version", ["3", 0, True, 1.0, 2.0, "2", None])
 def test_a_format_version_that_is_not_1_or_2_is_refused(tmp_path, version):
     with pytest.raises(FormatVersionMismatch, match="run `esap index`") as refused:
         load_hybrid(with_format_version(tmp_path, version))
@@ -203,7 +253,15 @@ def test_a_format_1_index_is_refused_like_any_other_format(tmp_path):
     with pytest.raises(FormatVersionMismatch) as refused:
         load_hybrid(with_format_version(tmp_path, 1))
     assert str(refused.value) == \
-        "index format 1 unsupported, expected 2; run `esap index` to rebuild it"
+        "index format 1 unsupported, expected 3; run `esap index` to rebuild it"
+    assert refused.value.exit_code == 2
+
+
+def test_a_format_2_index_is_refused_like_any_other_format(tmp_path):
+    with pytest.raises(FormatVersionMismatch) as refused:
+        load_hybrid(with_format_version(tmp_path, 2))
+    assert str(refused.value) == \
+        "index format 2 unsupported, expected 3; run `esap index` to rebuild it"
     assert refused.value.exit_code == 2
 
 
@@ -239,7 +297,7 @@ def test_a_format_2_load_tokenizes_nothing_and_builds_no_bm25(tmp_path, monkeypa
     save_hybrid(index, tmp_path)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a format-2 load tokenized or rebuilt BM25")
+        raise AssertionError("a load tokenized or rebuilt BM25")
 
     with monkeypatch.context() as patch:
         for module in (tokenizer, lexical, hybrid):
@@ -330,92 +388,154 @@ def test_a_missing_or_mistyped_meta_key_is_corrupt_index(tmp_path, key, value):
 # a lexical.bin whose checksum holds but whose content is malformed
 # ---------------------------------------------------------------------------
 
-def frame(header, payload: bytes, magic: bytes = LEXICAL_MAGIC) -> bytes:
-    """A format-2 lexical.bin around a header (a dict, or raw bytes)."""
+def split_lexical(data: bytes) -> tuple[dict, dict[str, bytes]]:
+    """A lexical.bin's JSON header and its sections, by name, in file order."""
+    start = len(LEXICAL_MAGIC) + 8
+    end = start + int.from_bytes(data[len(LEXICAL_MAGIC):start], "little")
+    header, sections = json.loads(data[start:end]), {}
+    for name, size in header["sections"].items():
+        sections[name], end = data[end:end + size], end + size
+    return header, sections
+
+
+def frame(header, sections: dict[str, bytes], magic: bytes = LEXICAL_MAGIC) -> bytes:
+    """A data file around a header (a dict, or raw bytes) and sections, the
+    header's section table left as it is."""
     raw = header if isinstance(header, bytes) else \
         json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-    return magic + len(raw).to_bytes(8, "little") + raw + payload
+    return magic + len(raw).to_bytes(8, "little") + raw + b"".join(sections.values())
 
 
 def edited(mutate):
-    def case(header, payload, m):
+    def case(header, sections):
         mutate(header)
-        return frame(header, payload)
+        return frame(header, sections)
     return case
 
 
-def with_position(value):
-    def case(header, payload, m):
-        positions = np.frombuffer(payload, "<i4", m).copy()
-        positions[0] = value
-        return frame(header, positions.tobytes() + payload[4 * m:])
+def with_section(name, make):
+    """The file with section ``name`` rewritten by ``make(bytes)`` and the
+    section table updated to its new length."""
+    def case(header, sections):
+        sections[name] = make(sections[name])
+        header["sections"][name] = len(sections[name])
+        return frame(header, sections)
     return case
 
 
-def with_weight(value):
-    def case(header, payload, m):
-        weights = np.frombuffer(payload, "<f8", m, 4 * m).copy()
-        weights[-1] = value
-        return frame(header, payload[:4 * m] + weights.tobytes())
+def with_values(name, dtype, edit):
+    """The file with the values of a number column edited in place."""
+    def make(data):
+        values = np.frombuffer(data, dtype).copy()
+        edit(values)
+        return values.tobytes()
+    return with_section(name, make)
+
+
+def with_strings(name, edit):
+    """The file with the strings of a string column edited, block and
+    offsets rewritten to match."""
+    def case(header, sections):
+        offsets = np.frombuffer(sections[f"{name}_offsets"], "<i8").tolist()
+        block = sections[name].decode("utf-8")
+        strings = [block[a:b] for a, b in zip(offsets, offsets[1:])]
+        edit(strings)
+        joined = "".join(strings)
+        sections[name] = joined.encode("utf-8")
+        sections[f"{name}_offsets"] = np.cumsum([0, *map(len, strings)]).astype("<i8").tobytes()
+        for key in (name, f"{name}_offsets"):
+            header["sections"][key] = len(sections[key])
+        return frame(header, sections)
     return case
 
 
-def reversed_columns(header):
-    for column in header["chunks"].values():
-        column.reverse()
+def chunks_as_rows(header, sections):
+    # the three int columns of the chunk table as one section of rows
+    n = header["chunks"]
+    rows = np.column_stack([np.frombuffer(sections.pop("version"), "<i8"),
+                            np.frombuffer(sections.pop("token_span"), "<i8").reshape(n, 2),
+                            np.frombuffer(sections.pop("size_tokens"), "<i8")])
+    merged = {}
+    for name, data in sections.items():
+        if name == "positions":
+            merged["rows"] = rows.astype("<i8").tobytes()
+        merged[name] = data
+    header["sections"] = {name: len(data) for name, data in merged.items()}
+    return frame(header, merged)
 
 
-def rows(header):
-    columns = header["chunks"]
-    header["chunks"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
+def without_section(name):
+    def case(header, sections):
+        del sections[name], header["sections"][name]
+        return frame(header, sections)
+    return case
 
 
-V2_CASES = {
-    "magic": lambda h, p, m: frame(h, p, magic=b"ESAPLEX9"),
-    "gzip-json-body": lambda h, p, m: gzip.compress(json.dumps(h).encode("utf-8")),
-    "header-past-the-end": lambda h, p, m: LEXICAL_MAGIC + (1 << 40).to_bytes(8, "little"),
-    "truncated-length": lambda h, p, m: LEXICAL_MAGIC + b"\x01\x00",
-    "header-not-json": lambda h, p, m: frame(b"{not json", p),
-    "header-array": lambda h, p, m: frame(b"[]", p),
-    "header-nan": lambda h, p, m: frame(b'{"avgdl": NaN}', p),
-    "chunks-as-rows": edited(rows),
-    "no-token_span": edited(lambda h: h["chunks"].pop("token_span")),
-    "short-column": edited(lambda h: h["chunks"]["text"].pop()),
-    "text-not-a-string": edited(lambda h: operator.setitem(h["chunks"]["text"], 0, 5)),
-    "version-bool": edited(lambda h: operator.setitem(h["chunks"]["version"], 0, True)),
-    "span-of-three": edited(lambda h: operator.setitem(h["chunks"]["token_span"], 0, [0, 1, 2])),
-    "span-of-strings": edited(lambda h: operator.setitem(h["chunks"]["token_span"], 0, ["0", "1"])),
-    "ids-descending": edited(reversed_columns),
-    "id-repeated": edited(lambda h: operator.setitem(h["chunks"]["chunk_id"], 1,
-                                                     h["chunks"]["chunk_id"][0])),
+def not_utf8(data: bytes) -> bytes:
+    return b"\xff" + data[1:]
+
+
+LEXICAL_CASES = {
+    "magic": lambda h, s: frame(h, s, magic=b"ESAPLEX9"),
+    "gzip-json-body": lambda h, s: gzip.compress(json.dumps(h).encode("utf-8")),
+    "header-past-the-end": lambda h, s: LEXICAL_MAGIC + (1 << 40).to_bytes(8, "little"),
+    "truncated-length": lambda h, s: LEXICAL_MAGIC + b"\x01\x00",
+    "header-not-json": lambda h, s: frame(b"{not json", s),
+    "header-array": lambda h, s: frame(b"[]", s),
+    "header-nan": lambda h, s: frame(b'{"chunks": NaN}', s),
+    "chunks-as-rows": chunks_as_rows,
+    "no-token_span": without_section("token_span"),
+    "short-column": with_section("text_offsets", lambda data: data[:-8]),
+    "text-not-a-string": with_section("text", not_utf8),
+    "version-bool": edited(lambda h: h.update(chunks=True)),
+    "span-of-three": with_section("token_span", lambda data: data + data[:len(data) // 2]),
+    "span-of-strings": edited(lambda h: operator.setitem(
+        h["sections"], "token_span", str(h["sections"]["token_span"]))),
+    "ids-descending": with_strings("chunk_id", list.reverse),
+    "id-repeated": with_strings("chunk_id", lambda ids: operator.setitem(ids, 1, ids[0])),
     "doc_acl-string": edited(lambda h: h.update(doc_acl="x")),
     "doc_acl-entry-string": edited(lambda h: h.update(doc_acl={"fruit-apple": "alice"})),
-    "vocab-not-strings": edited(lambda h: operator.setitem(h["vocab"], 0, 1)),
-    "vocab-repeats": edited(lambda h: operator.setitem(h["vocab"], 1, h["vocab"][0])),
-    "bounds-from-1": edited(lambda h: operator.setitem(h["bounds"], 0, 1)),
-    "bounds-decrease": edited(lambda h: operator.setitem(h["bounds"], 1, h["bounds"][2] + 1)),
-    "bounds-too-long": edited(lambda h: h["bounds"].append(h["bounds"][-1])),
-    "bounds-float": edited(lambda h: operator.setitem(h["bounds"], 1, float(h["bounds"][1]))),
-    "avgdl-missing": edited(lambda h: h.pop("avgdl")),
-    "avgdl-string": edited(lambda h: h.update(avgdl="7.5")),
-    "payload-short": lambda h, p, m: frame(h, p[:-1]),
-    "payload-long": lambda h, p, m: frame(h, p + bytes(12)),
-    "position-negative": with_position(-1),
-    "position-past-the-end": with_position(10_000),
-    "weight-nan": with_weight(np.nan),
-    "weight-inf": with_weight(np.inf),
+    "vocab-not-strings": with_section("vocab", not_utf8),
+    "vocab-repeats": with_strings("vocab", lambda vocab: operator.setitem(vocab, 1, vocab[0])),
+    "bounds-from-1": with_values("bounds", "<i8", lambda v: operator.setitem(v, 0, 1)),
+    "bounds-decrease": with_values("bounds", "<i8",
+                                   lambda v: operator.setitem(v, 1, v[2] + 1)),
+    "bounds-too-long": with_section("bounds", lambda data: data + data[-8:]),
+    "bounds-float": with_section("bounds", lambda data: np.frombuffer(data, "<i8")
+                                 .astype("<f8").tobytes()),
+    "terms-missing": edited(lambda h: h.pop("terms")),
+    "tf-type-unknown": edited(lambda h: h.update(tf="f8")),
+    "payload-short": lambda h, s: frame(h, s)[:-1],
+    "payload-long": lambda h, s: frame(h, s) + bytes(12),
+    "position-negative": with_values("positions", "<i4", lambda v: operator.setitem(v, 0, -1)),
+    "position-past-the-end": with_values("positions", "<i4",
+                                         lambda v: operator.setitem(v, 0, 10_000)),
+    "tf-zero": with_values("tf", "u1", lambda v: operator.setitem(v, -1, 0)),
+    "tf-of-another-type": edited(lambda h: h.update(tf="u2")),
+    "offsets-decrease": with_values("text_offsets", "<i8",
+                                    lambda v: operator.setitem(v, 1, v[2] + 1)),
+    "offset-past-the-block": with_values("text_offsets", "<i8",
+                                         lambda v: operator.setitem(v, -1, v[-1] + 1)),
+    "offsets-from-1": with_values("chunk_id_offsets", "<i8", lambda v: operator.setitem(v, 0, 1)),
+    "doc-row-past-the-end": with_values("doc_row", "<i4", lambda v: operator.setitem(v, 0, 10_000)),
+    "doc-row-negative": with_values("doc_row", "<i4", lambda v: operator.setitem(v, -1, -1)),
+    "doc-count-short": edited(lambda h: h.update(docs=h["docs"] - 1)),
+    "no-chunks": edited(lambda h: h.update(chunks=0)),
+    "sections-reordered": edited(lambda h: h.update(sections=dict(reversed(h["sections"].items())))),
+    "section-missing-its-bytes": lambda h, s: frame(h, {k: v for k, v in s.items() if k != "tf"}),
 }
 
 
-@pytest.mark.parametrize("case", [pytest.param(case, id=name) for name, case in V2_CASES.items()])
+@pytest.mark.parametrize("case", [pytest.param(case, id=name)
+                                  for name, case in LEXICAL_CASES.items()])
 def test_a_malformed_format_2_lexical_file_is_corrupt_index(tmp_path, case):
+    # a lexical.bin of the current format whose checksum holds
     index_dir = save_hybrid(build_index(), tmp_path)
     data = (index_dir / "lexical.bin").read_bytes()
-    start = len(LEXICAL_MAGIC) + 8
-    end = start + int.from_bytes(data[len(LEXICAL_MAGIC):start], "little")
-    header, payload = json.loads(data[start:end]), data[end:]
-    assert frame(header, payload) == data
-    replace_data_file(index_dir, "lexical.bin", case(header, payload, header["bounds"][-1]))
+    header, sections = split_lexical(data)
+    assert frame(header, sections) == data
+    assert header["tf"] == "u1"
+    replace_data_file(index_dir, "lexical.bin", case(header, sections))
     with pytest.raises(CorruptIndex, match="lexical.bin") as refused:
         load_hybrid(tmp_path)
     assert refused.value.exit_code == 2
@@ -430,18 +550,22 @@ def test_a_missing_data_file_is_corrupt_index(tmp_path, name):
     assert refused.value.exit_code == 2
 
 
+def dense_frame(header, payload: bytes, magic: bytes = DENSE_MAGIC) -> bytes:
+    return frame(header, {"vectors": payload}, magic)
+
+
 def without(key):
-    return lambda h, p: frame({k: v for k, v in h.items() if k != key}, p, DENSE_MAGIC)
+    return lambda h, p: dense_frame({k: v for k, v in h.items() if k != key}, p)
 
 
 DENSE_CASES = {
-    "magic": lambda h, p: frame(h, p, magic=b"ESAPDNS9"),
+    "magic": lambda h, p: dense_frame(h, p, magic=b"ESAPDNS9"),
     "no-n": without("n"),
     "no-dim": without("dim"),
-    "n-not-a-number": lambda h, p: frame({**h, "n": "many"}, p, DENSE_MAGIC),
-    "payload-short": lambda h, p: frame(h, p[:-4], DENSE_MAGIC),
-    "payload-long": lambda h, p: frame(h, p + bytes(4), DENSE_MAGIC),
-    "payload-of-another-dim": lambda h, p: frame({**h, "dim": h["dim"] - 1}, p, DENSE_MAGIC),
+    "n-not-a-number": lambda h, p: dense_frame({**h, "n": "many"}, p),
+    "payload-short": lambda h, p: dense_frame(h, p[:-4]),
+    "payload-long": lambda h, p: dense_frame(h, p + bytes(4)),
+    "payload-of-another-dim": lambda h, p: dense_frame({**h, "dim": h["dim"] - 1}, p),
 }
 
 
@@ -452,7 +576,7 @@ def test_a_malformed_dense_file_is_corrupt_index(tmp_path, case):
     start = len(DENSE_MAGIC) + 8
     end = start + int.from_bytes(data[len(DENSE_MAGIC):start], "little")
     header, payload = json.loads(data[start:end]), data[end:]
-    assert frame(header, payload, DENSE_MAGIC) == data
+    assert dense_frame(header, payload) == data
     replace_data_file(index_dir, "dense.bin", case(header, payload))
     with pytest.raises(CorruptIndex, match="dense.bin") as refused:
         load_hybrid(tmp_path)
@@ -487,9 +611,10 @@ def test_term_id_build_saves_the_text_port_build(tmp_path, unicode):
 
 def test_toy_index_files_keep_their_recorded_digests(tmp_path, toy_index):
     # dense.bin recorded before the build tokenized once; lexical.bin
-    # recorded when format 2 stored the BM25 columns
+    # recorded when format 3 stored the chunk table and the BM25 postings as
+    # raw sections
     digests = saved_digests(toy_index, tmp_path)
     assert digests["dense.bin"] == \
         "d431a815b04c33446304b924b925d02cf6b2b1de7fbb23bbc0d52a548fcda27e"
     assert digests["lexical.bin"] == \
-        "ca09ec4d8bee2bbe1a42af2e5767be3d337bac4c0388feef297b56a4e7842a32"
+        "0e364c039f0e43bbb5d9e9b6a6e3f1660532f6d32bf638f901909073c55582de"
