@@ -307,7 +307,8 @@ def cmd_eval_retrieval(args, cfg: AppConfig) -> tuple[dict, str]:
     # evidence is located in the versions the index was built from, which
     # its chunk spans count tokens of, not in the kb's latest versions
     store = VersionStore(cfg.kb)
-    indexed = sorted({(c.doc_id, c.version) for c in index.chunks.values()})
+    rows = zip(index.chunks.doc_row.tolist(), index.chunks.version.tolist())
+    indexed = sorted({(index.chunks.doc_ids[row], version) for row, version in rows})
     doc_tokens = {doc_id: token_texts(store.get(doc_id, version).text)
                   for doc_id, version in indexed}
     report = run_retrieval_benchmark(datasets, index, embed, doc_tokens,

@@ -426,9 +426,7 @@ def run_retrieval_benchmark(datasets: dict[str, list[dict]],
                 continue
             hits = search_hybrid(index, record["question"], embed, k=max_k,
                                  principal=principal)
-            chunk_spans = [(h.doc_id, index.chunks[h.chunk_id].token_span[0],
-                            index.chunks[h.chunk_id].token_span[1])
-                           for h in hits]
+            chunk_spans = [(h.doc_id, *index.chunks[h.chunk_id].token_span) for h in hits]
             scored.append({k: (recall_at_k(chunk_spans[:k], spans),
                                precision_at_k(chunk_spans[:k], spans))
                            for k in ks})

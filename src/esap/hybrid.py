@@ -10,11 +10,11 @@ A built index is a self-contained directory:
 
 The lexical header is small: the chunk, document, term and posting counts,
 the tf type, ``doc_acl`` and each section's byte length, in file order.
-The sections (``esap.columns``) are the chunk table in chunk_id order, so
-position order is file order: chunk ids, a document table (the doc_ids, and
-one ``<i4`` row into it per chunk), chunk texts (string columns: one UTF-8
-block each, with ``<i8`` char offsets), then version, token span and
-size_tokens as ``<i8`` columns; then the BM25 sections.
+The sections (``esap.columns``) are the chunk table's, then BM25's. A chunk
+is a position, its rank in chunk_id order, in memory as in the file.
+``HybridIndex.chunks`` is a ``ChunkTable``: columns in position order, made
+once by a build and wrapped around the verified sections by a load. Access
+is decided per document row; fusion, hits and the guard cache use positions.
 
 This module writes and reads ``meta.json`` (k1 and b among it), the
 checksums, the framing of both data files, the section table and the chunk
@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
 import re
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,11 +49,13 @@ import numpy as np
 
 from .columns import is_count, read_array, read_strings, string_sections
 from .corpus import DEFAULT_CHUNK_OVERLAP, DEFAULT_CHUNK_SIZE, Chunk
-from .dense import AnnParams, DenseIndex, build_dense_from_texts, search_dense
-from .errors import CorruptIndex, EmptyCorpus, EmptyIndex, FormatVersionMismatch, require
+from .dense import AnnParams, DenseIndex, build_dense_from_texts, search_dense, top_k
+from .errors import (CorruptIndex, DataError, EmptyCorpus, EmptyIndex, FormatVersionMismatch,
+                     require)
 from .jsonio import parse_json, read_json
-from .lexical import (DEFAULT_B, DEFAULT_K1, SECTIONS, LexicalIndex, build_lexical,
-                      from_columns, search_lexical, to_columns)
+# perfbench/tracer.py wraps search_lexical and filter_acl here; serving code calls neither
+from .lexical import (DEFAULT_B, DEFAULT_K1, SECTIONS, LexicalIndex, _candidates,
+                      build_lexical, from_columns, search_lexical, to_columns)
 from .tokenizer import term_ids
 
 FORMAT_VERSION = 3
@@ -105,53 +108,101 @@ class HybridParams:
     ann: AnnParams = field(default_factory=AnnParams)
 
 
+@dataclass(frozen=True, eq=False)
+class ChunkTable(Mapping):
+    """chunk_id -> ``Chunk`` over read-only columns in position order; a lookup bisects ``ids``."""
+
+    ids: list[str]                 # position -> chunk_id, ascending
+    doc_ids: list[str]             # the document table: row -> doc_id
+    doc_row: np.ndarray            # <i4 document row of each chunk
+    version: np.ndarray            # <i8
+    token_span: np.ndarray         # <i8, (n, 2)
+    size_tokens: np.ndarray        # <i8
+    texts: list[str]
+
+    def __post_init__(self):
+        bad = next((b for a, b in zip(self.ids, self.ids[1:]) if not a < b), None)
+        require(bad is None, f"chunk_id {bad!r} repeats or is out of order")
+        require(0 <= self.doc_row.min() and self.doc_row.max() < len(self.doc_ids),
+                "a doc row is out of range")
+        for column in (self.doc_row, self.version, self.token_span, self.size_tokens):
+            column.flags.writeable = False
+
+    @classmethod
+    def from_sections(cls, sections: dict[str, memoryview], n: int, n_docs: int) -> ChunkTable:
+        """The table ``to_sections`` wrote; the numbers are copied out of the file bytes."""
+        def column(name, count=n, dtype="<i8"):
+            return read_array(sections[name], dtype, count, name).copy()
+        return cls(read_strings(sections, "chunk_id", n), read_strings(sections, "doc_id", n_docs),
+                   column("doc_row", dtype="<i4"), column("version"),
+                   column("token_span", 2 * n).reshape(n, 2), column("size_tokens"),
+                   read_strings(sections, "text", n))
+
+    def to_sections(self) -> list[tuple[str, bytes | np.ndarray]]:
+        """The ``_CHUNK_SECTIONS`` of ``lexical.bin``, in file order."""
+        return [*string_sections("chunk_id", self.ids), *string_sections("doc_id", self.doc_ids),
+                ("doc_row", self.doc_row), *string_sections("text", self.texts),
+                ("version", self.version), ("token_span", self.token_span),
+                ("size_tokens", self.size_tokens)]
+
+    def __getitem__(self, chunk_id: str) -> Chunk:
+        pos = bisect_left(self.ids, chunk_id) if isinstance(chunk_id, str) else len(self.ids)
+        if pos == len(self.ids) or self.ids[pos] != chunk_id:
+            raise KeyError(chunk_id)
+        return Chunk(chunk_id, self.doc_ids[self.doc_row[pos]], int(self.version[pos]),
+                     tuple(self.token_span[pos].tolist()), self.texts[pos],
+                     int(self.size_tokens[pos]))
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 @dataclass
 class HybridIndex:
     lexical: LexicalIndex
     dense: DenseIndex
-    chunks: dict[str, Chunk]                   # chunk_id -> chunk
+    chunks: ChunkTable             # its ids are the lexical index's chunk_ids
     doc_acl: dict[str, list[str]]              # doc_id -> principals
     params: HybridParams
     # principal -> read-only mask over positions, built on first use
     _masks: dict[str, np.ndarray] = field(default_factory=dict, init=False,
                                           repr=False, compare=False)
-    # guard tuple -> chunk_id -> redacted text, filled on first return
-    _guarded: dict[tuple[GuardRule, ...], dict[str, str]] = field(
+    # guard tuple -> position -> redacted text, filled on first return
+    _guarded: dict[tuple[GuardRule, ...], dict[int, str]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def chunk_ids(self) -> list[str]:
         """Position -> chunk_id, ascending: the lexical index's list."""
-        return self.lexical.chunk_ids
+        return self.chunks.ids
 
     @property
     def n_chunks(self) -> int:
         return len(self.chunk_ids)
 
     def allowed(self, principal: str) -> np.ndarray:
-        """Boolean mask over positions of the chunks the principal may read.
-
-        Decided once per principal by ``filter_acl`` over the whole chunk
-        table (each chunk paired with its position), then cached.
-        """
+        """Read-only mask over positions of the chunks the principal may read:
+        ``filter_acl``'s rule decided once per document row, gathered through
+        ``doc_row`` and cached."""
         mask = self._masks.get(principal)
         if mask is None:
-            table = [(cid, pos) for pos, cid in enumerate(self.chunk_ids)]
-            kept = filter_acl(table, self.chunks, self.doc_acl, principal)
-            mask = np.zeros(self.n_chunks, dtype=bool)
-            mask[np.array([pos for _, pos in kept], dtype=np.intp)] = True
+            acls = [self.doc_acl.get(doc_id, ["*"]) for doc_id in self.chunks.doc_ids]
+            readable = np.array([principal in acl or "*" in acl for acl in acls], dtype=bool)
+            mask = readable[self.chunks.doc_row]
             mask.flags.writeable = False
             self._masks[principal] = mask
         return mask
 
-    def guarded_texts(self, guards: tuple[GuardRule, ...]) -> dict[str, str]:
-        """The guard tuple's cache, chunk_id -> redacted text; ``guarded``
-        fills it."""
+    def guarded_texts(self, guards: tuple[GuardRule, ...]) -> dict[int, str]:
+        """The guard tuple's cache, position -> redacted text, that ``guarded`` fills."""
         return self._guarded.setdefault(guards, {})
 
-    def guarded(self, chunk_id: str, guards: tuple[GuardRule, ...],
-                texts: dict[str, str] | None = None) -> str:
-        """The chunk's text under ``apply_guards``, computed once per guard tuple.
+    def guarded(self, pos: int, guards: tuple[GuardRule, ...],
+                texts: dict[int, str] | None = None) -> str:
+        """The text at a position under ``apply_guards``, computed once per guard tuple.
 
         ``texts`` is ``guarded_texts(guards)`` for a caller that looked it up
         already; hashing a guard tuple hashes every rule in it. A chunk
@@ -161,9 +212,9 @@ class HybridIndex:
         """
         if texts is None:
             texts = self.guarded_texts(guards)
-        text = texts.get(chunk_id)
+        text = texts.get(pos)
         if text is None:
-            text = texts[chunk_id] = apply_guards(self.chunks[chunk_id].text, guards)
+            text = texts[pos] = apply_guards(self.chunks.texts[pos], guards)
         return text
 
 
@@ -182,15 +233,18 @@ def build_hybrid(chunks: list[Chunk], embed, doc_acl: dict[str, list[str]],
     texts = [c.text for c in ordered]
     terms = term_ids(texts)
     lexical = build_lexical(ordered, k1=params.k1, b=params.b, terms=terms)
-    dense = build_dense_from_texts(texts, [c.chunk_id for c in ordered],
-                                   embed, params.ann, terms=terms)
-    return HybridIndex(
-        lexical=lexical,
-        dense=dense,
-        chunks={c.chunk_id: c for c in ordered},
-        doc_acl=dict(doc_acl),
-        params=params,
-    )
+    rows: dict[str, int] = {}      # doc_id -> its row in the document table
+    doc_row = [rows.setdefault(c.doc_id, len(rows)) for c in ordered]
+    try:
+        table = ChunkTable(lexical.chunk_ids, list(rows), np.array(doc_row, dtype="<i4"),
+                           np.array([c.version for c in ordered], dtype="<i8"),
+                           np.array([c.token_span for c in ordered], dtype="<i8"),
+                           np.array([c.size_tokens for c in ordered], dtype="<i8"), texts)
+    except ValueError as exc:
+        raise DataError(f"cannot index the chunks: {exc}") from exc
+    dense = build_dense_from_texts(texts, table.ids, embed, params.ann, terms=terms)
+    return HybridIndex(lexical=lexical, dense=dense, chunks=table, doc_acl=dict(doc_acl),
+                       params=params)
 
 
 def fuse(lexical_ranking: list[str], dense_ranking: list[str],
@@ -203,7 +257,7 @@ def rrf_fuse(rankings: list[list[str]], c: int = DEFAULT_RRF_C) -> list[tuple[st
     """Reciprocal rank fusion: score(x) = sum over lists of 1/(c + rank).
 
     Ranks start at 1. Items absent from a list contribute nothing for it.
-    Output is sorted by fused score descending, then id ascending.
+    Output is sorted by fused score descending, then item ascending.
     """
     scores: dict[str, float] = {}
     for ranking in rankings:
@@ -212,7 +266,7 @@ def rrf_fuse(rankings: list[list[str]], c: int = DEFAULT_RRF_C) -> list[tuple[st
     return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def filter_acl(ranked: list[tuple[str, float]], chunks: dict[str, Chunk],
+def filter_acl(ranked: list[tuple[str, float]], chunks: Mapping[str, Chunk],
                doc_acl: dict[str, list[str]], principal: str) -> list[tuple[str, float]]:
     """Keep chunks whose document grants the principal (or everyone); order preserved."""
     out = []
@@ -248,23 +302,18 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = DEFAULT_K,
     fetch = min(FETCH_FACTOR * k, int(np.count_nonzero(allowed)))
     if fetch == 0:
         return []
-    lex_hits = search_lexical(index.lexical, query, fetch, allowed)
+    lex_positions, _ = top_k(*_candidates(index.lexical, query, allowed), fetch)
     query_vec = np.asarray(embed([query]), dtype=np.float32)[0]
     norm = float(np.linalg.norm(query_vec))
     if norm > 0.0:
         query_vec = query_vec / norm
     dense_hits = search_dense(index.dense, query_vec, fetch, allowed)
-    rankings = [
-        [cid for cid, _ in lex_hits],
-        [index.chunk_ids[pos] for pos, _ in dense_hits],
-    ]
-    texts = index.guarded_texts(guards)
-    out = []
-    for chunk_id, score in rrf_fuse(rankings, c=index.params.rrf_c)[:k]:
-        chunk = index.chunks[chunk_id]
-        out.append(Hit(chunk_id=chunk_id, doc_id=chunk.doc_id, score=score,
-                       text=index.guarded(chunk_id, guards, texts)))
-    return out
+    # positions ascend in chunk_id order, so fusing them ties as fusing ids
+    rankings = [lex_positions.tolist(), [pos for pos, _ in dense_hits]]
+    table, texts = index.chunks, index.guarded_texts(guards)
+    return [Hit(chunk_id=table.ids[pos], doc_id=table.doc_ids[table.doc_row[pos]],
+                score=score, text=index.guarded(pos, guards, texts))
+            for pos, score in rrf_fuse(rankings, c=index.params.rrf_c)[:k]]
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +346,9 @@ def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
     out_dir = Path(kb_root) / "index"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    ordered = [index.chunks[cid] for cid in index.chunk_ids]
-    docs = {doc_id: row for row, doc_id in
-            enumerate(dict.fromkeys(c.doc_id for c in ordered))}
     bm25_header, bm25_sections = to_columns(index.lexical)
-    sections = [
-        *string_sections("chunk_id", index.chunk_ids),
-        *string_sections("doc_id", list(docs)),
-        ("doc_row", np.array([docs[c.doc_id] for c in ordered], dtype="<i4")),
-        *string_sections("text", [c.text for c in ordered]),
-        ("version", np.array([c.version for c in ordered], dtype="<i8")),
-        ("token_span", np.array([c.token_span for c in ordered], dtype="<i8")),
-        ("size_tokens", np.array([c.size_tokens for c in ordered], dtype="<i8")),
-        *bm25_sections,
-    ]
-    header = {"chunks": len(ordered), "docs": len(docs), **bm25_header,
+    sections = [*index.chunks.to_sections(), *bm25_sections]
+    header = {"chunks": index.n_chunks, "docs": len(index.chunks.doc_ids), **bm25_header,
               "doc_acl": index.doc_acl,
               "sections": {name: memoryview(part).nbytes for name, part in sections}}
     lexical_parts = _framed(LEXICAL_MAGIC, header) + [part for _, part in sections]
@@ -374,13 +411,9 @@ def _sections(header: dict, payload: memoryview) -> dict[str, memoryview]:
     return sections
 
 
-def _read_lexical(data: bytes, params: HybridParams) -> tuple[list[Chunk], dict, LexicalIndex]:
-    """Chunks, ACLs and BM25 from lexical.bin; BM25 is rebuilt from term
-    frequencies, not from text.
-
-    The chunk_ids ascend, so section order is position order, and every
-    chunk's document row is in the document table.
-    """
+def _read_lexical(data: bytes, params: HybridParams) -> tuple[ChunkTable, dict, LexicalIndex]:
+    """The chunk table, ACLs and BM25 from lexical.bin; BM25 is rebuilt from
+    term frequencies, not from text."""
     header, offset = _unframed(data, LEXICAL_MAGIC, "lexical.bin")
     sections = _sections(header, memoryview(data)[offset:])
     n, n_docs = header.get("chunks"), header.get("docs")
@@ -391,18 +424,8 @@ def _read_lexical(data: bytes, params: HybridParams) -> tuple[list[Chunk], dict,
             and all(type(acl) is list and set(map(type, acl)) <= {str}
                     for acl in doc_acl.values()),
             "doc_acl is not an object of principal lists")
-
-    ids = read_strings(sections, "chunk_id", n)
-    require(all(map(operator.lt, ids, ids[1:])), "chunk_ids do not ascend")
-    doc_ids = read_strings(sections, "doc_id", n_docs)
-    rows = read_array(sections["doc_row"], "<i4", n, "doc_row")
-    require(0 <= rows.min() and rows.max() < n_docs, "a doc row is out of range")
-    spans = read_array(sections["token_span"], "<i8", 2 * n, "token_span").tolist()
-    chunks = list(map(Chunk, ids, map(doc_ids.__getitem__, rows.tolist()),
-                      read_array(sections["version"], "<i8", n, "version").tolist(),
-                      zip(spans[0::2], spans[1::2]), read_strings(sections, "text", n),
-                      read_array(sections["size_tokens"], "<i8", n, "size_tokens").tolist()))
-    return chunks, doc_acl, from_columns(header, sections, ids, params.k1, params.b)
+    table = ChunkTable.from_sections(sections, n, n_docs)
+    return table, doc_acl, from_columns(header, sections, table.ids, params.k1, params.b)
 
 
 def load_hybrid(kb_root: str | Path) -> HybridIndex:
@@ -447,7 +470,7 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
     # BM25 is complete before dense.bin is read, so the two files are never
     # held at once
     try:
-        chunks, doc_acl, lexical = _read_lexical(read_verified("lexical.bin"), params)
+        table, doc_acl, lexical = _read_lexical(read_verified("lexical.bin"), params)
     except ValueError as exc:
         raise CorruptIndex(f"bad lexical.bin: {exc}") from exc
 
@@ -464,6 +487,5 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
     # which slows every matrix-vector product
     vectors = np.frombuffer(blob, np.float32, n * dim, offset).reshape(n, dim).copy()
 
-    return HybridIndex(lexical=lexical, dense=DenseIndex(vectors),
-                       chunks={c.chunk_id: c for c in chunks},
+    return HybridIndex(lexical=lexical, dense=DenseIndex(vectors), chunks=table,
                        doc_acl=doc_acl, params=params)

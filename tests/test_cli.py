@@ -75,6 +75,19 @@ def test_malformed_corpus_is_data_error(tmp_path, capsys):
     assert "line 2" in error["message"]
 
 
+def test_a_lone_surrogate_in_a_corpus_line_is_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "a", "text": "ok"}\n{"id": "b", "text": "hello \\ud800 world"}\n',
+                      encoding="utf-8")
+    kb_dir = tmp_path / "kb"
+    code, out, err = run_cli(capsys, "ingest", "--corpus", str(corpus), "--kb", str(kb_dir))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "CorpusFormatError"
+    assert error["message"].startswith('line 2: "text" holds a lone surrogate')
+    assert not (kb_dir / "docs").exists()
+
+
 def test_malformed_corpus_stores_nothing(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"id": "a", "text": "ok"}\n{"id": 5, "text": "five"}\n',

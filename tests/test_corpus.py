@@ -375,6 +375,24 @@ def test_mistyped_acl_rejected(tmp_path, acl):
     assert not (tmp_path / "kb").exists()
 
 
+@pytest.mark.parametrize("field", ["text", "mime", "author", "created_at", "acl"])
+def test_a_lone_surrogate_is_refused_before_anything_is_written(tmp_path, field):
+    # the one str content UTF-8 cannot encode; "\\ud800" in a JSON line decodes to it
+    fields = {"text": "hello world", field: "hello \ud800 world"}
+    if field == "acl":
+        fields["acl"] = ["alice", "bob\udfff"]
+    store = VersionStore(tmp_path / "kb")
+    with pytest.raises(StoreWriteError, match=f'document: "{field}" holds a lone surrogate'):
+        store.ingest("doc-a", **fields)
+    assert not (tmp_path / "kb").exists()
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "text": "one"}\n'
+                    + json.dumps({"id": "b", **fields}) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=f'line 2: "{field}" holds a lone surrogate'):
+        ingest_corpus(store, path)
+    assert not (tmp_path / "kb").exists()
+
+
 def test_acl_defaults_to_wildcard(tmp_path):
     store = VersionStore(tmp_path)
     doc = store.ingest("doc-a", "x")

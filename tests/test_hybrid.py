@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from esap.corpus import Chunk, Document, chunk_document
-from esap.errors import EmptyCorpus, EmptyIndex
+from esap.errors import DataError, EmptyCorpus, EmptyIndex
 from esap.hybrid import (
     DEFAULT_GUARDS,
     FETCH_FACTOR,
@@ -19,7 +19,9 @@ from esap.hybrid import (
     build_hybrid,
     filter_acl,
     fuse,
+    load_hybrid,
     rrf_fuse,
+    save_hybrid,
     search_hybrid,
 )
 from esap.lexical import score_query
@@ -142,6 +144,53 @@ def test_wildcard_principal_matches_wildcard_docs_only():
     chunks = {cid: _chunk(cid, f"d{cid[-1]}") for cid, _ in ranked}
     acl = {"d1": ["*"], "d2": ["staff"]}
     assert filter_acl(ranked, chunks, acl, "*") == [("c1", 0.5)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_access_mask_keeps_what_filter_acl_keeps(tmp_path, seed):
+    # random document tables, several chunks per document, every ACL shape:
+    # no entry, ["*"], an empty list and one to three principals
+    rng = random.Random(seed)
+    principals = ["alice", "bob", "carol", "dave"]
+    docs = [Document(doc_id=f"d{i:02d}", version=rng.randint(1, 3),
+                     text=" ".join(f"w{rng.randint(0, 9)}" for _ in range(rng.randint(1, 30))))
+            for i in range(rng.randint(1, 30))]
+    chunks = [c for d in docs for c in chunk_document(d, size=4, overlap=1)]
+    rng.shuffle(chunks)
+    acl = {}
+    for d in docs:
+        shape = rng.randrange(4)
+        if shape == 1:
+            acl[d.doc_id] = ["*"]
+        elif shape == 2:
+            acl[d.doc_id] = []
+        elif shape == 3:
+            acl[d.doc_id] = rng.sample(principals, rng.randint(1, 3))
+    built = build_hybrid(chunks, HashingEmbedder(16), acl, HybridParams())
+    save_hybrid(built, tmp_path)
+    for index in (built, load_hybrid(tmp_path)):
+        table = [(cid, float(pos)) for pos, cid in enumerate(index.chunk_ids)]
+        for principal in [*principals, "*", "eve"]:
+            mask = index.allowed(principal)
+            kept = filter_acl(table, index.chunks, index.doc_acl, principal)
+            assert np.flatnonzero(mask).tolist() == [int(pos) for _, pos in kept]
+            assert index.allowed(principal) is mask
+            assert not mask.flags.writeable
+            with pytest.raises(ValueError):
+                mask[0] = not mask[0]
+
+
+def test_a_repeated_chunk_id_is_refused_at_build(tmp_path):
+    chunks = [Chunk(chunk_id="a", doc_id="d", version=1, token_span=(0, 1), text="one",
+                    size_tokens=1),
+              Chunk(chunk_id="b", doc_id="d", version=1, token_span=(1, 2), text="two",
+                    size_tokens=1),
+              Chunk(chunk_id="a", doc_id="e", version=1, token_span=(0, 1), text="three",
+                    size_tokens=1)]
+    with pytest.raises(DataError, match="chunk_id 'a' repeats") as refused:
+        save_hybrid(build_hybrid(chunks, HashingEmbedder(), {}, HybridParams()), tmp_path)
+    assert refused.value.exit_code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +449,10 @@ def test_apply_guards_runs_once_per_chunk_and_guard_tuple(monkeypatch):
     assert calls == []
     # a clean chunk's entry is its own text, not a copy
     clean = next(cid for cid, text in texts.items() if "@" not in text)
-    assert index.guarded(clean, DEFAULT_GUARDS) is index.chunks[clean].text
+    assert index.guarded(index.chunk_ids.index(clean), DEFAULT_GUARDS) \
+        is index.chunks[clean].text
     # the stored chunk text is never rewritten
-    assert index.chunks["zz-pii"] is pii
+    assert index.chunks["zz-pii"] == pii
     assert pii.text == "mail bob@example.com or call 555-123-4567"
 
 

@@ -135,6 +135,17 @@ def test_a_saved_index_loads_back_equal_to_the_built_one(tmp_path, seed, max_tf,
     loaded = load_hybrid(tmp_path)
     assert_same_lexical(loaded.lexical, index.lexical)
     assert list(loaded.chunks.items()) == list(index.chunks.items())
+    # the chunk table reads as a read-only mapping chunk_id -> Chunk, ids
+    # with non-ASCII letters among them
+    assert any(not cid.isascii() for cid in index.chunks)
+    for table in (index.chunks, loaded.chunks):
+        assert dict(table.items()) == {c.chunk_id: c for c in chunks}
+        for missing in ("", "c-", "tf-maxx", "zzz", "ü-9999", chunks[0].chunk_id + " ", 5, None):
+            assert missing not in table
+            with pytest.raises(KeyError):
+                table[missing]
+        with pytest.raises(TypeError):
+            table["tf-max"] = chunks[-1]
     assert loaded.doc_acl == doc_acl
     queries = ["ä apple", *(" ".join(rng.choice(WORDS, size=3)) for _ in range(20))]
     assert_same_hits(loaded, index, k=8, queries=queries)
