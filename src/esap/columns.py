@@ -6,7 +6,8 @@ strings, from 0 up to the block's length), so string i is
 ``block[offsets[i]:offsets[i + 1]]``. A number column is one section of a
 fixed dtype. Readers take ``memoryview``s of verified file bytes and never
 copy them into ``bytes``; a malformed column is a ``ValueError`` naming it,
-for the caller to name the file.
+for the caller to name the file. ``are_strings`` and ``are_i8s`` say whether
+values can be written as a column and read back equal.
 """
 
 from __future__ import annotations
@@ -14,11 +15,28 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import require
+from .jsonio import encodable
 
 
 def is_count(value) -> bool:
     """A JSON int >= 0 (a bool names no count)."""
     return type(value) is int and value >= 0
+
+
+def _are(values: list, kind: type) -> bool:
+    """Every value is a ``kind``, a subclass included; a bool is no int."""
+    return all(issubclass(t, kind) and t is not bool for t in set(map(type, values)))
+
+
+def are_strings(values: list) -> bool:
+    """Every value is a str UTF-8 can encode; ASCII ones cost one ``isascii``."""
+    return _are(values, str) and (all(map(str.isascii, values))
+                                  or all(map(encodable, values)))
+
+
+def are_i8s(values: list) -> bool:
+    """Every value is an int within ``<i8``; ``values`` is not empty."""
+    return _are(values, int) and -2**63 <= min(values) and max(values) < 2**63
 
 
 def string_sections(name: str, strings: list[str]) -> list[tuple[str, bytes | np.ndarray]]:

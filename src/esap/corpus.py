@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorpusFormatError, InvalidChunkConfig, StoreWriteError, VersionNotFound
-from .jsonio import read_json, read_jsonl
+from .jsonio import encodable, read_json, read_jsonl
 from .tokenizer import token_edges
 
 DEFAULT_CHUNK_SIZE = 1000
@@ -29,7 +29,6 @@ DEFAULT_CHUNK_OVERLAP = 150
 _DOC_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 # the one name a stored version's file has: "<n>.json", n >= 1, no leading zero
 _VERSION_FILE_RE = re.compile(r"[1-9][0-9]*\.json")
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 # Document's optional fields; absent, null or empty takes the default
 _OPTIONAL_FIELDS = ("mime", "author", "created_at", "acl")
 
@@ -130,7 +129,7 @@ def _check_document(error: type[Exception], where: str, doc_id, text, **optional
                                 and all(isinstance(p, str) for p in acl)):
         raise error(f'{where}"acl" must be a list of strings')
     for name, value in [("text", text), *optional.items(), *(("acl", p) for p in acl or ())]:
-        if value is not None and not value.isascii() and _SURROGATE_RE.search(value):
+        if value is not None and not encodable(value):
             raise error(f'{where}"{name}" holds a lone surrogate, which UTF-8 cannot encode')
 
 

@@ -4,8 +4,8 @@ Every index is searched exactly: one matrix-vector product, a partition cut
 at the k-th similarity and a sort of the candidates at or above it. At the
 sizes this system targets (5k and 20k chunks) that beats a navigable-graph
 ANN search at every k and costs no build time; ROADMAP.md keeps the
-measurements. The ``ann`` parameters are still accepted and recorded so that
-configs and indexes from earlier builds keep working, but they change
+measurements. The ``ann`` parameters are still accepted, so configs that set
+them keep working, and recorded in an index's ``meta.json``, but they change
 nothing.
 
 All vectors are expected unit-norm (or all-zero), so cosine similarity is a

@@ -2,11 +2,12 @@
 
 A built index is a self-contained directory:
 
-    index/meta.json     parameters, format version, checksums
+    index/meta.json     parameters (the vector width ``dim`` among them),
+                        format version, checksums
     index/lexical.bin   magic + 8-byte header length + JSON header, then
                         raw little-endian sections
-    index/dense.bin     magic + 8-byte header length + JSON header (dim, n),
-                        then the raw float32 vectors
+    index/dense.bin     magic, then the raw little-endian float32 vectors,
+                        one row per chunk in position order
 
 The lexical header is small: the chunk, document, term and posting counts,
 the tf type, ``doc_acl`` and each section's byte length, in file order.
@@ -21,12 +22,12 @@ checksums, the framing of both data files, the section table and the chunk
 table. The BM25 header keys and sections and every check on them belong to
 ``esap.lexical`` (``to_columns``, ``from_columns``), which stores term
 frequencies and rebuilds the weights at load exactly as the build computed
-them. A load tokenizes nothing. The dense header keeps ``"mode": "exact"``
-and ``"graph": null`` for the shape earlier builds read; a graph stored by
-an earlier build is ignored.
+them. A load tokenizes nothing. ``dense.bin`` states no shape of its own:
+its row count is the chunk table's and its width is ``meta.json``'s
+``dim``, so vectors of another row count or width are refused.
 
-Format 3 is the only format a load reads. Any other ``format_version``,
-formats 1 and 2 included, is ``FormatVersionMismatch``: the index is derived
+Format 4 is the only format a load reads. Any other ``format_version``,
+formats 1 to 3 included, is ``FormatVersionMismatch``: the index is derived
 from the kb, and ``esap index`` rebuilds it.
 
 Each data file is hashed as it is written; a load reads it once, refuses it
@@ -43,11 +44,13 @@ import re
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .columns import is_count, read_array, read_strings, string_sections
+from .columns import are_i8s, are_strings, is_count, read_array, read_strings, string_sections
 from .corpus import DEFAULT_CHUNK_OVERLAP, DEFAULT_CHUNK_SIZE, Chunk
 from .dense import AnnParams, DenseIndex, build_dense_from_texts, search_dense, top_k
 from .errors import (CorruptIndex, DataError, EmptyCorpus, EmptyIndex, FormatVersionMismatch,
@@ -58,7 +61,7 @@ from .lexical import (DEFAULT_B, DEFAULT_K1, SECTIONS, LexicalIndex, _candidates
                       build_lexical, from_columns, search_lexical, to_columns)
 from .tokenizer import term_ids
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 DEFAULT_K = 50
 DEFAULT_RRF_C = 60
 # each retriever ranks this many times k of the principal's readable chunks
@@ -160,6 +163,21 @@ class ChunkTable(Mapping):
         return len(self.ids)
 
 
+class GuardedTexts(dict):
+    """Position -> text under one guard tuple. A missing position runs
+    ``apply_guards`` and keeps the result: for a chunk without a match, its
+    own text (``re.sub`` hands back its input). Two first lookups at once
+    only repeat the same pure computation."""
+
+    def __init__(self, texts: list[str], guards: tuple[GuardRule, ...]):
+        super().__init__()
+        self.texts, self.guards = texts, guards
+
+    def __missing__(self, pos: int) -> str:
+        text = self[pos] = apply_guards(self.texts[pos], self.guards)
+        return text
+
+
 @dataclass
 class HybridIndex:
     lexical: LexicalIndex
@@ -171,7 +189,7 @@ class HybridIndex:
     _masks: dict[str, np.ndarray] = field(default_factory=dict, init=False,
                                           repr=False, compare=False)
     # guard tuple -> position -> redacted text, filled on first return
-    _guarded: dict[tuple[GuardRule, ...], dict[int, str]] = field(
+    _guarded: dict[tuple[GuardRule, ...], GuardedTexts] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -196,26 +214,47 @@ class HybridIndex:
             self._masks[principal] = mask
         return mask
 
-    def guarded_texts(self, guards: tuple[GuardRule, ...]) -> dict[int, str]:
-        """The guard tuple's cache, position -> redacted text, that ``guarded`` fills."""
-        return self._guarded.setdefault(guards, {})
+    def guarded(self, guards: tuple[GuardRule, ...]) -> GuardedTexts:
+        """The guard tuple's ``GuardedTexts``; hashing the tuple hashes each
+        rule, so a search looks this up once."""
+        return self._guarded.setdefault(guards, GuardedTexts(self.chunks.texts, guards))
 
-    def guarded(self, pos: int, guards: tuple[GuardRule, ...],
-                texts: dict[int, str] | None = None) -> str:
-        """The text at a position under ``apply_guards``, computed once per guard tuple.
 
-        ``texts`` is ``guarded_texts(guards)`` for a caller that looked it up
-        already; hashing a guard tuple hashes every rule in it. A chunk
-        without a match costs one reference: ``re.sub`` hands back its input
-        unchanged. Two first lookups at once only repeat the same pure
-        computation.
-        """
-        if texts is None:
-            texts = self.guarded_texts(guards)
-        text = texts.get(pos)
-        if text is None:
-            text = texts[pos] = apply_guards(self.chunks.texts[pos], guards)
-        return text
+def _are_spans(spans: list) -> bool:
+    return (set(map(type, spans)) == {tuple} and set(map(len, spans)) == {2}
+            and are_i8s(list(chain.from_iterable(spans))))
+
+
+# (field, test of a non-empty column, what it wants) for each field of a chunk
+_CHUNK_FIELDS = (
+    ("chunk_id", are_strings, "a string UTF-8 can encode"),
+    ("doc_id", are_strings, "a string UTF-8 can encode"),
+    ("text", are_strings, "a string UTF-8 can encode"),
+    ("version", are_i8s, "an int within <i8"),
+    ("token_span", _are_spans, "a pair of ints within <i8"),
+    ("size_tokens", are_i8s, "an int within <i8"),
+)
+
+
+def _check_input(chunks: list[Chunk], doc_acl) -> None:
+    """Refuse what a save cannot write or a load cannot give back equal, as
+    ``DataError`` naming the first bad chunk or document: a chunk field that
+    fails its ``_CHUNK_FIELDS`` column test, or a ``doc_acl`` that does not
+    map strings to lists of strings, all UTF-8-encodable."""
+    for name, ok, wanted in _CHUNK_FIELDS:
+        if not ok(list(map(attrgetter(name), chunks))):
+            bad = next(c for c in chunks if not ok([getattr(c, name)]))
+            raise DataError(f"chunk {bad.chunk_id!r}: {name} must be {wanted}")
+
+    def are_acls(acls: Mapping) -> bool:
+        return (are_strings(list(acls)) and set(map(type, acls.values())) <= {list}
+                and are_strings(list(chain.from_iterable(acls.values()))))
+
+    if not isinstance(doc_acl, Mapping):
+        raise DataError(f"doc_acl must map doc_ids to ACL lists, got {type(doc_acl).__name__}")
+    if not are_acls(doc_acl):
+        bad = next(d for d, acl in doc_acl.items() if not are_acls({d: acl}))
+        raise DataError(f"document {bad!r}: its ACL must be a list of strings UTF-8 can encode")
 
 
 def build_hybrid(chunks: list[Chunk], embed, doc_acl: dict[str, list[str]],
@@ -225,9 +264,12 @@ def build_hybrid(chunks: list[Chunk], embed, doc_acl: dict[str, list[str]],
     The chunk texts are tokenized once, by ``term_ids``; BM25 is built from
     those ids, and so are the vectors when ``embed`` has an ``embed_ids``
     method (``HashingEmbedder``). Any other embedder gets the texts.
+    Chunks and ACLs a save could not write or a load could not serve are
+    ``DataError`` before any work (``_check_input``).
     """
     if not chunks:
         raise EmptyCorpus("cannot build an index over zero chunks")
+    _check_input(chunks, doc_acl)
     params = params or HybridParams()
     ordered = sorted(chunks, key=lambda c: c.chunk_id)
     texts = [c.text for c in ordered]
@@ -310,9 +352,9 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = DEFAULT_K,
     dense_hits = search_dense(index.dense, query_vec, fetch, allowed)
     # positions ascend in chunk_id order, so fusing them ties as fusing ids
     rankings = [lex_positions.tolist(), [pos for pos, _ in dense_hits]]
-    table, texts = index.chunks, index.guarded_texts(guards)
+    table, texts = index.chunks, index.guarded(guards)
     return [Hit(chunk_id=table.ids[pos], doc_id=table.doc_ids[table.doc_row[pos]],
-                score=score, text=index.guarded(pos, guards, texts))
+                score=score, text=texts[pos])
             for pos, score in rrf_fuse(rankings, c=index.params.rrf_c)[:k]]
 
 
@@ -335,14 +377,8 @@ def _write(path: Path, parts) -> str:
     return digest.hexdigest()
 
 
-def _framed(magic: bytes, header: dict) -> list[bytes]:
-    """A data file's leading parts: magic, 8-byte header length, JSON header."""
-    raw = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-    return [magic, len(raw).to_bytes(8, "little"), raw]
-
-
 def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
-    """Write the index under <kb>/index/ in format 3; returns that directory."""
+    """Write the index under <kb>/index/ in format 4; returns that directory."""
     out_dir = Path(kb_root) / "index"
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -351,11 +387,10 @@ def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
     header = {"chunks": index.n_chunks, "docs": len(index.chunks.doc_ids), **bm25_header,
               "doc_acl": index.doc_acl,
               "sections": {name: memoryview(part).nbytes for name, part in sections}}
-    lexical_parts = _framed(LEXICAL_MAGIC, header) + [part for _, part in sections]
+    raw = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    lexical_parts = [LEXICAL_MAGIC, len(raw).to_bytes(8, "little"), raw,
+                     *(part for _, part in sections)]
 
-    vectors = np.ascontiguousarray(index.dense.vectors, dtype=np.float32)
-    dense_parts = _framed(DENSE_MAGIC, {"dim": index.dense.dim, "n": vectors.shape[0],
-                                        "mode": "exact", "graph": None})
     meta = {
         "format_version": FORMAT_VERSION,
         "dim": index.dense.dim,
@@ -367,27 +402,13 @@ def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
                   "overlap": index.params.chunk_overlap},
         "checksums": {
             "lexical.bin": _write(out_dir / "lexical.bin", lexical_parts),
-            "dense.bin": _write(out_dir / "dense.bin", [*dense_parts, vectors]),
+            "dense.bin": _write(out_dir / "dense.bin",
+                                [DENSE_MAGIC, np.ascontiguousarray(index.dense.vectors, "<f4")]),
         },
     }
     _write(out_dir / "meta.json",
            [(json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8")])
     return out_dir
-
-
-def _unframed(data: bytes, magic: bytes, name: str) -> tuple[dict, int]:
-    """The JSON header of a data file written by ``_framed``, and the offset
-    of the payload after it."""
-    if not data.startswith(magic):
-        raise CorruptIndex(f"bad {name} magic: {data[:len(magic)]!r}")
-    start = len(magic) + 8
-    end = start + int.from_bytes(data[len(magic):start], "little")
-    if end > len(data):
-        raise CorruptIndex(f"bad {name}: a {end - start}-byte header in a "
-                           f"{len(data)}-byte file")
-    # decoded from a view: a slice would copy the header's bytes first
-    return parse_json(memoryview(data)[start:end], CorruptIndex, f"{name} header",
-                      "object"), end
 
 
 def _sections(header: dict, payload: memoryview) -> dict[str, memoryview]:
@@ -414,8 +435,14 @@ def _sections(header: dict, payload: memoryview) -> dict[str, memoryview]:
 def _read_lexical(data: bytes, params: HybridParams) -> tuple[ChunkTable, dict, LexicalIndex]:
     """The chunk table, ACLs and BM25 from lexical.bin; BM25 is rebuilt from
     term frequencies, not from text."""
-    header, offset = _unframed(data, LEXICAL_MAGIC, "lexical.bin")
-    sections = _sections(header, memoryview(data)[offset:])
+    require(data.startswith(LEXICAL_MAGIC), f"the magic is {data[:len(LEXICAL_MAGIC)]!r}")
+    start = len(LEXICAL_MAGIC) + 8
+    end = start + int.from_bytes(data[len(LEXICAL_MAGIC):start], "little")
+    require(end <= len(data), f"a {end - start}-byte header in a {len(data)}-byte file")
+    # decoded from a view: a slice would copy the header's bytes first
+    view = memoryview(data)
+    header = parse_json(view[start:end], ValueError, "the header", "object")
+    sections = _sections(header, view[end:])
     n, n_docs = header.get("chunks"), header.get("docs")
     require(is_count(n) and n > 0 and is_count(n_docs),
             "the chunk or document count is not a count, or no chunk is stored")
@@ -444,7 +471,8 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
             f"index format {version!r} unsupported, expected {FORMAT_VERSION}; "
             f"run `esap index` to rebuild it")
     try:
-        checksums = dict(meta["checksums"])
+        checksums, dim = dict(meta["checksums"]), meta["dim"]
+        require(is_count(dim), f"dim {dim!r} is not a count")
         params = HybridParams(k1=float(meta["k1"]), b=float(meta["b"]),
                               rrf_c=int(meta["rrf_c"]),
                               chunk_size=int(meta["chunk"]["size"]),
@@ -475,17 +503,15 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
         raise CorruptIndex(f"bad lexical.bin: {exc}") from exc
 
     blob = read_verified("dense.bin")
-    header, offset = _unframed(blob, DENSE_MAGIC, "dense.bin")
+    n = len(table)
     try:
-        n, dim = int(header["n"]), int(header["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptIndex(f"bad dense.bin header: {type(exc).__name__}: {exc}") from exc
-    if len(blob) - offset != n * dim * 4:
-        raise CorruptIndex(f"dense.bin payload is {len(blob) - offset} bytes, "
-                           f"expected {n * dim * 4}")
-    # copied out of the file bytes: a view at ``offset`` may be unaligned,
+        require(blob.startswith(DENSE_MAGIC), f"the magic is {blob[:len(DENSE_MAGIC)]!r}")
+        rows = read_array(memoryview(blob)[len(DENSE_MAGIC):], "<f4", n * dim, "vectors")
+    except ValueError as exc:
+        raise CorruptIndex(f"bad dense.bin: {exc}") from exc
+    # copied out of the file bytes: a view after the magic may be unaligned,
     # which slows every matrix-vector product
-    vectors = np.frombuffer(blob, np.float32, n * dim, offset).reshape(n, dim).copy()
+    vectors = rows.reshape(n, dim).copy()
 
     return HybridIndex(lexical=lexical, dense=DenseIndex(vectors), chunks=table,
                        doc_acl=doc_acl, params=params)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,9 @@ import pytest
 
 from esap import __version__
 from esap.cli import build_parser, main
+from esap.corpus import chunk_document
+from esap.hybrid import HybridParams, build_hybrid, save_hybrid
+from esap.ports import HashingEmbedder
 from esap.synthetic import make_toy_kb_documents
 
 COMMANDS = ("ingest", "index", "query", "ask", "sql",
@@ -652,6 +656,27 @@ def test_bad_meta_json_key_is_data_error(kb, capsys):
     assert "meta.json" in error["message"]
 
 
+@pytest.mark.parametrize("size, n_docs", [(10, 5), (1000, 2)], ids=["more-rows", "fewer-rows"])
+def test_a_dense_file_of_another_chunk_count_is_data_error(kb, tmp_path, capsys, size, n_docs):
+    # another build's dense.bin, its checksum recorded: its rows are not the
+    # chunk table's, so the load refuses it rather than rank with them
+    docs = make_toy_kb_documents()[:n_docs]
+    other = save_hybrid(build_hybrid([c for d in docs for c in chunk_document(d, size, 2)],
+                                     HashingEmbedder(), {}, HybridParams()), tmp_path / "other")
+    index_dir = Path(kb) / "index"
+    data = (other / "dense.bin").read_bytes()
+    (index_dir / "dense.bin").write_bytes(data)
+    meta = json.loads((index_dir / "meta.json").read_text(encoding="utf-8"))
+    meta["checksums"]["dense.bin"] = hashlib.sha256(data).hexdigest()
+    (index_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    code, out, err = run_cli(capsys, "query", "--q", "red apple", "--kb", kb)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "CorruptIndex"
+    assert error["message"].startswith("bad dense.bin: the vectors section is ")
+
+
 @pytest.mark.parametrize("content", [b"[]", b"\xff{}"], ids=["array", "not-utf8"])
 def test_meta_json_that_is_not_a_json_object_is_data_error(kb, capsys, content):
     (Path(kb) / "index" / "meta.json").write_bytes(content)
@@ -803,6 +828,26 @@ def test_mistyped_runs_field_is_data_error(tmp_path, capsys):
     error = json.loads(err)
     assert error["error"] == "RunsFormatError"
     assert error["message"] == "line 1: answer must be a string"
+
+
+def test_a_lone_surrogate_in_a_runs_line_is_data_error(tmp_path, capsys):
+    # "\\ud800" alone decodes to a string no UTF-8 writer can print; an
+    # escaped pair is one valid character
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text('{"qid": "q1", "system": "s\\ud83d\\ude00", "question": "q", '
+                    '"answer": "a", "contexts": ["a"]}\n'
+                    '{"qid": "q2", "system": "s\\ud800", "question": "q", '
+                    '"answer": "a", "contexts": ["a"]}\n', encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval-trace", "--runs", str(runs))
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert (error["error"], error["message"]) == \
+        ("RunsFormatError", 'line 2: "system" holds a lone surrogate, which UTF-8 cannot encode')
+    runs.write_text(runs.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "eval-trace", "--runs", str(runs))
+    assert code == 0
+    assert "s\U0001f600" in json.dumps(json.loads(out), ensure_ascii=False)
 
 
 @pytest.mark.parametrize("fields, message", [

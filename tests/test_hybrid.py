@@ -449,7 +449,7 @@ def test_apply_guards_runs_once_per_chunk_and_guard_tuple(monkeypatch):
     assert calls == []
     # a clean chunk's entry is its own text, not a copy
     clean = next(cid for cid, text in texts.items() if "@" not in text)
-    assert index.guarded(index.chunk_ids.index(clean), DEFAULT_GUARDS) \
+    assert index.guarded(DEFAULT_GUARDS)[index.chunk_ids.index(clean)] \
         is index.chunks[clean].text
     # the stored chunk text is never rewritten
     assert index.chunks["zz-pii"] == pii

@@ -16,8 +16,7 @@ import pytest
 
 from esap import hybrid, lexical, tokenizer
 from esap.corpus import Chunk, Document, chunk_document
-from esap.dense import search_dense
-from esap.errors import CorruptIndex, FormatVersionMismatch
+from esap.errors import CorruptIndex, DataError, FormatVersionMismatch
 from esap.hybrid import (
     DENSE_MAGIC,
     LEXICAL_MAGIC,
@@ -29,7 +28,7 @@ from esap.hybrid import (
 )
 from esap.lexical import LexicalIndex
 from esap.ports import HashingEmbedder
-from esap.synthetic import make_clustered_texts, make_toy_kb_documents
+from esap.synthetic import make_toy_kb_documents
 
 # the toy kb's ACL in build_index: some documents hidden from some PRINCIPALS
 TOY_ACL = {"fruit-cherry": ["bob"], "policy-returns": ["alice", "bob"]}
@@ -151,48 +150,79 @@ def test_a_saved_index_loads_back_equal_to_the_built_one(tmp_path, seed, max_tf,
     assert_same_hits(loaded, index, k=8, queries=queries)
 
 
-def test_layered_graph_from_earlier_builds_is_served(tmp_path):
-    docs = [Document(doc_id=f"t-{i:03d}", version=1, text=text)
-            for i, text in enumerate(make_clustered_texts(300, seed=6))]
-    params = HybridParams(chunk_size=200, chunk_overlap=20)
-    params.ann.mode = "ann"
-    embed = HashingEmbedder()
-    index = build_hybrid([c for d in docs for c in chunk_document(d, size=200, overlap=20)],
-                         embed, {d.doc_id: ["*"] for d in docs}, params)
-    index_dir = save_hybrid(index, tmp_path)
-    blob = (index_dir / "dense.bin").read_bytes()
-    start = len(DENSE_MAGIC) + 8
-    header = json.loads(blob[start:start + int.from_bytes(blob[start - 8:start], "little")])
-    assert (header["mode"], header["graph"]) == ("exact", None)
+# values a build must refuse or save and load back as they are: ints at and
+# past the <i8 limits, strings, bools, floats, spans of other shapes, lone
+# surrogates (and a valid non-BMP letter) and ACLs of every shape
+FIELD_VALUES = {
+    "chunk_id": ["a\ud800", "\udfff", "ok-😀", 5, None],
+    "doc_id": ["d\ud800", "😀", 3],
+    "text": ["one \udc00 two", "😀 apple", b"bytes"],
+    "version": [2**70, 2**63 - 1, 2**63, -2**63, -2**63 - 1, "1", True, 1.0, 0],
+    "token_span": [(0.5, 1), (0, 2**63), (-2**63, 2**63 - 1), (0, 1, 2), (0,), [0, 1],
+                   (False, 1), ("0", "1")],
+    "size_tokens": [2**64, -1, 2**63 - 1, "3", 2.0],
+}
+ACL_VALUES = [{"*"}, ("alice",), ["alice", 5], [5], "alice", ["b\udfff"], [], ["😀", "*"], None]
 
-    vectors = index.dense.vectors
-    n, m = vectors.shape[0], params.ann.m
-    sims = vectors @ vectors.T
-    np.fill_diagonal(sims, -np.inf)
-    base = [np.argsort(-sims[node], kind="stable")[:2 * m].tolist() for node in range(n)]
-    # two levels, as the per-node HNSW build wrote them (every tenth node
-    # also on level 1), and one level, as the batch build wrote them
-    upper = list(range(0, n, 10))
-    layered = {"levels": [1 if node in upper else 0 for node in range(n)],
-               "adj": [[nbrs, sorted(upper, key=lambda u: -sims[node, u])[:m]]
-                       if node in upper else [nbrs] for node, nbrs in enumerate(base)],
-               "entry": upper[-1], "max_level": 1}
-    single = {"levels": [0] * n, "adj": [[nbrs] for nbrs in base],
-              "entry": 0, "max_level": 0}
-    queries = embed(make_clustered_texts(50, seed=7))
-    for graph in (layered, single):
-        header = json.dumps({"dim": int(vectors.shape[1]), "n": n, "mode": "ann",
-                             "graph": graph}).encode("utf-8")
-        replace_data_file(index_dir, "dense.bin", DENSE_MAGIC + len(header).to_bytes(8, "little")
-                          + header + vectors.tobytes())
 
-        loaded = load_hybrid(tmp_path)
-        assert loaded.dense.mode == "exact"
-        assert np.array_equal(loaded.dense.vectors, vectors)
-        for query in queries:
-            positions = [pos for pos, _ in search_dense(loaded.dense, query, 10)]
-            truth = np.lexsort((np.arange(n), -(vectors @ query)))[:10]
-            assert positions == truth.tolist()
+def test_a_build_refuses_what_a_load_would_not_give_back(tmp_path):
+    # random chunk lists mixing every shape: the build refuses the list as
+    # DataError, or a save and a load give back an equal index
+    rng = np.random.default_rng(11)
+    outcomes = Counter()
+    for trial in range(60):
+        chunks = random_chunks(rng, int(rng.integers(1, 6)))
+        for _ in range(int(rng.integers(0, 3))):
+            i, name = int(rng.integers(len(chunks))), str(rng.choice(list(FIELD_VALUES)))
+            values = FIELD_VALUES[name]
+            chunks[i] = replace(chunks[i], **{name: values[int(rng.integers(len(values)))]})
+        if rng.random() < 0.1:
+            chunks.append(replace(chunks[0], text="again"))
+        doc_acl = {"doc-a": ["alice"]}
+        if rng.random() < 0.4:
+            acl = ACL_VALUES[int(rng.integers(len(ACL_VALUES)))]
+            doc_acl[str(rng.choice(["doc-a", "d", "\ud800", "文書-c"]))] = acl
+        if rng.random() < 0.05:
+            doc_acl = {7: ["alice"]}
+        try:
+            index = build_hybrid(chunks, HashingEmbedder(), doc_acl, HybridParams())
+        except DataError as exc:
+            assert exc.exit_code == 2
+            str(exc).encode("utf-8")         # the message prints as the CLI does
+            outcomes["refused"] += 1
+            continue
+        kb = tmp_path / str(trial)
+        save_hybrid(index, kb)
+        loaded = load_hybrid(kb)
+        assert list(loaded.chunks.values()) == sorted(chunks, key=lambda c: c.chunk_id)
+        assert loaded.doc_acl == doc_acl
+        assert np.array_equal(loaded.dense.vectors, index.dense.vectors)
+        assert_same_lexical(loaded.lexical, index.lexical)
+        outcomes["kept"] += 1
+    assert outcomes["refused"] > 10 and outcomes["kept"] > 10, outcomes
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("version", 2**70, "version must be an int within <i8"),
+    ("version", "1", "version must be an int within <i8"),
+    ("token_span", (0.5, 1), "token_span must be a pair of ints within <i8"),
+    ("chunk_id", "c\ud800", "chunk_id must be a string UTF-8 can encode"),
+    ("text", "x \udfff", "text must be a string UTF-8 can encode"),
+], ids=["version-2**70", "version-string", "span-float", "id-surrogate", "text-surrogate"])
+def test_a_chunk_field_a_save_cannot_write_is_data_error_naming_it(tmp_path, name, value,
+                                                                   message):
+    chunks = random_chunks(np.random.default_rng(0), 3)
+    chunks[1] = replace(chunks[1], **{name: value})
+    with pytest.raises(DataError) as refused:
+        build_hybrid(chunks, HashingEmbedder(), {}, HybridParams())
+    assert str(refused.value) == f"chunk {chunks[1].chunk_id!r}: {message}"
+
+
+@pytest.mark.parametrize("acl", [{"*"}, [5], ["b\udfff"]], ids=["set", "int", "surrogate"])
+def test_an_acl_a_save_cannot_write_is_data_error_naming_the_document(acl):
+    chunks = random_chunks(np.random.default_rng(0), 3)
+    with pytest.raises(DataError, match="document 'd': its ACL must be a list of strings"):
+        build_hybrid(chunks, HashingEmbedder(), {"doc-a": ["*"], "d": acl}, HybridParams())
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -252,7 +282,8 @@ def test_format_version_gate(tmp_path):
         load_hybrid(with_format_version(tmp_path, 999))
 
 
-@pytest.mark.parametrize("version", ["3", 0, True, 1.0, 2.0, "2", None])
+@pytest.mark.parametrize("version", ["3", 0, True, 1.0, 2.0, "2", None,
+                                     pytest.param(3, id="int-3")])
 def test_a_format_version_that_is_not_1_or_2_is_refused(tmp_path, version):
     with pytest.raises(FormatVersionMismatch, match="run `esap index`") as refused:
         load_hybrid(with_format_version(tmp_path, version))
@@ -264,7 +295,7 @@ def test_a_format_1_index_is_refused_like_any_other_format(tmp_path):
     with pytest.raises(FormatVersionMismatch) as refused:
         load_hybrid(with_format_version(tmp_path, 1))
     assert str(refused.value) == \
-        "index format 1 unsupported, expected 3; run `esap index` to rebuild it"
+        "index format 1 unsupported, expected 4; run `esap index` to rebuild it"
     assert refused.value.exit_code == 2
 
 
@@ -272,7 +303,7 @@ def test_a_format_2_index_is_refused_like_any_other_format(tmp_path):
     with pytest.raises(FormatVersionMismatch) as refused:
         load_hybrid(with_format_version(tmp_path, 2))
     assert str(refused.value) == \
-        "index format 2 unsupported, expected 3; run `esap index` to rebuild it"
+        "index format 2 unsupported, expected 4; run `esap index` to rebuild it"
     assert refused.value.exit_code == 2
 
 
@@ -380,6 +411,7 @@ def test_a_data_file_without_a_checksum_is_refused(tmp_path, dropped):
     ("ann", {"m": 16}), ("ann", {"m": "x", "ef_c": 1, "ef_s": 1,
                                  "exact_threshold": 1, "mode": "auto", "seed": 1}),
     ("chunk", 5), ("chunk", {"size": 30}), ("checksums", 5), ("checksums", "x"),
+    ("dim", None), ("dim", "x"), ("dim", -1),
 ])
 def test_a_missing_or_mistyped_meta_key_is_corrupt_index(tmp_path, key, value):
     # None deletes the key
@@ -561,34 +593,45 @@ def test_a_missing_data_file_is_corrupt_index(tmp_path, name):
     assert refused.value.exit_code == 2
 
 
-def dense_frame(header, payload: bytes, magic: bytes = DENSE_MAGIC) -> bytes:
-    return frame(header, {"vectors": payload}, magic)
+def dense_rows(rows: np.ndarray, magic: bytes = DENSE_MAGIC) -> bytes:
+    return magic + rows.astype("<f4").tobytes()
 
 
-def without(key):
-    return lambda h, p: dense_frame({k: v for k, v in h.items() if k != key}, p)
+def with_meta_dim(delta: int):
+    """The file as saved, meta.json's ``dim`` off by ``delta``."""
+    def case(rows, meta):
+        meta["dim"] += delta
+        return dense_rows(rows)
+    return case
 
 
+# each case takes the saved (n, dim) rows and meta.json, which it may edit
 DENSE_CASES = {
-    "magic": lambda h, p: dense_frame(h, p, magic=b"ESAPDNS9"),
-    "no-n": without("n"),
-    "no-dim": without("dim"),
-    "n-not-a-number": lambda h, p: dense_frame({**h, "n": "many"}, p),
-    "payload-short": lambda h, p: dense_frame(h, p[:-4]),
-    "payload-long": lambda h, p: dense_frame(h, p + bytes(4)),
-    "payload-of-another-dim": lambda h, p: dense_frame({**h, "dim": h["dim"] - 1}, p),
+    "magic": lambda rows, meta: dense_rows(rows, magic=b"ESAPDNS9"),
+    "payload-short": lambda rows, meta: dense_rows(rows)[:-4],
+    "payload-long": lambda rows, meta: dense_rows(rows) + bytes(4),
+    "payload-of-another-dim": lambda rows, meta: dense_rows(rows[:, :-1]),
+    "rows-of-more-chunks": lambda rows, meta: dense_rows(np.vstack([rows, rows[:1]])),
+    "rows-of-fewer-chunks": lambda rows, meta: dense_rows(rows[:-1]),
+    "meta-dim-one-more": with_meta_dim(1),
+    "meta-dim-one-less": with_meta_dim(-1),
 }
 
 
 @pytest.mark.parametrize("case", [pytest.param(case, id=name) for name, case in DENSE_CASES.items()])
 def test_a_malformed_dense_file_is_corrupt_index(tmp_path, case):
-    index_dir = save_hybrid(build_index(), tmp_path)
-    data = (index_dir / "dense.bin").read_bytes()
-    start = len(DENSE_MAGIC) + 8
-    end = start + int.from_bytes(data[len(DENSE_MAGIC):start], "little")
-    header, payload = json.loads(data[start:end]), data[end:]
-    assert dense_frame(header, payload) == data
-    replace_data_file(index_dir, "dense.bin", case(header, payload))
+    index = build_index()
+    index_dir = save_hybrid(index, tmp_path)
+    # dense.bin is the magic and the rows, nothing else: its shape is the
+    # chunk table's count and meta.json's dim
+    rows = index.dense.vectors
+    assert (index_dir / "dense.bin").read_bytes() == dense_rows(rows)
+    meta_path = index_dir / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert rows.shape == (index.n_chunks, meta["dim"])
+    data = case(rows, meta)
+    meta_path.write_text(json.dumps(meta))
+    replace_data_file(index_dir, "dense.bin", data)
     with pytest.raises(CorruptIndex, match="dense.bin") as refused:
         load_hybrid(tmp_path)
     assert refused.value.exit_code == 2
@@ -621,11 +664,12 @@ def test_term_id_build_saves_the_text_port_build(tmp_path, unicode):
 
 
 def test_toy_index_files_keep_their_recorded_digests(tmp_path, toy_index):
-    # dense.bin recorded before the build tokenized once; lexical.bin
-    # recorded when format 3 stored the chunk table and the BM25 postings as
-    # raw sections
+    # dense.bin recorded when format 4 dropped its header, and is the magic
+    # followed by the rows the build wrote before it tokenized once;
+    # lexical.bin recorded when format 3 stored the chunk table and the BM25
+    # postings as raw sections
     digests = saved_digests(toy_index, tmp_path)
     assert digests["dense.bin"] == \
-        "d431a815b04c33446304b924b925d02cf6b2b1de7fbb23bbc0d52a548fcda27e"
+        "5a02e5ef572749cd884186e6ecdcfdc72def2e3d1590d972afaa18be727a2ba6"
     assert digests["lexical.bin"] == \
         "0e364c039f0e43bbb5d9e9b6a6e3f1660532f6d32bf638f901909073c55582de"
