@@ -49,7 +49,7 @@ def string_sections(name: str, strings: list[str]) -> list[tuple[str, bytes | np
 
 def read_array(view: memoryview, dtype: str, count: int, name: str) -> np.ndarray:
     """The ``count`` values of ``dtype`` that make up a section, as a
-    read-only view of its bytes; the caller copies what it keeps."""
+    read-only view of its bytes, which stay alive while the view does."""
     size = np.dtype(dtype).itemsize * count
     require(len(view) == size, f"the {name} section is {len(view)} bytes, expected {size}")
     return np.frombuffer(view, dtype, count)

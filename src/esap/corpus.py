@@ -26,7 +26,9 @@ from .tokenizer import token_edges
 DEFAULT_CHUNK_SIZE = 1000
 DEFAULT_CHUNK_OVERLAP = 150
 
-_DOC_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+# an id names its document's directory, so it fits one file name: at most
+# 255 ASCII chars, the NAME_MAX of common file systems
+_DOC_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,254}")
 # the one name a stored version's file has: "<n>.json", n >= 1, no leading zero
 _VERSION_FILE_RE = re.compile(r"[1-9][0-9]*\.json")
 # Document's optional fields; absent, null or empty takes the default
@@ -69,7 +71,9 @@ class Chunk:
     doc_id: str
     version: int
     token_span: tuple[int, int]     # half-open token indices into the document
-    text: str                       # source substring covering the span
+    text: str                       # source substring covering the span, from the
+                                    # document's first non-space char in its first
+                                    # chunk and to its last one in its last chunk
     size_tokens: int
 
 
@@ -78,7 +82,10 @@ def chunk_document(doc: Document, size: int = DEFAULT_CHUNK_SIZE,
     """Split a document into sliding token windows with stride size - overlap.
 
     The final window may be shorter; together the windows cover every token.
-    An empty document yields no chunks.
+    A window's text runs from its first token's start to its last token's
+    end, except that the first window starts at the document's first
+    non-whitespace char and the last ends at its last one, so leading and
+    trailing punctuation stay in a chunk. An empty document yields no chunks.
     """
     if size <= 0:
         raise InvalidChunkConfig(f"chunk size must be positive, got {size}")
@@ -92,8 +99,11 @@ def chunk_document(doc: Document, size: int = DEFAULT_CHUNK_SIZE,
     # need not fit an int64) acts as n
     first = np.arange(chunk_count(n, size, overlap)) * min(size - overlap, n)
     last = np.minimum(first + min(size, n), n)
-    bounds = zip(first.tolist(), last.tolist(), starts[first].tolist(), ends[last - 1].tolist())
     text, prefix = doc.text, f"{doc.doc_id}#v{doc.version}#"
+    opens, closes = starts[first], ends[last - 1]
+    if n:
+        opens[0], closes[-1] = len(text) - len(text.lstrip()), len(text.rstrip())
+    bounds = zip(first.tolist(), last.tolist(), opens.tolist(), closes.tolist())
     return [Chunk(chunk_id=f"{prefix}{idx:05d}", doc_id=doc.doc_id, version=doc.version,
                   token_span=(start, end), text=text[a:b], size_tokens=end - start)
             for idx, (start, end, a, b) in enumerate(bounds)]

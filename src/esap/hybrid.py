@@ -24,7 +24,9 @@ table. The BM25 header keys and sections and every check on them belong to
 frequencies and rebuilds the weights at load exactly as the build computed
 them. A load tokenizes nothing. ``dense.bin`` states no shape of its own:
 its row count is the chunk table's and its width is ``meta.json``'s
-``dim``, so vectors of another row count or width are refused.
+``dim``, so vectors of another row count or width are refused. A load
+serves the rows in place, as a read-only view of the verified bytes: the
+8-byte magic keeps them float32-aligned, and no row is copied.
 
 Format 4 is the only format a load reads. Any other ``format_version``,
 formats 1 to 3 included, is ``FormatVersionMismatch``: the index is derived
@@ -509,9 +511,6 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
         rows = read_array(memoryview(blob)[len(DENSE_MAGIC):], "<f4", n * dim, "vectors")
     except ValueError as exc:
         raise CorruptIndex(f"bad dense.bin: {exc}") from exc
-    # copied out of the file bytes: a view after the magic may be unaligned,
-    # which slows every matrix-vector product
-    vectors = rows.reshape(n, dim).copy()
 
-    return HybridIndex(lexical=lexical, dense=DenseIndex(vectors), chunks=table,
+    return HybridIndex(lexical=lexical, dense=DenseIndex(rows.reshape(n, dim)), chunks=table,
                        doc_acl=doc_acl, params=params)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from array import array
 from collections import defaultdict
 
 import numpy as np
@@ -30,8 +29,6 @@ import numpy as np
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # what term_ids returns: (vocab, ids, lengths)
 TermIds = tuple[dict[str, int], np.ndarray, np.ndarray]
-# ids term_ids gathers in a list before it moves them into its int32 array
-_PENDING_IDS = 1 << 16
 # ASCII bytes: A-Z lowered, a-z and 0-9 kept, every other byte a space
 _ASCII_FOLD = bytes(b + 32 if 65 <= b <= 90 else b if 48 <= b <= 57 or 97 <= b <= 122
                     else 32 for b in range(256))
@@ -85,23 +82,18 @@ def term_ids(texts) -> TermIds:
     ``vocab`` maps each term to its id, numbered in order of first
     occurrence; ``ids`` (int32) holds the id of every token, text after
     text; ``lengths`` (int64) holds each text's token count, so text i owns
-    the ``lengths[i]`` ids after the first ``lengths[:i].sum()``. Ids are
-    gathered in a list of at most about ``_PENDING_IDS`` and moved into a
-    4-byte array from there, so a large corpus never holds a pointer per
-    token.
+    the ``lengths[i]`` ids after the first ``lengths[:i].sum()``. The ids
+    stream from the vocabulary lookups straight into the int32 array, so a
+    large corpus never holds a Python int per token.
     """
     vocab: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-    ids = array("i")
-    pending: list[int] = []
-    lengths = []
-    for text in texts:
+    lengths: list[int] = []
+
+    def lookups(text: str):
         tokens = token_texts(text)
         lengths.append(len(tokens))
-        pending.extend(map(vocab.__getitem__, tokens))
-        if len(pending) >= _PENDING_IDS:
-            ids.fromlist(pending)
-            pending.clear()
-    ids.fromlist(pending)
+        return map(vocab.__getitem__, tokens)
+
+    ids = np.fromiter(itertools.chain.from_iterable(map(lookups, texts)), dtype=np.int32)
     vocab.default_factory = None             # a plain lookup from here on
-    return (vocab, np.frombuffer(ids, dtype=np.int32) if ids else np.empty(0, np.int32),
-            np.array(lengths, dtype=np.int64))
+    return vocab, ids, np.array(lengths, dtype=np.int64)

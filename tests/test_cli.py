@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from esap import __version__
+from esap import __version__, errors
 from esap.cli import build_parser, main
 from esap.corpus import chunk_document
 from esap.hybrid import HybridParams, build_hybrid, save_hybrid
@@ -208,6 +209,107 @@ def test_errors_are_single_json_lines(tmp_path, capsys):
                         "--kb", str(tmp_path / "void"))
     assert err.count("\n") == 1
     assert set(json.loads(err)) == {"error", "message"}
+
+
+# corpus-line fuzz: valid lines, mutated, through `esap ingest` and then
+# `esap index`; every run exits 0, or 2 with one JSON line naming a DataError
+DATA_ERRORS = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.DataError)}
+FUZZ_LINES = [{"id": doc.doc_id, "text": doc.text} for doc in make_toy_kb_documents()[:3]] + [
+    {"id": "memo-1", "text": "(Shipping memo: cherries ship cold.)", "mime": "text/plain",
+     "author": "ann", "created_at": "2024-01-01T00:00:00Z", "acl": ["alice", "bob"]}]
+FUZZ_FIELDS = ("id", "text", "mime", "author", "created_at", "acl")
+WRONG_TYPES = (0, -1.5, True, False, None, [], ["x"], {}, {"text": "a"})
+# raw JSON for a field's value
+RAW_VALUES = {"nan": "NaN", "inf": "1e999", "-inf": "-Infinity", "surrogate": '"a\\ud800b"',
+              "deep": "[" * 100_000 + "]" * 100_000, "shallow": "[" * 50 + "]" * 50,
+              "big-int": "9" * 5000}
+MALFORMED_IDS = ("", " a", "a b", "a/b", "../a", "-a", ".a", "a\n", "ä", "a\u0000",
+                 "x" * 300)
+BLANK_TEXTS = ("", "   ", "...", "!?—«»", "\n\t", "()")
+BAD_BYTES = (b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80\x80", b"\xef\xbb\xbf")
+
+
+def fuzz_line(rng: random.Random, record: dict) -> bytes:
+    """One corpus line: ``record`` with one mutation, as bytes."""
+    record, kind = dict(record), rng.choice(
+        ["keep", "drop", "wrong-type", "malformed-id", "blank-text", "bare-acl",
+         "duplicate", "raw", "truncated", "bad-bytes"])
+    if kind == "drop":
+        del record[rng.choice(list(record))]
+    elif kind == "wrong-type":
+        record[rng.choice(FUZZ_FIELDS)] = rng.choice(WRONG_TYPES)
+    elif kind == "malformed-id":
+        record["id"] = rng.choice(MALFORMED_IDS)
+    elif kind == "blank-text":
+        record["text"] = rng.choice(BLANK_TEXTS)
+    elif kind == "bare-acl":
+        record["acl"] = rng.choice(["alice", "*", ""])
+    line = json.dumps(record)
+    if kind == "duplicate":
+        key = rng.choice(list(record))
+        value = rng.choice([record[key], *WRONG_TYPES])
+        line = f"{line[:-1]}, {json.dumps(key)}: {json.dumps(value)}}}"
+    elif kind == "raw":
+        value = RAW_VALUES[rng.choice(list(RAW_VALUES))]
+        line = f'{line[:-1]}, "{rng.choice(FUZZ_FIELDS)}": {value}}}'
+    data = line.encode()
+    if kind == "truncated":
+        data = data[:rng.randrange(len(data))]
+    elif kind == "bad-bytes":
+        at = rng.randrange(len(data) + 1)
+        data = data[:at] + rng.choice(BAD_BYTES) + data[at:]
+    return data
+
+
+def assert_exits_0_or_data_error(code: int, out: str, err: str) -> None:
+    assert code in (0, 2), err
+    if code == 0:
+        assert err == ""
+        return
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] in DATA_ERRORS, err
+
+
+def ingest_then_index(capsys, corpus: Path, kb_dir: Path) -> list[int]:
+    """Exit codes of ``esap ingest`` and, if it exits 0, ``esap index``."""
+    code, out, err = run_cli(capsys, "ingest", "--corpus", str(corpus), "--kb", str(kb_dir))
+    assert_exits_0_or_data_error(code, out, err)
+    if code:
+        assert not (kb_dir / "docs").exists()      # a refused corpus stores nothing
+        return [code]
+    code, out, err = run_cli(capsys, "index", "--kb", str(kb_dir))
+    assert_exits_0_or_data_error(code, out, err)
+    return [0, code]
+
+
+def test_corpus_line_fuzz_exits_0_or_2_with_one_json_line(tmp_path, capsys):
+    rng = random.Random(7)
+    ingest_exits, index_exits = [], []
+    for case in range(150):
+        # valid lines in a random order, one of them mutated
+        records = rng.sample(FUZZ_LINES, rng.randrange(1, len(FUZZ_LINES) + 1))
+        at = rng.randrange(len(records))
+        lines = [fuzz_line(rng, record) if i == at else json.dumps(record).encode()
+                 for i, record in enumerate(records)]
+        corpus = tmp_path / f"{case}.jsonl"
+        corpus.write_bytes(b"\n".join(lines) + b"\n")
+        ingest, *index = ingest_then_index(capsys, corpus, tmp_path / f"kb{case}")
+        ingest_exits.append(ingest)
+        index_exits.extend(index)
+    # the mutations leave some corpora whole and refuse others
+    assert {0, 2} <= set(ingest_exits) and 0 in index_exits
+
+
+@pytest.mark.parametrize("line", [
+    # a 256-char id fits no directory name: it passed the check, and the
+    # store then failed with a raw OSError (exit 1) after writing line 1
+    '{"id": "%s", "text": "long"}' % ("x" * 256),
+], ids=["overlong-id"])
+def test_corpus_fuzz_regressions(tmp_path, capsys, line):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "a", "text": "ok"}\n' + line + "\n", encoding="utf-8")
+    assert ingest_then_index(capsys, corpus, tmp_path / "kb") == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,31 @@ def test_chunk_text_matches_token_span():
         assert token_texts(chunk.text) == full[lo:hi]
 
 
+def test_a_document_keeps_its_closing_punctuation():
+    text = "The red apple sits in the basket. Next to the window!"
+    assert [c.text for c in chunk_document(make_doc(text), size=50, overlap=1)] == [text]
+
+
+def test_first_and_last_chunk_reach_the_documents_outer_chars():
+    rng = random.Random(31)
+    edge = " \t\n.,!?\"'()[]«»"
+    for _ in range(300):
+        words = [rng.choice(["w", "İß", "Apple", "9"]) + str(rng.randrange(9))
+                 for _ in range(rng.randrange(0, 40))]
+        inner = "".join(word + rng.choice([" ", ". ", ", ", " - ", "\n"]) for word in words)
+        text = ("".join(rng.choice(edge) for _ in range(rng.randrange(0, 5))) + inner.strip()
+                + "".join(rng.choice(edge) for _ in range(rng.randrange(0, 5))))
+        size = rng.randrange(1, 15)
+        chunks = chunk_document(make_doc(text), size=size, overlap=rng.randrange(0, size))
+        full = token_texts(text)
+        for chunk in chunks:
+            lo, hi = chunk.token_span
+            assert token_texts(chunk.text) == full[lo:hi], repr(text)
+        if chunks:
+            assert text.lstrip().startswith(chunks[0].text), repr(text)
+            assert text.rstrip().endswith(chunks[-1].text), repr(text)
+
+
 # ---------------------------------------------------------------------------
 # version store
 # ---------------------------------------------------------------------------
@@ -250,6 +275,14 @@ def test_bad_doc_ids_rejected(tmp_path):
     for bad in ("", "../escape", "a/b", ".hidden", "-lead", "trailing\n"):
         with pytest.raises(StoreWriteError):
             store.ingest(bad, "text")
+
+
+def test_a_doc_id_fits_one_file_name(tmp_path):
+    store = VersionStore(tmp_path)
+    assert store.ingest("x" * 255, "text").version == 1
+    with pytest.raises(StoreWriteError, match='"id" is malformed'):
+        store.ingest("y" * 256, "text")
+    assert store.doc_ids() == ["x" * 255]
 
 
 @pytest.mark.parametrize("field, value", [

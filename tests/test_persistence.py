@@ -150,6 +150,21 @@ def test_a_saved_index_loads_back_equal_to_the_built_one(tmp_path, seed, max_tf,
     assert_same_hits(loaded, index, k=8, queries=queries)
 
 
+@pytest.mark.parametrize("n", [1, 7, 60])
+def test_a_load_serves_the_vector_rows_in_place(tmp_path, n):
+    # the rows are a read-only, aligned view of the verified dense.bin bytes,
+    # equal to the built ones; no row is copied
+    index = build_hybrid(random_chunks(np.random.default_rng(n), n), HashingEmbedder(), {},
+                         HybridParams())
+    save_hybrid(index, tmp_path)
+    vectors = load_hybrid(tmp_path).dense.vectors
+    assert vectors.dtype == np.float32 and vectors.shape == index.dense.vectors.shape
+    assert np.array_equal(vectors, index.dense.vectors)
+    assert not vectors.flags.writeable
+    assert vectors.flags.aligned
+    assert not vectors.flags.owndata
+
+
 # values a build must refuse or save and load back as they are: ints at and
 # past the <i8 limits, strings, bools, floats, spans of other shapes, lone
 # surrogates (and a valid non-BMP letter) and ACLs of every shape
@@ -666,10 +681,10 @@ def test_term_id_build_saves_the_text_port_build(tmp_path, unicode):
 def test_toy_index_files_keep_their_recorded_digests(tmp_path, toy_index):
     # dense.bin recorded when format 4 dropped its header, and is the magic
     # followed by the rows the build wrote before it tokenized once;
-    # lexical.bin recorded when format 3 stored the chunk table and the BM25
-    # postings as raw sections
+    # lexical.bin recorded when a document's first and last chunk took in its
+    # leading and trailing punctuation (the text column changed, nothing else)
     digests = saved_digests(toy_index, tmp_path)
     assert digests["dense.bin"] == \
         "5a02e5ef572749cd884186e6ecdcfdc72def2e3d1590d972afaa18be727a2ba6"
     assert digests["lexical.bin"] == \
-        "0e364c039f0e43bbb5d9e9b6a6e3f1660532f6d32bf638f901909073c55582de"
+        "156930a041846a122103c5d49c826dadc041231660313466c60c6e71a2c37d9c"
