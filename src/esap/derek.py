@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 from .errors import ModelRefusal, NoContext, TransportError
@@ -68,6 +69,9 @@ class Citation:
     chunk_id: str
     doc_id: str
     version: int
+    # (number, text) of each draft sentence that carries this marker and
+    # holds a token, markers stripped; validated, never printed
+    sentences: tuple[tuple[int, str], ...] = ()
 
     def to_json(self) -> dict:
         return {"snippet": self.snippet_no, "chunk_id": self.chunk_id,
@@ -111,6 +115,9 @@ class QuerySession:
 
 
 _MARKER_RE = re.compile(r"\[(\d+)\]")
+# a sentence ends at ., ! or ?, and the markers right after that end are its
+# own; the text after the last end is a sentence too
+_SENTENCE_RE = re.compile(r"[^.!?]*[.!?]+(?:\s*\[\d+\])*|[^.!?]+\Z")
 _NEWLINE_RE = re.compile(r"\s*\n\s*")
 
 
@@ -121,6 +128,13 @@ def _flatten(text: str) -> str:
     if "\n" not in text:
         return text.strip()
     return _NEWLINE_RE.sub(" ", text).strip()
+
+
+def _strip_markers(text: str) -> str:
+    """text without its [n] markers, each run of spaces made one, no space
+    before punctuation and the ends stripped."""
+    text = re.sub(r" {2,}", " ", _MARKER_RE.sub("", text))
+    return re.sub(r" +([.,;:!?])", r"\1", text).strip()
 
 
 class DerekPipeline:
@@ -173,30 +187,32 @@ class DerekPipeline:
                  hits: list[Hit]) -> tuple[str, list[Citation], list[str]]:
         """One draft: citation markers [n] are resolved against the snippet
         numbering and stripped from the prose; out-of-range markers are
-        dropped with a warning."""
+        dropped with a warning. Each citation keeps the sentences that
+        carry its marker and hold a token."""
         response = self.chat.chat(chat_request(prompt.render()))
         raw = response.text
         warnings = []
-        citations: list[Citation] = []
-        seen: set[int] = set()
-        for match in _MARKER_RE.finditer(raw):
-            number = int(match.group(1))
-            if number < 1 or number > len(hits):
-                warnings.append(f"citation [{number}] out of range, dropped")
-                continue
-            if number in seen:
-                continue
-            seen.add(number)
+        cited: dict[int, list[tuple[int, str]]] = {}    # first-marker order
+        for at, sentence in enumerate(_SENTENCE_RE.findall(raw)):
+            claim = (at, _strip_markers(sentence))
+            for match in _MARKER_RE.finditer(sentence):
+                number = int(match.group(1))
+                if number < 1 or number > len(hits):
+                    warnings.append(f"citation [{number}] out of range, dropped")
+                    continue
+                claims = cited.setdefault(number, [])
+                if claim not in claims and token_texts(claim[1]):
+                    claims.append(claim)
+        citations = []
+        for number, claims in cited.items():
             hit = hits[number - 1]
             version = self.index.chunks[hit.chunk_id].version
             citations.append(Citation(snippet_no=number, chunk_id=hit.chunk_id,
-                                      doc_id=hit.doc_id, version=version))
-        cleaned = _MARKER_RE.sub("", raw)
-        cleaned = re.sub(r" {2,}", " ", cleaned)
-        cleaned = re.sub(r" +([.,;:!?])", r"\1", cleaned).strip()
-        return cleaned, citations, warnings
+                                      doc_id=hit.doc_id, version=version,
+                                      sentences=tuple(claims)))
+        return _strip_markers(raw), citations, warnings
 
-    def _support_fraction(self, draft: str, snippets: tuple[str, ...]) -> float:
+    def _support_fraction(self, draft: str, snippets: Sequence[str]) -> float:
         tokens = token_texts(draft)
         if not tokens:
             return 0.0
@@ -206,10 +222,12 @@ class DerekPipeline:
 
     def validate(self, draft: str, citations: list[Citation],
                  prompt: CoStarPrompt) -> tuple[str, str | None, list[dict]]:
-        """Heuristic check first (citations + supported-token fraction); the
-        model critique only runs when the heuristic passes, since a failed
-        heuristic already settles the verdict. Both read the snippets of the
-        draft prompt, so the critique sees the context the draft saw."""
+        """Heuristic checks first: some citation, the supported-token
+        fraction of the whole draft, then each cited sentence against the
+        union of the snippets it cites, at the same threshold. The model
+        critique only runs when they pass, since a failed heuristic already
+        settles the verdict. All read the snippets of the draft prompt, so
+        the critique sees the context the draft saw."""
         events: list[dict] = []
         if not citations:
             return "insufficient", "no-citation", events
@@ -217,6 +235,14 @@ class DerekPipeline:
         events.append({"stage": "validate", "support_fraction": round(fraction, 4)})
         if fraction < self.support_threshold:
             return "insufficient", "low-support", events
+        cited: dict[tuple[int, str], list[str]] = {}
+        for citation in citations:
+            for sentence in citation.sentences:
+                cited.setdefault(sentence, []).append(
+                    prompt.snippets[citation.snippet_no - 1])
+        for (_, text), snippets in cited.items():
+            if self._support_fraction(text, snippets) < self.support_threshold:
+                return "insufficient", "misattributed", events
         critique = (f"Review the draft answer against the context snippets.\n"
                     f"{prompt.context}\nDRAFT: {draft}\n{CRITIQUE_INSTRUCTION}")
         try:

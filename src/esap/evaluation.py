@@ -35,21 +35,21 @@ DEFAULT_NGRAM = 3
 # n-gram attribution
 # ---------------------------------------------------------------------------
 
-def _ngrams(tokens: list[str], n: int) -> set[tuple[str, ...]]:
-    if n < 1 or len(tokens) < n:
-        return set()
-    return {tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)}
+def _windows(tokens: Sequence[str], n: int):
+    """The n-grams of tokens as tuples, in order; none when n < 1 or there
+    are fewer than n tokens."""
+    return zip(*(tokens[j:] for j in range(n)))
 
 
-def _covered_positions(tokens: list[str], other: set[tuple[str, ...]],
-                       n: int) -> set[int]:
-    """Positions in at least one window whose n-gram is in ``other``, the
-    other side's n-grams."""
-    covered: set[int] = set()
-    for i in range(len(tokens) - n + 1):
-        if tuple(tokens[i:i + n]) in other:
-            covered.update(range(i, i + n))
-    return covered
+def _marked(tokens: Sequence[str], grams: set[tuple[str, ...]],
+            n: int) -> list[bool]:
+    """Mark every token inside a window whose n-gram is in grams."""
+    mask = [False] * len(tokens)
+    run = [True] * n
+    for i, gram in enumerate(_windows(tokens, n)):
+        if gram in grams:
+            mask[i:i + n] = run
+    return mask
 
 
 def supported_mask(answer_tokens: list[str],
@@ -69,30 +69,13 @@ def supported_mask(answer_tokens: list[str],
     if not answer_tokens:
         return []
     n_eff = min(n, len(answer_tokens))
-    grams = _ngrams(answer_tokens, n_eff)
+    grams = set(_windows(answer_tokens, n_eff))
     missing = set(grams)
     for ctx in context_token_lists:
-        missing.difference_update(zip(*(ctx[j:] for j in range(n_eff))))
+        missing.difference_update(_windows(ctx, n_eff))
         if not missing:
             break
-    covered = _covered_positions(answer_tokens, grams - missing, n_eff)
-    return [i in covered for i in range(len(answer_tokens))]
-
-
-def _context_positions_shared_with(reference_tokens: list[str],
-                                   context_token_lists: list[list[str]],
-                                   n: int) -> set[tuple[int, int]]:
-    """(context index, token index) pairs lying in an n-gram shared with
-    the reference token sequence."""
-    if not reference_tokens:
-        return set()
-    n_eff = min(n, len(reference_tokens))
-    ref_grams = _ngrams(reference_tokens, n_eff)
-    out: set[tuple[int, int]] = set()
-    for ci, ctx in enumerate(context_token_lists):
-        for pos in _covered_positions(ctx, ref_grams, n_eff):
-            out.add((ci, pos))
-    return out
+    return _marked(answer_tokens, grams - missing, n_eff)
 
 
 @dataclass(frozen=True)
@@ -123,29 +106,36 @@ def trace_scores(answer: str, contexts: list[str], gold_answer: str | None = Non
     Without a gold answer the gold-dependent metrics (context relevance,
     completeness) are omitted; the other two are still computed.
     """
-    if not answer.strip():
-        raise ValueError("answer must be non-empty")
+    a_tokens = token_texts(answer)
+    if not a_tokens:
+        raise ValueError("answer has no tokens")
     if not contexts or not any(c.strip() for c in contexts):
         raise ValueError("contexts must be non-empty")
-
-    a_tokens = token_texts(answer)
     ctx_tokens = [token_texts(c) for c in contexts]
-    total_ctx = sum(len(c) for c in ctx_tokens)
+    total_ctx = sum(map(len, ctx_tokens))
+
+    def shared_with(reference: list[str]) -> list[bool]:
+        """The context tokens inside an n-gram of reference, one mask over
+        the contexts end to end; n shrinks for a short reference as in
+        ``supported_mask``, and a reference with no tokens marks none."""
+        n_eff = min(n, len(reference))
+        grams = set(_windows(reference, n_eff))
+        return [m for ctx in ctx_tokens for m in _marked(ctx, grams, n_eff)]
 
     mask = supported_mask(a_tokens, ctx_tokens, n=n)
-    supported = sum(mask)
-    pc_hallucinated = 1.0 - (supported / len(a_tokens)) if a_tokens else 0.0
+    pc_hallucinated = 1.0 - sum(mask) / len(a_tokens)
 
-    used = _context_positions_shared_with(a_tokens, ctx_tokens, n)
-    utilization = (len(used) / total_ctx) if total_ctx else 0.0
+    used = shared_with(a_tokens)
+    utilization = (sum(used) / total_ctx) if total_ctx else 0.0
 
     context_relevance: float | None = None
     completeness: float | None = None
     if gold_answer is not None:
-        g_tokens = token_texts(gold_answer)
-        relevant = _context_positions_shared_with(g_tokens, ctx_tokens, n)
-        context_relevance = (len(relevant) / total_ctx) if total_ctx else 0.0
-        completeness = (len(used & relevant) / len(relevant)) if relevant else 1.0
+        relevant = shared_with(token_texts(gold_answer))
+        context_relevance = (sum(relevant) / total_ctx) if total_ctx else 0.0
+        n_relevant = sum(relevant)
+        completeness = (sum(u and r for u, r in zip(used, relevant)) / n_relevant
+                        if n_relevant else 1.0)
 
     return TraceScores(pc_hallucinated=pc_hallucinated,
                        utilization=utilization,
@@ -164,7 +154,7 @@ def read_runs_jsonl(path: str | Path) -> list[dict]:
     Each has "qid", "question", "system" and "answer" (strings) and
     "contexts" (a list of strings); "gold_answer" (a string) and
     "human_accuracy" (a number, not a boolean) may be absent or null. The
-    answer is not blank and some context is not, as ``trace_scores``
+    answer holds a token and some context is not blank, as ``trace_scores``
     requires. Raises RunsFormatError naming the first bad line.
     """
     records = []
@@ -177,6 +167,8 @@ def read_runs_jsonl(path: str | Path) -> list[dict]:
                 raise RunsFormatError(f"line {lineno}: {key} must be a string")
         if not obj["answer"].strip():
             raise RunsFormatError(f"line {lineno}: answer is blank")
+        if not token_texts(obj["answer"]):
+            raise RunsFormatError(f"line {lineno}: answer has no tokens")
         if not isinstance(obj.get("gold_answer"), (str, type(None))):
             raise RunsFormatError(f"line {lineno}: gold_answer must be a string or null")
         if not isinstance(obj["contexts"], list) or not all(

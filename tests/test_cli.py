@@ -685,6 +685,23 @@ def test_sql_json_writes_non_finite_numbers_as_strings(kb, tmp_path, capsys,
     assert result["table"]["rows"] == rows
 
 
+def test_ask_rejects_a_sentence_citing_a_snippet_that_does_not_hold_it(kb, tmp_path,
+                                                                      capsys):
+    # snippet 1 is policy-shipping, which holds the sentence; [2] names
+    # fruit-banana. Each of the three drafts (regen cap 2) is rejected
+    # before the critique, so the script needs no critique reply
+    question = "How long does standard shipping take?"
+    draft = "Standard shipping takes three business days [2]."
+    ports = write_script(tmp_path / "script.json", [question, draft, draft, draft])
+    code, out, _ = run_cli(capsys, "ask", "--q", question, "--kb", kb, "--ports", ports)
+    assert code == 0
+    answer = json.loads(out)["answer"]
+    assert (answer["verdict"], answer["reason"]) == ("insufficient", "misattributed")
+    assert answer["regeneration_count"] == 2
+    assert [(c["snippet"], c["chunk_id"]) for c in answer["citations"]] == \
+        [(2, "fruit-banana#v1#00000")]
+
+
 def test_eval_trace_reports_and_writes(tmp_path, capsys):
     runs = tmp_path / "runs.jsonl"
     runs.write_text(json.dumps({
@@ -954,10 +971,11 @@ def test_a_lone_surrogate_in_a_runs_line_is_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("fields, message", [
     ({"answer": "  "}, "line 1: answer is blank"),
+    ({"answer": "!!!"}, "line 1: answer has no tokens"),
     ({"contexts": []}, "line 1: contexts hold no non-blank string"),
     ({"qid": 5}, "line 1: qid must be a string"),
     ({"question": 7}, "line 1: question must be a string"),
-], ids=["blank-answer", "no-contexts", "qid", "question"])
+], ids=["blank-answer", "token-less-answer", "no-contexts", "qid", "question"])
 def test_a_runs_record_that_cannot_be_scored_is_data_error(tmp_path, capsys, fields,
                                                            message):
     runs = tmp_path / "runs.jsonl"

@@ -16,7 +16,8 @@ from esap.derek import (
 )
 from esap.errors import ModelRefusal, NoContext
 from esap.hybrid import HybridParams, build_hybrid
-from esap.ports import ExtractiveStub, HashingEmbedder, ScriptedModel, chat_request
+from esap.ports import ChatResponse, ExtractiveStub, HashingEmbedder, ScriptedModel, chat_request
+from esap.synthetic import make_toy_kb_documents
 
 
 def small_index(embedder, version: int = 1):
@@ -138,6 +139,23 @@ def test_generate_drops_out_of_range_markers(embedder):
     assert "[9]" not in draft
 
 
+def test_generate_keeps_the_sentences_each_marker_sits_in(embedder):
+    # a sentence's markers are the ones inside it and the ones right after
+    # its end; a marker on a piece with no token names no sentence
+    chat = ScriptedModel(["Apples keep well. [1] Bananas bruise [2] [1]! "
+                          "Apples keep well. [1][9] . [3] tail [2]"])
+    pipe = pipeline_with(embedder, chat)
+    hits = pipe.retrieve("red apple")
+    draft, citations, warnings = pipe.generate(pipe.assemble_costar("q", hits), hits)
+    assert draft == "Apples keep well. Bananas bruise! Apples keep well.. tail"
+    assert [(c.snippet_no, c.sentences) for c in citations] == [
+        (1, ((0, "Apples keep well."), (1, "Bananas bruise!"), (2, "Apples keep well."))),
+        (2, ((1, "Bananas bruise!"), (4, "tail"))),
+        (3, ()),
+    ]
+    assert warnings == ["citation [9] out of range, dropped"]
+
+
 def test_citation_carries_chunk_version(embedder):
     chat = ScriptedModel(["cited [1]"])
     index = small_index(embedder, version=3)
@@ -185,6 +203,24 @@ def test_validate_reads_every_snippet_for_a_partly_supported_draft(embedder):
     draft = "The red apple is purple, and bananas are yellow and sweet."
     _, _, events = pipe.validate(draft, citations, prompt)
     assert events[0] == {"stage": "validate", "support_fraction": round(8 / 11, 4)}
+
+
+def test_validate_checks_a_sentence_against_the_union_of_its_snippets(embedder):
+    # the first and the last snippet support 7 and 5 of the sentence's 13
+    # tokens, each below the 0.6 threshold; the two together support 12
+    draft = ("The red apple sits in the basket and bananas are yellow and sweet {}.")
+    pipe = pipeline_with(embedder, ScriptedModel([draft.format("[1][3]"), "sufficient",
+                                                  draft.format("[1]")]))
+    prompt = CoStarPrompt(("The red apple sits in the basket.",
+                           "The green pear hangs on the tree.",
+                           "Bananas are yellow and sweet."),
+                          PersonaConfig(), "what fruit?")
+    hits = pipe.retrieve("red apple")
+    both = pipe.validate(*pipe.generate(prompt, hits)[:2], prompt)
+    assert both[:2] == ("sufficient", None)
+    one = pipe.validate(*pipe.generate(prompt, hits)[:2], prompt)
+    assert one[:2] == ("insufficient", "misattributed")
+    assert one[2] == [{"stage": "validate", "support_fraction": round(12 / 13, 4)}]
 
 
 def test_validate_critique_drives_verdict(embedder):
@@ -358,3 +394,90 @@ def test_persona_text_reaches_prompt(embedder):
     generation_prompt = next(p for p in sent if p.startswith("# CONTEXT"))
     for marker in ("OBJ-MARK", "STY-MARK", "TON-MARK", "AUD-MARK", "FMT-MARK"):
         assert marker in generation_prompt
+
+
+# ---------------------------------------------------------------------------
+# citation support per sentence
+# ---------------------------------------------------------------------------
+
+def toy_pipeline(embedder, chat, k):
+    """The toy kb at the default chunking, one chunk per document."""
+    docs = make_toy_kb_documents()
+    chunks = [c for doc in docs for c in chunk_document(doc)]
+    index = build_hybrid(chunks, embedder, {doc.doc_id: sorted(doc.acl) for doc in docs},
+                         HybridParams())
+    return DerekPipeline(index, embedder, chat, k=k)
+
+
+def test_a_sentence_citing_a_snippet_that_does_not_hold_it_is_misattributed(embedder):
+    # the sentence is snippet 1's; [2] names fruit-banana. The whole draft is
+    # supported, so only the per-sentence check can reject it, and the
+    # critique is never asked
+    question = "How long does standard shipping take?"
+    draft = "Standard shipping takes three business days [2]."
+    chat = ScriptedModel([question, draft, draft, draft])
+    pipe = toy_pipeline(embedder, chat, k=3)
+    assert [h.doc_id for h in pipe.retrieve(question)][:2] == \
+        ["policy-shipping", "fruit-banana"]
+    grounded = pipe.answer(question)
+    assert (grounded.verdict, grounded.reason) == ("insufficient", "misattributed")
+    assert grounded.regeneration_count == 2
+    assert [c.chunk_id for c in grounded.citations] == ["fruit-banana#v1#00000"]
+    assert chat.calls == 4
+    assert [t["support_fraction"] for t in grounded.trace
+            if "support_fraction" in t] == [1.0] * 3
+
+    right = ScriptedModel([question, draft.replace("[2]", "[1]"), "sufficient"])
+    grounded = toy_pipeline(embedder, right, k=3).answer(question)
+    assert (grounded.verdict, grounded.regeneration_count) == ("sufficient", 0)
+
+
+class DraftThenStub:
+    """Answers a draft prompt with ``self.draft`` and every other prompt as
+    ExtractiveStub does."""
+
+    draft = ""
+
+    def chat(self, request):
+        if request.last_user.startswith("# CONTEXT"):
+            return ChatResponse(text=self.draft)
+        return ExtractiveStub().chat(request)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_draft_is_sufficient_exactly_when_each_cited_sentence_cites_its_source(
+        embedder, seed):
+    # every toy sentence shares no trigram with any other document, so a
+    # sentence is supported by the snippets it cites exactly when they
+    # include its own
+    rng = random.Random(seed)
+    chat = DraftThenStub()
+    pipe = toy_pipeline(embedder, chat, k=5)
+    hits = pipe.retrieve("fruit")
+    prompt = pipe.assemble_costar("fruit", hits)
+    assert len(prompt.snippets) == 5
+    sentences = [(number, sentence) for number, snippet in enumerate(prompt.snippets, 1)
+                 for sentence in re.split(r"(?<=[.!?])\s+", snippet)]
+    for case in range(300):
+        pieces = []
+        expected = "sufficient"
+        cited = False
+        for source, sentence in rng.choices(sentences, k=rng.randint(1, 4)):
+            markers = rng.sample(range(1, 6), rng.choice([0, 0, 1, 1, 2, 3]))
+            if markers:
+                cited = True
+                if source not in markers:
+                    expected = "insufficient"
+            marks = rng.choice(["", " "]).join(f"[{m}]" for m in markers)
+            if rng.random() < 0.5:                   # after the sentence's end
+                pieces.append(f"{sentence} {marks}")
+            else:                                    # before its full stop
+                pieces.append(f"{sentence[:-1]} {marks}{sentence[-1]}")
+        chat.draft = " ".join(pieces)
+        draft, citations, _ = pipe.generate(prompt, hits)
+        verdict, reason, _ = pipe.validate(draft, citations, prompt)
+        if not cited:
+            assert (verdict, reason) == ("insufficient", "no-citation"), chat.draft
+        else:
+            assert verdict == expected, (case, chat.draft)
+            assert reason == (None if expected == "sufficient" else "misattributed")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -181,6 +182,75 @@ def test_trace_scores_input_validation():
         trace_scores("answer", ["  "])
 
 
+def test_trace_scores_refuses_an_answer_with_no_tokens():
+    # scoring it would call an answer that states nothing fully grounded
+    with pytest.raises(ValueError, match="answer has no tokens"):
+        trace_scores("!!!", ["the red apple"], gold_answer="red apple")
+
+
+def set_trace_scores(answer, contexts, gold_answer, n):
+    """TraceScores by the set definition: sets of covered positions and of
+    (context, position) pairs, counted and intersected."""
+    def ngrams(tokens, n):
+        if n < 1 or len(tokens) < n:
+            return set()
+        return {tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)}
+
+    def covered_positions(tokens, other, n):
+        covered = set()
+        for i in range(len(tokens) - n + 1):
+            if tuple(tokens[i:i + n]) in other:
+                covered.update(range(i, i + n))
+        return covered
+
+    def context_positions_shared_with(reference, ctx_tokens, n):
+        if not reference:
+            return set()
+        n_eff = min(n, len(reference))
+        grams = ngrams(reference, n_eff)
+        return {(ci, pos) for ci, ctx in enumerate(ctx_tokens)
+                for pos in covered_positions(ctx, grams, n_eff)}
+
+    a_tokens = token_texts(answer)
+    ctx_tokens = [token_texts(c) for c in contexts]
+    total_ctx = sum(len(c) for c in ctx_tokens)
+    n_eff = min(n, len(a_tokens))
+    grams = ngrams(a_tokens, n_eff)
+    found = set().union(*(ngrams(ctx, n_eff) for ctx in ctx_tokens)) & grams
+    supported = len(covered_positions(a_tokens, found, n_eff))
+    pc_hallucinated = 1.0 - (supported / len(a_tokens))
+    used = context_positions_shared_with(a_tokens, ctx_tokens, n)
+    utilization = (len(used) / total_ctx) if total_ctx else 0.0
+    context_relevance = completeness = None
+    if gold_answer is not None:
+        relevant = context_positions_shared_with(token_texts(gold_answer), ctx_tokens, n)
+        context_relevance = (len(relevant) / total_ctx) if total_ctx else 0.0
+        completeness = (len(used & relevant) / len(relevant)) if relevant else 1.0
+    return (pc_hallucinated, utilization, context_relevance, completeness, None)
+
+
+def test_trace_scores_equal_the_set_definition():
+    # small vocabularies make shared n-grams common; a context with no
+    # token is blank or punctuation, so every context can be token-less
+    rng = random.Random(29)
+    for case in range(20_000):
+        vocab = [f"t{i}" for i in range(rng.randint(1, 6))]
+        n = rng.randint(1, 5)
+
+        def text(fewest, most, empty=""):
+            return " ".join(rng.choices(vocab, k=rng.randint(fewest, most))) or empty
+
+        answer = text(1, 10)
+        contexts = [text(0, 12, empty=rng.choice(["", "?!"]))
+                    for _ in range(rng.randint(1, 5))]
+        if not any(c.strip() for c in contexts):
+            contexts.append("...")
+        gold = rng.choice([None, "", "!!!", text(0, 8), text(1, 8)])
+        scores = trace_scores(answer, contexts, gold_answer=gold, n=n)
+        assert dataclasses.astuple(scores) == \
+            set_trace_scores(answer, contexts, gold, n), case
+
+
 def test_trace_scores_fuzz_stays_in_unit_interval():
     rng = np.random.Generator(np.random.PCG64(11))
     for _ in range(200):
@@ -249,12 +319,14 @@ def test_read_runs_jsonl_errors(tmp_path):
     (json.dumps(run_record("s", "a", ["a"], question=7)).encode(),
      "line 2: question must be a string"),
     (json.dumps(run_record("s", " \n", ["a"])).encode(), "line 2: answer is blank"),
+    (json.dumps(run_record("s", "!!!", ["a"])).encode(), "line 2: answer has no tokens"),
     (json.dumps(run_record("s", "a", [])).encode(),
      "line 2: contexts hold no non-blank string"),
     (json.dumps(run_record("s", "a", ["", " \t"])).encode(),
      "line 2: contexts hold no non-blank string"),
 ], ids=["int", "string", "array", "bad-utf8", "system", "answer", "gold-answer",
-        "bool-human-accuracy", "qid", "question", "blank-answer", "no-contexts",
+        "bool-human-accuracy", "qid", "question", "blank-answer", "token-less-answer",
+        "no-contexts",
         "blank-contexts"])
 def test_read_runs_jsonl_rejects_mistyped_lines(tmp_path, line, message):
     path = tmp_path / "runs.jsonl"
