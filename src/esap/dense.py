@@ -1,15 +1,22 @@
 """Dense vector index: exhaustive cosine search.
 
-Every index is searched exactly: one matrix-vector product, a partition cut
-at the k-th similarity and a sort of the candidates at or above it. At the
-sizes this system targets (5k and 20k chunks) that beats a navigable-graph
-ANN search at every k and costs no build time; ROADMAP.md keeps the
+Every index is searched exactly: a score for every chunk, a partition cut at
+the k-th score and a sort of the candidates at or above it. At the sizes
+this system targets (5k and 20k chunks) that beats a navigable-graph ANN
+search at every k and costs no build time; ROADMAP.md keeps the
 measurements. The ``ann`` parameters are still accepted, so configs that set
 them keep working, and recorded in an index's ``meta.json``, but they change
 nothing.
 
 All vectors are expected unit-norm (or all-zero), so cosine similarity is a
-dot product.
+dot product. A chunk's score is defined as the float64 sum of the products
+``float64(v[j]) * float64(q[j])``, added in ascending ``j`` from ``0.0``.
+Each float32 product is exact in float64 and a zero product leaves the sum
+as it is, so summing over the query's nonzero dimensions alone gives the
+same bits as summing over all of them, on any BLAS and any CPU. A hashed
+query has a handful of nonzero dimensions, and the vectors are stored
+dimension-major (``DenseIndex.columns``), so a search reads only those
+dimensions' rows of the matrix.
 """
 
 from __future__ import annotations
@@ -54,16 +61,22 @@ class AnnParams:
 
 @dataclass
 class DenseIndex:
-    """Read-only (n, d) float32 vectors, rows unit-norm or zero, in position order."""
+    """Read-only (d, n) float32 matrix, dimension-major: column i is the
+    vector of position i, unit-norm or zero."""
 
-    vectors: np.ndarray
+    columns: np.ndarray
 
     def __post_init__(self):
-        self.vectors.flags.writeable = False
+        self.columns.flags.writeable = False
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The (n, d) rows in position order: a view of ``columns``, not a copy."""
+        return self.columns.T
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[1]
+        return self.columns.shape[0]
 
     @property
     def mode(self) -> str:
@@ -71,10 +84,41 @@ class DenseIndex:
         return "exact"
 
 
-def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
+def _normalized_columns(matrix: np.ndarray) -> np.ndarray:
+    """The float32 (n, d) rows scaled to unit norm, written dimension-major
+    into one new (d, n) array; all-zero rows stay zero."""
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0                # all-zero rows stay zero
-    return (matrix / norms).astype(np.float32, copy=False)
+    norms[norms == 0.0] = 1.0
+    columns = np.empty(matrix.shape[::-1], dtype=np.float32)
+    np.divide(matrix.T, norms.T, out=columns)
+    return columns
+
+
+def _embeddings(compute, ids: list) -> np.ndarray:
+    """``compute()`` as a float32 (len(ids), d) array of finite values.
+
+    A raising embedder, a result of another shape and a non-finite value
+    are ``EmbedderFailure``; the last names the id of its row.
+    """
+    try:
+        matrix = np.asarray(compute(), dtype=np.float32)
+    except Exception as exc:
+        raise EmbedderFailure(f"embedding failed: {exc}") from exc
+    if matrix.ndim != 2 or matrix.shape[0] != len(ids):
+        raise EmbedderFailure(
+            f"embedder returned shape {matrix.shape}, expected ({len(ids)}, d)")
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise EmbedderFailure("non-finite embedding", chunk_id=ids[int(bad[0])])
+    return matrix
+
+
+def embed_query(embed, query: str) -> np.ndarray:
+    """The query's float32 vector scaled to unit norm (all-zero stays zero),
+    checked as a build checks its chunks' vectors."""
+    vector = _embeddings(lambda: embed([query]), [None])[0]
+    norm = float(np.linalg.norm(vector))
+    return vector / norm if norm > 0.0 else vector
 
 
 def build_dense_from_texts(texts: list[str], chunk_ids: list[str], embed,
@@ -91,21 +135,11 @@ def build_dense_from_texts(texts: list[str], chunk_ids: list[str], embed,
     if params is not None and params.mode not in ("auto", "exact", "ann"):
         raise ValueError(f"unknown dense mode {params.mode!r}")
     embed_ids = getattr(embed, "embed_ids", None)
-    try:
-        if terms is not None and embed_ids is not None:
-            matrix = np.asarray(embed_ids(*terms), dtype=np.float32)
-        else:
-            matrix = np.asarray(embed(texts), dtype=np.float32)
-    except Exception as exc:
-        raise EmbedderFailure(f"embedding failed: {exc}") from exc
-    if matrix.ndim != 2 or matrix.shape[0] != len(texts):
-        raise EmbedderFailure(
-            f"embedder returned shape {matrix.shape}, expected ({len(texts)}, d)")
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        raise EmbedderFailure("non-finite embedding", chunk_id=chunk_ids[int(bad[0])])
-    matrix = _normalize_rows(matrix)
-    return DenseIndex(matrix)
+    if terms is not None and embed_ids is not None:
+        matrix = _embeddings(lambda: embed_ids(*terms), chunk_ids)
+    else:
+        matrix = _embeddings(lambda: embed(texts), chunk_ids)
+    return DenseIndex(_normalized_columns(matrix))
 
 
 def top_k(positions: np.ndarray, scores: np.ndarray,
@@ -126,10 +160,13 @@ def top_k(positions: np.ndarray, scores: np.ndarray,
 
 def search_dense(index: DenseIndex, query: np.ndarray, k: int,
                  allowed: np.ndarray | None = None) -> list[tuple[int, float]]:
-    """Top-k (position, cosine similarity); ties broken by position ascending.
+    """Top-k (position, score); ties broken by position ascending.
 
-    With ``allowed`` (a boolean mask over positions) only the positions it
-    keeps are cut and sorted.
+    The scores are the module docstring's float64 sums, taken one nonzero
+    query dimension at a time in ascending order, each a pass over one row
+    of ``columns``; no temporary is larger than one row. With ``allowed`` (a
+    boolean mask over positions) only the positions it keeps are cut and
+    sorted.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -137,7 +174,11 @@ def search_dense(index: DenseIndex, query: np.ndarray, k: int,
     if query.shape[0] != index.dim:
         raise DimensionMismatch(
             f"query dimension {query.shape[0]} != index dimension {index.dim}")
-    sims = index.vectors @ query
+    columns = index.columns
+    sims = np.zeros(columns.shape[1])
+    product = np.empty_like(sims)
+    for j in np.flatnonzero(query).tolist():
+        sims += np.multiply(columns[j], float(query[j]), out=product, dtype=np.float64)
     if allowed is None:
         candidates = np.arange(sims.shape[0])
     else:

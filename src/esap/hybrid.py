@@ -7,7 +7,8 @@ A built index is a self-contained directory:
     index/lexical.bin   magic + 8-byte header length + JSON header, then
                         raw little-endian sections
     index/dense.bin     magic, then the raw little-endian float32 vectors,
-                        one row per chunk in position order
+                        dimension-major: one row per dimension, each
+                        holding every chunk's value in position order
 
 The lexical header is small: the chunk, document, term and posting counts,
 the tf type, ``doc_acl`` and each section's byte length, in file order.
@@ -23,13 +24,14 @@ table. The BM25 header keys and sections and every check on them belong to
 ``esap.lexical`` (``to_columns``, ``from_columns``), which stores term
 frequencies and rebuilds the weights at load exactly as the build computed
 them. A load tokenizes nothing. ``dense.bin`` states no shape of its own:
-its row count is the chunk table's and its width is ``meta.json``'s
-``dim``, so vectors of another row count or width are refused. A load
-serves the rows in place, as a read-only view of the verified bytes: the
-8-byte magic keeps them float32-aligned, and no row is copied.
+its row count is ``meta.json``'s ``dim`` and its row length the chunk
+table's count, so vectors of another chunk count or width are refused. A load
+serves the matrix in place, as the read-only ``DenseIndex.columns`` view of
+the verified bytes: the 8-byte magic keeps them float32-aligned, and no
+value is copied.
 
-Format 4 is the only format a load reads. Any other ``format_version``,
-formats 1 to 3 included, is ``FormatVersionMismatch``: the index is derived
+Format 5 is the only format a load reads. Any other ``format_version``,
+formats 1 to 4 included, is ``FormatVersionMismatch``: the index is derived
 from the kb, and ``esap index`` rebuilds it.
 
 Each data file is hashed as it is written; a load reads it once, refuses it
@@ -54,7 +56,8 @@ import numpy as np
 
 from .columns import are_i8s, are_strings, is_count, read_array, read_strings, string_sections
 from .corpus import DEFAULT_CHUNK_OVERLAP, DEFAULT_CHUNK_SIZE, Chunk
-from .dense import AnnParams, DenseIndex, build_dense_from_texts, search_dense, top_k
+from .dense import (AnnParams, DenseIndex, build_dense_from_texts, embed_query, search_dense,
+                    top_k)
 from .errors import (CorruptIndex, DataError, EmptyCorpus, EmptyIndex, FormatVersionMismatch,
                      require)
 from .jsonio import parse_json, read_json
@@ -63,12 +66,12 @@ from .lexical import (DEFAULT_B, DEFAULT_K1, SECTIONS, LexicalIndex, _candidates
                       build_lexical, from_columns, search_lexical, to_columns)
 from .tokenizer import term_ids
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 DEFAULT_K = 50
 DEFAULT_RRF_C = 60
 # each retriever ranks this many times k of the principal's readable chunks
 FETCH_FACTOR = 4
-DENSE_MAGIC = b"ESAPDNS1"
+DENSE_MAGIC = b"ESAPDNS2"
 LEXICAL_MAGIC = b"ESAPLEX3"
 
 
@@ -347,11 +350,7 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = DEFAULT_K,
     if fetch == 0:
         return []
     lex_positions, _ = top_k(*_candidates(index.lexical, query, allowed), fetch)
-    query_vec = np.asarray(embed([query]), dtype=np.float32)[0]
-    norm = float(np.linalg.norm(query_vec))
-    if norm > 0.0:
-        query_vec = query_vec / norm
-    dense_hits = search_dense(index.dense, query_vec, fetch, allowed)
+    dense_hits = search_dense(index.dense, embed_query(embed, query), fetch, allowed)
     # positions ascend in chunk_id order, so fusing them ties as fusing ids
     rankings = [lex_positions.tolist(), [pos for pos, _ in dense_hits]]
     table, texts = index.chunks, index.guarded(guards)
@@ -380,7 +379,7 @@ def _write(path: Path, parts) -> str:
 
 
 def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
-    """Write the index under <kb>/index/ in format 4; returns that directory."""
+    """Write the index under <kb>/index/ in format 5; returns that directory."""
     out_dir = Path(kb_root) / "index"
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -405,7 +404,7 @@ def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
         "checksums": {
             "lexical.bin": _write(out_dir / "lexical.bin", lexical_parts),
             "dense.bin": _write(out_dir / "dense.bin",
-                                [DENSE_MAGIC, np.ascontiguousarray(index.dense.vectors, "<f4")]),
+                                [DENSE_MAGIC, np.ascontiguousarray(index.dense.columns, "<f4")]),
         },
     }
     _write(out_dir / "meta.json",
@@ -508,9 +507,9 @@ def load_hybrid(kb_root: str | Path) -> HybridIndex:
     n = len(table)
     try:
         require(blob.startswith(DENSE_MAGIC), f"the magic is {blob[:len(DENSE_MAGIC)]!r}")
-        rows = read_array(memoryview(blob)[len(DENSE_MAGIC):], "<f4", n * dim, "vectors")
+        values = read_array(memoryview(blob)[len(DENSE_MAGIC):], "<f4", dim * n, "vectors")
     except ValueError as exc:
         raise CorruptIndex(f"bad dense.bin: {exc}") from exc
 
-    return HybridIndex(lexical=lexical, dense=DenseIndex(rows.reshape(n, dim)), chunks=table,
+    return HybridIndex(lexical=lexical, dense=DenseIndex(values.reshape(dim, n)), chunks=table,
                        doc_acl=doc_acl, params=params)

@@ -165,7 +165,11 @@ def test_criterion_02_bm25_oracle():
 # ---------------------------------------------------------------------------
 
 def brute_force_order(vectors: np.ndarray, query: np.ndarray, k: int) -> list[int]:
-    sims = vectors @ query
+    # the dense score as defined: float64 products added over every
+    # dimension in ascending order, from 0.0
+    sims = np.zeros(len(vectors))
+    for j in range(vectors.shape[1]):
+        sims += vectors[:, j].astype(np.float64) * float(query[j])
     order = np.lexsort((np.arange(len(sims)), -sims))
     return [int(i) for i in order[:k]]
 

@@ -830,6 +830,10 @@ def test_a_format_2_index_is_refused_with_its_remedy(kb, capsys):
     assert_refused_with_its_remedy(kb, capsys, 2)
 
 
+def test_a_format_4_index_is_refused_with_its_remedy(kb, capsys):
+    assert_refused_with_its_remedy(kb, capsys, 4)
+
+
 def test_serving_commands_fuse_with_the_configs_rrf_c(kb, tmp_path, capsys):
     # the kb was indexed with the default rrf_c 60, and meta.json keeps it
     meta = json.loads((Path(kb) / "index" / "meta.json").read_text(encoding="utf-8"))

@@ -13,8 +13,17 @@ from esap.ports import HashingEmbedder
 from esap.synthetic import make_clustered_texts, make_random_text
 
 
+def brute_scores(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """The dense score as defined: float64 products added over every
+    dimension in ascending order, from 0.0."""
+    sims = np.zeros(len(vectors))
+    for j in range(vectors.shape[1]):
+        sims += vectors[:, j].astype(np.float64) * float(query[j])
+    return sims
+
+
 def brute_order(vectors: np.ndarray, query: np.ndarray, k: int) -> list[int]:
-    sims = vectors @ query
+    sims = brute_scores(vectors, query)
     return [int(i) for i in np.lexsort((np.arange(len(sims)), -sims))[:k]]
 
 
@@ -67,13 +76,62 @@ def test_ties_at_the_cut_follow_position():
     vectors = index.vectors
     # copies first, then copies behind the neighbours of another text
     for query in (vectors[1], vectors[0] + 0.3 * vectors[1]):
-        sims = vectors @ query
+        sims = brute_scores(vectors, query)
         assert len(set(sims[copies].tolist())) == 1
         full = brute_order(vectors, query, n)
         first = min(full.index(pos) for pos in copies)
         for k in (first + 1, first + 20, first + 39, first + 40, first + 41, n, n + 7):
             got = [pos for pos, _ in search_dense(index, query, k)]
             assert got == full[:k], k
+
+
+def bits(values) -> list[int]:
+    """Each float64's bit pattern, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def test_scores_equal_the_all_dimension_loop_bit_for_bit():
+    # the sum over the query's nonzero dimensions is the sum over all of
+    # them, for sparse hashed queries, chunk vectors, mixed-sign queries,
+    # the zero query and a dense Gaussian one, under every mask and k
+    rng = np.random.default_rng(30)
+    embed = HashingEmbedder()
+    for _ in range(12):
+        texts = make_clustered_texts(int(rng.integers(2, 60)), seed=int(rng.integers(1000)))
+        texts[0] = texts[-1]                    # at least one exact tie
+        index = build(texts)
+        n, vectors = len(texts), index.vectors
+        i, j = rng.integers(0, n, size=2)
+        queries = [embed([make_random_text(rng, int(rng.integers(1, 12)))])[0],
+                   vectors[i], vectors[i] + np.float32(0.3) * vectors[j],
+                   vectors[i] - vectors[j], np.zeros(index.dim, dtype=np.float32),
+                   rng.standard_normal(index.dim).astype(np.float32)]
+        for query in queries:
+            want = brute_scores(vectors, query)
+            for allowed in (None, rng.random(n) < 0.5, rng.random(n) < 0.1):
+                keep = np.arange(n) if allowed is None else np.flatnonzero(allowed)
+                order = keep[np.lexsort((keep, -want[keep]))].tolist()
+                for k in range(1, n + 4):
+                    got = search_dense(index, query, k, allowed)
+                    assert [pos for pos, _ in got] == order[:k]
+                    assert bits([score for _, score in got]) == bits(want[order[:k]])
+
+
+@pytest.mark.parametrize("n", [1, 40, 600])
+def test_a_built_index_holds_one_dimension_major_copy(n):
+    # column i is row i of the embedding scaled to unit norm
+    texts = make_clustered_texts(n, seed=4)
+    texts[-1] = "..."                             # no token: a zero vector
+    index = build(texts)
+    columns = index.columns
+    assert columns.shape == (index.dim, n) and columns.dtype == np.float32
+    assert columns.flags.c_contiguous and not columns.flags.writeable
+    assert np.shares_memory(index.vectors, columns)
+    rows = HashingEmbedder()(texts)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    assert np.array_equal(index.vectors, rows / norms)
+    assert not index.vectors[-1].any()
 
 
 def test_exact_tie_break_by_position():

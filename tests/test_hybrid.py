@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from esap.corpus import Chunk, Document, chunk_document
-from esap.errors import DataError, EmptyCorpus, EmptyIndex
+from esap.errors import (DataError, DimensionMismatch, EmbedderFailure, EmptyCorpus,
+                         EmptyIndex)
 from esap.hybrid import (
     DEFAULT_GUARDS,
     FETCH_FACTOR,
@@ -295,7 +296,12 @@ def test_equals_fusion_of_brute_force_rankings_of_the_readable_subset():
                               if index.chunk_ids[p] in bm25),
                              key=lambda cid: (-bm25[cid], cid))[:cut]
             qv = embed([query])[0]
-            sims = index.dense.vectors @ (qv / max(float(np.linalg.norm(qv)), 1e-30))
+            qv = qv / max(float(np.linalg.norm(qv)), 1e-30)
+            # the dense score as defined: float64 products added over every
+            # dimension in ascending order, from 0.0
+            sims = np.zeros(index.n_chunks)
+            for j in range(len(qv)):
+                sims += index.dense.vectors[:, j].astype(np.float64) * float(qv[j])
             dense = [index.chunk_ids[p] for p in
                      sorted(readable, key=lambda p: (-float(sims[p]), p))[:cut]]
             expected = rrf_fuse([lexical, dense])[:k] if readable else []
@@ -511,6 +517,56 @@ def test_validation_and_empty_index():
         search_hybrid(index, "x", HashingEmbedder(), k=0)
     with pytest.raises(EmptyCorpus):
         build_hybrid([], HashingEmbedder(), {}, HybridParams())
+
+
+def _with_query_embedding(change):
+    """A HashingEmbedder whose result for a search query is changed by ``change``."""
+    embed = HashingEmbedder()
+    return lambda texts: change(embed(texts))
+
+
+def _set(value):
+    def change(matrix):
+        matrix[0, 3] = value
+        return matrix
+    return change
+
+
+# query embeddings a search must refuse as it refuses them at build: each
+# would otherwise rank on NaN scores, divide inf by inf, drop a row silently
+# or index an empty result
+BAD_QUERY_EMBEDDINGS = {
+    "nan": (_set(np.nan), "non-finite embedding"),
+    "inf": (_set(np.inf), "non-finite embedding"),
+    "minus-inf": (_set(-np.inf), "non-finite embedding"),
+    "two-rows": (lambda m: np.vstack([m, m]), r"shape \(2, 256\), expected \(1, d\)"),
+    "no-rows": (lambda m: m[:0], r"shape \(0, 256\), expected \(1, d\)"),
+    "one-dim": (lambda m: m[0], r"shape \(256,\), expected \(1, d\)"),
+}
+
+
+@pytest.mark.parametrize("change,message", BAD_QUERY_EMBEDDINGS.values(),
+                         ids=BAD_QUERY_EMBEDDINGS.keys())
+def test_a_bad_query_embedding_is_embedder_failure(change, message):
+    index = build_toy_index()
+    with pytest.raises(EmbedderFailure, match=message) as refused:
+        search_hybrid(index, "red apple basket", _with_query_embedding(change), k=3)
+    assert refused.value.exit_code == 2
+
+
+def test_a_raising_query_embedder_is_embedder_failure():
+    def explode(texts):
+        raise RuntimeError("remote down")
+
+    with pytest.raises(EmbedderFailure, match="embedding failed: remote down") as refused:
+        search_hybrid(build_toy_index(), "red apple basket", explode, k=3)
+    assert refused.value.exit_code == 2
+    assert isinstance(refused.value.__cause__, RuntimeError)
+
+
+def test_a_query_embedding_of_another_width_is_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match="query dimension 13 != index dimension 256"):
+        search_hybrid(build_toy_index(), "red apple basket", HashingEmbedder(13), k=3)
 
 
 def test_chunks_sorted_by_id_regardless_of_input_order():

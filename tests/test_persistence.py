@@ -165,6 +165,24 @@ def test_a_load_serves_the_vector_rows_in_place(tmp_path, n):
     assert not vectors.flags.owndata
 
 
+def test_a_load_serves_one_dimension_major_copy_of_the_file_bytes(tmp_path):
+    # columns is a read-only, aligned view of the verified dense.bin bytes
+    # past the magic, and vectors a view of columns
+    index = build_index()
+    index_dir = save_hybrid(index, tmp_path)
+    loaded = load_hybrid(tmp_path).dense
+    columns = loaded.columns
+    assert columns.shape == (index.dense.dim, index.n_chunks)
+    assert columns.flags.c_contiguous and columns.flags.aligned
+    assert not columns.flags.writeable and not columns.flags.owndata
+    base = columns
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert base.obj == (index_dir / "dense.bin").read_bytes()
+    assert columns.tobytes() == base.obj[len(DENSE_MAGIC):]
+    assert np.shares_memory(loaded.vectors, loaded.columns)
+
+
 # values a build must refuse or save and load back as they are: ints at and
 # past the <i8 limits, strings, bools, floats, spans of other shapes, lone
 # surrogates (and a valid non-BMP letter) and ACLs of every shape
@@ -310,7 +328,7 @@ def test_a_format_1_index_is_refused_like_any_other_format(tmp_path):
     with pytest.raises(FormatVersionMismatch) as refused:
         load_hybrid(with_format_version(tmp_path, 1))
     assert str(refused.value) == \
-        "index format 1 unsupported, expected 4; run `esap index` to rebuild it"
+        "index format 1 unsupported, expected 5; run `esap index` to rebuild it"
     assert refused.value.exit_code == 2
 
 
@@ -318,7 +336,17 @@ def test_a_format_2_index_is_refused_like_any_other_format(tmp_path):
     with pytest.raises(FormatVersionMismatch) as refused:
         load_hybrid(with_format_version(tmp_path, 2))
     assert str(refused.value) == \
-        "index format 2 unsupported, expected 4; run `esap index` to rebuild it"
+        "index format 2 unsupported, expected 5; run `esap index` to rebuild it"
+    assert refused.value.exit_code == 2
+
+
+def test_a_format_4_index_is_refused_like_any_other_format(tmp_path):
+    # format 4 stored the vectors one row per chunk; format 5 stores them
+    # one row per dimension
+    with pytest.raises(FormatVersionMismatch) as refused:
+        load_hybrid(with_format_version(tmp_path, 4))
+    assert str(refused.value) == \
+        "index format 4 unsupported, expected 5; run `esap index` to rebuild it"
     assert refused.value.exit_code == 2
 
 
@@ -609,7 +637,8 @@ def test_a_missing_data_file_is_corrupt_index(tmp_path, name):
 
 
 def dense_rows(rows: np.ndarray, magic: bytes = DENSE_MAGIC) -> bytes:
-    return magic + rows.astype("<f4").tobytes()
+    """The (n, d) rows as dense.bin stores them: dimension-major after the magic."""
+    return magic + rows.T.astype("<f4").tobytes()
 
 
 def with_meta_dim(delta: int):
@@ -637,8 +666,8 @@ DENSE_CASES = {
 def test_a_malformed_dense_file_is_corrupt_index(tmp_path, case):
     index = build_index()
     index_dir = save_hybrid(index, tmp_path)
-    # dense.bin is the magic and the rows, nothing else: its shape is the
-    # chunk table's count and meta.json's dim
+    # dense.bin is the magic and the vectors, dimension-major, nothing else:
+    # its shape is meta.json's dim and the chunk table's count
     rows = index.dense.vectors
     assert (index_dir / "dense.bin").read_bytes() == dense_rows(rows)
     meta_path = index_dir / "meta.json"
@@ -679,12 +708,13 @@ def test_term_id_build_saves_the_text_port_build(tmp_path, unicode):
 
 
 def test_toy_index_files_keep_their_recorded_digests(tmp_path, toy_index):
-    # dense.bin recorded when format 4 dropped its header, and is the magic
-    # followed by the rows the build wrote before it tokenized once;
+    # dense.bin recorded when format 5 stored the vectors dimension-major: a
+    # new magic followed by the transpose of format 4's rows (the values the
+    # build wrote before it tokenized once);
     # lexical.bin recorded when a document's first and last chunk took in its
     # leading and trailing punctuation (the text column changed, nothing else)
     digests = saved_digests(toy_index, tmp_path)
     assert digests["dense.bin"] == \
-        "5a02e5ef572749cd884186e6ecdcfdc72def2e3d1590d972afaa18be727a2ba6"
+        "f17bd19d7d023da3465025a2cb9add6b0eb815c6e79e84224f435bd2104459a3"
     assert digests["lexical.bin"] == \
         "156930a041846a122103c5d49c826dadc041231660313466c60c6e71a2c37d9c"
