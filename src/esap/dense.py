@@ -8,8 +8,15 @@ measurements. The ``ann`` parameters are still accepted, so configs that set
 them keep working, and recorded in an index's ``meta.json``, but they change
 nothing.
 
-All vectors are expected unit-norm (or all-zero), so cosine similarity is a
-dot product. A chunk's score is defined as the float64 sum of the products
+Cosine similarity is a dot product of unit vectors, and this module alone
+scales a vector to unit length, by one rule for every stored row and every
+query: its length is the float32 rounding of ``sqrt`` of the float64 sum of
+``float64(v[j]) ** 2``, added in ascending ``j`` from ``0.0``, and a nonzero
+vector is divided by that length in float32 (an all-zero one stays zero).
+Each float32 square is exact in float64 and ``np.sqrt`` is correctly
+rounded, so the unit vector has the same bits on any BLAS and any CPU.
+
+A chunk's score is defined as the float64 sum of the products
 ``float64(v[j]) * float64(q[j])``, added in ascending ``j`` from ``0.0``.
 Each float32 product is exact in float64 and a zero product leaves the sum
 as it is, so summing over the query's nonzero dimensions alone gives the
@@ -32,6 +39,9 @@ DEFAULT_M = 16
 DEFAULT_EF_CONSTRUCTION = 200
 DEFAULT_EF_SEARCH = 128
 DEFAULT_EXACT_THRESHOLD = 5_000
+# rows per block of ``_unit_columns``: 64 rows of 256 dimensions keep the
+# block's float64 squares at 128 KB
+_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -62,7 +72,7 @@ class AnnParams:
 @dataclass
 class DenseIndex:
     """Read-only (d, n) float32 matrix, dimension-major: column i is the
-    vector of position i, unit-norm or zero."""
+    vector of position i, of unit length or zero."""
 
     columns: np.ndarray
 
@@ -84,29 +94,39 @@ class DenseIndex:
         return "exact"
 
 
-def _normalized_columns(matrix: np.ndarray) -> np.ndarray:
-    """The float32 (n, d) rows scaled to unit norm, written dimension-major
-    into one new (d, n) array; all-zero rows stay zero."""
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    columns = np.empty(matrix.shape[::-1], dtype=np.float32)
-    np.divide(matrix.T, norms.T, out=columns)
+def _unit_columns(matrix: np.ndarray) -> np.ndarray:
+    """The float32 (n, d) rows scaled to unit length by the module
+    docstring's rule, written dimension-major into one new (d, n) array.
+
+    A block of ``_BLOCK_ROWS`` rows at a time: ``np.add.accumulate`` adds
+    each row's float64 squares in ascending order (it is defined as that
+    running sum), and the block is divided into its columns of the output.
+    """
+    n, d = matrix.shape
+    columns = np.empty((d, n), dtype=np.float32)
+    for r0 in range(0, n, _BLOCK_ROWS):
+        rows = matrix[r0:r0 + _BLOCK_ROWS]
+        sums = np.add.accumulate(np.square(rows, dtype=np.float64), axis=1)[:, -1]
+        lengths = np.sqrt(sums).astype(np.float32)
+        lengths[lengths == 0.0] = 1.0
+        np.divide(rows.T, lengths, out=columns[:, r0:r0 + _BLOCK_ROWS])
     return columns
 
 
 def _embeddings(compute, ids: list) -> np.ndarray:
     """``compute()`` as a float32 (len(ids), d) array of finite values.
 
-    A raising embedder, a result of another shape and a non-finite value
-    are ``EmbedderFailure``; the last names the id of its row.
+    A raising embedder, a result of another shape or of no dimensions and
+    a non-finite value are ``EmbedderFailure``; the last names the id of its
+    row.
     """
     try:
         matrix = np.asarray(compute(), dtype=np.float32)
     except Exception as exc:
         raise EmbedderFailure(f"embedding failed: {exc}") from exc
-    if matrix.ndim != 2 or matrix.shape[0] != len(ids):
+    if matrix.ndim != 2 or matrix.shape[0] != len(ids) or not matrix.shape[1]:
         raise EmbedderFailure(
-            f"embedder returned shape {matrix.shape}, expected ({len(ids)}, d)")
+            f"embedder returned shape {matrix.shape}, expected ({len(ids)}, d), d >= 1")
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise EmbedderFailure("non-finite embedding", chunk_id=ids[int(bad[0])])
@@ -114,11 +134,9 @@ def _embeddings(compute, ids: list) -> np.ndarray:
 
 
 def embed_query(embed, query: str) -> np.ndarray:
-    """The query's float32 vector scaled to unit norm (all-zero stays zero),
-    checked as a build checks its chunks' vectors."""
-    vector = _embeddings(lambda: embed([query]), [None])[0]
-    norm = float(np.linalg.norm(vector))
-    return vector / norm if norm > 0.0 else vector
+    """The query's float32 vector scaled to unit length as a chunk's is
+    (all-zero stays zero), checked as a build checks its chunks' vectors."""
+    return _unit_columns(_embeddings(lambda: embed([query]), [None]))[:, 0]
 
 
 def build_dense_from_texts(texts: list[str], chunk_ids: list[str], embed,
@@ -139,7 +157,7 @@ def build_dense_from_texts(texts: list[str], chunk_ids: list[str], embed,
         matrix = _embeddings(lambda: embed_ids(*terms), chunk_ids)
     else:
         matrix = _embeddings(lambda: embed(texts), chunk_ids)
-    return DenseIndex(_normalized_columns(matrix))
+    return DenseIndex(_unit_columns(matrix))
 
 
 def top_k(positions: np.ndarray, scores: np.ndarray,

@@ -8,7 +8,6 @@ first-class citizens so every pipeline can run deterministically offline.
 from __future__ import annotations
 
 import functools
-import math
 import os
 import re
 import sqlite3
@@ -349,9 +348,6 @@ _TOKEN_SLOT_CACHE = 1 << 17
 # the temporaries of a large batch stay near half a megabyte (float64 sums,
 # and the keys and signs of the block's tokens)
 _BLOCK_CELLS = 1 << 14
-# below this squared norm every partial sum of a row's squares is an exact
-# float32 integer, so any summation order gives np.linalg.norm's value
-_EXACT_SQUARES = float(1 << 24)
 
 
 @functools.lru_cache(maxsize=_TOKEN_SLOT_CACHE)
@@ -365,12 +361,14 @@ class HashingEmbedder:
     """Deterministic feature-hashing embedder; no model weights required.
 
     Each token hashes to one of ``dim`` coordinates with a +/-1 sign taken
-    from the hash's top bit; the result is L2-normalized (all-zero stays
-    zero). Same text, same vector, on every platform.
+    from the hash's top bit, and a text's vector is the signed count of its
+    tokens in each coordinate, not normalized: ``esap.dense`` scales every
+    stored and query vector to unit length by one rule. Same text, same
+    vector, on every platform.
 
     A row is one ``np.bincount`` of its tokens' signs over their slots. The
-    sums are small integers, so the float32 rows, and their norms, equal
-    those of adding +/-1 token by token. ``embed_ids`` takes the output of
+    sums are small integers, so the float32 rows equal those of adding +/-1
+    token by token. ``embed_ids`` takes the output of
     ``esap.tokenizer.term_ids`` and hashes the whole vocabulary in one
     array pass (``_term_slots``), so a build does no Python work per term;
     ``embed(texts)`` tokenizes with ``term_ids`` and runs the same code,
@@ -391,13 +389,7 @@ class HashingEmbedder:
         slot_sign = [_token_slot(token, dim) for token in token_texts(texts[0])]
         slots, signs = zip(*slot_sign) if slot_sign else ((), ())
         sums = np.bincount(slots, weights=signs, minlength=dim)
-        row = sums.astype(np.float32)
-        square = float(sums @ sums)
-        if square >= _EXACT_SQUARES:
-            row /= np.linalg.norm(row)
-        elif square:
-            row /= math.sqrt(square)
-        return row[None]
+        return sums.astype(np.float32)[None]
 
     def embed_ids(self, vocab: dict[str, int], ids: np.ndarray,
                   lengths: np.ndarray) -> np.ndarray:
@@ -417,32 +409,12 @@ class HashingEmbedder:
             block = ids[bounds[r0]:bounds[r0 + rows]]
             keys = slots[block]
             keys += np.repeat(np.arange(0, rows * dim, dim), lengths[r0:r0 + rows])
-            sums = np.bincount(keys, weights=signs[block],
-                               minlength=rows * dim).reshape(rows, dim)
-            out[r0:r0 + rows] = _unit_rows(sums, np.einsum("ij,ij->i", sums, sums))
+            out[r0:r0 + rows] = np.bincount(keys, weights=signs[block],
+                                            minlength=rows * dim).reshape(rows, dim)
         return out
 
     def __call__(self, texts: list[str]) -> np.ndarray:
         return self.embed(texts)
-
-
-def _unit_rows(sums: np.ndarray, squares: np.ndarray) -> np.ndarray:
-    """float32 rows of integer ``sums`` divided by their L2 norms.
-
-    ``squares`` holds each row's sum of squares, exact in float64. Below
-    ``_EXACT_SQUARES`` the float32 norm is the float32 square root of that
-    exact value; ``np.sqrt`` in float64 rounded to float32 is that same
-    value, as a square root computed with more than twice the bits and
-    rounded once more always is. Larger rows take ``np.linalg.norm`` of the
-    float32 row, as a row on its own always did. All-zero rows stay zero.
-    """
-    rows = sums.astype(np.float32)
-    norms = np.sqrt(squares).astype(np.float32)
-    for row in np.flatnonzero(squares >= _EXACT_SQUARES).tolist():
-        norms[row] = np.linalg.norm(rows[row])
-    norms[squares == 0.0] = 1.0
-    rows /= norms[:, None]
-    return rows
 
 
 # ---------------------------------------------------------------------------

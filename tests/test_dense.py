@@ -118,8 +118,8 @@ def test_scores_equal_the_all_dimension_loop_bit_for_bit():
 
 
 @pytest.mark.parametrize("n", [1, 40, 600])
-def test_a_built_index_holds_one_dimension_major_copy(n):
-    # column i is row i of the embedding scaled to unit norm
+def test_a_built_index_holds_one_dimension_major_copy(n, unit_rule):
+    # column i is row i of the embedding scaled to unit length by the rule
     texts = make_clustered_texts(n, seed=4)
     texts[-1] = "..."                             # no token: a zero vector
     index = build(texts)
@@ -127,10 +127,8 @@ def test_a_built_index_holds_one_dimension_major_copy(n):
     assert columns.shape == (index.dim, n) and columns.dtype == np.float32
     assert columns.flags.c_contiguous and not columns.flags.writeable
     assert np.shares_memory(index.vectors, columns)
-    rows = HashingEmbedder()(texts)
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    assert np.array_equal(index.vectors, rows / norms)
+    want = np.stack([unit_rule(row) for row in HashingEmbedder()(texts)])
+    assert np.array_equal(index.vectors.view(np.uint32), want.view(np.uint32))
     assert not index.vectors[-1].any()
 
 
@@ -170,6 +168,13 @@ def test_an_embedding_of_the_wrong_shape_is_refused(shape):
     with pytest.raises(EmbedderFailure, match=r"expected \(3, d\)"):
         build_dense_from_texts(["a", "b", "c"], ["x0", "x1", "x2"],
                                lambda texts: np.ones(shape, dtype=np.float32))
+
+
+def test_an_embedding_of_no_dimensions_is_refused():
+    # a zero-length vector has no length to scale it by
+    with pytest.raises(EmbedderFailure, match=r"expected \(2, d\), d >= 1"):
+        build_dense_from_texts(["a", "b"], ["x0", "x1"],
+                               lambda texts: np.ones((2, 0), dtype=np.float32))
 
 
 def test_embedder_exception_wrapped():

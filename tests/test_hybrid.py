@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import esap
 from esap.corpus import Chunk, Document, chunk_document
 from esap.errors import (DataError, DimensionMismatch, EmbedderFailure, EmptyCorpus,
                          EmptyIndex)
@@ -258,7 +262,7 @@ def test_principal_who_may_read_nothing_gets_an_empty_list():
     assert index.allowed("staff").all()
 
 
-def test_equals_fusion_of_brute_force_rankings_of_the_readable_subset():
+def test_equals_fusion_of_brute_force_rankings_of_the_readable_subset(unit_rule):
     # random corpora, ACL layouts and principals: the result is RRF over
     # the full BM25 and cosine rankings restricted to what the principal may
     # read, each cut at FETCH_FACTOR * k, then cut at k
@@ -295,8 +299,7 @@ def test_equals_fusion_of_brute_force_rankings_of_the_readable_subset():
             lexical = sorted((index.chunk_ids[p] for p in readable
                               if index.chunk_ids[p] in bm25),
                              key=lambda cid: (-bm25[cid], cid))[:cut]
-            qv = embed([query])[0]
-            qv = qv / max(float(np.linalg.norm(qv)), 1e-30)
+            qv = unit_rule(embed([query])[0])
             # the dense score as defined: float64 products added over every
             # dimension in ascending order, from 0.0
             sims = np.zeros(index.n_chunks)
@@ -338,6 +341,49 @@ def test_hits_match_a_pinned_list():
         ("d086#v1#00001", 0.028594771241830064),
         ("d111#v1#00001", 0.02854251012145749),
     ]
+
+
+_KERNEL_DIGESTS = """
+import hashlib
+from esap.corpus import Chunk
+from esap.dense import embed_query
+from esap.hybrid import HybridParams, build_hybrid, search_hybrid
+from esap.ports import HashingEmbedder
+from esap.synthetic import make_clustered_texts
+embed = HashingEmbedder()
+queries = make_clustered_texts(2000, seed=31)
+vectors = hashlib.sha256()
+for query in queries:
+    vectors.update(embed_query(embed, query).tobytes())
+chunks = [Chunk(chunk_id=f"c{i:04d}", doc_id=f"d{i:04d}", version=1, token_span=(0, 30),
+                text=text, size_tokens=30)
+          for i, text in enumerate(make_clustered_texts(400, seed=32))]
+index = build_hybrid(chunks, embed, {}, HybridParams())
+hits = hashlib.sha256()
+for query in queries[:500]:
+    for hit in search_hybrid(index, query, embed, k=50):
+        hits.update(f"{hit.chunk_id} {hit.score.hex()}\\n".encode())
+print(vectors.hexdigest(), hits.hexdigest())
+"""
+
+
+def test_query_vectors_and_hits_do_not_depend_on_the_blas_kernel():
+    # the same digests under the default OpenBLAS kernel and the Nehalem
+    # one, which runs on any x86-64 CPU; where numpy's BLAS ignores
+    # OPENBLAS_CORETYPE both runs use one kernel and this passes trivially
+    env = {**os.environ, "PYTHONPATH": str(Path(esap.__file__).parents[1])}
+    env.pop("OPENBLAS_CORETYPE", None)
+    runs = [subprocess.Popen([sys.executable, "-c", _KERNEL_DIGESTS], stdout=subprocess.PIPE,
+                             text=True, env={**env, **extra})
+            for extra in ({}, {"OPENBLAS_CORETYPE": "Nehalem"})]
+    try:
+        outs = [proc.communicate(timeout=120)[0] for proc in runs]
+    finally:
+        for proc in runs:
+            proc.kill()
+            proc.wait()
+    assert [proc.returncode for proc in runs] == [0, 0]
+    assert len(outs[0].split()) == 2 and outs[0] == outs[1]
 
 
 def test_guards_applied_to_returned_text():

@@ -708,13 +708,14 @@ def test_term_id_build_saves_the_text_port_build(tmp_path, unicode):
 
 
 def test_toy_index_files_keep_their_recorded_digests(tmp_path, toy_index):
-    # dense.bin recorded when format 5 stored the vectors dimension-major: a
-    # new magic followed by the transpose of format 4's rows (the values the
-    # build wrote before it tokenized once);
+    # dense.bin recorded when one rule scaled every vector to unit length
+    # (float64 squares added in ascending order): 24 values in 2 of the 5
+    # rows moved by one float32 step from the format 5 recording, whose
+    # rows the embedder and the build had each normalized;
     # lexical.bin recorded when a document's first and last chunk took in its
     # leading and trailing punctuation (the text column changed, nothing else)
     digests = saved_digests(toy_index, tmp_path)
     assert digests["dense.bin"] == \
-        "f17bd19d7d023da3465025a2cb9add6b0eb815c6e79e84224f435bd2104459a3"
+        "adc4fe301c1ce6fcdcd7b0052099989f526fe61beb534dea7a51f537c172ca25"
     assert digests["lexical.bin"] == \
         "156930a041846a122103c5d49c826dadc041231660313466c60c6e71a2c37d9c"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from esap.corpus import Document, chunk_document
+from esap.dense import _BLOCK_ROWS, _unit_columns, embed_query
 from esap.derek import CoStarPrompt, DerekPipeline, PersonaConfig
 from esap.errors import (
     ModelRefusal,
@@ -271,13 +272,14 @@ def test_fnv1a64_reference_vectors():
     assert _fnv1a64(b"foobar") == 0x85944171F73967E8
 
 
-def test_embedder_deterministic_and_unit_norm():
+def test_embedder_deterministic_signed_counts():
+    # five tokens in five slots: a +/-1 count each, not scaled to unit length
     embed = HashingEmbedder()
     a = embed(["red apple in a basket"])
     b = HashingEmbedder()(["red apple in a basket"])
     assert np.array_equal(a, b)
-    assert np.linalg.norm(a[0]) == pytest.approx(1.0, abs=1e-6)
-    assert a.shape == (1, 256)
+    assert a.shape == (1, 256) and a.dtype == np.float32
+    assert sorted(np.abs(a[0][a[0] != 0]).tolist()) == [1.0] * 5
 
 
 def test_embedder_order_insensitive_bag_of_tokens():
@@ -315,7 +317,6 @@ def test_embedder_token_cache_is_bounded():
         for token in text.split():
             h = _fnv1a64(token.encode("utf-8"))
             expected[row, h % dim] += 1.0 if (h >> 63) == 0 else -1.0
-        expected[row] /= np.linalg.norm(expected[row])
     assert np.array_equal(vectors, expected)
     # the first texts' tokens were evicted and are hashed again
     assert np.array_equal(np.concatenate([embed([text]) for text in texts[:50]]),
@@ -367,24 +368,19 @@ def test_array_hash_equals_the_scalar_hash(dim, monkeypatch):
 
 def reference_embed(texts: list[str], dim: int) -> np.ndarray:
     """The per-token loop the bincount rows replaced, transcribed: +/-1
-    added into a float32 row token by token, then the row divided by its
-    ``np.linalg.norm``."""
+    added into a float32 row token by token."""
     out = np.zeros((len(texts), dim), dtype=np.float32)
     for row, text in enumerate(texts):
         vec = out[row]
         for token in token_texts(text):
             slot, sign = _token_slot(token, dim)
             vec[slot] += sign
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec /= norm
     return out
 
 
-# more than 4,096 tokens, so squared norms pass 2**24 and float32 partial
-# sums of squares may round: at dim 7 (first text) and dim 256 (second)
-# the square root of the exact sum differs from np.linalg.norm of the
-# float32 row in the last bit
+# more than 4,096 tokens, so sums of squared counts pass 2**24, where
+# float32 partial sums may round: at dim 7 (first text) and dim 256
+# (second) a float32 sum of the squares is not the exact one
 LONG_TEXTS = ["w57 " * 445 + "w19 " * 1592 + "w0 " * 2519,
               "w46 " * 2665 + "w19 " * 1395 + "w51 " * 2963,
               "apple " * 5000]
@@ -397,17 +393,6 @@ def embedder_cases() -> list[list[str]]:
              for _ in range(200)]
     return [texts, ["", "...", "", "red apple"], LONG_TEXTS, texts[:3] + LONG_TEXTS,
             [""], LONG_TEXTS[:1], texts[:1], []]
-
-
-@pytest.mark.parametrize("dim, text", [(7, LONG_TEXTS[0]), (256, LONG_TEXTS[1])])
-def test_long_texts_round_in_float32(dim, text):
-    # the premise of LONG_TEXTS: an exact norm would not match the loop
-    sums = np.zeros(dim)
-    for token in token_texts(text):
-        slot, sign = _token_slot(token, dim)
-        sums[slot] += sign
-    exact = np.float32(np.sqrt(sums @ sums))
-    assert exact != np.linalg.norm(sums.astype(np.float32))
 
 
 @pytest.mark.parametrize("dim", [1, 7, 256])
@@ -430,6 +415,51 @@ def test_embedder_rows_across_block_boundaries(monkeypatch):
     texts = [" ".join(f"t{(row * col) % 11}" for col in range(row % 5))
              for row in range(20)]
     assert np.array_equal(HashingEmbedder(dim)(texts), reference_embed(texts, dim))
+
+
+def rule_cases(n: int) -> list[np.ndarray]:
+    """float32 (n, d) matrices: Gaussian rows, the same scaled to tiny
+    (subnormal) and huge values, rows mixing magnitudes from 1e-20 to 1e20,
+    rows whose length the summation order decides, zero rows among
+    Gaussian ones, an all-zero matrix, and the embedder's counts of
+    ``LONG_TEXTS`` and short texts at dims 7 and 256."""
+    rng = np.random.default_rng(n)
+    gaussian = rng.standard_normal((n, 256))
+    some_zero = gaussian.copy()
+    some_zero[::3] = 0.0
+    mixed = gaussian * 10.0 ** rng.integers(-20, 21, size=gaussian.shape)
+    # 10066335**2 + 13421780**2 == 16777225**2, halfway between two float32
+    # values; added in ascending order, each (1/16)**2 is then lost, and the
+    # length is the even neighbour 16777224. Summed exactly, or pairwise,
+    # the squares pass the midpoint and the length is 16777226
+    midpoint = np.full((n, 256), 1 / 16, dtype=np.float32)
+    midpoint[:, :2] = [10066335.0, 13421780.0]
+    texts = (LONG_TEXTS + embedder_cases()[0] * 2)[:n]
+    return [gaussian.astype(np.float32), (gaussian * 1e-40).astype(np.float32),
+            (gaussian * 1e35).astype(np.float32), mixed.astype(np.float32), midpoint,
+            some_zero.astype(np.float32), np.zeros((n, 256), dtype=np.float32),
+            HashingEmbedder(7)(texts), HashingEmbedder(256)(texts)]
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+def test_unit_columns_follow_the_rule_bit_for_bit(n, unit_rule):
+    cases = rule_cases(n)
+    for matrix in cases:
+        want = np.stack([unit_rule(row) for row in matrix], axis=1)
+        got = _unit_columns(matrix)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    # the premise: a float32 sum of squares is not the exact one for some
+    # Gaussian or counts row (the scaled rows would overflow float32 squares)
+    rows = [row for matrix in (cases[0], *cases[-2:]) for row in matrix]
+    assert any(float(row @ row) != sum(x * x for x in row.tolist()) for row in rows)
+    # a query is scaled as a chunk is
+    for dim in (7, 256):
+        embed = HashingEmbedder(dim)
+        for text in (LONG_TEXTS + embedder_cases()[0])[:n]:
+            got = embed_query(embed, text)
+            assert np.array_equal(got.view(np.uint32),
+                                  unit_rule(embed([text])[0]).view(np.uint32))
 
 
 def test_embedder_dim_validation():
