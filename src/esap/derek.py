@@ -18,7 +18,7 @@ from .errors import ModelRefusal, NoContext, TransportError
 from .evaluation import DEFAULT_NGRAM, supported_mask
 from .hybrid import DEFAULT_GUARDS, DEFAULT_K, GuardRule, Hit, HybridIndex, search_hybrid
 from .ports import ChatPort, chat_request
-from .tokenizer import token_texts
+from .tokenizer import sentences, token_texts
 
 REFINE_INSTRUCTION = ("Rewrite the user question to maximize retrieval "
                       "precision; output only the rewritten question.")
@@ -115,9 +115,6 @@ class QuerySession:
 
 
 _MARKER_RE = re.compile(r"\[(\d+)\]")
-# a sentence ends at ., ! or ?, and the markers right after that end are its
-# own; the text after the last end is a sentence too
-_SENTENCE_RE = re.compile(r"[^.!?]*[.!?]+(?:\s*\[\d+\])*|[^.!?]+\Z")
 _NEWLINE_RE = re.compile(r"\s*\n\s*")
 
 
@@ -187,13 +184,14 @@ class DerekPipeline:
                  hits: list[Hit]) -> tuple[str, list[Citation], list[str]]:
         """One draft: citation markers [n] are resolved against the snippet
         numbering and stripped from the prose; out-of-range markers are
-        dropped with a warning. Each citation keeps the sentences that
-        carry its marker and hold a token."""
+        dropped with a warning. Each citation keeps the sentences
+        (``esap.tokenizer.sentences``) that carry its marker and hold a
+        token."""
         response = self.chat.chat(chat_request(prompt.render()))
         raw = response.text
         warnings = []
         cited: dict[int, list[tuple[int, str]]] = {}    # first-marker order
-        for at, sentence in enumerate(_SENTENCE_RE.findall(raw)):
+        for at, sentence in enumerate(sentences(raw)):
             claim = (at, _strip_markers(sentence))
             for match in _MARKER_RE.finditer(sentence):
                 number = int(match.group(1))

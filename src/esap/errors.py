@@ -95,10 +95,6 @@ class NonSelectRejected(PortError):
 
 
 # answer pipeline
-class EmptyIndex(DataError):
-    pass
-
-
 class NoContext(DataError):
     pass
 

@@ -58,8 +58,7 @@ from .columns import are_i8s, are_strings, is_count, read_array, read_strings, s
 from .corpus import DEFAULT_CHUNK_OVERLAP, DEFAULT_CHUNK_SIZE, Chunk
 from .dense import (AnnParams, DenseIndex, build_dense_from_texts, embed_query, search_dense,
                     top_k)
-from .errors import (CorruptIndex, DataError, EmptyCorpus, EmptyIndex, FormatVersionMismatch,
-                     require)
+from .errors import CorruptIndex, DataError, EmptyCorpus, FormatVersionMismatch, require
 from .jsonio import parse_json, read_json
 # perfbench/tracer.py wraps search_lexical and filter_acl here; serving code calls neither
 from .lexical import (DEFAULT_B, DEFAULT_K1, SECTIONS, LexicalIndex, _candidates,
@@ -193,8 +192,9 @@ class HybridIndex:
     # principal -> read-only mask over positions, built on first use
     _masks: dict[str, np.ndarray] = field(default_factory=dict, init=False,
                                           repr=False, compare=False)
-    # guard tuple -> position -> redacted text, filled on first return
-    _guarded: dict[tuple[GuardRule, ...], GuardedTexts] = field(
+    # hash of a guard tuple -> its position -> redacted text, filled on first
+    # return; the cache holds its tuple, so a colliding tuple replaces it
+    _guarded: dict[int, GuardedTexts] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -220,9 +220,14 @@ class HybridIndex:
         return mask
 
     def guarded(self, guards: tuple[GuardRule, ...]) -> GuardedTexts:
-        """The guard tuple's ``GuardedTexts``; hashing the tuple hashes each
-        rule, so a search looks this up once."""
-        return self._guarded.setdefault(guards, GuardedTexts(self.chunks.texts, guards))
+        """The guard tuple's ``GuardedTexts``, built on its first search only.
+        Hashing the tuple hashes each rule, so a search hashes it once, and
+        the cache is keyed by that hash and checked against its own tuple."""
+        key = hash(guards)
+        cache = self._guarded.get(key)
+        if cache is None or cache.guards != guards:
+            cache = self._guarded[key] = GuardedTexts(self.chunks.texts, guards)
+        return cache
 
 
 def _are_spans(spans: list) -> bool:
@@ -343,8 +348,6 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = DEFAULT_K,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if index.n_chunks == 0:
-        raise EmptyIndex("index contains no chunks")
     allowed = index.allowed(principal)
     fetch = min(FETCH_FACTOR * k, int(np.count_nonzero(allowed)))
     if fetch == 0:

@@ -27,7 +27,7 @@ from .errors import (
     SqlTimeout,
     TransportError,
 )
-from .tokenizer import term_ids, token_texts
+from .tokenizer import sentences, term_ids, token_texts
 
 EMBED_DIM = 256
 
@@ -122,7 +122,6 @@ class ScriptedModel:
         return self._cursor
 
 
-_SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 _SNIPPET_RE = re.compile(r"^\[(\d+)\] (.+)$", re.MULTILINE)
 
 
@@ -137,9 +136,10 @@ class ExtractiveStub:
 
     A draft answers with the context sentence holding the most distinct
     question tokens, citing the snippet it came from: the first in prompt
-    order on ties, the first non-empty sentence when no sentence shares a
+    order on ties, the first sentence when no sentence shares a
     token with the question, and ``No supporting context was retrieved.``
-    when the prompt has no snippet line. Sentences split at whitespace,
+    when the prompt has no snippet line. Sentences are
+    ``esap.tokenizer.sentences``: every end is followed by whitespace,
     which also separates tokens, so a snippet's own overlap bounds every
     sentence in it; a snippet whose bound cannot beat the best sentence so
     far is skipped without splitting it.
@@ -171,10 +171,8 @@ class ExtractiveStub:
             # cannot win; -1 (no sentence yet) is below every bound
             if bound <= best_overlap:
                 continue
-            for sentence in _SENTENCE_RE.split(text):
+            for sentence in sentences(text):
                 sentence = sentence.strip()
-                if not sentence:
-                    continue
                 overlap = len(q_tokens.intersection(token_texts(sentence)))
                 if overlap > best_overlap:
                     best_overlap = overlap

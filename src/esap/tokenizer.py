@@ -15,6 +15,9 @@ from them without building a pair per token (``token_spans`` pairs them up
 for callers that want pairs). Building an index tokenizes through
 ``term_ids``: one pass over the chunk texts gives the term ids that both
 BM25 and the hashing embedder read.
+
+``sentences`` is the one sentence split: the answer pipeline reads each
+cited claim from it and the offline model picks its answer sentence from it.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ import numpy as np
 
 # \w minus underscore: letter/digit runs only
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# a run of ., ! or ? and the [n] markers right after it; a sentence ends
+# there only when whitespace or the end of the text follows
+_END_RE = re.compile(r"[.!?]+(?:\s*\[\d+\])*")
 # what term_ids returns: (vocab, ids, lengths)
 TermIds = tuple[dict[str, int], np.ndarray, np.ndarray]
 # ASCII bytes: A-Z lowered, a-z and 0-9 kept, every other byte a space
@@ -97,3 +103,24 @@ def term_ids(texts) -> TermIds:
     ids = np.fromiter(itertools.chain.from_iterable(map(lookups, texts)), dtype=np.int32)
     vocab.default_factory = None             # a plain lookup from here on
     return vocab, ids, np.array(lengths, dtype=np.int64)
+
+
+def sentences(text: str) -> list[str]:
+    """The sentences of text, each with its own whitespace, none blank.
+
+    A sentence ends after a run of ``.``, ``!`` or ``?`` and the ``[n]``
+    markers right after it, when whitespace or the end of the text follows:
+    "Fees apply. [1]. Next" splits after "[1].". So the point in "2.5" or
+    "example.com" ends nothing, while "U.S. sales" splits after "U.S.".
+    Joined, the pieces are text without its whitespace-only tail. Each run
+    is matched once and only its next char is read, so the split is linear.
+    """
+    pieces, start = [], 0
+    for end in _END_RE.finditer(text):
+        stop = end.end()
+        if stop == len(text) or text[stop].isspace():
+            pieces.append(text[start:stop])
+            start = stop
+    if text[start:].strip():
+        pieces.append(text[start:])
+    return pieces

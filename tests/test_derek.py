@@ -13,11 +13,13 @@ from esap.derek import (
     DerekPipeline,
     PersonaConfig,
     _flatten,
+    _strip_markers,
 )
 from esap.errors import ModelRefusal, NoContext
 from esap.hybrid import HybridParams, build_hybrid
 from esap.ports import ChatResponse, ExtractiveStub, HashingEmbedder, ScriptedModel, chat_request
 from esap.synthetic import make_toy_kb_documents
+from esap.tokenizer import sentences
 
 
 def small_index(embedder, version: int = 1):
@@ -430,6 +432,63 @@ def test_a_sentence_citing_a_snippet_that_does_not_hold_it_is_misattributed(embe
     right = ScriptedModel([question, draft.replace("[2]", "[1]"), "sufficient"])
     grounded = toy_pipeline(embedder, right, k=3).answer(question)
     assert (grounded.verdict, grounded.regeneration_count) == ("sufficient", 0)
+
+
+def test_a_point_inside_a_number_does_not_end_a_cited_claim(embedder):
+    # "2.5" is one sentence's number, so the whole fee claim is checked
+    # against the shipping snippet its [2] names, not just "5 percent."
+    docs = [Document("fee", 1, "The fee is 2.5 percent of the order."),
+            Document("ship", 1, "Shipping adds 5 percent on weekends.")]
+    chunks = [c for doc in docs for c in chunk_document(doc)]
+    index = build_hybrid(chunks, embedder, {doc.doc_id: sorted(doc.acl) for doc in docs},
+                         HybridParams())
+    question, draft = "What is the fee?", "The fee is 2.5 percent [2]."
+    chat = ScriptedModel([question, draft, draft, draft])
+    pipe = DerekPipeline(index, embedder, chat)
+    assert [h.doc_id for h in pipe.retrieve(question)] == ["fee", "ship"]
+    grounded = pipe.answer(question)
+    assert (grounded.verdict, grounded.reason) == ("insufficient", "misattributed")
+    assert grounded.answer == "The fee is 2.5 percent."
+    assert [(c.chunk_id, c.sentences) for c in grounded.citations] == \
+        [("ship#v1#00000", ((0, "The fee is 2.5 percent."),))]
+    assert chat.calls == 4
+
+
+def test_a_draft_of_markers_only_has_no_support(embedder):
+    question = "Where does the red apple sit?"
+    chat = ScriptedModel([question, "[1]", "[1]", "[1]"])
+    grounded = toy_pipeline(embedder, chat, k=3).answer(question)
+    assert (grounded.verdict, grounded.reason) == ("insufficient", "low-support")
+    assert grounded.answer == ""
+    assert [(c.snippet_no, c.sentences) for c in grounded.citations] == [(1, ())]
+    assert [t["support_fraction"] for t in grounded.trace
+            if "support_fraction" in t] == [0.0] * 3
+    assert chat.calls == 4
+
+
+# the split before esap.tokenizer.sentences: a sentence ended at every ., !
+# or ? run, the markers right after it were its own, and the text after the
+# last end was a sentence too
+_POINT_SPLIT_RE = re.compile(r"[^.!?]*[.!?]+(?:\s*\[\d+\])*|[^.!?]+\Z")
+_POINT_END_RE = re.compile(r"[.!?]+(?:\s*\[\d+\])*")
+_DRAFT_PARTS = ["fee", "Apples", "keep", "2", ",", " ", " ", " ", "  ", "\n", "\u00a0",
+                ".", "!", "?", "...", "?!", "[1]", "[2]", "[13]", " [4]", "[0]", "(", ")"]
+
+
+def test_sentence_claims_equal_the_point_split_where_whitespace_follows_each_end():
+    rng = random.Random(32)
+    compared = 0
+    for _ in range(80_000):
+        draft = "".join(rng.choices(_DRAFT_PARTS, k=rng.randrange(0, 20)))
+        if any(m.end() < len(draft) and not draft[m.end()].isspace()
+               for m in _POINT_END_RE.finditer(draft)):
+            continue
+        old = [p for p in _POINT_SPLIT_RE.findall(draft) if p.strip()]
+        new = sentences(draft)
+        assert [(re.findall(r"\[\d+\]", p), _strip_markers(p)) for p in new] == \
+            [(re.findall(r"\[\d+\]", p), _strip_markers(p)) for p in old], repr(draft)
+        compared += 1
+    assert compared > 30_000
 
 
 class DraftThenStub:

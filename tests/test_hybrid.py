@@ -13,8 +13,7 @@ import pytest
 
 import esap
 from esap.corpus import Chunk, Document, chunk_document
-from esap.errors import (DataError, DimensionMismatch, EmbedderFailure, EmptyCorpus,
-                         EmptyIndex)
+from esap.errors import DataError, DimensionMismatch, EmbedderFailure, EmptyCorpus
 from esap.hybrid import (
     DEFAULT_GUARDS,
     FETCH_FACTOR,
@@ -527,6 +526,43 @@ def test_the_guard_cache_is_looked_up_once_per_search():
         assert hashed == [rule.kind for rule in guards]
         assert [hit.text for hit in hits] == \
             [apply_guards(index.chunks[hit.chunk_id].text) for hit in hits]
+
+
+def test_a_guard_cache_is_built_once_per_guard_tuple(monkeypatch):
+    import esap.hybrid
+
+    built = []
+
+    class CountingTexts(esap.hybrid.GuardedTexts):
+        def __init__(self, texts, guards):
+            built.append(guards)
+            super().__init__(texts, guards)
+
+    monkeypatch.setattr(esap.hybrid, "GuardedTexts", CountingTexts)
+    index = _pii_index(5)
+    embed = HashingEmbedder()
+    for guards in (DEFAULT_GUARDS, _CUSTOM_GUARDS, DEFAULT_GUARDS, (), _CUSTOM_GUARDS):
+        for k in (1, 10, index.n_chunks):
+            hits = search_hybrid(index, "555 apple", embed, k=k, guards=guards)
+            assert [hit.text for hit in hits] == \
+                [apply_guards(index.chunks[hit.chunk_id].text, guards) for hit in hits]
+    assert built == [DEFAULT_GUARDS, _CUSTOM_GUARDS, ()]
+    # an equal tuple built anew finds the same cache
+    assert index.guarded(tuple(GuardRule(r.kind, r.pattern) for r in DEFAULT_GUARDS)) \
+        is index.guarded(DEFAULT_GUARDS)
+    assert len(built) == 3
+
+    class SameHash(GuardRule):
+        def __hash__(self):
+            return 7
+
+    # tuples whose hashes collide each get their own redaction
+    colliding = [(SameHash("email", DEFAULT_GUARDS[0].pattern),), (SameHash("digits", r"\d+"),)]
+    assert hash(colliding[0]) == hash(colliding[1])
+    for guards in colliding * 2:
+        hits = search_hybrid(index, "555 apple", embed, k=index.n_chunks, guards=guards)
+        assert [hit.text for hit in hits] == \
+            [apply_guards(index.chunks[hit.chunk_id].text, guards) for hit in hits]
 
 
 def test_concurrent_first_lookups_return_the_uncached_text():

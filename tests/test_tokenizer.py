@@ -3,13 +3,14 @@ from __future__ import annotations
 import random
 import re
 import string
+import time
 
 import numpy as np
 import pytest
 
 from esap import corpus
 from esap.corpus import Document, chunk_document
-from esap.tokenizer import term_ids, token_edges, token_spans, token_texts
+from esap.tokenizer import sentences, term_ids, token_edges, token_spans, token_texts
 
 
 def test_basic_tokens_and_spans():
@@ -165,3 +166,64 @@ def test_term_ids_is_one_token_texts_pass():
     vocab, _, _ = term_ids(["red apple"])
     with pytest.raises(KeyError):
         vocab["pear"]                     # a lookup never adds a term
+
+
+# ---------------------------------------------------------------------------
+# sentences
+# ---------------------------------------------------------------------------
+
+def whitespace_split(text: str) -> list[str]:
+    """The split at whitespace after ., ! or ?, stripped, blanks dropped."""
+    return [s.strip() for s in re.split(r"(?<=[.!?])\s+", text) if s.strip()]
+
+
+# words, numbers and abbreviations with inner points, ellipses, quotes,
+# brackets that are not markers, and Unicode spaces
+_SENTENCE_PARTS = ["fee", "U.S.", "e.g.", "3.5", "2.", "example.com", "$1.5m", "4.2(b)",
+                   'stop."', "...", "\u2026", "?!", "!", "?", ".", "[", "]", "[x]", "(", "9",
+                   " ", " ", " ", "  ", "\n", "\t", "\u00a0", "\u2003", "\u3000", "\x1c"]
+
+
+def random_sentence_texts(seed: int, count: int, parts: list[str]) -> list[str]:
+    rng = random.Random(seed)
+    return ["".join(rng.choices(parts, k=rng.randrange(0, 16))) for _ in range(count)]
+
+
+def test_sentences_equal_the_whitespace_split_on_marker_free_text():
+    texts = [text for text in random_sentence_texts(32, 110_000, _SENTENCE_PARTS)
+             if not re.search(r"\[\d+\]", text)]
+    assert len(texts) > 100_000
+    texts += ["", " ", "A. B! C? D", "U.S. sales rose.", "The fee is 2.5 percent."]
+    for text in texts:
+        assert [s.strip() for s in sentences(text)] == whitespace_split(text), repr(text)
+    assert sentences("The fee is 2.5 percent. U.S. sales rose!") == \
+        ["The fee is 2.5 percent.", " U.S.", " sales rose!"]
+
+
+def test_sentences_join_to_the_text_without_its_blank_tail():
+    parts = _SENTENCE_PARTS + ["[1]", "[2]", " [3]", "[12]"]
+    for text in random_sentence_texts(33, 20_000, parts):
+        pieces = sentences(text)
+        joined = "".join(pieces)
+        assert text.startswith(joined), repr(text)
+        assert not text[len(joined):].strip(), repr(text)
+        assert all(piece.strip() for piece in pieces), repr(text)
+    # an end's markers, and punctuation right after them, are its sentence's
+    assert sentences("Fees apply. [1][2]. Next [3]! tail ") == \
+        ["Fees apply. [1][2].", " Next [3]!", " tail "]
+    assert sentences("Fees apply.[1] Next") == ["Fees apply.[1]", " Next"]
+
+
+@pytest.mark.parametrize("text", ["a" + "." * 20_000 + "b", "!?" * 10_000, ".[1]" * 5_000,
+                                  "[" * 20_000, "." + "[" * 20_000, ". " * 10_000,
+                                  "." + " " * 20_000 + "[1", ".[1" * 6_667],
+                         ids=["dots", "bangs", "marked-dots", "brackets", "dot-brackets",
+                              "ends", "dot-spaces", "dot-open-marker"])
+def test_sentences_split_worst_cases_in_linear_time(text):
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        pieces = sentences(text)
+        best = min(best, time.perf_counter() - started)
+    assert "".join(pieces) == text.rstrip()
+    assert best < 0.05
