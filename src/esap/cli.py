@@ -35,7 +35,7 @@ from . import __version__
 from .config import _SCHEMA, AppConfig, config_from_dict, load_config
 from .corpus import VersionStore, chunk_document, ingest_corpus
 from .derek import DerekPipeline
-from .errors import ConfigError, EmptyCorpus, EsapError
+from .errors import ConfigError, EmptyCorpus, EsapError, TransportError
 from .evaluation import (
     read_qa_jsonl,
     read_runs_jsonl,
@@ -48,6 +48,7 @@ from .fixtures import seed_music_db
 from .hybrid import HybridParams, build_hybrid, load_hybrid, save_hybrid, search_hybrid
 from .jsonio import read_json
 from .ports import (
+    DEFAULT_MODEL,
     ExtractiveStub,
     HashingEmbedder,
     HttpChatModel,
@@ -97,7 +98,7 @@ _FLAGS = {
     "--dataset": dict(action="append", required=True, metavar="NAME=PATH",
                       help="QA JSONL dataset (repeatable)"),
     "--ks": dict(help="comma-separated k grid"),
-    "--out": dict(help="write the JSON report here plus a .txt table"),
+    "--out": dict(help="write the JSON report here (not a .txt) plus a .txt table"),
     "--runs": dict(required=True, help="runs JSONL file"),
     "--ngram": dict(key="eval.ngram_n", help="n-gram size for support matching"),
 }
@@ -139,6 +140,10 @@ def _resolve_config(args) -> AppConfig:
                 f"--ports must be stub, scripted:<file>, or http, got {ports!r}")
     if getattr(args, "allow_empty", False):
         data["thor"]["allow_empty"] = True
+    # the table goes to --out with the suffix .txt, so it would overwrite such a report
+    if getattr(args, "out", None) and Path(args.out).suffix == ".txt":
+        raise ConfigError(f"--out {args.out} ends in .txt, where its table goes; "
+                          "give the JSON report another suffix, such as .json")
     return config_from_dict(data)
 
 
@@ -158,11 +163,13 @@ def _make_chat(cfg: AppConfig):
                               "(--ports scripted:<file>)")
         return ScriptedModel(read_json(cfg.ports.script, ConfigError,
                                        "script file", "array of strings"))
-    return HttpChatModel(
-        base_url=os.environ.get(cfg.ports.base_url_env),
-        api_key=os.environ.get(cfg.ports.api_key_env),
-        model=os.environ.get(cfg.ports.model_env),
-    )
+    # only the variables the config names: no key is an empty key, no model the default
+    base_url = os.environ.get(cfg.ports.base_url_env)
+    if not base_url:
+        raise TransportError(f"no chat endpoint configured; set {cfg.ports.base_url_env}")
+    return HttpChatModel(base_url=base_url,
+                         api_key=os.environ.get(cfg.ports.api_key_env, ""),
+                         model=os.environ.get(cfg.ports.model_env) or DEFAULT_MODEL)
 
 
 def _load_index_and_embedder(cfg: AppConfig):

@@ -79,9 +79,6 @@ class GuardRule:
     kind: str
     pattern: str
 
-    def compile(self) -> re.Pattern:
-        return re.compile(self.pattern)
-
 
 DEFAULT_GUARDS = (
     GuardRule("email", r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}"),
@@ -93,7 +90,7 @@ DEFAULT_GUARDS = (
 def apply_guards(text: str, rules: tuple[GuardRule, ...] = DEFAULT_GUARDS) -> str:
     """Redact every rule match; earlier rules win on overlapping spans."""
     for rule in rules:
-        text = rule.compile().sub(f"[REDACTED:{rule.kind}]", text)
+        text = re.sub(rule.pattern, f"[REDACTED:{rule.kind}]", text)
     return text
 
 
@@ -167,21 +164,6 @@ class ChunkTable(Mapping):
         return len(self.ids)
 
 
-class GuardedTexts(dict):
-    """Position -> text under one guard tuple. A missing position runs
-    ``apply_guards`` and keeps the result: for a chunk without a match, its
-    own text (``re.sub`` hands back its input). Two first lookups at once
-    only repeat the same pure computation."""
-
-    def __init__(self, texts: list[str], guards: tuple[GuardRule, ...]):
-        super().__init__()
-        self.texts, self.guards = texts, guards
-
-    def __missing__(self, pos: int) -> str:
-        text = self[pos] = apply_guards(self.texts[pos], self.guards)
-        return text
-
-
 @dataclass
 class HybridIndex:
     lexical: LexicalIndex
@@ -192,9 +174,9 @@ class HybridIndex:
     # principal -> read-only mask over positions, built on first use
     _masks: dict[str, np.ndarray] = field(default_factory=dict, init=False,
                                           repr=False, compare=False)
-    # hash of a guard tuple -> its position -> redacted text, filled on first
-    # return; the cache holds its tuple, so a colliding tuple replaces it
-    _guarded: dict[int, GuardedTexts] = field(
+    # guard tuple -> position -> redacted text, filled by ``search_hybrid``
+    # the first time it returns that chunk under that tuple
+    _guarded: dict[tuple[GuardRule, ...], dict[int, str]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -219,15 +201,11 @@ class HybridIndex:
             self._masks[principal] = mask
         return mask
 
-    def guarded(self, guards: tuple[GuardRule, ...]) -> GuardedTexts:
-        """The guard tuple's ``GuardedTexts``, built on its first search only.
-        Hashing the tuple hashes each rule, so a search hashes it once, and
-        the cache is keyed by that hash and checked against its own tuple."""
-        key = hash(guards)
-        cache = self._guarded.get(key)
-        if cache is None or cache.guards != guards:
-            cache = self._guarded[key] = GuardedTexts(self.chunks.texts, guards)
-        return cache
+    def guarded(self, guards: tuple[GuardRule, ...]) -> dict[int, str]:
+        """The guard tuple's memo, position -> redacted text; equal tuples
+        share one. ``setdefault`` looks up and inserts in one call, so the
+        tuple, and with it each rule, is hashed once."""
+        return self._guarded.setdefault(guards, {})
 
 
 def _are_spans(spans: list) -> bool:
@@ -343,8 +321,10 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = DEFAULT_K,
     who may read nothing gets ``[]``. Redaction happens last, on the text
     actually returned: ``apply_guards`` runs once per chunk and guard tuple,
     the first time that chunk is returned, and later hits read the result
-    cached on the index (``HybridIndex.guarded``; the guard tuple's cache is
-    looked up once per search).
+    cached on the index (``HybridIndex.guarded``; the guard tuple's memo is
+    looked up once per search). A clean chunk's entry is its own text, as
+    ``re.sub`` hands back its input; two first lookups at once only repeat
+    the same pure computation.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -356,10 +336,15 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = DEFAULT_K,
     dense_hits = search_dense(index.dense, embed_query(embed, query), fetch, allowed)
     # positions ascend in chunk_id order, so fusing them ties as fusing ids
     rankings = [lex_positions.tolist(), [pos for pos, _ in dense_hits]]
-    table, texts = index.chunks, index.guarded(guards)
-    return [Hit(chunk_id=table.ids[pos], doc_id=table.doc_ids[table.doc_row[pos]],
-                score=score, text=texts[pos])
-            for pos, score in rrf_fuse(rankings, c=index.params.rrf_c)[:k]]
+    table, memo = index.chunks, index.guarded(guards)
+    hits = []
+    for pos, score in rrf_fuse(rankings, c=index.params.rrf_c)[:k]:
+        text = memo.get(pos)
+        if text is None:            # by the module's name, which the tracer wraps
+            text = memo[pos] = apply_guards(table.texts[pos], guards)
+        hits.append(Hit(chunk_id=table.ids[pos], doc_id=table.doc_ids[table.doc_row[pos]],
+                        score=score, text=text))
+    return hits
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ EMBED_DIM = 256
 ENV_API_KEY = "ESAP_API_KEY"
 ENV_BASE_URL = "ESAP_BASE_URL"
 ENV_MODEL = "ESAP_MODEL"
+DEFAULT_MODEL = "gpt-4o"
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,7 @@ class HttpChatModel:
     """OpenAI-style chat-completions client with bounded retry.
 
     Reads endpoint configuration from ESAP_API_KEY / ESAP_BASE_URL /
-    ESAP_MODEL unless given explicitly. Transport failures, 429 and 5xx
+    ESAP_MODEL for each argument left ``None``. Transport failures, 429 and 5xx
     are retried with exponential backoff up to the attempt cap; the last
     error is surfaced verbatim. Other 4xx fail immediately.
     """
@@ -201,9 +202,10 @@ class HttpChatModel:
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
                  model: str | None = None, max_attempts: int = 3,
                  backoff_base: float = 0.5, session=None):
-        self.base_url = (base_url or os.environ.get(ENV_BASE_URL, "")).rstrip("/")
-        self.api_key = api_key or os.environ.get(ENV_API_KEY, "")
-        self.model = model or os.environ.get(ENV_MODEL, "gpt-4o")
+        env = os.environ.get
+        self.base_url = (env(ENV_BASE_URL, "") if base_url is None else base_url).rstrip("/")
+        self.api_key = env(ENV_API_KEY, "") if api_key is None else api_key
+        self.model = env(ENV_MODEL, DEFAULT_MODEL) if model is None else model
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         if session is None:

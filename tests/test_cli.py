@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from esap import __version__, errors
-from esap.cli import build_parser, main
+from esap.cli import _make_chat, build_parser, main
+from esap.config import AppConfig, config_from_dict
 from esap.corpus import chunk_document
 from esap.hybrid import HybridParams, build_hybrid, save_hybrid
 from esap.ports import HashingEmbedder
@@ -720,6 +721,29 @@ def test_eval_trace_reports_and_writes(tmp_path, capsys):
     assert "pc hallucinated" in table
 
 
+@pytest.mark.parametrize("command", ["eval-retrieval", "eval-trace"])
+def test_an_out_ending_in_txt_is_refused_before_any_report(kb, tmp_path, capsys, command):
+    # the table goes to --out with its suffix replaced by .txt: here --out itself
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text(json.dumps({"qid": "q1", "question": "red apple basket", "evidence": [
+        {"doc_id": "fruit-apple", "quote": "The red apple sits in the basket"}]}) + "\n",
+        encoding="utf-8")
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text(json.dumps({"qid": "q1", "system": "stub", "question": "q",
+                                "answer": "the red apple", "contexts": ["the red apple"]}) + "\n",
+                    encoding="utf-8")
+    inputs = {"eval-retrieval": ["--dataset", f"toy={qa}"], "eval-trace": ["--runs", str(runs)]}
+    before = sorted(tmp_path.rglob("*"))
+    out_file = tmp_path / "reports" / "rep.txt"
+    code, out, err = run_cli(capsys, command, *inputs[command], "--kb", kb,
+                             "--out", str(out_file))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "ConfigError"
+    assert str(out_file) in error["message"] and ".txt" in error["message"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_json_mode_never_prints_a_non_finite_number(tmp_path, capsys):
     # a NaN in an input line is refused; the error line must not echo it
     runs = tmp_path / "runs.jsonl"
@@ -878,6 +902,49 @@ def test_ports_http_without_an_endpoint_is_port_error(kb, capsys, monkeypatch):
     error = json.loads(err)
     assert error["error"] == "TransportError"
     assert "ESAP_BASE_URL" in error["message"]
+
+
+def _team_http_config():
+    data = AppConfig().to_json()
+    data["ports"].update(mode="http", base_url_env="TEAM_URL", api_key_env="TEAM_KEY",
+                         model_env="TEAM_MODEL")
+    return config_from_dict(data)
+
+
+def test_the_http_port_reads_only_the_variables_the_config_names(monkeypatch):
+    for name in ("TEAM_URL", "TEAM_KEY", "TEAM_MODEL"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("ESAP_BASE_URL", "http://127.0.0.1:9/v1")
+    monkeypatch.setenv("ESAP_API_KEY", "esap-key")
+    monkeypatch.setenv("ESAP_MODEL", "esap-model")
+    cfg = _team_http_config()
+    with pytest.raises(errors.TransportError, match="set TEAM_URL") as refused:
+        _make_chat(cfg)
+    assert refused.value.exit_code == 3 and "ESAP" not in str(refused.value)
+    # an unset key variable is an empty key, an unset model variable the default model
+    monkeypatch.setenv("TEAM_URL", "http://team.test/v1/")
+    chat = _make_chat(cfg)
+    assert (chat.base_url, chat.api_key, chat.model) == ("http://team.test/v1", "", "gpt-4o")
+    monkeypatch.setenv("TEAM_KEY", "team-key")
+    monkeypatch.setenv("TEAM_MODEL", "team-model")
+    chat = _make_chat(cfg)
+    assert (chat.base_url, chat.api_key, chat.model) == \
+        ("http://team.test/v1", "team-key", "team-model")
+
+
+def test_an_unset_configured_base_url_is_port_error_naming_it(kb, tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.delenv("TEAM_URL", raising=False)
+    # a closed local port: code that still read this variable would fail, offline
+    monkeypatch.setenv("ESAP_BASE_URL", "http://127.0.0.1:9/v1")
+    config = tmp_path / "team.json"
+    config.write_text(json.dumps({"ports": _team_http_config().to_json()["ports"]}),
+                      encoding="utf-8")
+    code, out, err = run_cli(capsys, "ask", "--q", "apples?", "--kb", kb,
+                             "--config", str(config))
+    assert code == 3 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "TransportError" and "TEAM_URL" in error["message"]
 
 
 @pytest.mark.parametrize("script, message", [

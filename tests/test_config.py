@@ -182,6 +182,16 @@ def test_load_config_file_errors(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize("content", ['{"thor": {"threshold": "\\ud800"}}',
+                                     '{"thor": {"\\udfff": 0.5}}'], ids=["value", "key"])
+def test_a_lone_surrogate_one_object_deep_is_refused_naming_the_top_level_key(tmp_path,
+                                                                             content):
+    path = tmp_path / "config.json"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ConfigError, match='"thor" holds a lone surrogate'):
+        load_config(path)
+
+
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 def test_non_json_constant_in_config_file_is_refused(tmp_path, constant):
     path = tmp_path / "config.json"

@@ -277,6 +277,21 @@ def test_bad_doc_ids_rejected(tmp_path):
             store.ingest(bad, "text")
 
 
+def test_a_kb_path_that_is_a_file_is_store_write_error(tmp_path, capsys):
+    kb = tmp_path / "kb"
+    kb.write_text("not a directory\n", encoding="utf-8")
+    with pytest.raises(StoreWriteError, match="cannot write a v1") as refused:
+        VersionStore(kb).ingest("a", "text")
+    assert refused.value.exit_code == 2
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "a", "text": "ok"}\n', encoding="utf-8")
+    assert main(["ingest", "--corpus", str(corpus), "--kb", str(kb)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "StoreWriteError"
+    assert kb.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_a_doc_id_fits_one_file_name(tmp_path):
     store = VersionStore(tmp_path)
     assert store.ingest("x" * 255, "text").version == 1

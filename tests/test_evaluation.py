@@ -298,6 +298,8 @@ def test_read_runs_jsonl_errors(tmp_path):
     write_jsonl(path, [run_record("s", "a", [1, 2])])
     with pytest.raises(RunsFormatError, match="list of strings"):
         read_runs_jsonl(path)
+    with pytest.raises(RunsFormatError, match="no runs to evaluate"):
+        run_generation_benchmark([])
     path.write_text("\n", encoding="utf-8")
     with pytest.raises(RunsFormatError, match="no records"):
         read_runs_jsonl(path)
@@ -396,6 +398,9 @@ def test_read_qa_jsonl_errors(tmp_path):
     path.write_text('{"qid": "q1", "question": "?", '
                     '"evidence": [{"doc_id": "d"}]}\n', encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="quote"):
+        read_qa_jsonl(path)
+    path.write_text("\n  \n\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="dataset contains no records"):
         read_qa_jsonl(path)
 
 
@@ -514,6 +519,20 @@ def test_benchmark_excludes_unlocatable_evidence(embedder):
     doc_tokens = {d.doc_id: token_texts(d.text) for d in documents}
     report = run_retrieval_benchmark({"planted": records}, index, embedder,
                                      doc_tokens, ks=(1,))
+    row = report["rows"][0]
+    assert row["n_questions"] == 4
+    assert row["n_excluded"] == 1
+
+
+def test_a_quote_longer_than_its_document_is_excluded(embedder):
+    documents, records = make_planted_corpus(n_questions=5, seed=9)
+    doc_tokens = {d.doc_id: token_texts(d.text) for d in documents}
+    doc_id = records[2]["evidence"][0]["doc_id"]
+    records[2]["evidence"] = [{"doc_id": doc_id, "quote": " ".join(doc_tokens[doc_id] * 2)}]
+    with pytest.raises(EvidenceNotFound, match="not found"):
+        locate_evidence(records[2], doc_tokens)
+    report = run_retrieval_benchmark({"planted": records}, build_planted_index(documents, embedder),
+                                     embedder, doc_tokens, ks=(1,))
     row = report["rows"][0]
     assert row["n_questions"] == 4
     assert row["n_excluded"] == 1

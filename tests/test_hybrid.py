@@ -197,6 +197,15 @@ def test_a_repeated_chunk_id_is_refused_at_build(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("doc_acl", [[("d", ["*"])], None, "d"], ids=["pairs", "none", "string"])
+def test_a_doc_acl_that_is_not_a_mapping_is_refused_at_build(doc_acl):
+    chunks = [Chunk(chunk_id="a", doc_id="d", version=1, token_span=(0, 1), text="one",
+                    size_tokens=1)]
+    with pytest.raises(DataError, match="doc_acl must map doc_ids to ACL lists, got") as refused:
+        build_hybrid(chunks, HashingEmbedder(), doc_acl, HybridParams())
+    assert refused.value.exit_code == 2
+
+
 # ---------------------------------------------------------------------------
 # end-to-end search
 # ---------------------------------------------------------------------------
@@ -528,17 +537,7 @@ def test_the_guard_cache_is_looked_up_once_per_search():
             [apply_guards(index.chunks[hit.chunk_id].text) for hit in hits]
 
 
-def test_a_guard_cache_is_built_once_per_guard_tuple(monkeypatch):
-    import esap.hybrid
-
-    built = []
-
-    class CountingTexts(esap.hybrid.GuardedTexts):
-        def __init__(self, texts, guards):
-            built.append(guards)
-            super().__init__(texts, guards)
-
-    monkeypatch.setattr(esap.hybrid, "GuardedTexts", CountingTexts)
+def test_a_guard_cache_is_built_once_per_guard_tuple():
     index = _pii_index(5)
     embed = HashingEmbedder()
     for guards in (DEFAULT_GUARDS, _CUSTOM_GUARDS, DEFAULT_GUARDS, (), _CUSTOM_GUARDS):
@@ -546,23 +545,30 @@ def test_a_guard_cache_is_built_once_per_guard_tuple(monkeypatch):
             hits = search_hybrid(index, "555 apple", embed, k=k, guards=guards)
             assert [hit.text for hit in hits] == \
                 [apply_guards(index.chunks[hit.chunk_id].text, guards) for hit in hits]
-    assert built == [DEFAULT_GUARDS, _CUSTOM_GUARDS, ()]
-    # an equal tuple built anew finds the same cache
-    assert index.guarded(tuple(GuardRule(r.kind, r.pattern) for r in DEFAULT_GUARDS)) \
-        is index.guarded(DEFAULT_GUARDS)
-    assert len(built) == 3
+    # one memo per guard tuple, keyed by the tuple itself
+    assert list(index._guarded) == [DEFAULT_GUARDS, _CUSTOM_GUARDS, ()]
+    # an equal tuple built anew gets the same memo
+    memo = index.guarded(DEFAULT_GUARDS)
+    assert index.guarded(tuple(GuardRule(r.kind, r.pattern) for r in DEFAULT_GUARDS)) is memo
+    assert len(index._guarded) == 3
 
     class SameHash(GuardRule):
         def __hash__(self):
             return 7
 
-    # tuples whose hashes collide each get their own redaction
+    # tuples whose hashes collide each get their own memo and their own redaction
     colliding = [(SameHash("email", DEFAULT_GUARDS[0].pattern),), (SameHash("digits", r"\d+"),)]
     assert hash(colliding[0]) == hash(colliding[1])
     for guards in colliding * 2:
         hits = search_hybrid(index, "555 apple", embed, k=index.n_chunks, guards=guards)
         assert [hit.text for hit in hits] == \
             [apply_guards(index.chunks[hit.chunk_id].text, guards) for hit in hits]
+    assert list(index._guarded)[3:] == colliding
+    memos = [index.guarded(guards) for guards in colliding]
+    assert memos[0] is not memos[1] and memos[0] != memos[1]
+    assert all(memo == {pos: apply_guards(index.chunks.texts[pos], guards)
+                        for pos in range(index.n_chunks)}
+               for memo, guards in zip(memos, colliding))
 
 
 def test_concurrent_first_lookups_return_the_uncached_text():

@@ -65,6 +65,12 @@ def test_last_user_falls_back_to_tail():
     assert req.last_user == "rules"
 
 
+def test_a_complete_response_without_text_is_refused():
+    with pytest.raises(ValueError, match="complete responses must carry text"):
+        ChatResponse(text=None)
+    assert ChatResponse(text=None, finish_reason="length").text is None
+
+
 # ---------------------------------------------------------------------------
 # scripted model
 # ---------------------------------------------------------------------------
