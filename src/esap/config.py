@@ -1,12 +1,13 @@
 """Application configuration: one JSON file, strict keys, one schema.
 
-``_SCHEMA`` is the one place that knows a setting. For each section it
-lists the keys in echo order, the JSON types each key accepts (the first
-is the type stored) and the rule its value must meet. Key checks, type
-checks, range and enum checks, parsing into the dataclasses below and
-``AppConfig.to_json`` (the CLI's ``config_echo``) all read it. Only
-``kb``, ``guards`` and the ``ann`` key renames (``AnnParams.to_json`` and
-``from_json``) have code of their own.
+``_SCHEMA`` is the one place that knows a setting: each key is one row
+holding the JSON types it accepts (the first is the type stored), the rule
+its value must meet and its default, in echo order. Every section but
+``ann`` is a ``SimpleNamespace`` built from its rows, and key checks, type,
+range and enum checks and ``AppConfig.to_json`` (the CLI's ``config_echo``)
+read the same rows. Only ``kb``, ``guards`` and ``ann`` have code of their
+own: ``ann`` is an ``AnnParams``, which keeps its defaults and key renames
+(``to_json`` and ``from_json``).
 
 Unknown keys are rejected with their full path (e.g. "retrieval.rrf_k")
 so typos fail loudly instead of silently using defaults. CLI flags take
@@ -19,7 +20,9 @@ from __future__ import annotations
 import copy
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 from .corpus import DEFAULT_CHUNK_OVERLAP, DEFAULT_CHUNK_SIZE
 from .dense import AnnParams
@@ -50,66 +53,45 @@ _CUTOFFS = (lambda values: bool(values) and all(_is(v, (int,)) and v >= 1
                                                 for v in values),
             "must be a non-empty list of positive integers")
 
-# section -> key -> (accepted JSON types, the first one stored; rule or None),
-# in config_echo order
+# section -> key -> (accepted JSON types, the first one stored; rule or None;
+# default), in config_echo order. The ann rows hold no default: ``AnnParams``
+# keeps its own, as code outside the config builds one.
 _SCHEMA = {
-    "chunk": {"size": (int, _at_least(1)), "overlap": (int, _at_least(0))},
-    "retrieval": {"k": (int, _at_least(1)), "rrf_c": (int, _at_least(0))},
+    "chunk": {"size": (int, _at_least(1), DEFAULT_CHUNK_SIZE),
+              "overlap": (int, _at_least(0), DEFAULT_CHUNK_OVERLAP)},
+    "retrieval": {"k": (int, _at_least(1), DEFAULT_K),
+                  "rrf_c": (int, _at_least(0), DEFAULT_RRF_C)},
     "ann": {"m": (int, _at_least(1)), "ef_c": (int, _at_least(1)),
             "ef_s": (int, _at_least(1)), "exact_threshold": (int, None),
             "mode": (str, _one_of("auto", "exact", "ann")), "seed": (int, None)},
-    "ports": {"mode": (str, _one_of("stub", "scripted", "http")),
-              "script": ((str, type(None)), None), "api_key_env": (str, None),
-              "base_url_env": (str, None), "model_env": (str, None)},
-    "thor": {"max_retries": (int, _at_least(0)),
-             "threshold": ((float, int), _UNIT), "allow_empty": (bool, None)},
-    "eval": {"ks": (list, _CUTOFFS), "ngram_n": (int, _at_least(1))},
+    "ports": {"mode": (str, _one_of("stub", "scripted", "http"), "stub"),
+              "script": ((str, type(None)), None, None),
+              "api_key_env": (str, None, ENV_API_KEY),
+              "base_url_env": (str, None, ENV_BASE_URL),
+              "model_env": (str, None, ENV_MODEL)},
+    "thor": {"max_retries": (int, _at_least(0), DEFAULT_MAX_RETRIES),
+             "threshold": ((float, int), _UNIT, DEFAULT_THRESHOLD),
+             "allow_empty": (bool, None, False)},
+    "eval": {"ks": (list, _CUTOFFS, list(DEFAULT_KS)),
+             "ngram_n": (int, _at_least(1), DEFAULT_NGRAM)},
 }
 
 
-@dataclass
-class ChunkConfig:
-    size: int = DEFAULT_CHUNK_SIZE
-    overlap: int = DEFAULT_CHUNK_OVERLAP
-
-
-@dataclass
-class RetrievalConfig:
-    k: int = DEFAULT_K
-    rrf_c: int = DEFAULT_RRF_C
-
-
-@dataclass
-class PortsConfig:
-    mode: str = "stub"            # stub | scripted | http
-    script: str | None = None
-    api_key_env: str = ENV_API_KEY
-    base_url_env: str = ENV_BASE_URL
-    model_env: str = ENV_MODEL
-
-
-@dataclass
-class ThorConfig:
-    max_retries: int = DEFAULT_MAX_RETRIES
-    threshold: float = DEFAULT_THRESHOLD
-    allow_empty: bool = False
-
-
-@dataclass
-class EvalConfig:
-    ks: list[int] = field(default_factory=lambda: list(DEFAULT_KS))
-    ngram_n: int = DEFAULT_NGRAM
+def _defaults(section: str) -> SimpleNamespace:
+    """A section of defaults, one attribute per row, each value its own copy."""
+    return SimpleNamespace(**{key: copy.copy(row[2])
+                              for key, row in _SCHEMA[section].items()})
 
 
 @dataclass
 class AppConfig:
     kb: str = "./kb"
-    chunk: ChunkConfig = field(default_factory=ChunkConfig)
-    retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
+    chunk: SimpleNamespace = field(default_factory=partial(_defaults, "chunk"))
+    retrieval: SimpleNamespace = field(default_factory=partial(_defaults, "retrieval"))
     ann: AnnParams = field(default_factory=AnnParams)
-    ports: PortsConfig = field(default_factory=PortsConfig)
-    thor: ThorConfig = field(default_factory=ThorConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)
+    ports: SimpleNamespace = field(default_factory=partial(_defaults, "ports"))
+    thor: SimpleNamespace = field(default_factory=partial(_defaults, "thor"))
+    eval: SimpleNamespace = field(default_factory=partial(_defaults, "eval"))
     guards: list[GuardRule] = field(default_factory=lambda: list(DEFAULT_GUARDS))
 
     def to_json(self) -> dict:
@@ -146,7 +128,7 @@ def config_from_dict(data: dict) -> AppConfig:
             raise ConfigError(f"config key {section} must be an object")
         _check_keys(given, keys, section)
         for key, value in given.items():
-            kinds, rule = keys[key]
+            kinds, rule = keys[key][:2]
             kinds = kinds if isinstance(kinds, tuple) else (kinds,)
             if not _is(value, kinds):
                 raise ConfigError(f"config key {section}.{key} has wrong type: "
@@ -156,10 +138,9 @@ def config_from_dict(data: dict) -> AppConfig:
                                   f"got {value!r}")
             merged[section][key] = value if value is None else kinds[0](value)
 
-    cfg = AppConfig(kb=merged["kb"], ann=AnnParams.from_json(merged["ann"]))
-    for section in _SCHEMA.keys() - {"ann"}:
-        for key, value in merged[section].items():
-            setattr(getattr(cfg, section), key, value)
+    cfg = AppConfig(kb=merged["kb"], ann=AnnParams.from_json(merged["ann"]),
+                    **{section: SimpleNamespace(**merged[section])
+                       for section in _SCHEMA.keys() - {"ann"}})
 
     if "guards" in data:
         rules = data["guards"]

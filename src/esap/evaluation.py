@@ -78,6 +78,12 @@ def supported_mask(answer_tokens: list[str],
     return _marked(answer_tokens, grams - missing, n_eff)
 
 
+# the generation metrics in report order: (name, table header, decimal places)
+_METRICS = (("completeness", "Completeness", 4), ("utilization", "Utilization", 4),
+            ("context_relevance", "Context Relevance", 4),
+            ("pc_hallucinated", "pc hallucinated", 4), ("accuracy", "Accuracy", 2))
+
+
 @dataclass(frozen=True)
 class TraceScores:
     pc_hallucinated: float
@@ -87,15 +93,9 @@ class TraceScores:
     accuracy: float | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "completeness": self.completeness,
-            "utilization": self.utilization,
-            "context_relevance": self.context_relevance,
-            "pc_hallucinated": self.pc_hallucinated,
-        }
-        if self.accuracy is not None:
-            out["accuracy"] = self.accuracy
-        return out
+        """The metrics in report order; ``accuracy`` only when the run was graded."""
+        return {name: getattr(self, name) for name, _, _ in _METRICS
+                if name != "accuracy" or self.accuracy is not None}
 
 
 def trace_scores(answer: str, contexts: list[str], gold_answer: str | None = None,
@@ -200,40 +200,20 @@ def run_generation_benchmark(runs: list[dict], n: int = DEFAULT_NGRAM) -> dict:
     rows = []
     for system in sorted(by_system):
         scores = by_system[system]
-        def mean(values: list[float]) -> float | None:
-            return sum(values) / len(values) if values else None
-        completeness = mean([s.completeness for s in scores
-                             if s.completeness is not None])
-        relevance = mean([s.context_relevance for s in scores
-                          if s.context_relevance is not None])
-        graded = [s.accuracy for s in scores if s.accuracy is not None]
-        rows.append({
-            "system": system,
-            "n": len(scores),
-            "completeness": completeness,
-            "utilization": mean([s.utilization for s in scores]),
-            "context_relevance": relevance,
-            "pc_hallucinated": mean([s.pc_hallucinated for s in scores]),
-            "accuracy": mean(graded),
-            "accuracy_n": len(graded),
-        })
+        row = {"system": system, "n": len(scores)}
+        for name, _, _ in _METRICS:     # each over the runs that have it
+            values = [getattr(s, name) for s in scores if getattr(s, name) is not None]
+            row[name] = sum(values) / len(values) if values else None
+        row["accuracy_n"] = sum(s.accuracy is not None for s in scores)
+        rows.append(row)
     return {"rows": rows, "n_runs": len(runs), "ngram_n": n}
 
 
 def render_generation_table(rows: list[dict]) -> str:
-    """Aligned plain-text table: one row per system, four metrics + accuracy."""
-    headers = ["System", "Completeness", "Utilization", "Context Relevance",
-               "pc hallucinated", "Accuracy"]
-
-    def fmt(value, places: int) -> str:
-        return "-" if value is None else f"{value:.{places}f}"
-
-    body = [[row["system"],
-             fmt(row.get("completeness"), 4),
-             fmt(row.get("utilization"), 4),
-             fmt(row.get("context_relevance"), 4),
-             fmt(row.get("pc_hallucinated"), 4),
-             fmt(row.get("accuracy"), 2)]
+    """Aligned plain-text table: one row per system, one column per metric."""
+    headers = ["System"] + [header for _, header, _ in _METRICS]
+    body = [[row["system"]] + ["-" if row.get(name) is None else f"{row[name]:.{places}f}"
+                               for name, _, places in _METRICS]
             for row in rows]
     return _aligned_table(headers, body)
 
