@@ -318,7 +318,9 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = DEFAULT_K,
     rank. So the list holds fewer than k hits only when fewer than k
     readable chunks exist, and a hit's score ``1/(c + rank)`` counts ranks
     within the principal's own view, never hidden documents. A principal
-    who may read nothing gets ``[]``. Redaction happens last, on the text
+    who may read nothing gets ``[]``, and so does a query that matches no
+    readable chunk's term and embeds to the zero vector (one with no tokens,
+    such as ``"???"``), as every chunk would tie. Redaction happens last, on the text
     actually returned: ``apply_guards`` runs once per chunk and guard tuple,
     the first time that chunk is returned, and later hits read the result
     cached on the index (``HybridIndex.guarded``; the guard tuple's memo is
@@ -333,7 +335,11 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = DEFAULT_K,
     if fetch == 0:
         return []
     lex_positions, _ = top_k(*_candidates(index.lexical, query, allowed), fetch)
-    dense_hits = search_dense(index.dense, embed_query(embed, query), fetch, allowed)
+    vector = embed_query(embed, query)
+    # no query term matches and the vector is zero: every chunk would tie
+    if not lex_positions.size and not vector.any():
+        return []
+    dense_hits = search_dense(index.dense, vector, fetch, allowed)
     # positions ascend in chunk_id order, so fusing them ties as fusing ids
     rankings = [lex_positions.tolist(), [pos for pos, _ in dense_hits]]
     table, memo = index.chunks, index.guarded(guards)

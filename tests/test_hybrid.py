@@ -270,6 +270,15 @@ def test_principal_who_may_read_nothing_gets_an_empty_list():
     assert index.allowed("staff").all()
 
 
+@pytest.mark.parametrize("query", ["", "???", " \t\n"], ids=["empty", "punctuation", "blank"])
+def test_a_query_with_no_tokens_gets_an_empty_list(query):
+    # no BM25 candidate and a zero query vector: every chunk would tie at 0
+    index = build_toy_index()
+    assert search_hybrid(index, query, HashingEmbedder(), k=3) == []
+    # the dense side still ranks a tokenless query that embeds to a nonzero vector
+    assert len(search_hybrid(index, query, _with_query_embedding(_set(1.0)), k=3)) == 3
+
+
 def test_equals_fusion_of_brute_force_rankings_of_the_readable_subset(unit_rule):
     # random corpora, ACL layouts and principals: the result is RRF over
     # the full BM25 and cosine rankings restricted to what the principal may
