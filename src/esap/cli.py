@@ -29,6 +29,7 @@ import json
 import os
 import sys
 import textwrap
+import uuid
 from pathlib import Path
 
 from . import __version__
@@ -140,10 +141,17 @@ def _resolve_config(args) -> AppConfig:
                 f"--ports must be stub, scripted:<file>, or http, got {ports!r}")
     if getattr(args, "allow_empty", False):
         data["thor"]["allow_empty"] = True
-    # the table goes to --out with the suffix .txt, so it would overwrite such a report
-    if getattr(args, "out", None) and Path(args.out).suffix == ".txt":
-        raise ConfigError(f"--out {args.out} ends in .txt, where its table goes; "
-                          "give the JSON report another suffix, such as .json")
+    if getattr(args, "out", None):
+        out = Path(args.out)
+        # the table goes to --out with the suffix .txt, so it would overwrite such a report
+        if out.suffix == ".txt":
+            raise ConfigError(f"--out {args.out} ends in .txt, where its table goes; "
+                              "give the JSON report another suffix, such as .json")
+        if out.name in ("", "..") or out.is_dir():
+            raise ConfigError(f"--out {args.out} names a directory, not a report file")
+        if out.with_suffix(".txt").is_dir():
+            raise ConfigError(f"--out {args.out}: its table {out.with_suffix('.txt')} "
+                              "is a directory")
     return config_from_dict(data)
 
 
@@ -180,14 +188,28 @@ def _load_index_and_embedder(cfg: AppConfig):
 
 
 def _report(args, cfg: AppConfig, report: dict, table: str) -> tuple[dict, str]:
-    """An eval command's result; ``--out`` also writes it and its table."""
+    """An eval command's result; ``--out`` also writes it and its table.
+
+    Both go to temporary siblings first and are renamed into place only
+    once both are written; a failure removes the temporaries, so it leaves
+    no half-written result.
+    """
     body = {"report": report}
     if args.out:
         out_path = Path(args.out)
         txt_path = out_path.with_suffix(".txt")
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(_document(cfg, body) + "\n", encoding="utf-8")
-        txt_path.write_text(table + "\n", encoding="utf-8")
+        files = {out_path: _document(cfg, body), txt_path: table}
+        temps = {path: path.parent / f"{uuid.uuid4().hex}.tmp" for path in files}
+        try:
+            for path, text in files.items():
+                temps[path].write_text(text + "\n", encoding="utf-8")
+            for path, temp in temps.items():
+                os.replace(temp, path)
+        except BaseException:
+            for temp in temps.values():
+                temp.unlink(missing_ok=True)
+            raise
         body = {**body, "out": str(out_path), "out_table": str(txt_path)}
     return body, table
 

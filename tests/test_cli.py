@@ -488,6 +488,15 @@ def test_query_returns_ranked_hits(kb, capsys):
     assert scores == sorted(scores, reverse=True)
 
 
+def test_a_query_with_no_tokens_finds_nothing_and_ask_has_no_context(kb, capsys):
+    code, out, _ = run_cli(capsys, "query", "--q", "???", "--k", "3", "--kb", kb)
+    assert code == 0
+    assert json.loads(out)["hits"] == []
+    code, out, err = run_cli(capsys, "ask", "--q", "???", "--kb", kb)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "NoContext"
+
+
 def test_ask_stub_answers_with_citation(kb, capsys):
     code, out, _ = run_cli(capsys, "ask", "--q",
                            "Where does the red apple sit?", "--kb", kb)
@@ -742,6 +751,53 @@ def test_an_out_ending_in_txt_is_refused_before_any_report(kb, tmp_path, capsys,
     assert error["error"] == "ConfigError"
     assert str(out_file) in error["message"] and ".txt" in error["message"]
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def _write_runs(path) -> None:
+    path.write_text(json.dumps({"qid": "q1", "system": "stub", "question": "q",
+                                "answer": "the red apple", "contexts": ["the red apple"]}) + "\n",
+                    encoding="utf-8")
+
+
+@pytest.mark.parametrize("out,message", [(".", "names a directory"),
+                                         ("reports", "names a directory"),
+                                         ("rep.json", "its table rep.txt is a directory")],
+                         ids=["dot", "directory", "table-is-a-directory"])
+def test_an_out_that_cannot_be_written_is_refused_before_any_report(tmp_path, capsys,
+                                                                   monkeypatch, out, message):
+    monkeypatch.chdir(tmp_path)
+    _write_runs(tmp_path / "runs.jsonl")
+    (tmp_path / "reports").mkdir()
+    (tmp_path / "rep.txt").mkdir()
+    monkeypatch.setattr("esap.cli.run_generation_benchmark",
+                        lambda *a, **k: pytest.fail("report computed before --out was checked"))
+    before = sorted(tmp_path.rglob("*"))
+    code, out_text, err = run_cli(capsys, "eval-trace", "--runs", "runs.jsonl", "--out", out)
+    assert code == 1 and out_text == ""
+    error = json.loads(err)
+    assert error["error"] == "ConfigError"
+    assert f"--out {out}" in error["message"] and message in error["message"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_failed_table_write_leaves_no_report_and_no_temporary(tmp_path, capsys, monkeypatch):
+    runs = tmp_path / "runs.jsonl"
+    _write_runs(runs)
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    write_text = Path.write_text
+
+    def fail_on_the_table(self, text, *args, **kwargs):
+        if text.startswith("System"):
+            raise OSError("no space left on device")
+        return write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_on_the_table)
+    code, out, err = run_cli(capsys, "eval-trace", "--runs", str(runs),
+                             "--out", str(reports / "rep.json"))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "OSError", "message": "no space left on device"}
+    assert list(reports.iterdir()) == []
 
 
 def test_json_mode_never_prints_a_non_finite_number(tmp_path, capsys):
