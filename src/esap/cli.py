@@ -147,7 +147,7 @@ def _resolve_config(args) -> AppConfig:
         if out.suffix == ".txt":
             raise ConfigError(f"--out {args.out} ends in .txt, where its table goes; "
                               "give the JSON report another suffix, such as .json")
-        if out.name in ("", "..") or out.is_dir():
+        if out.name in ("", "..") or args.out.endswith(("/", os.sep)) or out.is_dir():
             raise ConfigError(f"--out {args.out} names a directory, not a report file")
         if out.with_suffix(".txt").is_dir():
             raise ConfigError(f"--out {args.out}: its table {out.with_suffix('.txt')} "

@@ -761,8 +761,9 @@ def _write_runs(path) -> None:
 
 @pytest.mark.parametrize("out,message", [(".", "names a directory"),
                                          ("reports", "names a directory"),
+                                         ("new/", "names a directory"),
                                          ("rep.json", "its table rep.txt is a directory")],
-                         ids=["dot", "directory", "table-is-a-directory"])
+                         ids=["dot", "directory", "trailing-slash", "table-is-a-directory"])
 def test_an_out_that_cannot_be_written_is_refused_before_any_report(tmp_path, capsys,
                                                                    monkeypatch, out, message):
     monkeypatch.chdir(tmp_path)
