@@ -5,7 +5,8 @@ Each case runs one command in a temporary directory with a relative
 sha256 of what it printed with a value recorded from an earlier release. A
 refactor that keeps these digests keeps every printed byte: the config echo,
 the reports, the tables and the hits. ``ask`` reports how long each stage
-took, so ``session.stages[*].elapsed_ms`` is dropped before hashing.
+took, so ``session.stages[*].elapsed_ms`` is dropped before hashing. The
+version files ``ingest`` stores under ``kb/docs`` are recorded the same way.
 
 The values were recorded with Python 3.11.7 and numpy 2.4.6. A digest that
 differs on another Python or numpy is a finding about that pairing; record
@@ -38,6 +39,9 @@ _QA = {"qid": "q1", "question": "red apple basket",
        "evidence": [{"doc_id": "fruit-apple",
                      "quote": "The red apple sits in the basket"}]}
 _SQL_REPLIES = ["structured", "SELECT count(*) FROM chinook_track", "0.9"]
+# a BLOB cell and an infinite one, each JSON only through its printed form
+_BLOB_REPLIES = ["structured", "SELECT x'41' AS b, 2 AS n", "0.9"]
+_INF_REPLIES = ["structured", "SELECT 1e999 AS x, 2 AS n", "0.9"]
 
 # (argv without --kb, sha256 of the printed document), in the order they run
 _CASES = [
@@ -54,6 +58,10 @@ _CASES = [
     (("sql", "--q", "How many tracks are there?", "--ports", "scripted:replies.json",
       "--verbose"),
      "e159530fdb30d6e441e4673203ad01b50b6344d2286729903f7363625e9c8728"),
+    (("sql", "--q", "Which blob?", "--ports", "scripted:blob-replies.json", "--verbose"),
+     "ec0b29d5c8fbf734705bc6e991d8513de305c926b1d7687c3bbad9d1b105c483"),
+    (("sql", "--q", "How big?", "--ports", "scripted:inf-replies.json", "--verbose"),
+     "92fd19c668eb7c9e7b3480bf45ab59ec8dd3f9e36f7d3281f9f1e5c7868cb140"),
     (("eval-retrieval", "--dataset", "toy=qa.jsonl", "--ks", "1,2"),
      "58cf38506816ba8ceb35ec78132aac5a77e294312df4c1ee5e13608ae7e0b4e3"),
     (("eval-trace", "--runs", "runs.jsonl", "--ngram", "2"),
@@ -85,5 +93,39 @@ def test_cli_documents_match_recorded_digests(tmp_path, monkeypatch, capsys):
         "".join(json.dumps(run) + "\n" for run in _RUNS), encoding="utf-8")
     (tmp_path / "qa.jsonl").write_text(json.dumps(_QA) + "\n", encoding="utf-8")
     (tmp_path / "replies.json").write_text(json.dumps(_SQL_REPLIES), encoding="utf-8")
+    (tmp_path / "blob-replies.json").write_text(json.dumps(_BLOB_REPLIES), encoding="utf-8")
+    (tmp_path / "inf-replies.json").write_text(json.dumps(_INF_REPLIES), encoding="utf-8")
     got = [(argv[0], _printed_digest(argv, capsys)) for argv, _ in _CASES]
     assert got == [(argv[0], digest) for argv, digest in _CASES]
+
+
+# every optional field set, an unsorted ACL, a non-ASCII text and a second
+# version of one document
+_STORED_CORPUS = [
+    {"id": "memo", "text": "Caf\u00e9 hours change on Monday.", "mime": "text/markdown",
+     "author": "dana", "created_at": "2024-03-01T09:30:00Z", "acl": ["sales", "alice", "*"]},
+    {"id": "plain", "text": "Defaults only."},
+    {"id": "memo", "text": "Caf\u00e9 hours change on Tuesday.", "author": "eli",
+     "acl": ["zed", "bob"]},
+]
+# (path under kb/docs, sha256 of the file), sorted by path
+_STORED_VERSIONS = [
+    ("memo/1.json", "f1695fbd75e8496ddc9edfe2250fe4d11d787fb7dd5988966b872e325a9ca7fa"),
+    ("memo/2.json", "4ebe3bbb51b002b78527ed371fc615f60f4105db1555bc7569214260da3d0f9c"),
+    ("plain/1.json", "80c44a06e67d45563e97e78cf94a2c4dada149c1da9f170490f810bfadc4381c"),
+]
+
+
+def test_ingest_writes_version_files_with_recorded_digests(tmp_path, monkeypatch, capsys):
+    """The bytes of each stored version; audit.log holds timestamps and is
+    left out."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.jsonl").write_text(
+        "".join(json.dumps(line) + "\n" for line in _STORED_CORPUS), encoding="utf-8")
+    assert main(["ingest", "--corpus", "corpus.jsonl", "--kb", "kb"]) == 0
+    capsys.readouterr()
+    docs = tmp_path / "kb" / "docs"
+    got = sorted((path.relative_to(docs).as_posix(),
+                  hashlib.sha256(path.read_bytes()).hexdigest())
+                 for path in docs.rglob("*") if path.is_file())
+    assert got == _STORED_VERSIONS
