@@ -30,6 +30,7 @@ import os
 import sys
 import textwrap
 import uuid
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -261,8 +262,7 @@ def cmd_query(args, cfg: AppConfig) -> tuple[dict, str]:
     body = {
         "query": args.q,
         "k": k,
-        "hits": [{"chunk_id": h.chunk_id, "doc_id": h.doc_id,
-                  "score": h.score, "text": h.text} for h in hits],
+        "hits": [asdict(h) for h in hits],
     }
     lines = []
     for rank, hit in enumerate(hits, start=1):
@@ -419,7 +419,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         body, text = _COMMANDS[args.command][0](args, cfg)
-        print(text if args.pretty else _document(cfg, body))
+        print(text if args.pretty else _document(cfg, body), flush=True)
+        return EXIT_OK
+    except BrokenPipeError:
+        # the reader closed stdout: the work is done and it chose to stop.
+        # stdout goes to devnull so the interpreter's exit flush raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_OK
     except EsapError as exc:
         return _fail(type(exc).__name__, str(exc), exc.exit_code)

@@ -137,6 +137,10 @@ def config_from_dict(data: dict) -> AppConfig:
                 raise ConfigError(f"config key {section}.{key} {rule[1]}, "
                                   f"got {value!r}")
             merged[section][key] = value if value is None else kinds[0](value)
+    size, overlap = merged["chunk"]["size"], merged["chunk"]["overlap"]
+    if overlap >= size:
+        raise ConfigError(f"config key chunk.overlap must be < chunk.size ({size}), "
+                          f"got {overlap}")
 
     cfg = AppConfig(kb=merged["kb"], ann=AnnParams.from_json(merged["ann"]),
                     **{section: SimpleNamespace(**merged[section])

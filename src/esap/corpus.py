@@ -13,7 +13,7 @@ import os
 import re
 import threading
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -46,15 +46,7 @@ class Document:
     acl: frozenset[str] = field(default_factory=lambda: frozenset({"*"}))
 
     def to_json(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "version": self.version,
-            "text": self.text,
-            "mime": self.mime,
-            "author": self.author,
-            "created_at": self.created_at,
-            "acl": sorted(self.acl),
-        }
+        return {**asdict(self), "acl": sorted(self.acl)}
 
     @classmethod
     def from_json(cls, data: dict) -> "Document":

@@ -89,15 +89,7 @@ class GroundedAnswer:
     trace: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "answer": self.answer,
-            "citations": [c.to_json() for c in self.citations],
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "regeneration_count": self.regeneration_count,
-            "refined_question": self.refined_question,
-            "trace": self.trace,
-        }
+        return {**asdict(self), "citations": [c.to_json() for c in self.citations]}
 
 
 @dataclass

@@ -94,6 +94,7 @@ def apply_guards(text: str, rules: tuple[GuardRule, ...] = DEFAULT_GUARDS) -> st
     return text
 
 
+# ``esap query`` prints each hit field for field, in this order
 @dataclass(frozen=True)
 class Hit:
     chunk_id: str

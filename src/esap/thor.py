@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import (
     ModelRefusal,
@@ -105,15 +105,8 @@ class SqlAttempt:
     reasons: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "attempt": self.number,
-            "sql": self.sql,
-            "outcome": self.outcome,
-            "error": self.error,
-            "row_count": self.row_count,
-            "rating": self.rating,
-            "reasons": self.reasons,
-        }
+        return {"attempt" if name == "number" else name: value
+                for name, value in asdict(self).items()}
 
 
 @dataclass
@@ -125,13 +118,7 @@ class ThorAttemptLog:
     narrative: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "question": self.question,
-            "task_type": self.task_type,
-            "attempts": [a.to_json() for a in self.attempts],
-            "status": self.status,
-            "narrative": self.narrative,
-        }
+        return {**asdict(self), "attempts": [a.to_json() for a in self.attempts]}
 
 
 @dataclass
@@ -142,13 +129,8 @@ class Insight:
     trends: list[str]
 
     def to_json(self) -> dict:
-        return {
-            "narrative": self.narrative,
-            "key_values": {name: _json_value(value)
-                           for name, value in self.key_values.items()},
-            "key_labels": self.key_labels,
-            "trends": self.trends,
-        }
+        return {**asdict(self), "key_values": {name: _json_value(value)
+                                               for name, value in self.key_values.items()}}
 
 
 @dataclass

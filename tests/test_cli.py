@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -128,6 +129,16 @@ def test_index_of_an_empty_kb_is_data_error(tmp_path, capsys):
     error = json.loads(err)
     assert error["error"] == "EmptyCorpus"
     assert "run ingest first" in error["message"]
+
+
+def test_index_with_an_overlap_of_the_chunk_size_is_refused_before_the_kb(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "index", "--kb", str(tmp_path / "absent"),
+                             "--chunk-size", "10", "--overlap", "10")
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "ConfigError"
+    assert "chunk.overlap" in error["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", ["notes.json", "01.json"])
@@ -832,6 +843,20 @@ def test_console_script_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tool_version"] == __version__
+
+
+def test_a_closed_stdout_ends_a_command_quietly(kb):
+    """A reader that stops reading (``esap query ... | head -c 10``) is not a
+    failure: the command exits 0 with nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-X", "dev", "-m", "esap.cli", "query",
+                               "--q", "red apple", "--kb", kb],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,14 @@ def test_range_checks():
         config_from_dict({"retrieval": {"rrf_c": -1}})
 
 
+def test_an_overlap_of_at_least_the_size_is_refused():
+    # the last keeps the default overlap, 150
+    for chunk in ({"size": 10, "overlap": 10}, {"size": 10, "overlap": 11}, {"size": 100}):
+        with pytest.raises(ConfigError, match=r"chunk\.overlap must be < chunk\.size"):
+            config_from_dict({"chunk": chunk})
+    assert config_from_dict({"chunk": {"size": 10, "overlap": 9}}).chunk.overlap == 9
+
+
 def test_guard_rules_parsed_and_validated():
     cfg = config_from_dict({"guards": [{"kind": "badge",
                                         "pattern": r"B-\d{4}"}]})
