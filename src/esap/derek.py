@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import re
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from itertools import chain
 
 from .errors import ModelRefusal, NoContext, TransportError
 from .evaluation import DEFAULT_NGRAM, supported_mask
@@ -46,9 +48,11 @@ class CoStarPrompt:
     persona: PersonaConfig
     question: str
 
-    @property
+    @cached_property
     def context(self) -> str:
-        """The numbered snippet block; the critique shows the same one."""
+        """The numbered snippet block; the critique shows the same one. Built
+        once per prompt: ``cached_property`` stores it in the instance dict,
+        which a frozen dataclass leaves writable."""
         return "\n".join(f"[{i}] {text}"
                          for i, text in enumerate(self.snippets, start=1))
 
@@ -202,12 +206,11 @@ class DerekPipeline:
                                       sentences=tuple(claims)))
         return _strip_markers(raw), citations, warnings
 
-    def _support_fraction(self, draft: str, snippets: Sequence[str]) -> float:
-        tokens = token_texts(draft)
+    def _support_fraction(self, tokens: list[str],
+                          snippet_tokens: Iterable[Sequence[str]]) -> float:
         if not tokens:
             return 0.0
-        mask = supported_mask(tokens, map(token_texts, snippets),
-                              n=self.ngram_n)
+        mask = supported_mask(tokens, snippet_tokens, n=self.ngram_n)
         return sum(mask) / len(tokens)
 
     def validate(self, draft: str, citations: list[Citation],
@@ -217,21 +220,40 @@ class DerekPipeline:
         union of the snippets it cites, at the same threshold. The model
         critique only runs when they pass, since a failed heuristic already
         settles the verdict. All read the snippets of the draft prompt, so
-        the critique sees the context the draft saw."""
+        the critique sees the context the draft saw.
+
+        The draft's support reads the cited snippets first, then the rest
+        in prompt order. The mask does not depend on the order, and
+        ``supported_mask`` stops reading once every draft n-gram is found,
+        so a cited draft usually tokenizes the snippet it cites and no
+        other; the cited-sentence check reuses those token lists.
+        """
         events: list[dict] = []
         if not citations:
             return "insufficient", "no-citation", events
-        fraction = self._support_fraction(draft, prompt.snippets)
+        read: dict[int, list[str]] = {}        # snippet index -> its tokens
+
+        def tokens_of(i: int) -> list[str]:
+            tokens = read.get(i)
+            if tokens is None:
+                tokens = read[i] = token_texts(prompt.snippets[i])
+            return tokens
+
+        # a hand-made citation outside the prompt is left to the sentence check
+        n = len(prompt.snippets)
+        cited_first = dict.fromkeys(c.snippet_no - 1 for c in citations if 0 < c.snippet_no <= n)
+        order = chain(cited_first, (i for i in range(n) if i not in cited_first))
+        fraction = self._support_fraction(token_texts(draft), map(tokens_of, order))
         events.append({"stage": "validate", "support_fraction": round(fraction, 4)})
         if fraction < self.support_threshold:
             return "insufficient", "low-support", events
-        cited: dict[tuple[int, str], list[str]] = {}
+        cited: dict[tuple[int, str], list[int]] = {}
         for citation in citations:
             for sentence in citation.sentences:
-                cited.setdefault(sentence, []).append(
-                    prompt.snippets[citation.snippet_no - 1])
-        for (_, text), snippets in cited.items():
-            if self._support_fraction(text, snippets) < self.support_threshold:
+                cited.setdefault(sentence, []).append(citation.snippet_no - 1)
+        for (_, text), indices in cited.items():
+            if self._support_fraction(token_texts(text),
+                                      map(tokens_of, indices)) < self.support_threshold:
                 return "insufficient", "misattributed", events
         critique = (f"Review the draft answer against the context snippets.\n"
                     f"{prompt.context}\nDRAFT: {draft}\n{CRITIQUE_INSTRUCTION}")

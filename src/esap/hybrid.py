@@ -284,17 +284,37 @@ def fuse(lexical_ranking: list[str], dense_ranking: list[str],
     return rrf_fuse([lexical_ranking, dense_ranking], c=c)
 
 
-def rrf_fuse(rankings: list[list[str]], c: int = DEFAULT_RRF_C) -> list[tuple[str, float]]:
+def rrf_fuse(rankings, c: int = DEFAULT_RRF_C) -> list[tuple]:
     """Reciprocal rank fusion: score(x) = sum over lists of 1/(c + rank).
 
     Ranks start at 1. Items absent from a list contribute nothing for it.
     Output is sorted by fused score descending, then item ascending.
+
+    A ranking is a numpy array (``search_hybrid``'s int positions) or any
+    other sequence, such as chunk ids; the items of a non-array ranking are
+    compared as Python compares them. The entries are sorted by item,
+    stably, so each item's terms stay in list order, and ``np.bincount``
+    adds them in that order, as a running sum over the lists would: the
+    scores are the same floats, bit for bit.
     """
-    scores: dict[str, float] = {}
-    for ranking in rankings:
-        for rank, item in enumerate(ranking, start=1):
-            scores[item] = scores.get(item, 0.0) + 1.0 / (c + rank)
-    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = [r if isinstance(r, np.ndarray) else np.fromiter(r, dtype=object, count=len(r))
+              for r in rankings if len(r)]
+    if not ranked:
+        return []
+    items = np.concatenate(ranked)
+    weights = 1.0 / np.concatenate([np.arange(c + 1, c + 1 + len(r)) for r in ranked])
+    by_item = items.argsort(kind="stable")
+    items = items[by_item]
+    first = np.empty(len(items), dtype=bool)        # the first entry of each item
+    first[0] = True
+    np.not_equal(items[1:], items[:-1], out=first[1:])
+    # slot i + 1 holds the i-th smallest item; slot 0 stays empty
+    scores = np.bincount(np.add.accumulate(first, dtype=np.intp),
+                         weights=weights[by_item])[1:]
+    items = items[first]
+    # items ascend, so a stable sort on the score alone breaks ties by item
+    order = np.argsort(-scores, kind="stable")
+    return list(zip(items[order].tolist(), scores[order].tolist()))
 
 
 def filter_acl(ranked: list[tuple[str, float]], chunks: Mapping[str, Chunk],
@@ -341,11 +361,13 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = DEFAULT_K,
     if not lex_positions.size and not vector.any():
         return []
     dense_hits = search_dense(index.dense, vector, fetch, allowed)
+    dense_positions = np.fromiter((pos for pos, _ in dense_hits), dtype=np.intp,
+                                  count=len(dense_hits))
     # positions ascend in chunk_id order, so fusing them ties as fusing ids
-    rankings = [lex_positions.tolist(), [pos for pos, _ in dense_hits]]
+    fused = rrf_fuse([lex_positions, dense_positions], c=index.params.rrf_c)
     table, memo = index.chunks, index.guarded(guards)
     hits = []
-    for pos, score in rrf_fuse(rankings, c=index.params.rrf_c)[:k]:
+    for pos, score in fused[:k]:
         text = memo.get(pos)
         if text is None:            # by the module's name, which the tracer wraps
             text = memo[pos] = apply_guards(table.texts[pos], guards)

@@ -142,8 +142,11 @@ class ExtractiveStub:
     when the prompt has no snippet line. Sentences are
     ``esap.tokenizer.sentences``: every end is followed by whitespace,
     which also separates tokens, so a snippet's own overlap bounds every
-    sentence in it; a snippet whose bound cannot beat the best sentence so
-    far is skipped without splitting it.
+    sentence in it. Snippets are visited by bound descending, then in
+    prompt order, and the visit stops at the first snippet that can
+    neither beat the best sentence so far nor tie it from an earlier
+    place in the prompt; every later snippet is bounded as low, so the
+    answer is the same and most snippets are never split.
     """
 
     REFINE_MARKER = "Rewrite the user question"
@@ -163,27 +166,28 @@ class ExtractiveStub:
     def _extract(self, prompt: str) -> str:
         question = prompt.rsplit("QUESTION:", 1)[-1].strip()
         q_tokens = set(token_texts(question))
+        snippets = _SNIPPET_RE.findall(prompt)
+        bounds = [len(q_tokens.intersection(token_texts(text))) for _, text in snippets]
         best_sentence = ""
-        best_no = 1
-        best_overlap = -1
-        for number, text in _SNIPPET_RE.findall(prompt):
-            bound = len(q_tokens.intersection(token_texts(text)))
-            # replacing the best takes a strict gain, so an equal bound
-            # cannot win; -1 (no sentence yet) is below every bound
-            if bound <= best_overlap:
-                continue
-            for sentence in sentences(text):
-                sentence = sentence.strip()
-                overlap = len(q_tokens.intersection(token_texts(sentence)))
-                if overlap > best_overlap:
-                    best_overlap = overlap
-                    best_sentence = sentence
-                    best_no = int(number)
+        best_at = len(snippets)          # prompt place of the best sentence's snippet
+        best_overlap = -1                # -1 (no sentence yet) is below every bound
+        # a stable sort keeps prompt order among equal bounds
+        for at in sorted(range(len(snippets)), key=bounds.__getitem__, reverse=True):
+            bound = bounds[at]
+            if bound < best_overlap or (bound == best_overlap and at > best_at):
+                break
+            sentence, overlap = "", -1   # the snippet's first best sentence
+            for piece in sentences(snippets[at][1]):
+                piece_overlap = len(q_tokens.intersection(token_texts(piece)))
+                if piece_overlap > overlap:
+                    sentence, overlap = piece.strip(), piece_overlap
                     if overlap == bound:         # the rest of the snippet ties at best
                         break
+            if overlap > best_overlap or (overlap == best_overlap and at < best_at):
+                best_sentence, best_at, best_overlap = sentence, at, overlap
         if not best_sentence:
             return "No supporting context was retrieved."
-        return f"{best_sentence} [{best_no}]"
+        return f"{best_sentence} [{int(snippets[best_at][0])}]"
 
 
 # ---------------------------------------------------------------------------

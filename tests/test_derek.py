@@ -16,10 +16,11 @@ from esap.derek import (
     _strip_markers,
 )
 from esap.errors import ModelRefusal, NoContext
+from esap.evaluation import supported_mask
 from esap.hybrid import HybridParams, build_hybrid
 from esap.ports import ChatResponse, ExtractiveStub, HashingEmbedder, ScriptedModel, chat_request
-from esap.synthetic import make_toy_kb_documents
-from esap.tokenizer import sentences
+from esap.synthetic import make_clustered_texts, make_toy_kb_documents
+from esap.tokenizer import sentences, token_texts
 
 
 def small_index(embedder, version: int = 1):
@@ -540,3 +541,105 @@ def test_a_draft_is_sufficient_exactly_when_each_cited_sentence_cites_its_source
         else:
             assert verdict == expected, (case, chat.draft)
             assert reason == (None if expected == "sufficient" else "misattributed")
+
+
+# ---------------------------------------------------------------------------
+# validation reads the cited snippets first
+# ---------------------------------------------------------------------------
+
+def _reference_validate(pipe, draft, citations, prompt):
+    """``DerekPipeline.validate`` reading every snippet, in prompt order."""
+    def fraction(text, snippets):
+        tokens = token_texts(text)
+        if not tokens:
+            return 0.0
+        mask = supported_mask(tokens, [token_texts(s) for s in snippets], n=pipe.ngram_n)
+        return sum(mask) / len(tokens)
+
+    events = []
+    if not citations:
+        return "insufficient", "no-citation", events
+    support = fraction(draft, prompt.snippets)
+    events.append({"stage": "validate", "support_fraction": round(support, 4)})
+    if support < pipe.support_threshold:
+        return "insufficient", "low-support", events
+    cited = {}
+    for citation in citations:
+        for sentence in citation.sentences:
+            cited.setdefault(sentence, []).append(prompt.snippets[citation.snippet_no - 1])
+    for (_, text), snippets in cited.items():
+        if fraction(text, snippets) < pipe.support_threshold:
+            return "insufficient", "misattributed", events
+    context = "\n".join(f"[{i}] {text}" for i, text in enumerate(prompt.snippets, start=1))
+    critique = (f"Review the draft answer against the context snippets.\n"
+                f"{context}\nDRAFT: {draft}\n{CRITIQUE_INSTRUCTION}")
+    reply = pipe.chat.chat(chat_request(critique)).text.strip().lower()
+    if "insufficient" in reply:
+        return "insufficient", "model-critique", events
+    if "sufficient" not in reply:
+        events.append({"stage": "validate", "critique": "unparseable-pass"})
+    return "sufficient", None, events
+
+
+class DraftAndCritique:
+    """Answers a draft prompt with ``self.draft``; a critique gets one of
+    three replies, chosen by the prompt's length, and is recorded."""
+
+    draft = ""
+
+    def __init__(self):
+        self.critiques: list[str] = []
+
+    def chat(self, request):
+        prompt = request.last_user
+        if prompt.startswith("# CONTEXT"):
+            return ChatResponse(text=self.draft)
+        self.critiques.append(prompt)
+        return ChatResponse(text=("sufficient", "insufficient", "unclear")[len(prompt) % 3])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_validate_equals_reading_every_snippet_in_prompt_order(embedder, seed):
+    rng = random.Random(seed)
+    texts = make_clustered_texts(60, seed=seed, tokens_per_text=24)
+    documents = []
+    for i, text in enumerate(texts):
+        words = text.split()
+        cuts = sorted(rng.sample(range(1, len(words)), 3))
+        documents.append(Document(f"d{i:02d}", 1, ". ".join(
+            " ".join(words[a:b]) for a, b in zip([0] + cuts, cuts + [len(words)])) + "."))
+    chunks = [c for doc in documents for c in chunk_document(doc, size=40, overlap=4)]
+    index = build_hybrid(chunks, embedder, {doc.doc_id: ["*"] for doc in documents},
+                         HybridParams(chunk_size=40, chunk_overlap=4))
+    chat = DraftAndCritique()
+    pipe = DerekPipeline(index, embedder, chat, k=12)
+    verdicts = set()
+    for case in range(150):
+        question = rng.choice(texts)
+        hits = pipe.retrieve(question)
+        prompt = pipe.assemble_costar(question, hits)
+        claims = [s.strip() for snippet in prompt.snippets for s in sentences(snippet)]
+        pieces = []
+        for _ in range(rng.randint(1, 4)):
+            claim = rng.choice(claims)
+            words = claim.rstrip(".").split()
+            kind = rng.random()
+            if kind < 0.3:               # part of a claim: partly supported
+                start = rng.randrange(len(words))
+                claim = " ".join(words[start:start + rng.randint(1, 4)]) + "."
+            elif kind < 0.45:            # words no snippet holds
+                claim = " ".join(rng.choice(("zq", "xv", "wk")) for _ in words) + "."
+            markers = rng.sample(range(1, len(hits) + 2), rng.choice((0, 0, 1, 1, 2, 3)))
+            pieces.append(claim[:-1] + "".join(f" [{m}]" for m in markers) + ".")
+        chat.draft = " ".join(pieces)
+        draft, citations, _ = pipe.generate(prompt, hits)
+        before = len(chat.critiques)
+        got = pipe.validate(draft, citations, prompt)
+        between = len(chat.critiques)
+        assert got == _reference_validate(pipe, draft, citations, prompt), (case, chat.draft)
+        assert chat.critiques[before:between] == chat.critiques[between:], (case, chat.draft)
+        verdicts.add(got[:2])
+    # every verdict and reason the draft can reach was reached
+    assert verdicts == {("insufficient", "no-citation"), ("insufficient", "low-support"),
+                        ("insufficient", "misattributed"), ("insufficient", "model-critique"),
+                        ("sufficient", None)}

@@ -219,6 +219,15 @@ def _random_draft_prompt(rng: random.Random) -> str:
     # a later snippet with a higher bound but no better sentence
     ("# CONTEXT\n[1] apple.\n[2] red. basket.\nQUESTION: apple red basket",
      "apple. [1]"),
+    # the later snippet has the higher bound and is split first; its best
+    # sentence ties with an earlier one, which wins
+    ("# CONTEXT\n[1] fig. apple red.\n[2] apple. red basket.\nQUESTION: apple red basket",
+     "apple red. [1]"),
+    # equal bounds and tied best sentences: the earlier snippet wins
+    ("# CONTEXT\n[1] fig. red apple.\n[2] apple red.\nQUESTION: apple red",
+     "red apple. [1]"),
+    # the marker is the snippet's number as an int
+    ("# CONTEXT\n[01] pear.\n[02] red apple.\nQUESTION: apple", "red apple. [2]"),
     # a tokenless first sentence wins when nothing overlaps
     ("# CONTEXT\n[1] ?! pear.\n[2] fig.\nQUESTION: apple", "?! [1]"),
     ("# CONTEXT\n[1] ?! apple.\nQUESTION: apple", "apple. [1]"),
