@@ -165,8 +165,8 @@ def top_k(positions: np.ndarray, scores: np.ndarray,
     """The k best (positions, scores), score descending, position ascending.
 
     Every candidate tied with the k-th score survives the partition cut, so
-    the sort breaks ties at the cut by position. BM25 and dense search share
-    this cut.
+    the sort breaks ties at the cut by position. BM25, dense search and
+    fusion (whose items may be chunk ids) share this cut.
     """
     n = len(positions)
     if n > k:

@@ -225,6 +225,12 @@ _CHUNK_FIELDS = (
 )
 
 
+def _are_acls(acls: Mapping) -> bool:
+    """doc_id -> list of principals, every string UTF-8-encodable."""
+    return (are_strings(list(acls)) and set(map(type, acls.values())) <= {list}
+            and are_strings(list(chain.from_iterable(acls.values()))))
+
+
 def _check_input(chunks: list[Chunk], doc_acl) -> None:
     """Refuse what a save cannot write or a load cannot give back equal, as
     ``DataError`` naming the first bad chunk or document: a chunk field that
@@ -235,14 +241,10 @@ def _check_input(chunks: list[Chunk], doc_acl) -> None:
             bad = next(c for c in chunks if not ok([getattr(c, name)]))
             raise DataError(f"chunk {bad.chunk_id!r}: {name} must be {wanted}")
 
-    def are_acls(acls: Mapping) -> bool:
-        return (are_strings(list(acls)) and set(map(type, acls.values())) <= {list}
-                and are_strings(list(chain.from_iterable(acls.values()))))
-
     if not isinstance(doc_acl, Mapping):
         raise DataError(f"doc_acl must map doc_ids to ACL lists, got {type(doc_acl).__name__}")
-    if not are_acls(doc_acl):
-        bad = next(d for d, acl in doc_acl.items() if not are_acls({d: acl}))
+    if not _are_acls(doc_acl):
+        bad = next(d for d, acl in doc_acl.items() if not _are_acls({d: acl}))
         raise DataError(f"document {bad!r}: its ACL must be a list of strings UTF-8 can encode")
 
 
@@ -284,11 +286,12 @@ def fuse(lexical_ranking: list[str], dense_ranking: list[str],
     return rrf_fuse([lexical_ranking, dense_ranking], c=c)
 
 
-def rrf_fuse(rankings, c: int = DEFAULT_RRF_C) -> list[tuple]:
+def rrf_fuse(rankings, c: int = DEFAULT_RRF_C, k: int | None = None) -> list[tuple]:
     """Reciprocal rank fusion: score(x) = sum over lists of 1/(c + rank).
 
     Ranks start at 1. Items absent from a list contribute nothing for it.
-    Output is sorted by fused score descending, then item ascending.
+    Output is the top ``k`` fused items (all of them when ``k`` is None),
+    ordered by ``top_k``: fused score descending, then item ascending.
 
     A ranking is a numpy array (``search_hybrid``'s int positions) or any
     other sequence, such as chunk ids; the items of a non-array ranking are
@@ -297,6 +300,8 @@ def rrf_fuse(rankings, c: int = DEFAULT_RRF_C) -> list[tuple]:
     adds them in that order, as a running sum over the lists would: the
     scores are the same floats, bit for bit.
     """
+    if k is not None and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     ranked = [r if isinstance(r, np.ndarray) else np.fromiter(r, dtype=object, count=len(r))
               for r in rankings if len(r)]
     if not ranked:
@@ -311,10 +316,8 @@ def rrf_fuse(rankings, c: int = DEFAULT_RRF_C) -> list[tuple]:
     # slot i + 1 holds the i-th smallest item; slot 0 stays empty
     scores = np.bincount(np.add.accumulate(first, dtype=np.intp),
                          weights=weights[by_item])[1:]
-    items = items[first]
-    # items ascend, so a stable sort on the score alone breaks ties by item
-    order = np.argsort(-scores, kind="stable")
-    return list(zip(items[order].tolist(), scores[order].tolist()))
+    items, scores = top_k(items[first], scores, len(scores) if k is None else k)
+    return list(zip(items.tolist(), scores.tolist()))
 
 
 def filter_acl(ranked: list[tuple[str, float]], chunks: Mapping[str, Chunk],
@@ -364,10 +367,10 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = DEFAULT_K,
     dense_positions = np.fromiter((pos for pos, _ in dense_hits), dtype=np.intp,
                                   count=len(dense_hits))
     # positions ascend in chunk_id order, so fusing them ties as fusing ids
-    fused = rrf_fuse([lex_positions, dense_positions], c=index.params.rrf_c)
+    fused = rrf_fuse([lex_positions, dense_positions], c=index.params.rrf_c, k=k)
     table, memo = index.chunks, index.guarded(guards)
     hits = []
-    for pos, score in fused[:k]:
+    for pos, score in fused:
         text = memo.get(pos)
         if text is None:            # by the module's name, which the tracer wraps
             text = memo[pos] = apply_guards(table.texts[pos], guards)
@@ -465,9 +468,7 @@ def _read_lexical(data: bytes, params: HybridParams) -> tuple[ChunkTable, dict, 
     require(is_count(n) and n > 0 and is_count(n_docs),
             "the chunk or document count is not a count, or no chunk is stored")
     doc_acl = header.get("doc_acl")
-    require(type(doc_acl) is dict
-            and all(type(acl) is list and set(map(type, acl)) <= {str}
-                    for acl in doc_acl.values()),
+    require(type(doc_acl) is dict and _are_acls(doc_acl),
             "doc_acl is not an object of principal lists")
     table = ChunkTable.from_sections(sections, n, n_docs)
     return table, doc_acl, from_columns(header, sections, table.ids, params.k1, params.b)

@@ -12,6 +12,7 @@ import os
 import re
 import sqlite3
 import time
+import urllib.parse
 from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -441,6 +442,18 @@ _READ_ACTIONS = frozenset((sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
                            sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE))
 
 
+def _open_read_only(path) -> sqlite3.Connection:
+    """A read-only connection to the SQLite file at ``path``, any name.
+
+    The absolute path is percent-encoded into a ``file:`` URI with an empty
+    authority, so ``#``, ``?`` and ``%`` in a name, and a path starting with
+    ``//``, name the file instead of a fragment, a query or a host; a file
+    that is missing is an error, never created.
+    """
+    uri = "file://" + urllib.parse.quote(os.path.abspath(os.fspath(path))) + "?mode=ro"
+    return sqlite3.connect(uri, uri=True)
+
+
 class SqliteExecutor:
     """Read-only SQLite executor with an authorizer gate and row/time budgets.
 
@@ -462,9 +475,8 @@ class SqliteExecutor:
         self.timeout_s = timeout_s
 
     def execute(self, sql: str) -> SqlResult:
-        uri = f"file:{self.db_path}?mode=ro"
         try:
-            conn = sqlite3.connect(uri, uri=True)
+            conn = _open_read_only(self.db_path)
         except sqlite3.Error as exc:
             raise SqlRuntimeError(f"cannot open database: {exc}") from exc
         deadline = time.monotonic() + self.timeout_s
@@ -542,18 +554,18 @@ class SchemaTable:
 
 def introspect_schema(db_path: str) -> list[SchemaTable]:
     """Read table/column/FK structure from SQLite."""
-    uri = f"file:{db_path}?mode=ro"
     tables = []
     try:
-        with closing(sqlite3.connect(uri, uri=True)) as conn:
+        with closing(_open_read_only(db_path)) as conn:
             names = [r[0] for r in conn.execute(
                 "SELECT name FROM sqlite_master WHERE type='table' "
                 "AND name NOT LIKE 'sqlite_%' ORDER BY name")]
             for name in names:
+                quoted = '"' + name.replace('"', '""') + '"'
                 columns = [SchemaColumn(name=r[1], type=r[2] or "TEXT")
-                           for r in conn.execute(f'PRAGMA table_info("{name}")')]
+                           for r in conn.execute(f"PRAGMA table_info({quoted})")]
                 fks = [(r[3], r[2], r[4] or r[3]) for r in
-                       conn.execute(f'PRAGMA foreign_key_list("{name}")')]
+                       conn.execute(f"PRAGMA foreign_key_list({quoted})")]
                 tables.append(SchemaTable(name=name, columns=columns,
                                           foreign_keys=fks))
     except sqlite3.Error as exc:

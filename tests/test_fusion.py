@@ -1,4 +1,5 @@
-"""``rrf_fuse`` on arrays equals reciprocal rank fusion as a dict and a sort."""
+"""``rrf_fuse`` on arrays equals reciprocal rank fusion as a dict and a sort,
+and cutting it at k keeps the head of the whole fused list."""
 
 from __future__ import annotations
 
@@ -68,3 +69,22 @@ def test_ids_are_compared_as_python_compares_strings():
     # ids; code points order "Z" before "a" and "é" after both
     rankings = [["a\x00", "é", "Z"], ["a", "Z", "é"]]
     assert _bits(rrf_fuse(rankings)) == _bits(_reference_fuse(rankings, 60))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_cut_fusion_is_the_head_of_the_whole_one(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        rankings = _random_rankings(rng, rng.choice((1, 3, 8, 40, 300)))
+        c = rng.choice((1, 60))
+        for ranked in ([np.array(r, dtype=np.intp) for r in rankings],
+                       [[f"id-{item}" for item in r] for r in rankings]):
+            whole = _bits(rrf_fuse(ranked, c=c))
+            for k in range(1, len(whole) + 3):
+                assert _bits(rrf_fuse(ranked, c=c, k=k)) == whole[:k], (rankings, k)
+
+
+@pytest.mark.parametrize("rankings", [[[3, 1, 2]], []])
+def test_a_cut_below_one_is_refused(rankings):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        rrf_fuse(rankings, k=0)

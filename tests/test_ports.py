@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 import string
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -740,6 +741,31 @@ def test_database_write_protected(music_db, tmp_path):
     assert hashlib.sha256(Path(music_db).read_bytes()).hexdigest() == before
 
 
+_TRACKS = "SELECT name FROM chinook_track ORDER BY track_id"
+
+
+def _names(directory: Path) -> list[str]:
+    return sorted(entry.name for entry in directory.iterdir())
+
+
+@pytest.mark.parametrize("where", ["a#b", "p?q", "r%41", "s p", "ü", "//"])
+def test_any_file_path_opens_read_only(music_db, tmp_path, where):
+    # a URI would read "#" as a fragment, "?" as a query, "%41" as "A" and
+    # "//x" as host x; each path must open the named file and only that
+    directory = tmp_path / ("slashes" if where == "//" else where)
+    directory.mkdir()
+    copy = directory / "music.db"
+    copy.write_bytes(Path(music_db).read_bytes())
+    path = "//" + str(copy).lstrip("/") if where == "//" else str(copy)
+    before = (_names(tmp_path), _names(directory))
+    executor = SqliteExecutor(path)
+    assert executor.execute(_TRACKS) == SqliteExecutor(music_db).execute(_TRACKS)
+    with pytest.raises(NonSelectRejected):
+        executor.execute("DELETE FROM chinook_track")
+    assert introspect_schema(path) == introspect_schema(music_db)
+    assert (_names(tmp_path), _names(directory)) == before
+
+
 # ---------------------------------------------------------------------------
 # schema introspection
 # ---------------------------------------------------------------------------
@@ -757,3 +783,18 @@ def test_introspect_and_serialize(music_db):
            "unit_price:REAL)" in text
     assert "chinook_invoice.customer_id -> chinook_customer.customer_id" in text
     assert "chinook_invoice_line.track_id -> chinook_track.track_id" in text
+
+
+def test_table_names_are_quoted_by_sql_rules(tmp_path):
+    import sqlite3
+    path = tmp_path / "names.db"
+    with closing(sqlite3.connect(path)) as conn, conn:
+        conn.execute('CREATE TABLE "we""ird" (a INTEGER PRIMARY KEY)')
+        conn.execute('CREATE TABLE "two words" (b TEXT, a INTEGER REFERENCES "we""ird"(a))')
+        conn.execute('INSERT INTO "we""ird" VALUES (7)')
+    assert serialize_schema(introspect_schema(str(path))).splitlines() == [
+        "two words(b:TEXT, a:INTEGER)",
+        'we"ird(a:INTEGER)',
+        'two words.a -> we"ird.a',
+    ]
+    assert SqliteExecutor(str(path)).execute('SELECT a FROM "we""ird"').rows == ((7,),)
