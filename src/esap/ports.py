@@ -28,7 +28,7 @@ from .errors import (
     SqlTimeout,
     TransportError,
 )
-from .tokenizer import sentences, term_ids, token_texts
+from .tokenizer import overlap_counts, sentences, term_ids, token_texts
 
 EMBED_DIM = 256
 
@@ -143,7 +143,9 @@ class ExtractiveStub:
     when the prompt has no snippet line. Sentences are
     ``esap.tokenizer.sentences``: every end is followed by whitespace,
     which also separates tokens, so a snippet's own overlap bounds every
-    sentence in it. Snippets are visited by bound descending, then in
+    sentence in it. Every snippet's bound comes from one pass over the
+    context (``esap.tokenizer.overlap_counts``), not from tokenizing each
+    snippet. Snippets are visited by bound descending, then in
     prompt order, and the visit stops at the first snippet that can
     neither beat the best sentence so far nor tie it from an earlier
     place in the prompt; every later snippet is bounded as low, so the
@@ -168,7 +170,7 @@ class ExtractiveStub:
         question = prompt.rsplit("QUESTION:", 1)[-1].strip()
         q_tokens = set(token_texts(question))
         snippets = _SNIPPET_RE.findall(prompt)
-        bounds = [len(q_tokens.intersection(token_texts(text))) for _, text in snippets]
+        bounds = overlap_counts([text for _, text in snippets], q_tokens)
         best_sentence = ""
         best_at = len(snippets)          # prompt place of the best sentence's snippet
         best_overlap = -1                # -1 (no sentence yet) is below every bound

@@ -14,7 +14,10 @@ and the ends as two int arrays, so the chunker reads a window's char bounds
 from them without building a pair per token (``token_spans`` pairs them up
 for callers that want pairs). Building an index tokenizes through
 ``term_ids``: one pass over the chunk texts gives the term ids that both
-BM25 and the hashing embedder read.
+BM25 and the hashing embedder read. ``overlap_counts`` counts, for many
+texts at once, the distinct tokens each shares with a token set: the
+offline model bounds every snippet of a draft prompt with it, scanning
+the ASCII snippets as one folded block instead of tokenizing each.
 
 ``sentences`` is the one sentence split: the answer pipeline reads each
 cited claim from it and the offline model picks its answer sentence from it.
@@ -38,6 +41,15 @@ TermIds = tuple[dict[str, int], np.ndarray, np.ndarray]
 # ASCII bytes: A-Z lowered, a-z and 0-9 kept, every other byte a space
 _ASCII_FOLD = bytes(b + 32 if 65 <= b <= 90 else b if 48 <= b <= 57 or 97 <= b <= 122
                     else 32 for b in range(256))
+# the low n bytes of a u8 for n = 0..8: a token's key keeps its own bytes
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+
+def _folded_edges(folded: bytes) -> np.ndarray:
+    """Token starts and ends of ASCII text folded by the byte table, interleaved."""
+    kept = np.zeros(len(folded) + 2, dtype=bool)        # a separator at each end
+    kept[1:-1] = np.frombuffer(folded, np.uint8) != 32
+    return np.flatnonzero(kept[1:] != kept[:-1])
 
 
 def token_edges(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -50,9 +62,7 @@ def token_edges(text: str) -> tuple[np.ndarray, np.ndarray]:
     the pattern's spans.
     """
     if text.isascii():
-        kept = np.zeros(len(text) + 2, dtype=bool)      # a separator at each end
-        kept[1:-1] = np.frombuffer(text.encode().translate(_ASCII_FOLD), np.uint8) != 32
-        edges = np.flatnonzero(kept[1:] != kept[:-1])
+        edges = _folded_edges(text.encode().translate(_ASCII_FOLD))
     else:
         edges = np.fromiter(itertools.chain.from_iterable(
             m.span() for m in _TOKEN_RE.finditer(text)), dtype=np.intp)
@@ -80,6 +90,64 @@ def token_texts(text: str) -> list[str]:
     if text.isascii():
         return text.encode().translate(_ASCII_FOLD).decode().split()
     return [t.lower() for t in _TOKEN_RE.findall(text)]
+
+
+def overlap_counts(texts: list[str], tokens) -> list[int]:
+    """How many distinct tokens of each text are in tokens.
+
+    Equal to ``[len(set(tokens) & set(token_texts(t))) for t in texts]``,
+    in one pass over the ASCII texts instead of one tokenization per text.
+    They are joined by ``\\n`` into one block, folded once by the byte
+    table and split at the edges ``token_edges`` finds. A token's key is
+    its first eight bytes, read as one ``<u8`` from an unaligned view of
+    the block (padded with eight zero bytes) and masked to the token's
+    length; no token byte is zero, so a key of under eight bytes names one
+    token. All keys are matched against the wanted tokens' keys in one
+    ``np.isin``; only the few matches of eight bytes or more, whose key
+    every longer token with those first bytes shares, compare their bytes.
+    The line ends place each match in its text, and the distinct (text,
+    token) pairs are counted per text. Texts outside ASCII take
+    ``token_texts``. They stay out of the block, so its byte offsets are
+    char offsets.
+    """
+    wanted = set(tokens)
+    counts = [0] * len(texts)
+    in_block = []
+    for i, text in enumerate(texts):
+        if text.isascii():
+            in_block.append(i)
+        else:
+            counts[i] = len(wanted.intersection(token_texts(text)))
+    # only a run of [a-z0-9] can be a token of ASCII text
+    terms = [t.encode() for t in wanted if t.isascii() and token_texts(t) == [t]]
+    if not (in_block and terms):
+        return counts
+    lines = [texts[i] for i in in_block]
+    block = "\n".join(lines).encode().translate(_ASCII_FOLD)
+    edges = _folded_edges(block)
+    starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
+    words = np.ndarray((len(block),), "<u8", block + bytes(8), 0, (1,))
+    keys = np.take(words, starts) & np.take(_LOW_BYTES, np.minimum(lengths, 8))
+    term_keys = np.array(sorted({int.from_bytes(t[:8], "little") for t in terms}),
+                         dtype=np.uint64)
+    found = np.flatnonzero(np.isin(keys, term_keys))
+    ids = np.searchsorted(term_keys, keys[found])    # the term, if under 8 bytes
+    exact = {t: len(term_keys) + j for j, t in enumerate(terms)}
+    for j in np.flatnonzero(lengths[found] >= 8).tolist():
+        start = starts[found[j]]
+        ids[j] = exact.get(block[start:start + lengths[found[j]]], -1)
+    keep = ids >= 0
+    found, ids = found[keep], ids[keep]
+    n_ids = len(term_keys) + len(terms)
+    line_of = np.searchsorted(np.cumsum([len(line) + 1 for line in lines]),
+                              starts[found], side="right")
+    pairs = np.sort(line_of * n_ids + ids)           # (text, term) codes
+    first = np.ones(len(pairs), dtype=bool)          # the first of each distinct pair
+    first[1:] = pairs[1:] != pairs[:-1]
+    per_line = np.bincount(pairs[first] // n_ids, minlength=len(lines))
+    for i, count in zip(in_block, per_line.tolist()):
+        counts[i] = count
+    return counts
 
 
 def term_ids(texts) -> TermIds:

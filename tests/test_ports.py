@@ -186,8 +186,10 @@ class _OracleStub(ExtractiveStub):
         return _oracle_extract(prompt)
 
 
+# basketball and basketbell share their length and their first eight bytes
 _STUB_WORDS = ("apple", "Apple", "pear", "red", "basket", "İstanbul", "straße",
-               "STRASSE", "ß", "x1", "zeta")
+               "STRASSE", "ß", "x1", "zeta", "basketball", "basketbell", "strawberry",
+               "2024")
 _STUB_SPACES = (" ", "  ", "\t", "\x0b", "\u2003", "\u2028", "\xa0")
 
 
@@ -241,6 +243,12 @@ def _random_draft_prompt(rng: random.Random) -> str:
      "İstanbul straße. [2]"),
     ("# CONTEXT\n\n# RESPONSE\ncite\nQUESTION: apple",
      "No supporting context was retrieved."),
+    # a non-ASCII snippet before the winning ASCII one moves none of its
+    # tokens: were apple and 2024 counted in [3], it would be split first
+    # and [2] never
+    ("# CONTEXT\n[1] İİİİ ßßßß straße İstanbul ßß café.\n[2] pear. basketball red apple 2024."
+     "\n[3] red apple basketball.\nQUESTION: red apple basketball 2024",
+     "basketball red apple 2024. [2]"),
 ])
 def test_bounded_extract_on_chosen_prompts(prompt, expected):
     assert _oracle_extract(prompt) == expected

@@ -10,7 +10,8 @@ import pytest
 
 from esap import corpus
 from esap.corpus import Document, chunk_document
-from esap.tokenizer import sentences, term_ids, token_edges, token_spans, token_texts
+from esap.tokenizer import (overlap_counts, sentences, term_ids, token_edges, token_spans,
+                            token_texts)
 
 
 def test_basic_tokens_and_spans():
@@ -166,6 +167,52 @@ def test_term_ids_is_one_token_texts_pass():
     vocab, _, _ = term_ids(["red apple"])
     with pytest.raises(KeyError):
         vocab["pear"]                     # a lookup never adds a term
+
+
+def overlap_reference(texts: list[str], tokens) -> list[int]:
+    return [len(set(tokens) & set(token_texts(text))) for text in texts]
+
+
+# words of 1 to 20 chars: basketball and basketbell share their length and
+# their first eight bytes, which basketba is, and so do the two 20-char words
+_OVERLAP_WORDS = ["a", "Z", "7", "red", "Apple", "APPLE", "42", "x1", "basketba", "basketbal",
+                  "basketball", "basketbell", "BasketBall", "12345678", "123456789",
+                  "abcdefghijklmnopqrst", "abcdefghijklmnopqrsu", "é", "café", "İstanbul",
+                  "İ", "ß", "straße", "STRASSE"]
+_OVERLAP_SEPARATORS = [" ", "  ", "\t", "\n", "_", ".", "?!", "\u00a0", "\u2003"]
+
+
+def test_overlap_counts_equal_the_per_text_intersection():
+    rng = random.Random(57)
+    vocabulary = sorted({t for word in _OVERLAP_WORDS for t in token_texts(word)})
+    # tokens no text holds: absent words, capitals, a space, an underscore
+    # and the empty string
+    strays = ["pear", "basketbal1", "Apple", "İ", "x y", "x_1", ""]
+    for _ in range(3000):
+        texts = ["".join(rng.choice(_OVERLAP_WORDS + _OVERLAP_SEPARATORS)
+                         for _ in range(rng.randrange(0, 14)))
+                 for _ in range(rng.randrange(0, 9))]
+        tokens = rng.sample(vocabulary + strays, rng.randrange(0, 12))
+        counts = overlap_counts(texts, tokens)
+        assert counts == overlap_reference(texts, tokens), (texts, tokens)
+        assert all(type(count) is int for count in counts)
+
+
+@pytest.mark.parametrize("texts,tokens,expected", [
+    # a non-ASCII text before ASCII ones leaves their offsets alone
+    (["İstanbul ßßßß straße café", "red apple", "basketball", "red"],
+     {"red", "apple", "basketball", "straße"}, [1, 2, 1, 1]),
+    (["basketball basketbell", "basketbell", "BASKETBA basketballs"],
+     {"basketball", "basketba"}, [1, 0, 1]),
+    # repeated and absent tokens count once and not at all
+    (["apple apple APPLE", "pear"], ["apple", "apple", "fig"], [1, 0]),
+    (["", "?! ... _", "a"], {"a"}, [0, 0, 1]),
+    (["red apple", "x1 42"], set(), [0, 0]),
+    ([], {"red"}, []),
+])
+def test_overlap_counts_on_chosen_texts(texts, tokens, expected):
+    assert overlap_reference(texts, tokens) == expected
+    assert overlap_counts(texts, tokens) == expected
 
 
 # ---------------------------------------------------------------------------
