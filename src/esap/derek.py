@@ -5,6 +5,8 @@ snippets, lays them into a structured prompt (context, objective, style,
 tone, audience, response format), asks the chat port for a cited draft,
 and validates the draft before returning it. Insufficient drafts trigger
 bounded regeneration; escalation to web search is logged but does nothing.
+The draft comes from ``esap.ports.reply``; the rewrite and the critique from
+``esap.ports.optional_reply``.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from .errors import ModelRefusal, NoContext, TransportError
+from .errors import NoContext
 from .evaluation import DEFAULT_NGRAM, supported_mask
 from .hybrid import DEFAULT_GUARDS, DEFAULT_K, GuardRule, Hit, HybridIndex, search_hybrid
-from .ports import ChatPort, chat_request
+from .ports import ChatPort, optional_reply, reply
 from .tokenizer import sentences, token_texts
 
 REFINE_INSTRUCTION = ("Rewrite the user question to maximize retrieval "
@@ -152,19 +154,13 @@ class DerekPipeline:
     # -- stages -------------------------------------------------------------
 
     def refine_query(self, question: str) -> tuple[str, bool]:
-        """Model rewrite of the question; falls back to the original on any
-        port failure or empty rewrite. Returns (refined, used_fallback)."""
+        """Model rewrite of the question, or the original when the port refuses
+        or is unreachable or the rewrite is empty. Returns (refined, used_fallback)."""
         if not question.strip():
             raise ValueError("question must be non-empty")
-        prompt = f"{REFINE_INSTRUCTION}\nQUESTION: {question}"
-        try:
-            response = self.chat.chat(chat_request(prompt))
-        except (ModelRefusal, TransportError):
-            return question, True
-        refined = response.text.strip()
-        if not refined:
-            return question, True
-        return refined, False
+        rewrite = optional_reply(self.chat, f"{REFINE_INSTRUCTION}\nQUESTION: {question}")
+        refined = (rewrite or "").strip()
+        return (refined, False) if refined else (question, True)
 
     def retrieve(self, refined: str, principal: str = "*") -> list[Hit]:
         return search_hybrid(self.index, refined, self.embed, k=self.k,
@@ -183,8 +179,7 @@ class DerekPipeline:
         dropped with a warning. Each citation keeps the sentences
         (``esap.tokenizer.sentences``) that carry its marker and hold a
         token."""
-        response = self.chat.chat(chat_request(prompt.render()))
-        raw = response.text
+        raw = reply(self.chat, prompt.render())
         warnings = []
         cited: dict[int, list[tuple[int, str]]] = {}    # first-marker order
         for at, sentence in enumerate(sentences(raw)):
@@ -232,15 +227,15 @@ class DerekPipeline:
         if not citations:
             return "insufficient", "no-citation", events
         read: dict[int, list[str]] = {}        # snippet index -> its tokens
+        n = len(prompt.snippets)
 
         def tokens_of(i: int) -> list[str]:
             tokens = read.get(i)
             if tokens is None:
-                tokens = read[i] = token_texts(prompt.snippets[i])
+                # a hand-made citation outside the prompt supports nothing
+                tokens = read[i] = token_texts(prompt.snippets[i]) if 0 <= i < n else []
             return tokens
 
-        # a hand-made citation outside the prompt is left to the sentence check
-        n = len(prompt.snippets)
         cited_first = dict.fromkeys(c.snippet_no - 1 for c in citations if 0 < c.snippet_no <= n)
         order = chain(cited_first, (i for i in range(n) if i not in cited_first))
         fraction = self._support_fraction(token_texts(draft), map(tokens_of, order))
@@ -257,15 +252,13 @@ class DerekPipeline:
                 return "insufficient", "misattributed", events
         critique = (f"Review the draft answer against the context snippets.\n"
                     f"{prompt.context}\nDRAFT: {draft}\n{CRITIQUE_INSTRUCTION}")
-        try:
-            response = self.chat.chat(chat_request(critique))
-        except (ModelRefusal, TransportError):
+        text = optional_reply(self.chat, critique)
+        if text is None:
             events.append({"stage": "validate", "critique": "fallback-pass"})
             return "sufficient", None, events
-        text = response.text.strip().lower()
-        if "insufficient" in text:
+        if "insufficient" in text.lower():
             return "insufficient", "model-critique", events
-        if "sufficient" not in text:
+        if "sufficient" not in text.lower():
             events.append({"stage": "validate", "critique": "unparseable-pass"})
         return "sufficient", None, events
 

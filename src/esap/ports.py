@@ -3,6 +3,8 @@
 Production adapters talk to an OpenAI-style HTTP endpoint and to SQLite.
 Test doubles (scripted queue, extractive stub, hashing embedder) are
 first-class citizens so every pipeline can run deterministically offline.
+Both engines reach a chat port only through ``reply`` (a required call)
+and ``optional_reply`` (a call whose stage has a fallback).
 """
 
 from __future__ import annotations
@@ -69,7 +71,9 @@ def chat_request(prompt: str, system: str = "", temperature: float = 0.0,
 
 @dataclass(frozen=True)
 class ChatResponse:
-    text: str
+    """One chat reply. ``text`` may be ``None`` only when the reply did not
+    complete (``finish_reason`` other than ``"complete"``)."""
+    text: str | None
     finish_reason: str = "complete"
     prompt_tokens: int = 0
     completion_tokens: int = 0
@@ -82,6 +86,20 @@ class ChatResponse:
 
 class ChatPort(Protocol):
     def chat(self, request: ChatRequest) -> ChatResponse: ...
+
+
+def reply(chat: ChatPort, prompt: str) -> str:
+    """The port's reply to one user prompt as text, ``""`` when it has none."""
+    return chat.chat(chat_request(prompt)).text or ""
+
+
+def optional_reply(chat: ChatPort, prompt: str) -> str | None:
+    """``reply``, or ``None`` when the port raises ``ModelRefusal`` or
+    ``TransportError``; any other error, ``ScriptExhausted`` too, propagates."""
+    try:
+        return reply(chat, prompt)
+    except (ModelRefusal, TransportError):
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ Every attempt is logged with its SQL, outcome, and rating; an attempt is
 accepted once it returned a table (non-empty unless empty results are
 allowed) and its rating clears the threshold. Result interpretation
 (key values, trends, narrative) is deterministic unless a chat port is
-supplied for the narrative sentence.
+supplied for the narrative sentence. The SQL comes from ``esap.ports.reply``;
+the route, the rating and the narrative from ``esap.ports.optional_reply``.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ from .errors import (
     SqlSyntaxError,
     SqlTimeout,
     ThorFailed,
-    TransportError,
 )
 from .ports import (
     ChatPort,
     SqliteExecutor,
     SqlResult,
-    chat_request,
     introspect_schema,
+    optional_reply,
+    reply,
     serialize_schema,
 )
 
@@ -69,15 +70,10 @@ def route(question: str, chat: ChatPort | None = None) -> str:
     if not question.strip():
         raise ValueError("question must be non-empty")
     if chat is not None:
-        prompt = f"{ROUTE_INSTRUCTION}\nQUESTION: {question}"
-        try:
-            response = chat.chat(chat_request(prompt))
-        except (ModelRefusal, TransportError):
-            response = None
-        if response is not None:
-            match = _ROUTE_RE.search(response.text.strip().lower())
-            if match:
-                return match.group(1)
+        text = optional_reply(chat, f"{ROUTE_INSTRUCTION}\nQUESTION: {question}")
+        match = _ROUTE_RE.search((text or "").lower())
+        if match:
+            return match.group(1)
     lowered = f" {question.lower()} "
     if any(keyword in lowered for keyword in _STRUCTURED_KEYWORDS):
         return "structured"
@@ -245,10 +241,8 @@ def interpret(question: str, result: SqlResult,
                   f"QUESTION: {question}\nROWS: {table_echo}\n"
                   f"KEY VALUES: {key_values}\nTRENDS: {trends or 'none'}")
         try:
-            response = chat.chat(chat_request(prompt))
-            if response.text.strip():
-                narrative = response.text.strip()
-        except (ModelRefusal, TransportError, ScriptExhausted):
+            narrative = (optional_reply(chat, prompt) or "").strip() or narrative
+        except ScriptExhausted:     # a script run out by now keeps the template (README)
             pass
     return Insight(narrative=narrative, key_values=key_values,
                    key_labels=key_labels, trends=trends)
@@ -333,8 +327,7 @@ class ThorPipeline:
                   f"QUESTION: {question}\n"
                   f"{feedback}"
                   f"Output only the SQL.")
-        response = self.chat.chat(chat_request(prompt))
-        sql = strip_code_fences(response.text)
+        sql = strip_code_fences(reply(self.chat, prompt))
         if not sql:
             raise ModelRefusal("model returned no SQL")
         return sql
@@ -355,14 +348,9 @@ class ThorPipeline:
                       f"COLUMNS: {', '.join(result.columns)}\n"
                       f"FIRST ROWS: {preview}\n"
                       f"Respond with a single number between 0 and 1.")
-            try:
-                response = self.chat.chat(chat_request(prompt))
-                match = _NUMBER_RE.search(response.text)
-                if match:
-                    value = max(0.0, min(1.0, float(match.group(0))))
-                    return value, ["model-rubric"]
-            except (ModelRefusal, TransportError):
-                pass
+            match = _NUMBER_RE.search(optional_reply(self.chat, prompt) or "")
+            if match:
+                return max(0.0, min(1.0, float(match.group(0)))), ["model-rubric"]
         return 1.0, ["heuristic-nonempty" if result.row_count else "heuristic-empty"]
 
     def self_correct_loop(self, question: str,

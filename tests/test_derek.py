@@ -226,6 +226,22 @@ def test_validate_checks_a_sentence_against_the_union_of_its_snippets(embedder):
     assert one[2] == [{"stage": "validate", "support_fraction": round(12 / 13, 4)}]
 
 
+@pytest.mark.parametrize("snippet_no", [0, 3, 99])
+def test_a_citation_outside_the_prompt_supports_nothing(embedder, snippet_no):
+    # the draft is the second snippet's sentence, so the whole draft is
+    # supported; a number outside the two snippets, 0 included, supports no
+    # sentence, so the sentence check fails before the critique is asked
+    pipe = pipeline_with(embedder, ScriptedModel(["sufficient"]))
+    prompt = CoStarPrompt(("The red apple sits in the basket.",
+                           "Bananas are yellow and sweet."), PersonaConfig(), "what fruit?")
+    draft = "Bananas are yellow and sweet."
+    citations = [Citation(snippet_no=snippet_no, chunk_id="d-banana#v1#00000",
+                          doc_id="d-banana", version=1, sentences=((0, draft),))]
+    verdict, reason, _ = pipe.validate(draft, citations, prompt)
+    assert (verdict, reason) == ("insufficient", "misattributed")
+    assert pipe.chat.calls == 0
+
+
 def test_validate_critique_drives_verdict(embedder):
     draft = "The red apple sits in the basket."
     for reply, expected in (("sufficient", ("sufficient", None)),

@@ -19,6 +19,7 @@ from esap.errors import (
     SqlRuntimeError,
     SqlSyntaxError,
     SqlTimeout,
+    ThorFailed,
     TransportError,
 )
 from esap import ports
@@ -42,6 +43,7 @@ from esap.ports import (
 )
 from esap.hybrid import HybridParams, build_hybrid
 from esap.synthetic import make_clustered_texts
+from esap.thor import ThorPipeline
 from esap.tokenizer import term_ids, token_texts
 
 
@@ -70,6 +72,41 @@ def test_a_complete_response_without_text_is_refused():
     with pytest.raises(ValueError, match="complete responses must carry text"):
         ChatResponse(text=None)
     assert ChatResponse(text=None, finish_reason="length").text is None
+
+
+class Answering:
+    """A chat port that answers every prompt with the same response."""
+
+    def __init__(self, response: ChatResponse):
+        self.response = response
+
+    def chat(self, request: ChatRequest) -> ChatResponse:
+        return self.response
+
+
+def test_a_reply_without_text_reads_as_an_empty_reply(toy_index, embedder, tmp_path):
+    seed_music_db(tmp_path / "music.db")
+    answering = [Answering(ChatResponse(text="")),
+              Answering(ChatResponse(text=None, finish_reason="length"))]
+    answers = [DerekPipeline(toy_index, embedder, port).answer(
+        "Where does the red apple sit?").to_json() for port in answering]
+    assert answers[0] == answers[1]
+    # the rewrite falls back, and no draft cites a snippet
+    assert answers[1]["trace"][0] == {"stage": "refine", "fallback": True}
+    assert (answers[1]["verdict"], answers[1]["reason"]) == ("insufficient", "no-citation")
+    assert answers[1]["regeneration_count"] == 2
+    assert answers[1]["trace"][-1]["event"] == "web-search-stub"
+    logs = []
+    for port in answering:
+        with pytest.raises(ThorFailed) as failed:
+            ThorPipeline(SqliteExecutor(str(tmp_path / "music.db")), port).run(
+                "How many tracks are there?")
+        logs.append(failed.value.log.to_json())
+    assert logs[0] == logs[1]
+    # the route falls back to keywords; every attempt gets no SQL
+    assert logs[1]["task_type"] == "structured"
+    assert [a["error"] for a in logs[1]["attempts"]] == \
+        ["model refusal: model returned no SQL"] * 4
 
 
 # ---------------------------------------------------------------------------

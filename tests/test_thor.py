@@ -4,9 +4,16 @@ import sqlite3
 
 import pytest
 
-from esap.errors import ModelRefusal, SqlRuntimeError, ThorFailed, TransportError
+from esap.derek import DerekPipeline
+from esap.errors import (
+    ModelRefusal,
+    ScriptExhausted,
+    SqlRuntimeError,
+    ThorFailed,
+    TransportError,
+)
 from esap.fixtures import seed_music_db
-from esap.ports import ScriptedModel, SqliteExecutor, SqlResult, chat_request
+from esap.ports import ExtractiveStub, ScriptedModel, SqliteExecutor, SqlResult
 from esap.thor import (
     ThorPipeline,
     interpret,
@@ -111,16 +118,6 @@ def test_rate_model_rubric_parsed_and_clamped(executor):
 
 def test_rate_unscoreable_reply_uses_nonempty_heuristic(executor):
     pipe = ThorPipeline(executor, chat=ScriptedModel(["no idea, sorry"]))
-    rating, reasons = pipe.rate("q", "sql", table(["a"], [(1,)]), None)
-    assert (rating, reasons) == (1.0, ["heuristic-nonempty"])
-
-
-@pytest.mark.parametrize("failure", [ModelRefusal, TransportError])
-def test_rate_falls_back_to_the_heuristic_when_the_port_fails(executor, failure):
-    class Failing:
-        def chat(self, request):
-            raise failure("down")
-    pipe = ThorPipeline(executor, chat=Failing())
     rating, reasons = pipe.rate("q", "sql", table(["a"], [(1,)]), None)
     assert (rating, reasons) == (1.0, ["heuristic-nonempty"])
 
@@ -309,6 +306,81 @@ def test_interpret_falls_back_when_narrative_chat_fails():
     insight = interpret("q", table(["name", "p"], [("Quiet Harbor", 1.99)]),
                         chat=Refuser())
     assert insight.narrative.startswith("The query returned one row")
+
+
+# ---------------------------------------------------------------------------
+# which port failures each model call survives
+# ---------------------------------------------------------------------------
+
+ASK = "Where does the red apple sit?"
+COUNT = "How many tracks are there?"
+ONE_ROW = table(["name", "p"], [("Quiet Harbor", 1.99)])
+
+
+def failing(failure):
+    class Failing:
+        def chat(self, request):
+            raise failure("down")
+    return Failing()
+
+
+def model_call(name, port, executor, index, embedder):
+    """Make one of the seven model calls of both engines on ``port``."""
+    derek = DerekPipeline(index, embedder, port, k=3)
+    if name == "refine":
+        return derek.refine_query(ASK)
+    if name in ("draft", "critique"):
+        hits = derek.retrieve(ASK)
+        prompt = derek.assemble_costar(ASK, hits)
+        if name == "draft":
+            return derek.generate(prompt, hits)
+        # the offline model's draft is cited and supported, so the critique is asked
+        stub = DerekPipeline(index, embedder, ExtractiveStub(), k=3)
+        verdict, reason, events = derek.validate(*stub.generate(prompt, hits)[:2], prompt)
+        return verdict, reason, events[-1]
+    if name == "route":
+        return route(COUNT, port)
+    if name == "sql":
+        return ThorPipeline(executor, chat=port).generate_sql(COUNT)
+    if name == "rate":
+        return ThorPipeline(executor, chat=port).rate(COUNT, "SELECT 1", ONE_ROW, None)
+    return interpret(COUNT, ONE_ROW, chat=port).narrative
+
+
+# what each optional call falls back to; the draft and the SQL have no fallback
+FALLBACKS = {
+    "refine": (ASK, True),
+    "critique": ("sufficient", None, {"stage": "validate", "critique": "fallback-pass"}),
+    "route": "structured",
+    "rate": (1.0, ["heuristic-nonempty"]),
+    "narrative": "The query returned one row: name=Quiet Harbor, p=1.99.",
+}
+
+
+@pytest.mark.parametrize("failure", [ModelRefusal, TransportError, ScriptExhausted])
+@pytest.mark.parametrize("name", ["refine", "draft", "critique", "route", "sql", "rate",
+                                  "narrative"])
+def test_a_model_call_survives_only_the_port_failures_its_stage_allows(
+        executor, toy_index, embedder, name, failure):
+    # a refused or unreachable port leaves every optional call on its
+    # fallback; only the narrative also survives a script that has run out
+    survives = name in FALLBACKS and (failure is not ScriptExhausted or name == "narrative")
+    if survives:
+        assert model_call(name, failing(failure), executor, toy_index, embedder) \
+            == FALLBACKS[name]
+    else:
+        with pytest.raises(failure, match="down"):
+            model_call(name, failing(failure), executor, toy_index, embedder)
+
+
+def test_the_loop_records_only_a_refused_sql_call_as_an_attempt(executor):
+    log, result = ThorPipeline(executor, chat=failing(ModelRefusal),
+                               max_retries=0).self_correct_loop(COUNT)
+    assert result is None
+    assert [(a.outcome, a.error) for a in log.attempts] == [("error", "model refusal: down")]
+    for failure in (TransportError, ScriptExhausted):
+        with pytest.raises(failure, match="down"):
+            ThorPipeline(executor, chat=failing(failure)).self_correct_loop(COUNT)
 
 
 # ---------------------------------------------------------------------------
