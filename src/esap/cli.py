@@ -172,8 +172,9 @@ def _make_chat(cfg: AppConfig):
                               "(--ports scripted:<file>)")
         return ScriptedModel(read_json(cfg.ports.script, ConfigError,
                                        "script file", "array of strings"))
-    # only the variables the config names: no key is an empty key, no model the default
-    base_url = os.environ.get(cfg.ports.base_url_env)
+    # only the variables the config names: no key is an empty key, no model the
+    # default; a base URL of only "/" is no base URL
+    base_url = os.environ.get(cfg.ports.base_url_env, "").rstrip("/")
     if not base_url:
         raise TransportError(f"no chat endpoint configured; set {cfg.ports.base_url_env}")
     return HttpChatModel(base_url=base_url,

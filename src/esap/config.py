@@ -30,7 +30,6 @@ from .errors import ConfigError
 from .evaluation import DEFAULT_KS, DEFAULT_NGRAM
 from .hybrid import DEFAULT_GUARDS, DEFAULT_K, DEFAULT_RRF_C, GuardRule
 from .jsonio import read_json
-from .ports import ENV_API_KEY, ENV_BASE_URL, ENV_MODEL
 from .thor import DEFAULT_MAX_RETRIES, DEFAULT_THRESHOLD
 
 
@@ -66,9 +65,9 @@ _SCHEMA = {
             "mode": (str, _one_of("auto", "exact", "ann")), "seed": (int, None)},
     "ports": {"mode": (str, _one_of("stub", "scripted", "http"), "stub"),
               "script": ((str, type(None)), None, None),
-              "api_key_env": (str, None, ENV_API_KEY),
-              "base_url_env": (str, None, ENV_BASE_URL),
-              "model_env": (str, None, ENV_MODEL)},
+              "api_key_env": (str, None, "ESAP_API_KEY"),
+              "base_url_env": (str, None, "ESAP_BASE_URL"),
+              "model_env": (str, None, "ESAP_MODEL")},
     "thor": {"max_retries": (int, _at_least(0), DEFAULT_MAX_RETRIES),
              "threshold": ((float, int), _UNIT, DEFAULT_THRESHOLD),
              "allow_empty": (bool, None, False)},

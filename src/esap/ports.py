@@ -4,7 +4,9 @@ Production adapters talk to an OpenAI-style HTTP endpoint and to SQLite.
 Test doubles (scripted queue, extractive stub, hashing embedder) are
 first-class citizens so every pipeline can run deterministically offline.
 Both engines reach a chat port only through ``reply`` (a required call)
-and ``optional_reply`` (a call whose stage has a fallback).
+and ``optional_reply`` (a call whose stage has a fallback); a request is one
+user prompt. No adapter reads the environment: ``esap.cli`` alone reads the
+variables the config names and passes their values in.
 """
 
 from __future__ import annotations
@@ -34,18 +36,12 @@ from .tokenizer import overlap_counts, sentences, term_ids, token_texts
 
 EMBED_DIM = 256
 
-ENV_API_KEY = "ESAP_API_KEY"
-ENV_BASE_URL = "ESAP_BASE_URL"
-ENV_MODEL = "ESAP_MODEL"
 DEFAULT_MODEL = "gpt-4o"
 
 
 @dataclass(frozen=True)
 class ChatRequest:
     messages: tuple[tuple[str, str], ...]    # (role, content) pairs
-    temperature: float = 0.0
-    max_tokens: int = 1024
-    model: str = ""
 
     def __post_init__(self):
         if not self.messages:
@@ -59,14 +55,9 @@ class ChatRequest:
         return self.messages[-1][1]
 
 
-def chat_request(prompt: str, system: str = "", temperature: float = 0.0,
-                 max_tokens: int = 1024) -> ChatRequest:
-    messages: list[tuple[str, str]] = []
-    if system:
-        messages.append(("system", system))
-    messages.append(("user", prompt))
-    return ChatRequest(messages=tuple(messages), temperature=temperature,
-                       max_tokens=max_tokens)
+def chat_request(prompt: str) -> ChatRequest:
+    """The request of one user prompt."""
+    return ChatRequest(messages=(("user", prompt),))
 
 
 @dataclass(frozen=True)
@@ -107,16 +98,15 @@ def optional_reply(chat: ChatPort, prompt: str) -> str | None:
 # ---------------------------------------------------------------------------
 
 class ScriptedModel:
-    """Replays a fixed queue of responses; optional per-call request checks.
+    """Replays a fixed queue of reply strings, recording each request in
+    ``requests`` so a test can check the prompts it was sent."""
 
-    Each script entry is either a string or a (predicate, string) pair. When
-    a predicate is present it receives the ChatRequest and must return True,
-    otherwise the mismatch is reported immediately; this keeps prompt drift
-    from silently passing tests.
-    """
-
-    def __init__(self, script: list):
+    def __init__(self, script: list[str]):
         self._script = list(script)
+        for at, entry in enumerate(self._script):
+            if not isinstance(entry, str):
+                raise ValueError(f"script entry {at} is {type(entry).__name__}, "
+                                 "not a reply string")
         self._cursor = 0
         self.requests: list[ChatRequest] = []
 
@@ -125,16 +115,8 @@ class ScriptedModel:
         if self._cursor >= len(self._script):
             raise ScriptExhausted(
                 f"scripted model exhausted after {len(self._script)} responses")
-        entry = self._script[self._cursor]
+        text = self._script[self._cursor]
         self._cursor += 1
-        if isinstance(entry, tuple):
-            predicate, text = entry
-            if not predicate(request):
-                raise AssertionError(
-                    f"scripted call {self._cursor} received unexpected request: "
-                    f"{request.last_user[:200]!r}")
-        else:
-            text = entry
         return ChatResponse(text=text, model="scripted")
 
     @property
@@ -215,45 +197,48 @@ class ExtractiveStub:
 # HTTP chat adapter
 # ---------------------------------------------------------------------------
 
+# every HTTP chat request is sent with these, and tried at most _HTTP_ATTEMPTS times
+_HTTP_TEMPERATURE = 0.0
+_HTTP_MAX_TOKENS = 1024
+_HTTP_ATTEMPTS = 3
+
+
 class HttpChatModel:
     """OpenAI-style chat-completions client with bounded retry.
 
-    Reads endpoint configuration from ESAP_API_KEY / ESAP_BASE_URL /
-    ESAP_MODEL for each argument left ``None``. Transport failures, 429 and 5xx
-    are retried with exponential backoff up to the attempt cap; the last
-    error is surfaced verbatim. Other 4xx fail immediately.
+    The endpoint, key and model come from the caller; nothing is read from
+    the environment, and a base URL that is empty once trailing ``/`` are
+    stripped is refused. Transport failures, 429 and 5xx are retried with
+    exponential backoff up to ``_HTTP_ATTEMPTS`` attempts; the last error
+    is surfaced verbatim. Other 4xx fail immediately.
     """
 
-    def __init__(self, base_url: str | None = None, api_key: str | None = None,
-                 model: str | None = None, max_attempts: int = 3,
+    def __init__(self, base_url: str, api_key: str = "", model: str = DEFAULT_MODEL,
                  backoff_base: float = 0.5, session=None):
-        env = os.environ.get
-        self.base_url = (env(ENV_BASE_URL, "") if base_url is None else base_url).rstrip("/")
-        self.api_key = env(ENV_API_KEY, "") if api_key is None else api_key
-        self.model = env(ENV_MODEL, DEFAULT_MODEL) if model is None else model
-        self.max_attempts = max_attempts
+        self.base_url = base_url.rstrip("/")
+        if not self.base_url:
+            raise TransportError("no chat endpoint: the base URL is empty")
+        self.api_key = api_key
+        self.model = model
         self.backoff_base = backoff_base
         if session is None:
             import requests
             session = requests.Session()
         self._session = session
-        if not self.base_url:
-            raise TransportError(
-                f"no chat endpoint configured; set {ENV_BASE_URL}")
 
     def chat(self, request: ChatRequest) -> ChatResponse:
         payload = {
-            "model": request.model or self.model,
+            "model": self.model,
             "messages": [{"role": role, "content": content}
                          for role, content in request.messages],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
+            "temperature": _HTTP_TEMPERATURE,
+            "max_tokens": _HTTP_MAX_TOKENS,
         }
         headers = {"Authorization": f"Bearer {self.api_key}",
                    "Content-Type": "application/json"}
         url = f"{self.base_url}/chat/completions"
         last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(_HTTP_ATTEMPTS):
             if attempt:
                 time.sleep(self.backoff_base * (2 ** (attempt - 1)))
             try:
@@ -290,7 +275,7 @@ class HttpChatModel:
                 model=payload["model"],
             )
         raise TransportError(
-            f"chat endpoint unreachable after {self.max_attempts} attempts: "
+            f"chat endpoint unreachable after {_HTTP_ATTEMPTS} attempts: "
             f"{last_error}")
 
 

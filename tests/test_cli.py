@@ -1029,6 +1029,21 @@ def test_an_unset_configured_base_url_is_port_error_naming_it(kb, tmp_path, caps
     assert error["error"] == "TransportError" and "TEAM_URL" in error["message"]
 
 
+def test_a_configured_base_url_of_only_a_slash_is_port_error_naming_it(
+        kb, tmp_path, capsys, monkeypatch):
+    # "/" strips to no endpoint, the same as an unset variable
+    monkeypatch.setenv("TEAM_URL", "/")
+    monkeypatch.setenv("ESAP_BASE_URL", "http://127.0.0.1:9/v1")
+    config = tmp_path / "team.json"
+    config.write_text(json.dumps({"ports": _team_http_config().to_json()["ports"]}),
+                      encoding="utf-8")
+    code, out, err = run_cli(capsys, "ask", "--q", "apples?", "--kb", kb,
+                             "--config", str(config))
+    assert code == 3 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "TransportError" and "set TEAM_URL" in error["message"]
+
+
 @pytest.mark.parametrize("script, message", [
     (None, "scripted ports need a script file"),
     ("missing.json", "cannot read script file"),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import re
 import string
@@ -52,10 +53,9 @@ from esap.tokenizer import term_ids, token_texts
 # ---------------------------------------------------------------------------
 
 def test_chat_request_shape():
-    req = chat_request("question here", system="be terse", temperature=0.2)
-    assert req.messages == (("system", "be terse"), ("user", "question here"))
+    req = chat_request("question here")
+    assert req.messages == (("user", "question here"),)
     assert req.last_user == "question here"
-    assert req.temperature == 0.2
 
 
 def test_chat_request_requires_messages():
@@ -127,12 +127,9 @@ def test_scripted_exhaustion():
         model.chat(chat_request("b"))
 
 
-def test_scripted_predicate_guards_prompt_drift():
-    model = ScriptedModel([
-        (lambda req: "expected" in req.last_user, "ok"),
-    ])
-    with pytest.raises(AssertionError):
-        model.chat(chat_request("something else"))
+def test_scripted_refuses_a_non_string_entry():
+    with pytest.raises(ValueError, match="script entry 1 is tuple"):
+        ScriptedModel(["ok", (lambda request: True, "text")])
 
 
 def test_scripted_records_requests():
@@ -568,14 +565,16 @@ def ok_body(text: str = "hi") -> dict:
 
 def test_http_success_and_wire_format():
     session = FakeSession([FakeResponse(200, ok_body("answer"))])
-    reply = make_model(session).chat(chat_request("q", system="s"))
+    reply = make_model(session).chat(chat_request("q"))
     assert reply.text == "answer"
     assert reply.prompt_tokens == 3 and reply.completion_tokens == 5
-    sent = session.posts[0]["json"]
-    assert sent["messages"] == [{"role": "system", "content": "s"},
-                                {"role": "user", "content": "q"}]
-    assert sent["temperature"] == 0.0
-    assert session.posts[0]["url"].endswith("/chat/completions")
+    session = FakeSession([FakeResponse(200, ok_body("answer"))])
+    assert ports.reply(make_model(session), "q") == "answer"
+    # the exact body, keys in this order
+    assert json.dumps(session.posts[0]["json"]) == json.dumps(
+        {"model": "m", "messages": [{"role": "user", "content": "q"}],
+         "temperature": 0.0, "max_tokens": 1024})
+    assert session.posts[0]["url"] == "http://unit.test/v1/chat/completions"
     assert session.posts[0]["headers"]["Authorization"] == "Bearer k"
 
 
@@ -632,22 +631,10 @@ def test_http_usage_counts_or_malformed_body(usage, tokens):
         assert (reply.prompt_tokens, reply.completion_tokens) == tokens
 
 
-def test_http_needs_base_url(monkeypatch):
-    monkeypatch.delenv("ESAP_BASE_URL", raising=False)
-    with pytest.raises(TransportError):
-        HttpChatModel()
-
-
-def test_http_env_configuration(monkeypatch):
-    monkeypatch.setenv("ESAP_BASE_URL", "http://env.test/v1/")
-    monkeypatch.setenv("ESAP_API_KEY", "env-key")
-    monkeypatch.setenv("ESAP_MODEL", "env-model")
-    session = FakeSession([FakeResponse(200, ok_body())])
-    model = HttpChatModel(session=session)
-    model.chat(chat_request("q"))
-    assert session.posts[0]["url"] == "http://env.test/v1/chat/completions"
-    assert session.posts[0]["json"]["model"] == "env-model"
-    assert session.posts[0]["headers"]["Authorization"] == "Bearer env-key"
+def test_http_needs_base_url():
+    for base_url in ("", "/"):
+        with pytest.raises(TransportError, match="base URL is empty"):
+            HttpChatModel(base_url, session=FakeSession([]))
 
 
 # ---------------------------------------------------------------------------
