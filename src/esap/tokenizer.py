@@ -6,18 +6,25 @@ normalizer for quote matching and n-gram attribution.
 
 ASCII text takes an exact fast path. There ``\\w`` is ``[A-Za-z0-9_]``, so
 the tokens are the runs of ``[a-z0-9]`` in the lowercased text; a byte table
-that lowers A-Z and turns every other byte but a-z and 0-9 into a space,
-followed by ``str.split``, finds those runs about four times faster than the
-pattern, and ``token_edges`` finds where those runs start and end by
+that lowers A-Z and turns every other ASCII byte but a-z and 0-9 into a
+space, followed by ``str.split``, finds those runs about four times faster
+than the pattern, and ``token_edges`` finds where those runs start and end by
 comparing neighbouring bytes of the table's output. It returns the starts
 and the ends as two int arrays, so the chunker reads a window's char bounds
 from them without building a pair per token (``token_spans`` pairs them up
-for callers that want pairs). Building an index tokenizes through
-``term_ids``: one pass over the chunk texts gives the term ids that both
-BM25 and the hashing embedder read. ``overlap_counts`` counts, for many
-texts at once, the distinct tokens each shares with a token set: the
-offline model bounds every snippet of a draft prompt with it, scanning
-the ASCII snippets as one folded block instead of tokenizing each.
+for callers that want pairs).
+
+Building an index tokenizes through ``term_ids``: one pass over the chunk
+texts gives the term ids that both BM25 and the hashing embedder read. It
+takes the texts in blocks of about 2**18 bytes, one line per text; a text
+outside ASCII is written as its tokens, which the table keeps whole, as it
+keeps every byte of a multibyte UTF-8 char. A block is folded once, every
+token is keyed by its bytes as one ``<u8`` (exactly, longer tokens too),
+and one sort groups the equal keys, so only a term the vocabulary has not
+seen becomes a ``str``. ``overlap_counts`` counts, for many texts at once,
+the distinct tokens each shares with a token set, keying the texts the
+same way in one block: the offline model bounds every snippet of a draft
+prompt with it instead of tokenizing each.
 
 ``sentences`` is the one sentence split: the answer pipeline reads each
 cited claim from it and the offline model picks its answer sentence from it.
@@ -38,15 +45,20 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _END_RE = re.compile(r"[.!?]+(?:\s*\[\d+\])*")
 # what term_ids returns: (vocab, ids, lengths)
 TermIds = tuple[dict[str, int], np.ndarray, np.ndarray]
-# ASCII bytes: A-Z lowered, a-z and 0-9 kept, every other byte a space
+# ASCII bytes: A-Z lowered, a-z and 0-9 kept, every other ASCII byte a
+# space; the bytes of the multibyte UTF-8 chars a lowered token may hold kept
 _ASCII_FOLD = bytes(b + 32 if 65 <= b <= 90 else b if 48 <= b <= 57 or 97 <= b <= 122
-                    else 32 for b in range(256))
+                    or b >= 128 else 32 for b in range(256))
 # the low n bytes of a u8 for n = 0..8: a token's key keeps its own bytes
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+# above every token key: no UTF-8 byte is 0xff, and a long key's low byte is 0
+_PAST_KEYS = (1 << 64) - 1
+# bytes of text term_ids keys at once, like _BLOCK in esap.lexical
+_TERM_BLOCK = 1 << 18
 
 
 def _folded_edges(folded: bytes) -> np.ndarray:
-    """Token starts and ends of ASCII text folded by the byte table, interleaved."""
+    """Token starts and ends of text folded by the byte table, interleaved."""
     kept = np.zeros(len(folded) + 2, dtype=bool)        # a separator at each end
     kept[1:-1] = np.frombuffer(folded, np.uint8) != 32
     return np.flatnonzero(kept[1:] != kept[:-1])
@@ -92,62 +104,113 @@ def token_texts(text: str) -> list[str]:
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
+def _line(text: str) -> bytes:
+    """A text as one line of a block: ASCII as it is, any other text as its tokens.
+
+    A text outside ASCII becomes its ``token_texts`` joined by spaces. A
+    lowered token holds only a-z, 0-9 and non-ASCII chars, whose UTF-8
+    bytes the byte table keeps, so folding the line splits it back into
+    those tokens.
+    """
+    return (text if text.isascii() else " ".join(token_texts(text))).encode()
+
+
+def _fold(lines: list[bytes]) -> bytes:
+    """Lines joined by ``\\n`` and folded once by the byte table."""
+    return b"\n".join(lines).translate(_ASCII_FOLD)
+
+
+def _token_keys(block: bytes, long_key) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Token starts, lengths and one exact ``<u8`` key per token of a folded block.
+
+    A token of up to eight bytes is keyed by its bytes read as one ``<u8``
+    from an unaligned view of the block (padded with eight zero bytes) and
+    masked to its length; no token byte is zero, so the key names the
+    token and its low byte is not zero. A longer token takes
+    ``long_key(its bytes)``, a key with a zero low byte that the caller
+    hands out. Tokens over eight bytes are rare (about 3 in 10,000 of the
+    benchmark corpora's tokens), so each takes one lookup.
+    """
+    edges = _folded_edges(block)
+    starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
+    words = np.ndarray((len(block),), "<u8", block + bytes(8), 0, (1,))
+    keys = words[starts] & _LOW_BYTES[np.minimum(lengths, 8)]
+    long = np.flatnonzero(lengths > 8)
+    keys[long] = np.array([long_key(block[a:a + b]) for a, b in
+                           zip(starts[long].tolist(), lengths[long].tolist())], dtype=np.uint64)
+    return starts, lengths, keys
+
+
+def _long_keys() -> defaultdict[bytes, int]:
+    """A table handing each new long token the next multiple of 256 as its key."""
+    return defaultdict(itertools.count(1 << 8, 1 << 8).__next__)
+
+
+def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True, return_inverse=True)`` by one sort.
+
+    ``np.unique`` finds first indices by a stable sort, several times
+    slower on token keys, and its first call imports ``numpy.ma`` (about
+    16 ms, paid by a one-shot ``esap ask``); here an item's first index is
+    the least index in its run of the sorted keys.
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    head = np.ones(len(keys), dtype=bool)        # the first of each run of equal keys
+    head[1:] = ordered[1:] != ordered[:-1]
+    heads = np.flatnonzero(head)
+    first = np.minimum.reduceat(order, heads) if len(heads) else heads
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(head) - 1
+    return ordered[heads], first, inverse
+
+
 def overlap_counts(texts: list[str], tokens) -> list[int]:
     """How many distinct tokens of each text are in tokens.
 
     Equal to ``[len(set(tokens) & set(token_texts(t))) for t in texts]``,
-    in one pass over the ASCII texts instead of one tokenization per text.
-    They are joined by ``\\n`` into one block, folded once by the byte
-    table and split at the edges ``token_edges`` finds. A token's key is
-    its first eight bytes, read as one ``<u8`` from an unaligned view of
-    the block (padded with eight zero bytes) and masked to the token's
-    length; no token byte is zero, so a key of under eight bytes names one
-    token. All keys are matched against the wanted tokens' keys in one
-    ``np.isin``; only the few matches of eight bytes or more, whose key
-    every longer token with those first bytes shares, compare their bytes.
-    The line ends place each match in its text, and the distinct (text,
-    token) pairs are counted per text. Texts outside ASCII take
-    ``token_texts``. They stay out of the block, so its byte offsets are
-    char offsets.
+    in one pass over the texts instead of one tokenization per text. Each
+    text is one line of a block (``_line``), folded once by the byte table
+    and keyed by ``_token_keys``; the wanted tokens are keyed the same way,
+    through the same long-token table, so all keys are matched in one
+    ``np.isin``. The line ends place each match in its text, and the
+    distinct (text, token) pairs are counted per text.
     """
-    wanted = set(tokens)
-    counts = [0] * len(texts)
-    in_block = []
-    for i, text in enumerate(texts):
-        if text.isascii():
-            in_block.append(i)
-        else:
-            counts[i] = len(wanted.intersection(token_texts(text)))
-    # only a run of [a-z0-9] can be a token of ASCII text
-    terms = [t.encode() for t in wanted if t.isascii() and token_texts(t) == [t]]
-    if not (in_block and terms):
-        return counts
-    lines = [texts[i] for i in in_block]
-    block = "\n".join(lines).encode().translate(_ASCII_FOLD)
-    edges = _folded_edges(block)
-    starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
-    words = np.ndarray((len(block),), "<u8", block + bytes(8), 0, (1,))
-    keys = np.take(words, starts) & np.take(_LOW_BYTES, np.minimum(lengths, 8))
-    term_keys = np.array(sorted({int.from_bytes(t[:8], "little") for t in terms}),
-                         dtype=np.uint64)
+    # a token is one run of bytes that the byte table keeps as they are
+    terms = [t for t in {t.encode() for t in tokens} if t.translate(_ASCII_FOLD).split() == [t]]
+    if not (texts and terms):
+        return [0] * len(texts)
+    long_key = _long_keys().__getitem__
+    term_keys = np.sort(_token_keys(_fold(terms), long_key)[2])
+    lines = [_line(text) for text in texts]
+    starts, _, keys = _token_keys(_fold(lines), long_key)
     found = np.flatnonzero(np.isin(keys, term_keys))
-    ids = np.searchsorted(term_keys, keys[found])    # the term, if under 8 bytes
-    exact = {t: len(term_keys) + j for j, t in enumerate(terms)}
-    for j in np.flatnonzero(lengths[found] >= 8).tolist():
-        start = starts[found[j]]
-        ids[j] = exact.get(block[start:start + lengths[found[j]]], -1)
-    keep = ids >= 0
-    found, ids = found[keep], ids[keep]
-    n_ids = len(term_keys) + len(terms)
+    ids = np.searchsorted(term_keys, keys[found])
     line_of = np.searchsorted(np.cumsum([len(line) + 1 for line in lines]),
                               starts[found], side="right")
-    pairs = np.sort(line_of * n_ids + ids)           # (text, term) codes
+    pairs = np.sort(line_of * len(terms) + ids)      # (text, term) codes
     first = np.ones(len(pairs), dtype=bool)          # the first of each distinct pair
     first[1:] = pairs[1:] != pairs[:-1]
-    per_line = np.bincount(pairs[first] // n_ids, minlength=len(lines))
-    for i, count in zip(in_block, per_line.tolist()):
-        counts[i] = count
-    return counts
+    return np.bincount(pairs[first] // len(terms), minlength=len(lines)).tolist()
+
+
+def _blocks(texts):
+    """The texts as lists of lines (``_line``) of at most about ``_TERM_BLOCK`` bytes.
+
+    A block ends between texts, so a line longer than ``_TERM_BLOCK`` is a
+    block of its own.
+    """
+    block: list[bytes] = []
+    size = 0
+    for text in texts:
+        line = _line(text)
+        if block and size + len(line) > _TERM_BLOCK:
+            yield block
+            block, size = [], 0
+        block.append(line)
+        size += len(line) + 1
+    if block:
+        yield block
 
 
 def term_ids(texts) -> TermIds:
@@ -156,20 +219,44 @@ def term_ids(texts) -> TermIds:
     ``vocab`` maps each term to its id, numbered in order of first
     occurrence; ``ids`` (int32) holds the id of every token, text after
     text; ``lengths`` (int64) holds each text's token count, so text i owns
-    the ``lengths[i]`` ids after the first ``lengths[:i].sum()``. The ids
-    stream from the vocabulary lookups straight into the int32 array, so a
-    large corpus never holds a Python int per token.
+    the ``lengths[i]`` ids after the first ``lengths[:i].sum()``.
+
+    The texts are taken in blocks of about ``_TERM_BLOCK`` bytes, each
+    text one line (``_line``: a text outside ASCII is its ``token_texts``).
+    A block is folded once by the byte table and keyed by ``_token_keys``,
+    one ``<u8`` per token. One sort groups the equal keys (``_unique``),
+    the block's distinct keys are looked up in a sorted array of the keys
+    of the terms seen so far, and only a term not seen before is made a
+    ``str``, numbered by its first occurrence. So a block makes no Python
+    object per token, and no more than a block is held as keys at once.
     """
-    vocab: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    vocab: dict[str, int] = {}
+    long_key = _long_keys().__getitem__
+    # the keys of the terms in vocab, sorted, then one above every key
+    seen = np.full(1, _PAST_KEYS, dtype=np.uint64)
+    seen_ids = np.full(1, -1, dtype=np.int32)            # the id of each
+    ids = np.empty(0, dtype=np.int32)
     lengths: list[int] = []
-
-    def lookups(text: str):
-        tokens = token_texts(text)
-        lengths.append(len(tokens))
-        return map(vocab.__getitem__, tokens)
-
-    ids = np.fromiter(itertools.chain.from_iterable(map(lookups, texts)), dtype=np.int32)
-    vocab.default_factory = None             # a plain lookup from here on
+    for lines in _blocks(texts):
+        block = _fold(lines)
+        starts, token_lengths, keys = _token_keys(block, long_key)
+        ends = np.searchsorted(starts, np.cumsum([len(line) + 1 for line in lines]))
+        lengths += np.diff(ends, prepend=0).tolist()
+        distinct, first, inverse = _unique(keys)
+        at = np.searchsorted(seen, distinct)
+        distinct_ids = seen_ids[at]
+        fresh = np.flatnonzero(seen[at] != distinct)     # in key order
+        new = fresh[np.argsort(first[fresh])]            # in order of first occurrence
+        distinct_ids[new] = np.arange(len(vocab), len(vocab) + len(new), dtype=np.int32)
+        for a, b in zip(starts[first[new]].tolist(), token_lengths[first[new]].tolist()):
+            vocab[block[a:a + b].decode()] = len(vocab)
+        # grown in place, as np.fromiter grows its buffer, so the ids are
+        # never held twice; no array views them, so no check is needed
+        n = len(ids)
+        ids.resize(n + len(keys), refcheck=False)
+        ids[n:] = distinct_ids[inverse]
+        seen = np.insert(seen, at[fresh], distinct[fresh])
+        seen_ids = np.insert(seen_ids, at[fresh], distinct_ids[fresh])
     return vocab, ids, np.array(lengths, dtype=np.int64)
 
 

@@ -28,7 +28,7 @@ from esap.hybrid import (
 )
 from esap.lexical import LexicalIndex
 from esap.ports import HashingEmbedder
-from esap.synthetic import make_toy_kb_documents
+from esap.synthetic import make_clustered_texts, make_toy_kb_documents
 
 # the toy kb's ACL in build_index: some documents hidden from some PRINCIPALS
 TOY_ACL = {"fruit-cherry": ["bob"], "policy-returns": ["alice", "bob"]}
@@ -387,6 +387,7 @@ def test_a_format_2_load_tokenizes_nothing_and_builds_no_bm25(tmp_path, monkeypa
     with monkeypatch.context() as patch:
         for module in (tokenizer, lexical, hybrid):
             for name in ("term_ids", "token_texts", "token_spans", "token_edges",
+                         "_blocks", "_line", "_fold", "_token_keys", "_unique",
                          "build_lexical"):
                 if hasattr(module, name):
                     patch.setattr(module, name, refuse)
@@ -719,3 +720,23 @@ def test_toy_index_files_keep_their_recorded_digests(tmp_path, toy_index):
         "adc4fe301c1ce6fcdcd7b0052099989f526fe61beb534dea7a51f537c172ca25"
     assert digests["lexical.bin"] == \
         "156930a041846a122103c5d49c826dadc041231660313466c60c6e71a2c37d9c"
+
+
+def test_a_multi_block_index_keeps_its_recorded_digests(tmp_path):
+    # recorded before term_ids tokenized in blocks: about 500,000 chars of
+    # chunk text, more than one of its blocks; the non-ASCII document sorts
+    # between c200's chunk and c201's, shares terms with the ASCII chunks on
+    # both sides and brings new ones
+    texts = make_clustered_texts(400, seed=3, tokens_per_text=200)
+    docs = [Document(doc_id=f"c{i:03d}", version=1, text=text) for i, text in enumerate(texts)]
+    docs.append(Document(doc_id="c200-istanbul", version=1,
+                         text="Straße café in İstanbul: t32w10 C52 ßß t7w3, İİ basketball "
+                              "t0w999 c13 ŞEHİR t200w1."))
+    chunks = [c for doc in docs for c in chunk_document(doc, size=200, overlap=20)]
+    index = build_hybrid(chunks, HashingEmbedder(), {doc.doc_id: ["*"] for doc in docs},
+                         HybridParams(chunk_size=200, chunk_overlap=20))
+    digests = saved_digests(index, tmp_path)
+    assert digests["lexical.bin"] == \
+        "54cea9a13ff167f361af550c39bc67ac9a056146f6c42f63f31651f9ca978d52"
+    assert digests["dense.bin"] == \
+        "dae3158b7cddd0925fa2ee44b70e457d50a5f7037773c4b801fed7218261105e"

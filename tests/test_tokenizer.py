@@ -3,12 +3,13 @@ from __future__ import annotations
 import random
 import re
 import string
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from esap import corpus
+from esap import corpus, tokenizer
 from esap.corpus import Document, chunk_document
 from esap.tokenizer import (overlap_counts, sentences, term_ids, token_edges, token_spans,
                             token_texts)
@@ -146,27 +147,94 @@ def test_token_edges_equal_the_pattern():
         assert ends.tolist() == want_ends.tolist(), repr(text)
 
 
-def test_term_ids_is_one_token_texts_pass():
-    rng = random.Random(23)
-    alphabet = "abAB c.d-e_f9 İß\n"
-    for _ in range(300):
-        texts = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 40)))
-                 for _ in range(rng.randrange(0, 8))]
-        vocab, ids, lengths = term_ids(texts)
-        tokens = [token_texts(text) for text in texts]
-        assert ids.dtype == np.int32 and lengths.dtype == np.int64
-        assert lengths.tolist() == [len(t) for t in tokens]
-        # ids are numbered by first occurrence, text after text
-        flat = [token for t in tokens for token in t]
-        assert list(vocab) == list(dict.fromkeys(flat))
-        assert list(vocab.values()) == list(range(len(vocab)))
-        terms = list(vocab)
-        assert [terms[i] for i in ids.tolist()] == flat
-    vocab, ids, lengths = term_ids([])
-    assert (vocab, ids.tolist(), lengths.tolist()) == ({}, [], [])
-    vocab, _, _ = term_ids(["red apple"])
+def term_ids_reference(texts) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """term_ids as one lookup per token: dict.fromkeys over token_texts."""
+    tokens = [token_texts(text) for text in texts]
+    flat = [token for t in tokens for token in t]
+    vocab = {term: i for i, term in enumerate(dict.fromkeys(flat))}
+    return (vocab, np.array([vocab[token] for token in flat], dtype=np.int32),
+            np.array([len(t) for t in tokens], dtype=np.int64))
+
+
+def assert_term_ids_equal_the_reference(texts):
+    vocab, ids, lengths = term_ids(text for text in texts)     # a generator too
+    want_vocab, want_ids, want_lengths = term_ids_reference(texts)
+    assert type(vocab) is dict and list(vocab.items()) == list(want_vocab.items()), texts
+    assert ids.dtype == np.int32 and lengths.dtype == np.int64
+    assert ids.tolist() == want_ids.tolist(), texts
+    assert lengths.tolist() == want_lengths.tolist(), texts
+
+
+# 8-byte tokens, longer ones that share their first 8 (or 16) bytes, digits,
+# and words outside ASCII; the Kelvin sign lowers to an ASCII k
+_TERM_WORDS = ["a", "Z", "7", "42", "red", "Apple", "APPLE", "x1", "12345678", "123456789",
+               "basketba", "basketbal", "basketball", "basketbell", "BasketBall",
+               "abcdefghijklmnopqrst", "abcdefghijklmnopqrsu", "abcdefghijklmnop",
+               "é", "café", "İstanbul", "İ", "ß", "straße", "STRASSE", "Kelvin\u212a"]
+# underscore and NBSP separate tokens; NBSP also makes its text non-ASCII
+_TERM_SEPARATORS = [" ", "  ", "\t", "\n", "_", ".", "?!", "\u00a0", ""]
+
+
+def test_term_ids_is_one_token_texts_pass(monkeypatch):
+    # ids are numbered by first occurrence, text after text, at any block
+    # size: a text longer than the block is a block of its own, so small
+    # blocks end both within runs of texts and between them
+    pieces = _TERM_WORDS + _TERM_SEPARATORS
+    ascii_pieces = [piece for piece in pieces if piece.isascii()]
+    for block in (1, 5, 16, 64, 1 << 18):
+        monkeypatch.setattr(tokenizer, "_TERM_BLOCK", block)
+        rng = random.Random(block)
+        for _ in range(300):
+            texts = ["".join(rng.choices(ascii_pieces if rng.random() < 0.6 else pieces,
+                                         k=rng.randrange(0, 12)))
+                     for _ in range(rng.randrange(0, 9))]
+            assert_term_ids_equal_the_reference(texts)
+
+
+@pytest.mark.parametrize("texts", [
+    [],
+    [""],
+    ["", "", ""],
+    ["?! ... _", "", "__"],                                 # texts with no tokens
+    ["12345678 1234567 123456789", "12345678"],
+    ["basketball basketbell", "BASKETBELL basketballs basketball"],
+    ["abcdefghijklmnopq abcdefghijklmnopr", "abcdefghijklmnopr"],
+    # a term first seen outside ASCII, then in ASCII texts, and the reverse
+    ["İstanbul red apple ßasketball", "red apple", "basketball ßasketball"],
+    ["red apple basketball", "straße red_apple BASKETBALL", "straße apple"],
+    ["x_1 9\u00a0Kelvin\u212a", "k 9 x 1", "kelvink"],
+])
+def test_term_ids_on_chosen_texts(monkeypatch, texts):
+    for block in (1, 8, 1 << 18):
+        monkeypatch.setattr(tokenizer, "_TERM_BLOCK", block)
+        assert_term_ids_equal_the_reference(texts)
+    vocab, _, _ = term_ids(texts)
     with pytest.raises(KeyError):
         vocab["pear"]                     # a lookup never adds a term
+
+
+def test_the_byte_table_keeps_every_lowered_token_char():
+    # term_ids and overlap_counts write a text outside ASCII as its tokens
+    # joined by spaces, so no char of a lowered token may be one the byte
+    # table blanks or one str.split splits at
+    chars = "".join(chr(cp) for cp in range(sys.maxunicode + 1) if not 0xD800 <= cp <= 0xDFFF)
+    lowered = [char.lower() for char in "".join(tokenizer._TOKEN_RE.findall(chars))]
+    line = " ".join(lowered).encode()
+    assert line.translate(tokenizer._ASCII_FOLD) == line
+    assert line.decode().split() == lowered
+
+
+def test_unique_groups_items_as_numpy_unique_does():
+    # the distinct keys may come in another order, so each item is compared
+    # by the first index of its group
+    rng = np.random.default_rng(5)
+    for size in [0, 1, 2, 100, 5000]:
+        keys = rng.integers(0, 4, size=size).astype(np.uint64) << np.uint64(40)
+        distinct, first, inverse = tokenizer._unique(keys)
+        _, want_first, want_inverse = np.unique(keys, return_index=True, return_inverse=True)
+        assert len(distinct) == len(want_first)
+        assert np.array_equal(distinct[inverse], keys)
+        assert first[inverse].tolist() == want_first[want_inverse].tolist()
 
 
 def overlap_reference(texts: list[str], tokens) -> list[int]:
