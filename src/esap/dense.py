@@ -28,6 +28,7 @@ dimensions' rows of the matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,16 +128,23 @@ def _embeddings(compute, ids: list) -> np.ndarray:
     if matrix.ndim != 2 or matrix.shape[0] != len(ids) or not matrix.shape[1]:
         raise EmbedderFailure(
             f"embedder returned shape {matrix.shape}, expected ({len(ids)}, d), d >= 1")
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        raise EmbedderFailure("non-finite embedding", chunk_id=ids[int(bad[0])])
+    if not np.isfinite(matrix).all():
+        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0]
+        raise EmbedderFailure("non-finite embedding", chunk_id=ids[int(bad)])
     return matrix
 
 
 def embed_query(embed, query: str) -> np.ndarray:
     """The query's float32 vector scaled to unit length as a chunk's is
-    (all-zero stays zero), checked as a build checks its chunks' vectors."""
-    return _unit_columns(_embeddings(lambda: embed([query]), [None]))[:, 0]
+    (all-zero stays zero), checked as a build checks its chunks' vectors.
+
+    The one row is scaled without ``_unit_columns``' block loop: one
+    ``np.add.accumulate`` over its float64 squares, and ``math.sqrt``,
+    correctly rounded as ``np.sqrt`` is.
+    """
+    row = _embeddings(lambda: embed([query]), [None])[0]
+    length = np.float32(math.sqrt(np.add.accumulate(np.square(row, dtype=np.float64))[-1]))
+    return row / (length if length else np.float32(1.0))
 
 
 def build_dense_from_texts(texts: list[str], chunk_ids: list[str], embed,
@@ -184,7 +192,7 @@ def search_dense(index: DenseIndex, query: np.ndarray, k: int,
     query dimension at a time in ascending order, each a pass over one row
     of ``columns``; no temporary is larger than one row. With ``allowed`` (a
     boolean mask over positions) only the positions it keeps are cut and
-    sorted.
+    sorted; without it the scores are cut as they are, with no gather.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -198,8 +206,8 @@ def search_dense(index: DenseIndex, query: np.ndarray, k: int,
     for j in np.flatnonzero(query).tolist():
         sims += np.multiply(columns[j], float(query[j]), out=product, dtype=np.float64)
     if allowed is None:
-        candidates = np.arange(sims.shape[0])
+        positions, scores = top_k(np.arange(sims.shape[0]), sims, k)
     else:
         candidates = np.flatnonzero(allowed)
-    positions, scores = top_k(candidates, sims[candidates], k)
+        positions, scores = top_k(candidates, sims[candidates], k)
     return list(zip(positions.tolist(), scores.tolist()))

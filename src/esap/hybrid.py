@@ -22,13 +22,14 @@ This module writes and reads ``meta.json`` (k1 and b among it), the
 checksums, the framing of both data files, the section table and the chunk
 table. The BM25 header keys and sections and every check on them belong to
 ``esap.lexical`` (``to_columns``, ``from_columns``), which stores term
-frequencies and rebuilds the weights at load exactly as the build computed
-them. A load tokenizes nothing. ``dense.bin`` states no shape of its own:
-its row count is ``meta.json``'s ``dim`` and its row length the chunk
-table's count, so vectors of another chunk count or width are refused. A load
-serves the matrix in place, as the read-only ``DenseIndex.columns`` view of
-the verified bytes: the 8-byte magic keeps them float32-aligned, and no
-value is copied.
+frequencies, not weights. Neither a build nor a load computes a weight: the
+first searches of either index compute them, a block of postings at a time,
+with the same bits. A load tokenizes nothing. ``dense.bin`` states no shape
+of its own: its row count is ``meta.json``'s ``dim`` and its row length the
+chunk table's count, so vectors of another chunk count or width are
+refused. A load serves the matrix in place, as the read-only
+``DenseIndex.columns`` view of the verified bytes: the 8-byte magic keeps
+them float32-aligned, and no value is copied.
 
 Format 5 is the only format a load reads. Any other ``format_version``,
 formats 1 to 4 included, is ``FormatVersionMismatch``: the index is derived
@@ -355,9 +356,13 @@ def search_hybrid(index: HybridIndex, query: str, embed, k: int = DEFAULT_K,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     allowed = index.allowed(principal)
-    fetch = min(FETCH_FACTOR * k, int(np.count_nonzero(allowed)))
+    readable = int(np.count_nonzero(allowed))
+    fetch = min(FETCH_FACTOR * k, readable)
     if fetch == 0:
         return []
+    # a principal who may read every chunk needs no mask
+    if readable == index.n_chunks:
+        allowed = None
     lex_positions, _ = top_k(*_candidates(index.lexical, query, allowed), fetch)
     vector = embed_query(embed, query)
     # no query term matches and the vector is zero: every chunk would tie
@@ -454,8 +459,8 @@ def _sections(header: dict, payload: memoryview) -> dict[str, memoryview]:
 
 
 def _read_lexical(data: bytes, params: HybridParams) -> tuple[ChunkTable, dict, LexicalIndex]:
-    """The chunk table, ACLs and BM25 from lexical.bin; BM25 is rebuilt from
-    term frequencies, not from text."""
+    """The chunk table, ACLs and BM25 from lexical.bin; BM25 is read as
+    term frequencies, not rebuilt from text."""
     require(data.startswith(LEXICAL_MAGIC), f"the magic is {data[:len(LEXICAL_MAGIC)]!r}")
     start = len(LEXICAL_MAGIC) + 8
     end = start + int.from_bytes(data[len(LEXICAL_MAGIC):start], "little")

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -9,7 +11,10 @@ import pytest
 from esap import lexical
 from esap.corpus import Chunk
 from esap.errors import EmptyCorpus
+from esap.hybrid import build_hybrid, load_hybrid, save_hybrid, search_hybrid
 from esap.lexical import build_lexical, score_query, search_lexical
+from esap.ports import HashingEmbedder
+from esap.synthetic import make_clustered_texts
 from esap.tokenizer import term_ids, token_texts
 
 
@@ -192,9 +197,18 @@ def test_bit_identical_where_numpy_log_rounds_differently():
         assert score_query(index, query) == old_bm25(chunks, query)
 
 
+def reloaded(index: lexical.LexicalIndex) -> lexical.LexicalIndex:
+    """The index ``from_columns`` reads back from ``to_columns``, as a load does."""
+    header, parts = lexical.to_columns(index)
+    return lexical.from_columns(header, {name: memoryview(bytes(part)) for name, part in parts},
+                                index.chunk_ids, index.k1, index.b)
+
+
 @pytest.mark.parametrize("block", [1, 3, 16])
 def test_bit_identical_when_weights_are_computed_in_blocks(monkeypatch, block):
-    # bm25_weights divides by the length norm a block of postings at a time
+    # a search computes the weights a block of postings at a time, the first
+    # time its rows reach that block: queries in random order fill the blocks
+    # of a built and of a loaded index in random order
     monkeypatch.setattr(lexical, "_BLOCK", block)
     rng = random.Random(block)
     vocab = [f"w{i}" for i in range(9)]
@@ -202,8 +216,93 @@ def test_bit_identical_when_weights_are_computed_in_blocks(monkeypatch, block):
     for _ in range(30):
         chunks = make_chunks([" ".join(rng.choice(vocab) for _ in range(rng.randrange(0, 12)))
                               for _ in range(rng.randrange(1, 20))])
-        index = build_lexical(chunks, k1=1.6, b=0.4)
-        several_blocks += len(index.positions) > 2 * block
-        query = " ".join(rng.choice(vocab) for _ in range(4))
-        assert score_query(index, query) == old_bm25(chunks, query, k1=1.6, b=0.4)
+        built = build_lexical(chunks, k1=1.6, b=0.4)
+        several_blocks += len(built.positions) > 2 * block
+        for index in (built, reloaded(built)):
+            for term in rng.sample(vocab, len(vocab)):
+                query = " ".join([term, *rng.choices(vocab + ["zz"], k=rng.randrange(0, 3))])
+                assert score_query(index, query) == old_bm25(chunks, query, k1=1.6, b=0.4)
+            want = lexical.bm25_weights(index, 0, len(index.positions))
+            assert index.weights.tobytes() == want.tobytes()
+            assert index.avgdl == sum(map(len, (token_texts(c.text) for c in chunks))) / len(chunks)
     assert several_blocks >= 10
+
+
+def blocks_of(index: lexical.LexicalIndex, query: str) -> list[tuple[int, int]]:
+    """The (start, stop) of each block of postings the query's rows reach, ascending."""
+    rows = [index.postings[t] for t in token_texts(query) if t in index.postings]
+    size, m = lexical._BLOCK, len(index.positions)
+    blocks = {i for r in rows for i in range(index.bounds[r] // size,
+                                             (index.bounds[r + 1] - 1) // size + 1)}
+    return [(i * size, min(i * size + size, m)) for i in sorted(blocks)]
+
+
+def test_weights_wait_for_a_search_and_cover_only_its_rows(monkeypatch, tmp_path):
+    monkeypatch.setattr(lexical, "_BLOCK", 8)
+    computed = []
+    reference = lexical.bm25_weights
+    monkeypatch.setattr(lexical, "bm25_weights", lambda index, start, stop: (
+        computed.append((start, stop)) or reference(index, start, stop)))
+    rng = random.Random(5)
+    vocab = [f"w{i}" for i in range(40)]
+    chunks = make_chunks([" ".join(rng.choices(vocab, k=rng.randrange(1, 30)))
+                          for _ in range(30)])
+    embed = HashingEmbedder(16)
+    built = build_hybrid(chunks, embed, {})
+    save_hybrid(built, tmp_path)
+    loaded = load_hybrid(tmp_path)
+    for index in (built, loaded):
+        assert index.lexical._weights is None and computed == []
+        assert search_lexical(index.lexical, "zz yy", 5) == []
+        assert index.lexical._weights is None and computed == []
+        seen = set()
+        for query in ("w3", "w7 w7 w21", "w3 w39", "w0 w1 w2 zz", "w3"):
+            search_hybrid(index, query, embed, k=5)
+            want = [span for span in blocks_of(index.lexical, query) if span not in seen]
+            assert computed == want, query
+            seen.update(computed)
+            computed.clear()
+        assert 1 < len(seen) < len(index.lexical.positions) / 8
+    assert len(built.lexical.positions) > 8 * 20
+
+
+def test_first_searches_in_threads_score_as_a_sequential_run(monkeypatch, tmp_path):
+    monkeypatch.setattr(lexical, "_BLOCK", 64)
+    texts = make_clustered_texts(120, seed=7, tokens_per_text=40)
+    chunks = make_chunks(texts)
+    embed = HashingEmbedder(32)
+    save_hybrid(build_hybrid(chunks, embed, {}), tmp_path)
+    rng = random.Random(3)
+    queries = [" ".join(rng.choice(t.split()) for _ in range(3)) for t in texts[:40]]
+
+    def run(index, order):
+        return {q: ([(h.chunk_id, h.score.hex(), h.text)
+                     for h in search_hybrid(index, q, embed, k=10)],
+                    {c: s.hex() for c, s in score_query(index.lexical, q).items()})
+                for q in order}
+
+    want = run(load_hybrid(tmp_path), queries)
+    barrier = threading.Barrier(8, timeout=60)
+    interval = sys.getswitchinterval()
+    # switch threads often, so that they meet inside one block's computation
+    sys.setswitchinterval(1e-6)
+    try:
+        for attempt in range(4):
+            index = load_hybrid(tmp_path)
+            assert len(index.lexical.positions) > 4 * 64
+            results = [None] * 8
+
+            def worker(i):
+                order = random.Random(8 * attempt + i).sample(queries, len(queries))
+                barrier.wait()
+                results[i] = run(index, order)
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert all(result == want for result in results)
+    finally:
+        sys.setswitchinterval(interval)

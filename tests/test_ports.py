@@ -520,6 +520,19 @@ def test_unit_columns_follow_the_rule_bit_for_bit(n, unit_rule):
                                   unit_rule(embed([text])[0]).view(np.uint32))
 
 
+def test_a_query_row_follows_the_rule_bit_for_bit(unit_rule):
+    # embed_query scales its one row without _unit_columns' block loop:
+    # tiny, huge, mixed, midpoint and zero rows keep the rule's bits, and
+    # the embedder's own array is left as it was
+    for matrix in rule_cases(3):
+        for row in matrix:
+            given = row.copy()
+            got = embed_query(lambda texts: given[None, :], "a query")
+            assert got.dtype == np.float32 and got.shape == row.shape
+            assert np.array_equal(got.view(np.uint32), unit_rule(row).view(np.uint32))
+            assert np.array_equal(given.view(np.uint32), row.view(np.uint32))
+
+
 def test_embedder_dim_validation():
     with pytest.raises(ValueError):
         HashingEmbedder(0)
