@@ -22,9 +22,9 @@ This module writes and reads ``meta.json`` (k1 and b among it), the
 checksums, the framing of both data files, the section table and the chunk
 table. The BM25 header keys and sections and every check on them belong to
 ``esap.lexical`` (``to_columns``, ``from_columns``), which stores term
-frequencies, not weights. Neither a build nor a load computes a weight: the
-first searches of either index compute them, a block of postings at a time,
-with the same bits. A load tokenizes nothing. ``dense.bin`` states no shape
+frequencies, not weights. Neither a build nor a load computes a weight: a
+search computes its query rows' weights, with the same bits for either
+index, and keeps none. A load tokenizes nothing. ``dense.bin`` states no shape
 of its own: its row count is ``meta.json``'s ``dim`` and its row length the
 chunk table's count, so vectors of another chunk count or width are
 refused. A load serves the matrix in place, as the read-only

@@ -11,18 +11,17 @@ position order is chunk_id order. The postings are compressed sparse rows:
 largest term frequency) are parallel arrays, and each term owns one row of
 them. ``postings`` maps a term to its row, and row r is
 ``[bounds[r]:bounds[r + 1]]`` of the arrays, ascending by position. The
-index also holds each chunk's length (the sum of its term frequencies) and
-avgdl, from one ``np.bincount`` pass over the postings.
+index also holds avgdl and each chunk's length norm,
+``k1 * (1 - b + b * |d| / avgdl)``, where |d| is the sum of the chunk's
+term frequencies, from one ``np.bincount`` pass over the postings. Once
+made by a build or a load, an index is never written: its arrays are
+read-only, so concurrent searches share no mutable state.
 
-Weights. Because k1, b and avgdl are fixed once the postings are known,
-each posting has one weight, its whole BM25 term above, and a query only
-looks up rows and adds their weights. The weights live in one float64
-array, parallel to the postings, that the first search allocates. It is
-filled a block of ``_BLOCK`` postings at a time (``bm25_weights``), the
-first time a query's rows reach that block, so a build or a load computes
-none, and a query computes only the blocks its rows span. Inverted files
-that keep term frequencies and derive weights at query time are the
-textbook design (Zobel & Moffat 2006).
+Weights. The index keeps term frequencies, not weights, and a query
+computes the BM25 terms of its own rows' postings (``bm25_weights``): the
+IDF of the row, times tf, times (k1 + 1), divided by the chunk's norm plus
+tf. Inverted files that keep term frequencies and score at query time are
+the textbook design (Zobel & Moffat 2006).
 
 Build. The index is built from term ids (``esap.tokenizer.term_ids``), not
 from token strings: one key per token, sorted, gives every posting and its
@@ -32,23 +31,22 @@ depends on that numbering.
 
 Storage. ``to_columns`` and ``from_columns`` write and read the BM25
 sections of ``lexical.bin``: the vocabulary in row order, the row bounds,
-the positions and the term frequencies. Weights are not stored: a load sums
-the chunk lengths and avgdl from the term frequencies as a build does, and
-its weights come from the same blocks, so a loaded index scores bit for bit
+the positions and the term frequencies. Neither weights nor norms are
+stored: a load sums the chunk lengths and avgdl from the term frequencies
+and derives the norms as a build does, so a loaded index scores bit for bit
 as the built one did, and a load tokenizes nothing.
 
 Bit identity. Scores equal those of the plain per-posting loop, not just
 closely: weights stay float64, IDF is computed with ``math.log`` (once per
-distinct document frequency in a block, which is the same value as once
-per term), each weight's operations run in the formula's order, and
-``np.bincount`` adds in array order, so each chunk's sum runs in
-query-token order.
+distinct document frequency among the query's rows, which is the same value
+as once per term), the norm's operations and each weight's run in the
+formula's order, and ``np.bincount`` adds in array order, so each chunk's
+sum runs in query-token order.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,38 +63,34 @@ DEFAULT_B = 0.75
 SECTIONS = ("vocab", "vocab_offsets", "bounds", "positions", "tf")
 # the term frequency types a file may name
 _TF_TYPES = ("u1", "u2", "u4", "u8")
-# postings per block of BM25 weights: a search computes a block the first
-# time its rows reach it (``LexicalIndex.weights_for``)
+# postings per ``np.bincount`` call of ``chunk_lengths``
 _BLOCK = 1 << 16
-
-
-class _Weights:
-    """A float64 BM25 weight per posting, computed a block of ``_BLOCK``
-    postings at a time. A block's flag is set only after its values are
-    written, so whoever sees it set reads finished weights, and two threads
-    that compute one block write the same bits."""
-
-    __slots__ = ("values", "done", "complete")
-
-    def __init__(self, m: int):
-        self.values = np.empty(m)
-        self.done = [False] * -(-m // _BLOCK)
-        self.complete = not self.done
 
 
 @dataclass
 class LexicalIndex:
     chunk_ids: list[str]          # position -> chunk_id, ascending
     postings: dict[str, int]      # term -> its row, iterating in row order
-    bounds: list[int]             # row r is [bounds[r]:bounds[r + 1]] of the arrays
+    bounds: np.ndarray            # <i8: row r is [bounds[r]:bounds[r + 1]] of the arrays
     positions: np.ndarray         # int32 chunk positions, ascending per row
     tf: np.ndarray                # unsigned term frequency of each posting
-    lengths: np.ndarray           # float64 length of each chunk: the sum of its tf
-    avgdl: float
     k1: float
     b: float
-    # the weights, allocated by the first search (``weights_for``)
-    _weights: _Weights | None = field(default=None, init=False, repr=False, compare=False)
+    # derived from the postings: each chunk's float64 length norm, and avgdl
+    norms: np.ndarray = field(init=False, repr=False)
+    avgdl: float = field(init=False)
+
+    def __post_init__(self):
+        norms, self.avgdl = chunk_lengths(self.positions, self.tf, self.n_chunks)
+        norms *= self.b
+        # with every chunk empty, avgdl and every length are 0, and no
+        # posting reads a norm
+        norms /= self.avgdl or 1.0
+        norms += 1.0 - self.b
+        norms *= self.k1
+        self.norms = norms
+        for array in (self.bounds, self.positions, self.tf, self.norms):
+            array.flags.writeable = False
 
     @property
     def n_chunks(self) -> int:
@@ -104,30 +98,8 @@ class LexicalIndex:
 
     @property
     def weights(self) -> np.ndarray:
-        """Each posting's float64 BM25 term; reading it computes every block."""
-        return self.weights_for([(0, len(self.positions))])
-
-    def weights_for(self, spans: list[tuple[int, int]]) -> np.ndarray:
-        """The weights array, with every block that a ``(start, stop)`` span
-        of postings reaches computed (``bm25_weights``); the other blocks
-        hold no weights yet. Once every block is computed this is one
-        check."""
-        # two first searches at once may each allocate an array; each fills
-        # and reads its own, and the index keeps the last one assigned
-        state = self._weights
-        if state is None:
-            state = self._weights = _Weights(len(self.positions))
-        if not state.complete:
-            done, m = state.done, len(self.positions)
-            for block in sorted({i for a, z in spans if a < z
-                                 for i in range(a // _BLOCK, (z - 1) // _BLOCK + 1)}):
-                if not done[block]:
-                    start = block * _BLOCK
-                    stop = min(start + _BLOCK, m)
-                    state.values[start:stop] = bm25_weights(self, start, stop)
-                    done[block] = True
-            state.complete = all(done)
-        return state.values
+        """Each posting's float64 BM25 term, computed on each read."""
+        return bm25_weights(self, self.positions, self.tf, np.diff(self.bounds).tolist())
 
 
 def chunk_lengths(positions: np.ndarray, tf: np.ndarray, n: int) -> tuple[np.ndarray, float]:
@@ -144,32 +116,26 @@ def chunk_lengths(positions: np.ndarray, tf: np.ndarray, n: int) -> tuple[np.nda
     return lengths, int(lengths.sum()) / n
 
 
-def bm25_weights(index: LexicalIndex, start: int, stop: int) -> np.ndarray:
-    """The BM25 terms of postings ``[start:stop]`` of the index.
+def bm25_weights(index: LexicalIndex, positions: np.ndarray, tf: np.ndarray,
+                 dfs: list[int]) -> np.ndarray:
+    """The BM25 terms of whole rows of the index's postings, laid end to
+    end: their ``positions`` and ``tf``, and ``dfs``, each row's length,
+    which is its term's document frequency.
 
-    A term's document frequency is its row's length. Each operation runs in
-    the formula's order: the IDF of the posting's row (one ``math.log`` per
-    distinct document frequency), times tf, times (k1 + 1), divided by the
-    length norm. Every step is element-wise, so a posting's weight has the
-    same bits in whatever span it is computed: the weights of the whole
-    index are this function over ``[0:len(index.positions)]``.
+    Each operation runs in the formula's order: the IDF of the posting's
+    row (one ``math.log`` per distinct document frequency), times tf, times
+    (k1 + 1), divided by the chunk's length norm plus tf. Every step is
+    element-wise, so a posting's weight has the same bits among whatever
+    rows it is computed: ``LexicalIndex.weights`` is this function over
+    every row.
     """
-    bounds, n = index.bounds, index.n_chunks
-    # the rows that hold the span's postings, and their edges
-    first, last = bisect_right(bounds, start) - 1, bisect_left(bounds, stop)
-    edges = np.array(bounds[first:last + 1], dtype=np.int64)
-    dfs, df_index = np.unique(np.diff(edges), return_inverse=True)
-    idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in dfs.tolist()])
-    weights = np.repeat(idf[df_index], np.diff(np.clip(edges, start, stop)))
-    tf = index.tf[start:stop]
+    n = index.n_chunks
+    idf = {d: math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in set(dfs)}
+    weights = np.repeat([idf[d] for d in dfs], dfs)
     weights *= tf
     weights *= index.k1 + 1.0
     # positions are in range; "clip" spares the bounds check
-    norm = np.take(index.lengths, index.positions[start:stop], mode="clip")
-    norm *= index.b
-    norm /= index.avgdl
-    norm += 1.0 - index.b
-    norm *= index.k1
+    norm = np.take(index.norms, positions, mode="clip")
     norm += tf
     weights /= norm
     return weights
@@ -202,13 +168,12 @@ def build_lexical(chunks: list[Chunk], k1: float = DEFAULT_K1, b: float = DEFAUL
     keys += np.repeat(np.arange(n, dtype=np.int64), lengths)
     keys, tf = np.unique(keys, return_counts=True)
     # term id r is row r, and vocab iterates in id order
-    bounds = np.zeros(len(vocab) + 1, dtype=np.int64)
+    bounds = np.zeros(len(vocab) + 1, dtype="<i8")
     np.cumsum(np.bincount(keys // n, minlength=len(vocab)), out=bounds[1:])
     positions = np.remainder(keys, n, out=keys).astype(np.int32)
     del keys
     tf = tf.astype(np.min_scalar_type(tf.max(initial=0)))
-    return LexicalIndex([c.chunk_id for c in ordered], vocab, bounds.tolist(),
-                        positions, tf, *chunk_lengths(positions, tf, n), k1, b)
+    return LexicalIndex([c.chunk_id for c in ordered], vocab, bounds, positions, tf, k1, b)
 
 
 def to_columns(index: LexicalIndex) -> tuple[dict, list[tuple[str, bytes | np.ndarray]]]:
@@ -220,7 +185,7 @@ def to_columns(index: LexicalIndex) -> tuple[dict, list[tuple[str, bytes | np.nd
     tf_type = f"u{index.tf.dtype.itemsize}"
     return ({"terms": len(index.postings), "postings": len(index.positions), "tf": tf_type},
             [*string_sections("vocab", list(index.postings)),
-             ("bounds", np.asarray(index.bounds, dtype="<i8")),
+             ("bounds", index.bounds),
              ("positions", np.ascontiguousarray(index.positions, dtype="<i4")),
              ("tf", np.ascontiguousarray(index.tf, dtype=f"<{tf_type}"))])
 
@@ -230,15 +195,15 @@ def from_columns(header: dict, sections: dict[str, memoryview], chunk_ids: list[
     """The index ``to_columns`` gave ``header`` and the ``SECTIONS`` (views of
     the file bytes, by name); a malformed column is a ``ValueError`` naming
     the problem. The arrays are copied out of the sections, so the index
-    keeps none of their bytes; the chunk lengths and avgdl are summed from
-    the term frequencies, and the weights wait for the first search."""
+    keeps none of their bytes; the norms and avgdl are derived from the
+    term frequencies as a build derives them."""
     v, m, tf_type = header.get("terms"), header.get("postings"), header.get("tf")
     require(is_count(v) and is_count(m), "the term or posting count is not a count")
     require(tf_type in _TF_TYPES, f"the tf type is not one of {', '.join(_TF_TYPES)}")
     vocab = read_strings(sections, "vocab", v)
     postings = dict(zip(vocab, range(v)))
     require(len(postings) == v, "vocab repeats a term")
-    bounds = read_array(sections["bounds"], "<i8", v + 1, "bounds")
+    bounds = read_array(sections["bounds"], "<i8", v + 1, "bounds").copy()
     require(bounds[0] == 0 and bounds[-1] == m and not (bounds[1:] < bounds[:-1]).any(),
             "posting bounds do not run up from 0 to the posting count")
     positions = read_array(sections["positions"], "<i4", m, "positions").astype(np.int32)
@@ -246,8 +211,7 @@ def from_columns(header: dict, sections: dict[str, memoryview], chunk_ids: list[
             "a posting position is out of range")
     tf = read_array(sections["tf"], f"<{tf_type}", m, "tf").astype(tf_type)
     require(m == 0 or tf.min() > 0, "a term frequency is 0")
-    return LexicalIndex(chunk_ids, postings, bounds.tolist(), positions, tf,
-                        *chunk_lengths(positions, tf, len(chunk_ids)), k1, b)
+    return LexicalIndex(chunk_ids, postings, bounds, positions, tf, k1, b)
 
 
 def _candidates(index: LexicalIndex, query: str,
@@ -258,10 +222,10 @@ def _candidates(index: LexicalIndex, query: str,
     if not rows:
         return np.empty(0, dtype=np.intp), np.empty(0)
     bounds = index.bounds
-    spans = [(bounds[r], bounds[r + 1]) for r in rows]
-    weights = index.weights_for(spans)
+    spans = [(bounds.item(r), bounds.item(r + 1)) for r in rows]
     positions = np.concatenate([index.positions[a:z] for a, z in spans])
-    weights = np.concatenate([weights[a:z] for a, z in spans])
+    tf = np.concatenate([index.tf[a:z] for a, z in spans])
+    weights = bm25_weights(index, positions, tf, [z - a for a, z in spans])
     scores = np.bincount(positions, weights, minlength=index.n_chunks)
     touched = np.zeros(index.n_chunks, dtype=bool)
     touched[positions] = True

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import gc
 import math
 import random
 import sys
 import threading
+import types
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from esap import lexical
@@ -103,7 +106,7 @@ def test_postings_sorted_and_avgdl():
     assert index.chunk_ids == ["c000", "c001", "c002"]
     # rows in order of first occurrence, each term's postings ascending
     assert index.postings == {"b": 0, "a": 1, "c": 2}
-    assert index.bounds == [0, 1, 4, 5]
+    assert index.bounds.tolist() == [0, 1, 4, 5]
     assert row(index, index.positions, "a") == [0, 1, 2]
     assert row(index, index.positions, "b") == [0]
     # "b" occurs twice in c000 (|d| = 3) and in one chunk of three
@@ -206,9 +209,8 @@ def reloaded(index: lexical.LexicalIndex) -> lexical.LexicalIndex:
 
 @pytest.mark.parametrize("block", [1, 3, 16])
 def test_bit_identical_when_weights_are_computed_in_blocks(monkeypatch, block):
-    # a search computes the weights a block of postings at a time, the first
-    # time its rows reach that block: queries in random order fill the blocks
-    # of a built and of a loaded index in random order
+    # the chunk lengths are summed a block of postings at a time: a built and
+    # a loaded index score as the dict loop, and their weights are equal
     monkeypatch.setattr(lexical, "_BLOCK", block)
     rng = random.Random(block)
     vocab = [f"w{i}" for i in range(9)]
@@ -222,48 +224,50 @@ def test_bit_identical_when_weights_are_computed_in_blocks(monkeypatch, block):
             for term in rng.sample(vocab, len(vocab)):
                 query = " ".join([term, *rng.choices(vocab + ["zz"], k=rng.randrange(0, 3))])
                 assert score_query(index, query) == old_bm25(chunks, query, k1=1.6, b=0.4)
-            want = lexical.bm25_weights(index, 0, len(index.positions))
-            assert index.weights.tobytes() == want.tobytes()
+            assert index.weights.tobytes() == built.weights.tobytes()
             assert index.avgdl == sum(map(len, (token_texts(c.text) for c in chunks))) / len(chunks)
     assert several_blocks >= 10
 
 
-def blocks_of(index: lexical.LexicalIndex, query: str) -> list[tuple[int, int]]:
-    """The (start, stop) of each block of postings the query's rows reach, ascending."""
-    rows = [index.postings[t] for t in token_texts(query) if t in index.postings]
-    size, m = lexical._BLOCK, len(index.positions)
-    blocks = {i for r in rows for i in range(index.bounds[r] // size,
-                                             (index.bounds[r + 1] - 1) // size + 1)}
-    return [(i * size, min(i * size + size, m)) for i in sorted(blocks)]
+def arrays_reached(obj) -> list[np.ndarray]:
+    """Every numpy array that ``obj`` reaches through its attributes and
+    containers (classes and modules are not followed)."""
+    found, seen, stack = [], set(), [obj]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, str)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
 
 
-def test_weights_wait_for_a_search_and_cover_only_its_rows(monkeypatch, tmp_path):
-    monkeypatch.setattr(lexical, "_BLOCK", 8)
-    computed = []
-    reference = lexical.bm25_weights
-    monkeypatch.setattr(lexical, "bm25_weights", lambda index, start, stop: (
-        computed.append((start, stop)) or reference(index, start, stop)))
-    rng = random.Random(5)
-    vocab = [f"w{i}" for i in range(40)]
-    chunks = make_chunks([" ".join(rng.choices(vocab, k=rng.randrange(1, 30)))
-                          for _ in range(30)])
+def test_an_index_holds_no_weights_and_is_read_only(tmp_path):
+    # a search computes its rows' weights and keeps none: a built and a
+    # loaded index hold no float64 array of one value per posting, before
+    # and after searches, and no array that a search could write
+    texts = make_clustered_texts(40, seed=5, tokens_per_text=30)
     embed = HashingEmbedder(16)
-    built = build_hybrid(chunks, embed, {})
+    built = build_hybrid(make_chunks(texts), embed, {})
     save_hybrid(built, tmp_path)
     loaded = load_hybrid(tmp_path)
-    for index in (built, loaded):
-        assert index.lexical._weights is None and computed == []
-        assert search_lexical(index.lexical, "zz yy", 5) == []
-        assert index.lexical._weights is None and computed == []
-        seen = set()
-        for query in ("w3", "w7 w7 w21", "w3 w39", "w0 w1 w2 zz", "w3"):
-            search_hybrid(index, query, embed, k=5)
-            want = [span for span in blocks_of(index.lexical, query) if span not in seen]
-            assert computed == want, query
-            seen.update(computed)
-            computed.clear()
-        assert 1 < len(seen) < len(index.lexical.positions) / 8
-    assert len(built.lexical.positions) > 8 * 20
+    for index in (built.lexical, loaded.lexical):
+        m = len(index.positions)
+        assert m > 2 * index.n_chunks
+        for searched in (False, True):
+            if searched:
+                for text in texts[:10]:
+                    search_hybrid(built, text, embed, k=5)
+                    search_hybrid(loaded, text, embed, k=5)
+            arrays = arrays_reached(index)
+            assert not any(a.dtype == np.float64 and a.size == m for a in arrays)
+            assert not any(a.flags.writeable for a in arrays)
+            assert {id(a) for a in arrays} >= {id(index.bounds), id(index.positions),
+                                               id(index.tf), id(index.norms)}
+        assert index.bounds.dtype == np.dtype("<i8")
 
 
 def test_first_searches_in_threads_score_as_a_sequential_run(monkeypatch, tmp_path):

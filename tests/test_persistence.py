@@ -66,8 +66,8 @@ def assert_same_hits(a, b, k: int = 5, queries=QUERIES) -> None:
 
 def assert_same_lexical(a: LexicalIndex, b: LexicalIndex) -> None:
     # dataclass == would compare the numpy arrays elementwise and raise
-    assert (a.chunk_ids, a.postings, a.bounds, a.n_chunks, a.avgdl, a.k1, a.b) == \
-           (b.chunk_ids, b.postings, b.bounds, b.n_chunks, b.avgdl, b.k1, b.b)
+    assert (a.chunk_ids, a.postings, a.bounds.tolist(), a.n_chunks, a.avgdl, a.k1, a.b) == \
+           (b.chunk_ids, b.postings, b.bounds.tolist(), b.n_chunks, b.avgdl, b.k1, b.b)
     for x, y in ((a.positions, b.positions), (a.tf, b.tf), (a.weights, b.weights)):
         assert x.dtype == y.dtype
         assert x.tobytes() == y.tobytes()
