@@ -5,7 +5,7 @@ the k-th score and a sort of the candidates at or above it. At the sizes
 this system targets (5k and 20k chunks) that beats a navigable-graph ANN
 search at every k and costs no build time; ROADMAP.md keeps the
 measurements. The ``ann`` parameters are still accepted, so configs that set
-them keep working, and recorded in an index's ``meta.json``, but they change
+them keep working, and recorded in an index's head, but they change
 nothing.
 
 Cosine similarity is a dot product of unit vectors, and this module alone

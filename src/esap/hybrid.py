@@ -1,14 +1,14 @@
 """Hybrid retrieval: lexical + dense search fused by reciprocal rank.
 
-A built index is a self-contained directory:
+A built index is one file, ``<kb>/index/index.bin`` (format 6):
 
-    index/meta.json     parameters (the vector width ``dim`` among them),
-                        format version, checksums
-    index/lexical.bin   magic + 8-byte header length + JSON header, then
-                        raw little-endian sections
-    index/dense.bin     magic, then the raw little-endian float32 vectors,
-                        dimension-major: one row per dimension, each
-                        holding every chunk's value in position order
+    head          one JSON line: format version, parameters (the vector
+                  width ``dim`` among them), each part's length and sha256
+    lexical part  magic + 8-byte header length + JSON header, then raw
+                  little-endian sections
+    dense part    magic, then the raw little-endian float32 vectors,
+                  dimension-major: one row per dimension, each holding
+                  every chunk's value in position order
 
 The lexical header is small: the chunk, document, term and posting counts,
 the tf type, ``doc_acl`` and each section's byte length, in file order.
@@ -18,33 +18,38 @@ is a position, its rank in chunk_id order, in memory as in the file.
 once by a build and wrapped around the verified sections by a load. Access
 is decided per document row; fusion, hits and the guard cache use positions.
 
-This module writes and reads ``meta.json`` (k1 and b among it), the
-checksums, the framing of both data files, the section table and the chunk
-table. The BM25 header keys and sections and every check on them belong to
-``esap.lexical`` (``to_columns``, ``from_columns``), which stores term
-frequencies, not weights. Neither a build nor a load computes a weight: a
-search computes its query rows' weights, with the same bits for either
-index, and keeps none. A load tokenizes nothing. ``dense.bin`` states no shape
-of its own: its row count is ``meta.json``'s ``dim`` and its row length the
-chunk table's count, so vectors of another chunk count or width are
-refused. A load serves the matrix in place, as the read-only
-``DenseIndex.columns`` view of the verified bytes: the 8-byte magic keeps
-them float32-aligned, and no value is copied.
+This module writes and reads the head (k1 and b among it), the framing of
+both parts, the section table and the chunk table. The BM25 header keys and
+sections and every check on them belong to ``esap.lexical``
+(``to_columns``, ``from_columns``), which stores term frequencies, not
+weights. Neither a build nor a load computes a weight: a search computes
+its query rows' weights, with the same bits for either index, and keeps
+none. A load tokenizes nothing. The dense part states no shape of its own:
+its row count is the head's ``dim`` and its row length the chunk table's
+count, so vectors of another chunk count or width are refused. A load
+serves the matrix in place, as the read-only ``DenseIndex.columns`` view of
+the verified bytes: the 8-byte magic keeps them float32-aligned, and no
+value is copied.
 
-Format 5 is the only format a load reads. Any other ``format_version``,
-formats 1 to 4 included, is ``FormatVersionMismatch``: the index is derived
-from the kb, and ``esap index`` rebuilds it.
+A save writes the file under a temporary name and renames it over
+``index.bin``; a load opens it once, so a load that runs while a save does
+reads the previous index or the new one, whole, never a mix. Nothing is
+fsynced yet (ROADMAP item 4): the rename protects concurrent readers, not an
+index saved just before a power loss. A load refuses a part unless its sha256
+is the head's and parses only the bytes verified. A head key missing or of
+another JSON type than a save writes (a bool is not a number), parts that
+do not fill the file and a malformed part are ``CorruptIndex``.
 
-Each data file is hashed as it is written; a load reads it once, refuses it
-unless meta.json holds a matching checksum, and parses only the bytes it
-verified. A file whose checksum holds but whose content is malformed is
-``CorruptIndex`` naming the file.
+Format 6 is the only format a load reads. Any other, a format 1 to 5
+directory (``meta.json``, no ``index.bin``) included, is
+``FormatVersionMismatch``: ``esap index`` rebuilds the index from the kb.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from bisect import bisect_left
 from collections.abc import Mapping
@@ -66,7 +71,7 @@ from .lexical import (DEFAULT_B, DEFAULT_K1, SECTIONS, LexicalIndex, _candidates
                       build_lexical, from_columns, search_lexical, to_columns)
 from .tokenizer import term_ids
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 DEFAULT_K = 50
 DEFAULT_RRF_C = 60
 # each retriever ranks this many times k of the principal's readable chunks
@@ -145,7 +150,7 @@ class ChunkTable(Mapping):
                    read_strings(sections, "text", n))
 
     def to_sections(self) -> list[tuple[str, bytes | np.ndarray]]:
-        """The ``_CHUNK_SECTIONS`` of ``lexical.bin``, in file order."""
+        """The ``_CHUNK_SECTIONS`` of the lexical part, in file order."""
         return [*string_sections("chunk_id", self.ids), *string_sections("doc_id", self.doc_ids),
                 ("doc_row", self.doc_row), *string_sections("text", self.texts),
                 ("version", self.version), ("token_span", self.token_span),
@@ -393,18 +398,33 @@ _CHUNK_SECTIONS = ("chunk_id", "chunk_id_offsets", "doc_id", "doc_id_offsets", "
                    "text", "text_offsets", "version", "token_span", "size_tokens")
 
 
-def _write(path: Path, parts) -> str:
-    """Write the parts to path in order; returns the sha256 of those bytes."""
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for part in parts:
-            digest.update(part)
-            fh.write(part)
-    return digest.hexdigest()
+def _head(params: HybridParams, dim: int, parts: dict) -> dict:
+    """index.bin's head: the settings, the vector width and each part's length and sha256."""
+    return {"format_version": FORMAT_VERSION, "dim": dim, "k1": float(params.k1),
+            "b": float(params.b), "rrf_c": int(params.rrf_c), "ann": params.ann.to_json(),
+            "chunk": {"size": int(params.chunk_size), "overlap": int(params.chunk_overlap)},
+            "parts": parts}
+
+
+def _types(value):
+    """A JSON value's type names, nested as its objects are."""
+    return ({key: _types(item) for key, item in value.items()} if type(value) is dict
+            else type(value).__name__)
+
+
+# the type of each head value a save writes; a load refuses any other
+_HEAD_TYPES = _types(_head(HybridParams(), 0,
+                           dict.fromkeys(("lexical", "dense"), {"bytes": 0, "sha256": ""})))
 
 
 def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
-    """Write the index under <kb>/index/ in format 5; returns that directory."""
+    """Write the index as <kb>/index/index.bin (format 6); returns that directory.
+
+    The head and both parts go to a temporary file of this save's own, which
+    is renamed over index.bin: a concurrent load reads the previous index or
+    this one, whole. A save that fails removes the temporary file and leaves
+    the previous index as it was. Format 5's files go after the rename.
+    """
     out_dir = Path(kb_root) / "index"
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -414,26 +434,28 @@ def save_hybrid(index: HybridIndex, kb_root: str | Path) -> Path:
               "doc_acl": index.doc_acl,
               "sections": {name: memoryview(part).nbytes for name, part in sections}}
     raw = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-    lexical_parts = [LEXICAL_MAGIC, len(raw).to_bytes(8, "little"), raw,
-                     *(part for _, part in sections)]
+    parts = {"lexical": [LEXICAL_MAGIC, len(raw).to_bytes(8, "little"), raw,
+                         *(part for _, part in sections)],
+             "dense": [DENSE_MAGIC, np.ascontiguousarray(index.dense.columns, "<f4")]}
+    digests = {}
+    for name, blocks in parts.items():
+        digest = hashlib.sha256()
+        for block in blocks:
+            digest.update(block)
+        digests[name] = {"bytes": sum(memoryview(block).nbytes for block in blocks),
+                         "sha256": digest.hexdigest()}
+    head = (json.dumps(_head(index.params, index.dense.dim, digests)) + "\n").encode("utf-8")
 
-    meta = {
-        "format_version": FORMAT_VERSION,
-        "dim": index.dense.dim,
-        "k1": index.params.k1,
-        "b": index.params.b,
-        "rrf_c": index.params.rrf_c,
-        "ann": index.params.ann.to_json(),
-        "chunk": {"size": index.params.chunk_size,
-                  "overlap": index.params.chunk_overlap},
-        "checksums": {
-            "lexical.bin": _write(out_dir / "lexical.bin", lexical_parts),
-            "dense.bin": _write(out_dir / "dense.bin",
-                                [DENSE_MAGIC, np.ascontiguousarray(index.dense.columns, "<f4")]),
-        },
-    }
-    _write(out_dir / "meta.json",
-           [(json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8")])
+    tmp = out_dir / f"index.bin.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.writelines(chain([head], *parts.values()))
+        os.replace(tmp, out_dir / "index.bin")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    for name in ("meta.json", "lexical.bin", "dense.bin"):
+        (out_dir / name).unlink(missing_ok=True)
     return out_dir
 
 
@@ -459,7 +481,7 @@ def _sections(header: dict, payload: memoryview) -> dict[str, memoryview]:
 
 
 def _read_lexical(data: bytes, params: HybridParams) -> tuple[ChunkTable, dict, LexicalIndex]:
-    """The chunk table, ACLs and BM25 from lexical.bin; BM25 is read as
+    """The chunk table, ACLs and BM25 from the lexical part; BM25 is read as
     term frequencies, not rebuilt from text."""
     require(data.startswith(LEXICAL_MAGIC), f"the magic is {data[:len(LEXICAL_MAGIC)]!r}")
     start = len(LEXICAL_MAGIC) + 8
@@ -479,60 +501,73 @@ def _read_lexical(data: bytes, params: HybridParams) -> tuple[ChunkTable, dict, 
     return table, doc_acl, from_columns(header, sections, table.ids, params.k1, params.b)
 
 
-def load_hybrid(kb_root: str | Path) -> HybridIndex:
-    """Load and verify an index directory; never serves a corrupt file.
-
-    Each data file is read once, refused unless ``meta.json`` holds a
-    matching checksum for it, and parsed from the very bytes verified.
-    """
-    in_dir = Path(kb_root) / "index"
-    meta = read_json(in_dir / "meta.json", CorruptIndex, "meta.json", "object")
-
-    version = meta.get("format_version")
+def _check_format(version) -> None:
     # 3.0 == 3 in Python, but names no format
     if type(version) is not int or version != FORMAT_VERSION:
         raise FormatVersionMismatch(
             f"index format {version!r} unsupported, expected {FORMAT_VERSION}; "
             f"run `esap index` to rebuild it")
-    try:
-        checksums, dim = dict(meta["checksums"]), meta["dim"]
-        require(is_count(dim), f"dim {dim!r} is not a count")
-        params = HybridParams(k1=float(meta["k1"]), b=float(meta["b"]),
-                              rrf_c=int(meta["rrf_c"]),
-                              chunk_size=int(meta["chunk"]["size"]),
-                              chunk_overlap=int(meta["chunk"]["overlap"]),
-                              ann=AnnParams.from_json(meta["ann"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptIndex(f"bad meta.json: {type(exc).__name__}: {exc}") from exc
 
-    def read_verified(name: str) -> bytes:
-        if name not in checksums:
-            raise CorruptIndex(f"meta.json holds no checksum for {name}")
+
+def load_hybrid(kb_root: str | Path) -> HybridIndex:
+    """Load and verify <kb>/index/index.bin; never serves a corrupt part.
+
+    The file is opened once, so an index.bin renamed over it meanwhile
+    changes nothing this load reads. The lexical part is read, verified,
+    parsed and released before the dense part is read into a buffer of its
+    own. A directory of formats 1 to 5 (``meta.json``, no ``index.bin``) is
+    ``FormatVersionMismatch``.
+    """
+    in_dir = Path(kb_root) / "index"
+    try:
+        fh = open(in_dir / "index.bin", "rb")
+    except OSError as exc:
+        if (in_dir / "meta.json").is_file():
+            # formats 1 to 5 kept their settings in meta.json, beside the data files
+            _check_format(read_json(in_dir / "meta.json", CorruptIndex, "meta.json", "object")
+                          .get("format_version"))
+        raise CorruptIndex(f"cannot read index.bin: {exc}") from exc
+    with fh:
+        head = parse_json(fh.readline(), CorruptIndex, "the head of index.bin", "object")
+        _check_format(head.get("format_version"))
+        types = _types(head)
+        wrong = [key for key in sorted(types | _HEAD_TYPES)
+                 if types.get(key) != _HEAD_TYPES.get(key)]
+        if wrong:
+            raise CorruptIndex(f"bad head in index.bin: {', '.join(wrong)} missing or mistyped")
+        dim, parts = head["dim"], head["parts"]
+        sizes = [part["bytes"] for part in parts.values()]
+        after = os.fstat(fh.fileno()).st_size - fh.tell()
+        if not (is_count(dim) and all(map(is_count, sizes)) and sum(sizes) == after):
+            raise CorruptIndex(f"bad head in index.bin: dim {dim}, parts of {sizes} bytes, "
+                               f"{after} bytes after the head")
+        params = HybridParams(k1=head["k1"], b=head["b"], rrf_c=head["rrf_c"],
+                              chunk_size=head["chunk"]["size"],
+                              chunk_overlap=head["chunk"]["overlap"],
+                              ann=AnnParams.from_json(head["ann"]))
+
+        def read_verified(name: str) -> bytes:
+            data = fh.read(parts[name]["bytes"])
+            expected, actual = parts[name]["sha256"], hashlib.sha256(data).hexdigest()
+            if actual != expected:
+                raise CorruptIndex(
+                    f"checksum mismatch for the {name} part: expected {expected[:12]}..., "
+                    f"got {actual[:12]}...")
+            return data
+
+        # BM25 is complete before the dense part is read
         try:
-            data = (in_dir / name).read_bytes()
-        except FileNotFoundError as exc:
-            raise CorruptIndex(f"missing index file {name}") from exc
-        expected, actual = str(checksums[name]), hashlib.sha256(data).hexdigest()
-        if actual != expected:
-            raise CorruptIndex(
-                f"checksum mismatch for {name}: expected {expected[:12]}..., "
-                f"got {actual[:12]}...")
-        return data
+            table, doc_acl, lexical = _read_lexical(read_verified("lexical"), params)
+        except ValueError as exc:
+            raise CorruptIndex(f"bad lexical part: {exc}") from exc
+        blob = read_verified("dense")
 
-    # BM25 is complete before dense.bin is read, so the two files are never
-    # held at once
-    try:
-        table, doc_acl, lexical = _read_lexical(read_verified("lexical.bin"), params)
-    except ValueError as exc:
-        raise CorruptIndex(f"bad lexical.bin: {exc}") from exc
-
-    blob = read_verified("dense.bin")
     n = len(table)
     try:
         require(blob.startswith(DENSE_MAGIC), f"the magic is {blob[:len(DENSE_MAGIC)]!r}")
         values = read_array(memoryview(blob)[len(DENSE_MAGIC):], "<f4", dim * n, "vectors")
     except ValueError as exc:
-        raise CorruptIndex(f"bad dense.bin: {exc}") from exc
+        raise CorruptIndex(f"bad dense part: {exc}") from exc
 
     return HybridIndex(lexical=lexical, dense=DenseIndex(values.reshape(dim, n)), chunks=table,
                        doc_acl=doc_acl, params=params)

@@ -30,9 +30,9 @@ its row, so the ``term_ids`` vocabulary is ``postings`` itself; no score
 depends on that numbering.
 
 Storage. ``to_columns`` and ``from_columns`` write and read the BM25
-sections of ``lexical.bin``: the vocabulary in row order, the row bounds,
-the positions and the term frequencies. Neither weights nor norms are
-stored: a load sums the chunk lengths and avgdl from the term frequencies
+sections of the index's lexical part: the vocabulary in row order, the row
+bounds, the positions and the term frequencies. Neither weights nor norms
+are stored: a load sums the chunk lengths and avgdl from the term frequencies
 and derives the norms as a build does, so a loaded index scores bit for bit
 as the built one did, and a load tokenizes nothing.
 

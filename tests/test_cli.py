@@ -868,82 +868,87 @@ def write_script(path, replies) -> str:
     return f"scripted:{path}"
 
 
+def edit_index(kb, edit) -> None:
+    """Rewrite kb's index.bin as ``edit(head, parts)`` leaves its head and
+    its parts, each part's length and sha256 recorded in the head."""
+    index_file = Path(kb) / "index" / "index.bin"
+    line, rest = index_file.read_bytes().split(b"\n", 1)
+    head = json.loads(line)
+    size = head["parts"]["lexical"]["bytes"]
+    parts = {"lexical": rest[:size], "dense": rest[size:]}
+    edit(head, parts)
+    head["parts"] = {name: {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+                     for name, data in parts.items()}
+    index_file.write_bytes(json.dumps(head).encode("utf-8") + b"\n" + b"".join(parts.values()))
+
+
 def test_bad_meta_json_key_is_data_error(kb, capsys):
-    meta_path = Path(kb) / "index" / "meta.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    del meta["k1"]
-    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    edit_index(kb, lambda head, parts: head.pop("k1"))
     code, out, err = run_cli(capsys, "query", "--q", "red apple", "--kb", kb)
     assert code == 2
     assert out == "" and err.count("\n") == 1
     error = json.loads(err)
     assert error["error"] == "CorruptIndex"
-    assert "meta.json" in error["message"]
+    assert error["message"] == "bad head in index.bin: k1 missing or mistyped"
 
 
 @pytest.mark.parametrize("size, n_docs", [(10, 5), (1000, 2)], ids=["more-rows", "fewer-rows"])
 def test_a_dense_file_of_another_chunk_count_is_data_error(kb, tmp_path, capsys, size, n_docs):
-    # another build's dense.bin, its checksum recorded: its rows are not the
+    # another build's dense part, its checksum recorded: its rows are not the
     # chunk table's, so the load refuses it rather than rank with them
     docs = make_toy_kb_documents()[:n_docs]
     other = save_hybrid(build_hybrid([c for d in docs for c in chunk_document(d, size, 2)],
                                      HashingEmbedder(), {}, HybridParams()), tmp_path / "other")
-    index_dir = Path(kb) / "index"
-    data = (other / "dense.bin").read_bytes()
-    (index_dir / "dense.bin").write_bytes(data)
-    meta = json.loads((index_dir / "meta.json").read_text(encoding="utf-8"))
-    meta["checksums"]["dense.bin"] = hashlib.sha256(data).hexdigest()
-    (index_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    line, rest = (other / "index.bin").read_bytes().split(b"\n", 1)
+    dense = rest[json.loads(line)["parts"]["lexical"]["bytes"]:]
+    edit_index(kb, lambda head, parts: parts.update(dense=dense))
     code, out, err = run_cli(capsys, "query", "--q", "red apple", "--kb", kb)
     assert code == 2
     assert out == "" and err.count("\n") == 1
     error = json.loads(err)
     assert error["error"] == "CorruptIndex"
-    assert error["message"].startswith("bad dense.bin: the vectors section is ")
+    assert error["message"].startswith("bad dense part: the vectors section is ")
 
 
 @pytest.mark.parametrize("content", [b"[]", b"\xff{}"], ids=["array", "not-utf8"])
 def test_meta_json_that_is_not_a_json_object_is_data_error(kb, capsys, content):
-    (Path(kb) / "index" / "meta.json").write_bytes(content)
+    index_file = Path(kb) / "index" / "index.bin"
+    index_file.write_bytes(content + b"\n" + index_file.read_bytes().split(b"\n", 1)[1])
     code, out, err = run_cli(capsys, "query", "--q", "red apple", "--kb", kb)
     assert code == 2
     assert out == "" and err.count("\n") == 1
     error = json.loads(err)
     assert error["error"] == "CorruptIndex"
-    assert "meta.json" in error["message"]
+    assert "the head of index.bin" in error["message"]
 
 
-def assert_refused_with_its_remedy(kb, capsys, version: int) -> None:
-    """``esap query`` on the kb, its meta.json saying ``version``, exits 2
-    with one JSON line naming ``esap index``."""
-    meta_path = Path(kb) / "index" / "meta.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    meta["format_version"] = version
-    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+# a head saying each version, and a directory of formats 1 to 5, which held
+# meta.json beside its data files
+@pytest.mark.parametrize("where, version", [
+    *(pytest.param("head", version, id=f"head-{name}") for name, version in [
+        ("999", 999), ("str-3", "3"), ("True", True), ("1.0", 1.0), ("None", None)]),
+    *(pytest.param("meta.json", version, id=f"meta.json-{version}") for version in range(1, 6)),
+])
+def test_an_index_of_another_format_is_refused_with_its_remedy(kb, capsys, where, version):
+    index_dir = Path(kb) / "index"
+    if where == "head":
+        edit_index(kb, lambda head, parts: head.update(format_version=version))
+    else:
+        (index_dir / "index.bin").unlink()
+        (index_dir / "meta.json").write_text(json.dumps({"format_version": version}))
     code, out, err = run_cli(capsys, "query", "--q", "red apple", "--kb", kb)
     assert code == 2
     assert out == "" and err.count("\n") == 1
     error = json.loads(err)
     assert error["error"] == "FormatVersionMismatch"
-    assert "esap index" in error["message"]
-
-
-def test_a_format_1_index_is_refused_with_its_remedy(kb, capsys):
-    assert_refused_with_its_remedy(kb, capsys, 1)
-
-
-def test_a_format_2_index_is_refused_with_its_remedy(kb, capsys):
-    assert_refused_with_its_remedy(kb, capsys, 2)
-
-
-def test_a_format_4_index_is_refused_with_its_remedy(kb, capsys):
-    assert_refused_with_its_remedy(kb, capsys, 4)
+    assert error["message"] == \
+        f"index format {version!r} unsupported, expected 6; run `esap index` to rebuild it"
 
 
 def test_serving_commands_fuse_with_the_configs_rrf_c(kb, tmp_path, capsys):
-    # the kb was indexed with the default rrf_c 60, and meta.json keeps it
-    meta = json.loads((Path(kb) / "index" / "meta.json").read_text(encoding="utf-8"))
-    assert meta["rrf_c"] == 60
+    # the kb was indexed with the default rrf_c 60, and index.bin's head keeps it
+    head = json.loads((Path(kb) / "index" / "index.bin").read_bytes().split(b"\n", 1)[0])
+    assert head["rrf_c"] == 60
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"retrieval": {"rrf_c": 5}}), encoding="utf-8")
     code, out, _ = run_cli(capsys, "query", "--q", "red apple", "--kb", kb,

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import builtins
+import errno
 import gzip
 import hashlib
 import io
 import json
 import operator
 import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -45,13 +48,35 @@ def build_index(docs=None, **bm25):
                         HybridParams(chunk_size=30, chunk_overlap=5, **bm25))
 
 
-def replace_data_file(index_dir: Path, name: str, data: bytes) -> None:
-    """Write a data file and record its sha256, so only its content is wrong."""
-    (index_dir / name).write_bytes(data)
-    meta_path = index_dir / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    meta["checksums"][name] = hashlib.sha256(data).hexdigest()
-    meta_path.write_text(json.dumps(meta))
+def read_index(index_dir: Path) -> tuple[dict, dict[str, bytes]]:
+    """index.bin's head and its parts, by name, in file order."""
+    line, rest = (index_dir / "index.bin").read_bytes().split(b"\n", 1)
+    head = json.loads(line)
+    size = head["parts"]["lexical"]["bytes"]
+    return head, {"lexical": rest[:size], "dense": rest[size:]}
+
+
+def write_index(index_dir: Path, head: dict, parts: dict[str, bytes], record=True) -> None:
+    """index.bin from a head and parts; ``record`` writes each part's length
+    and sha256 into the head first, so only what the caller edited is wrong."""
+    if record:
+        head["parts"] = {name: {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+                         for name, data in parts.items()}
+    (index_dir / "index.bin").write_bytes(
+        json.dumps(head).encode("utf-8") + b"\n" + b"".join(parts.values()))
+
+
+def replace_part(index_dir: Path, name: str, data: bytes) -> None:
+    """index.bin with part ``name`` replaced, its length and sha256 recorded."""
+    head, parts = read_index(index_dir)
+    write_index(index_dir, head, {**parts, name: data})
+
+
+def edit_head(index_dir: Path, edit) -> None:
+    """index.bin with its head edited by ``edit(head)``, the parts as they were."""
+    head, parts = read_index(index_dir)
+    edit(head)
+    write_index(index_dir, head, parts, record=False)
 
 
 def assert_same_hits(a, b, k: int = 5, queries=QUERIES) -> None:
@@ -152,7 +177,7 @@ def test_a_saved_index_loads_back_equal_to_the_built_one(tmp_path, seed, max_tf,
 
 @pytest.mark.parametrize("n", [1, 7, 60])
 def test_a_load_serves_the_vector_rows_in_place(tmp_path, n):
-    # the rows are a read-only, aligned view of the verified dense.bin bytes,
+    # the rows are a read-only, aligned view of the verified dense part,
     # equal to the built ones; no row is copied
     index = build_hybrid(random_chunks(np.random.default_rng(n), n), HashingEmbedder(), {},
                          HybridParams())
@@ -166,8 +191,8 @@ def test_a_load_serves_the_vector_rows_in_place(tmp_path, n):
 
 
 def test_a_load_serves_one_dimension_major_copy_of_the_file_bytes(tmp_path):
-    # columns is a read-only, aligned view of the verified dense.bin bytes
-    # past the magic, and vectors a view of columns
+    # columns is a read-only, aligned view of the verified dense part past
+    # the magic, read into a buffer of its own, and vectors a view of columns
     index = build_index()
     index_dir = save_hybrid(index, tmp_path)
     loaded = load_hybrid(tmp_path).dense
@@ -178,7 +203,7 @@ def test_a_load_serves_one_dimension_major_copy_of_the_file_bytes(tmp_path):
     base = columns
     while isinstance(base, np.ndarray):
         base = base.base
-    assert base.obj == (index_dir / "dense.bin").read_bytes()
+    assert base.obj == read_index(index_dir)[1]["dense"]
     assert columns.tobytes() == base.obj[len(DENSE_MAGIC):]
     assert np.shares_memory(loaded.vectors, loaded.columns)
 
@@ -264,89 +289,93 @@ def test_save_is_byte_deterministic(tmp_path):
     dir_b = tmp_path / "b"
     save_hybrid(index, dir_a)
     save_hybrid(build_index(), dir_b)
-    for name in ("meta.json", "lexical.bin", "dense.bin"):
-        assert (dir_a / "index" / name).read_bytes() == \
-               (dir_b / "index" / name).read_bytes(), name
+    assert (dir_a / "index" / "index.bin").read_bytes() == \
+           (dir_b / "index" / "index.bin").read_bytes()
 
 
 def test_meta_keys_are_fixed(tmp_path):
+    # one file, its head first: the settings and each part's length and sha256
+    index_dir = save_hybrid(build_index(), tmp_path)
+    assert [p.name for p in index_dir.iterdir()] == ["index.bin"]
+    head, parts = read_index(index_dir)
+    assert list(head) == ["format_version", "dim", "k1", "b", "rrf_c", "ann", "chunk", "parts"]
+    assert {"m", "ef_c", "ef_s"} <= set(head["ann"])
+    assert set(head["chunk"]) == {"size", "overlap"}
+    assert list(head["parts"]) == list(parts) == ["lexical", "dense"]
+    for name, data in parts.items():
+        assert head["parts"][name] == {"bytes": len(data),
+                                       "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def test_a_save_removes_the_files_of_format_5(tmp_path):
+    index_dir = tmp_path / "index"
+    index_dir.mkdir()
+    for name in ("meta.json", "lexical.bin", "dense.bin"):
+        (index_dir / name).write_bytes(b"format 5")
     save_hybrid(build_index(), tmp_path)
-    meta = json.loads((tmp_path / "index" / "meta.json").read_text())
-    for key in ("format_version", "dim", "k1", "b", "rrf_c", "ann", "chunk",
-                "checksums"):
-        assert key in meta, key
-    assert {"m", "ef_c", "ef_s"} <= set(meta["ann"])
-    assert set(meta["chunk"]) == {"size", "overlap"}
-    assert set(meta["checksums"]) == {"lexical.bin", "dense.bin"}
+    assert [p.name for p in index_dir.iterdir()] == ["index.bin"]
+
+
+def test_a_save_writes_the_head_types_a_load_reads(tmp_path):
+    # settings given as other numbers are written as the head's types, so a
+    # load reads what a save wrote rather than refuse it as mistyped
+    index = replace(build_index(), params=HybridParams(k1=1, b=1, rrf_c=60.0,
+                                                       chunk_size=np.int64(30),
+                                                       chunk_overlap=5.0))
+    save_hybrid(index, tmp_path)
+    loaded = load_hybrid(tmp_path).params
+    assert loaded == HybridParams(k1=1.0, b=1.0, rrf_c=60, chunk_size=30, chunk_overlap=5)
+    assert [type(value) for value in (loaded.k1, loaded.rrf_c, loaded.chunk_size)] == \
+        [float, int, int]
+
+
+def flipped(data: bytes, at: int) -> bytes:
+    """``data`` with the byte at ``at`` inverted."""
+    edited = bytearray(data)
+    edited[at] ^= 0xFF
+    return bytes(edited)
 
 
 def test_corruption_detected(tmp_path):
-    save_hybrid(build_index(), tmp_path)
-    target = tmp_path / "index" / "dense.bin"
-    blob = bytearray(target.read_bytes())
-    blob[-1] ^= 0xFF
-    target.write_bytes(bytes(blob))
-    with pytest.raises(CorruptIndex):
+    index_dir = save_hybrid(build_index(), tmp_path)
+    target = index_dir / "index.bin"
+    target.write_bytes(flipped(target.read_bytes(), -1))
+    with pytest.raises(CorruptIndex, match="checksum mismatch for the dense part"):
         load_hybrid(tmp_path)
 
 
 def test_lexical_corruption_detected(tmp_path):
-    save_hybrid(build_index(), tmp_path)
-    target = tmp_path / "index" / "lexical.bin"
-    blob = bytearray(target.read_bytes())
-    blob[10] ^= 0x01
-    target.write_bytes(bytes(blob))
-    with pytest.raises(CorruptIndex):
+    index_dir = save_hybrid(build_index(), tmp_path)
+    target = index_dir / "index.bin"
+    data = target.read_bytes()
+    target.write_bytes(flipped(data, data.index(b"\n") + 11))
+    with pytest.raises(CorruptIndex, match="checksum mismatch for the lexical part"):
         load_hybrid(tmp_path)
 
 
-def with_format_version(kb: Path, version) -> Path:
-    """A fresh build saved under kb, its meta.json saying ``version``."""
-    save_hybrid(build_index(), kb)
-    meta_path = kb / "index" / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    meta["format_version"] = version
-    meta_path.write_text(json.dumps(meta))
-    return kb
+# a head saying each version, and a directory of formats 1 to 5, which held
+# meta.json beside its data files
+FORMAT_CASES = [
+    *(pytest.param("head", version, id=f"head-{name}") for name, version in [
+        ("999", 999), ("str-3", "3"), ("True", True), ("1.0", 1.0), ("None", None),
+        ("0", 0), ("2.0", 2.0), ("str-2", "2"), ("int-3", 3)]),
+    *(pytest.param("meta.json", version, id=f"meta.json-{version}") for version in range(1, 6)),
+]
 
 
-def test_format_version_gate(tmp_path):
-    with pytest.raises(FormatVersionMismatch):
-        load_hybrid(with_format_version(tmp_path, 999))
-
-
-@pytest.mark.parametrize("version", ["3", 0, True, 1.0, 2.0, "2", None,
-                                     pytest.param(3, id="int-3")])
-def test_a_format_version_that_is_not_1_or_2_is_refused(tmp_path, version):
-    with pytest.raises(FormatVersionMismatch, match="run `esap index`") as refused:
-        load_hybrid(with_format_version(tmp_path, version))
-    assert refused.value.exit_code == 2
-
-
-def test_a_format_1_index_is_refused_like_any_other_format(tmp_path):
+@pytest.mark.parametrize("where, version", FORMAT_CASES)
+def test_an_index_of_another_format_is_refused(tmp_path, where, version):
     # the index is derived from the kb, so the remedy is to rebuild it
+    if where == "head":
+        edit_head(save_hybrid(build_index(), tmp_path),
+                  lambda head: head.update(format_version=version))
+    else:
+        (tmp_path / "index").mkdir()
+        (tmp_path / "index" / "meta.json").write_text(json.dumps({"format_version": version}))
     with pytest.raises(FormatVersionMismatch) as refused:
-        load_hybrid(with_format_version(tmp_path, 1))
+        load_hybrid(tmp_path)
     assert str(refused.value) == \
-        "index format 1 unsupported, expected 5; run `esap index` to rebuild it"
-    assert refused.value.exit_code == 2
-
-
-def test_a_format_2_index_is_refused_like_any_other_format(tmp_path):
-    with pytest.raises(FormatVersionMismatch) as refused:
-        load_hybrid(with_format_version(tmp_path, 2))
-    assert str(refused.value) == \
-        "index format 2 unsupported, expected 5; run `esap index` to rebuild it"
-    assert refused.value.exit_code == 2
-
-
-def test_a_format_4_index_is_refused_like_any_other_format(tmp_path):
-    # format 4 stored the vectors one row per chunk; format 5 stores them
-    # one row per dimension
-    with pytest.raises(FormatVersionMismatch) as refused:
-        load_hybrid(with_format_version(tmp_path, 4))
-    assert str(refused.value) == \
-        "index format 4 unsupported, expected 5; run `esap index` to rebuild it"
+        f"index format {version!r} unsupported, expected 6; run `esap index` to rebuild it"
     assert refused.value.exit_code == 2
 
 
@@ -356,25 +385,18 @@ def test_missing_index_dir(tmp_path):
 
 
 def test_queries_do_not_mutate_index(tmp_path):
-    import hashlib
     index = build_index()
-    save_hybrid(index, tmp_path)
-    digest = hashlib.sha256()
-    for name in ("meta.json", "lexical.bin", "dense.bin"):
-        digest.update((tmp_path / "index" / name).read_bytes())
-    before = digest.hexdigest()
+    index_file = save_hybrid(index, tmp_path) / "index.bin"
+    before = index_file.read_bytes()
     embed = HashingEmbedder()
     for query in ("apple", "banana", "return policy", "zzz"):
         search_hybrid(index, query, embed, k=3)
     save_hybrid(index, tmp_path)
-    digest = hashlib.sha256()
-    for name in ("meta.json", "lexical.bin", "dense.bin"):
-        digest.update((tmp_path / "index" / name).read_bytes())
-    assert digest.hexdigest() == before
+    assert index_file.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------
-# one read per data file: the bytes parsed are the bytes verified
+# one read per part: the bytes parsed are the bytes verified
 # ---------------------------------------------------------------------------
 
 def test_a_format_2_load_tokenizes_nothing_and_builds_no_bm25(tmp_path, monkeypatch):
@@ -398,17 +420,14 @@ def test_a_format_2_load_tokenizes_nothing_and_builds_no_bm25(tmp_path, monkeypa
 
 
 def test_a_file_swapped_after_it_is_read_is_never_served(tmp_path, monkeypatch):
+    # index.bin is opened once: another one renamed over it after that open
+    # changes nothing the load reads, and the next load reads the new one whole
     index = build_index()
     index_dir = save_hybrid(index, tmp_path)
-    # well-formed files of another index: other texts, other vectors
     other = build_index([replace(d, text="swapped " + d.text)
                          for d in make_toy_kb_documents()])
-    other_dir = save_hybrid(other, tmp_path / "other")
-    assert load_hybrid(tmp_path / "other").chunks == other.chunks != index.chunks
-    swaps = {name: (other_dir / name).read_bytes() for name in ("lexical.bin", "dense.bin")}
-    for name, data in swaps.items():
-        assert data != (index_dir / name).read_bytes()
-        (tmp_path / name).write_bytes(data)
+    other_file = save_hybrid(other, tmp_path / "other") / "index.bin"
+    assert other.chunks != index.chunks
 
     opened: Counter = Counter()
     real_open = io.open
@@ -416,10 +435,8 @@ def test_a_file_swapped_after_it_is_read_is_never_served(tmp_path, monkeypatch):
     def swapping_open(file, *args, **kwargs):
         fh = real_open(file, *args, **kwargs)
         if isinstance(file, (str, os.PathLike)) and Path(file).parent == index_dir:
-            name = Path(file).name
-            opened[name] += 1
-            if name in swaps and opened[name] == 1:
-                os.replace(tmp_path / name, index_dir / name)
+            opened[Path(file).name] += 1
+            os.replace(other_file, index_dir / "index.bin")
         return fh
 
     monkeypatch.setattr(builtins, "open", swapping_open)
@@ -429,54 +446,162 @@ def test_a_file_swapped_after_it_is_read_is_never_served(tmp_path, monkeypatch):
 
     assert loaded.chunks == index.chunks
     assert np.array_equal(loaded.dense.vectors, index.dense.vectors)
-    assert opened["lexical.bin"] == opened["dense.bin"] == 1
-    # the swapped files are on disk now, and a fresh load refuses them
-    with pytest.raises(CorruptIndex, match="checksum mismatch for lexical.bin"):
-        load_hybrid(tmp_path)
+    assert opened == {"index.bin": 1}
+    swapped = load_hybrid(tmp_path)
+    assert swapped.chunks == other.chunks
+    assert np.array_equal(swapped.dense.vectors, other.dense.vectors)
 
 
-@pytest.mark.parametrize("dropped", [("lexical.bin",), ("dense.bin",),
-                                     ("lexical.bin", "dense.bin")])
-def test_a_data_file_without_a_checksum_is_refused(tmp_path, dropped):
-    save_hybrid(build_index(), tmp_path)
-    meta_path = tmp_path / "index" / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    for name in dropped:
-        del meta["checksums"][name]
-    meta_path.write_text(json.dumps(meta))
-    with pytest.raises(CorruptIndex, match=f"no checksum for {dropped[0]}"):
-        load_hybrid(tmp_path)
+# saves the index under argv[1] and the one under argv[2] in turn under
+# argv[3] for argv[4] seconds; prints a line once the first save is in place
+ALTERNATING_WRITER = """
+import sys, time
+from esap.hybrid import load_hybrid, save_hybrid
+indexes = [load_hybrid(sys.argv[1]), load_hybrid(sys.argv[2])]
+save_hybrid(indexes[0], sys.argv[3])
+print("saved", flush=True)
+deadline, saves = time.monotonic() + float(sys.argv[4]), 1
+while time.monotonic() < deadline:
+    save_hybrid(indexes[saves % 2], sys.argv[3])
+    saves += 1
+"""
 
 
+def test_a_load_while_another_process_saves_reads_one_index_whole(tmp_path):
+    a = build_index()
+    b = build_index([replace(d, text="swapped " + d.text) for d in make_toy_kb_documents()])
+    save_hybrid(a, tmp_path / "a")
+    save_hybrid(b, tmp_path / "b")
+    seen: Counter = Counter()
+    with subprocess.Popen([sys.executable, "-c", ALTERNATING_WRITER, str(tmp_path / "a"),
+                           str(tmp_path / "b"), str(tmp_path / "kb"), "2"],
+                          stdout=subprocess.PIPE, text=True) as writer:
+        assert writer.stdout.readline() == "saved\n"
+        while writer.poll() is None:
+            loaded = load_hybrid(tmp_path / "kb")
+            name, expected = ("a", a) if loaded.chunks == a.chunks else ("b", b)
+            assert loaded.chunks == expected.chunks
+            assert loaded.doc_acl == expected.doc_acl
+            assert np.array_equal(loaded.dense.columns, expected.dense.columns)
+            seen[name] += 1
+    assert writer.wait(timeout=10) == 0
+    assert seen["a"] and seen["b"]
+    assert [p.name for p in (tmp_path / "kb" / "index").iterdir()] == ["index.bin"]
+
+
+def test_a_save_that_fails_partway_leaves_the_previous_index(tmp_path, monkeypatch):
+    index = build_index()
+    index_dir = save_hybrid(index, tmp_path)
+    before = (index_dir / "index.bin").read_bytes()
+    other = build_index([replace(d, text="swapped " + d.text) for d in make_toy_kb_documents()])
+    real_open = io.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        # a file opened for writing takes two writes, then the disk is full
+        fh = real_open(file, mode, *args, **kwargs)
+        if "r" not in mode:
+            real_write, writes = fh.write, Counter()
+
+            def write(data):
+                writes["n"] += 1
+                if writes["n"] > 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return real_write(data)
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    monkeypatch.setattr(io, "open", failing_open)
+    with pytest.raises(OSError, match="No space left on device"):
+        save_hybrid(other, tmp_path)
+    monkeypatch.undo()
+
+    assert [p.name for p in index_dir.iterdir()] == ["index.bin"]
+    assert (index_dir / "index.bin").read_bytes() == before
+    loaded = load_hybrid(tmp_path)
+    assert loaded.chunks == index.chunks
+    assert loaded.doc_acl == index.doc_acl
+    assert np.array_equal(loaded.dense.columns, index.dense.columns)
+
+
+# None deletes the key
 @pytest.mark.parametrize("key, value", [
     ("k1", None), ("b", None), ("rrf_c", None), ("ann", None), ("chunk", None),
-    ("checksums", None),
+    ("parts", None),
     ("k1", "high"), ("b", [0.75]), ("rrf_c", "sixty"), ("ann", []),
     ("ann", {"m": 16}), ("ann", {"m": "x", "ef_c": 1, "ef_s": 1,
                                  "exact_threshold": 1, "mode": "auto", "seed": 1}),
-    ("chunk", 5), ("chunk", {"size": 30}), ("checksums", 5), ("checksums", "x"),
+    ("chunk", 5), ("chunk", {"size": 30}), ("parts", 5), ("parts", "x"),
     ("dim", None), ("dim", "x"), ("dim", -1),
+    # values of a type a save never writes (a bool is not a number), or a key it never writes
+    pytest.param("k1", "1.2", id="k1-str-1.2"),
+    pytest.param("b", True, id="b-True"),
+    pytest.param("rrf_c", 60.9, id="rrf_c-60.9"),
+    pytest.param("rrf_c", "60", id="rrf_c-str-60"),
+    pytest.param("chunk", {"size": "30", "overlap": 5}, id="chunk-size-str-30"),
+    pytest.param("k1", 1, id="k1-int-1"),
+    pytest.param("ann", {"m": 16.0, "ef_c": 200, "ef_s": 128, "exact_threshold": 5000,
+                         "mode": "auto", "seed": 42}, id="ann-m-16.0"),
+    pytest.param("extra", 1, id="extra-key"),
+    # a part without its sha256, with one that is no string, or of a negative length
+    pytest.param("parts", {"lexical": {"bytes": 1}, "dense": {"bytes": 1, "sha256": "0"}},
+                 id="parts-lexical-without-sha256"),
+    pytest.param("parts", {"lexical": {"bytes": 1, "sha256": "0"}, "dense": {"bytes": 1}},
+                 id="parts-dense-without-sha256"),
+    pytest.param("parts", {"lexical": {"bytes": 1}, "dense": {"bytes": 1}},
+                 id="parts-without-sha256"),
+    pytest.param("parts", {"lexical": {"bytes": 1, "sha256": 0},
+                           "dense": {"bytes": 1, "sha256": "0"}}, id="parts-sha256-int"),
+    pytest.param("parts", {"lexical": {"bytes": -1, "sha256": "0"},
+                           "dense": {"bytes": 1, "sha256": "0"}}, id="parts-bytes-negative"),
 ])
 def test_a_missing_or_mistyped_meta_key_is_corrupt_index(tmp_path, key, value):
-    # None deletes the key
-    save_hybrid(build_index(), tmp_path)
-    meta_path = tmp_path / "index" / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    if value is None:
-        del meta[key]
-    else:
-        meta[key] = value
-    meta_path.write_text(json.dumps(meta))
-    with pytest.raises(CorruptIndex, match="meta.json"):
+    index_dir = save_hybrid(build_index(), tmp_path)
+    edit_head(index_dir, lambda head: head.pop(key) if value is None else head.update({key: value}))
+    with pytest.raises(CorruptIndex, match="bad head in index.bin") as refused:
         load_hybrid(tmp_path)
+    assert refused.value.exit_code == 2
+
+
+@pytest.mark.parametrize("cut", [
+    pytest.param(lambda data: None, id="missing"),
+    pytest.param(lambda data: b"", id="empty"),
+    pytest.param(lambda data: data[:data.index(b"\n") // 2], id="cut-in-the-head"),
+    pytest.param(lambda data: data[:data.index(b"\n") + 1], id="head-only"),
+    pytest.param(lambda data: data[:-1], id="truncated"),
+    pytest.param(lambda data: data + b"\0", id="trailing-bytes"),
+])
+def test_an_index_file_missing_cut_or_extended_is_corrupt_index(tmp_path, cut):
+    index_file = save_hybrid(build_index(), tmp_path) / "index.bin"
+    data = cut(index_file.read_bytes())
+    if data is None:
+        index_file.unlink()
+    else:
+        index_file.write_bytes(data)
+    with pytest.raises(CorruptIndex, match="index.bin") as refused:
+        load_hybrid(tmp_path)
+    assert refused.value.exit_code == 2
+
+
+@pytest.mark.parametrize("name", ["lexical.bin", "dense.bin"])
+def test_a_missing_data_file_is_corrupt_index(tmp_path, name):
+    # the data files of format 5 are index.bin's parts: one left out of both
+    # the head and the bytes is refused, though what remains agrees
+    index_dir = save_hybrid(build_index(), tmp_path)
+    head, parts = read_index(index_dir)
+    del parts[name.removesuffix(".bin")]
+    write_index(index_dir, head, parts)
+    with pytest.raises(CorruptIndex, match="parts") as refused:
+        load_hybrid(tmp_path)
+    assert refused.value.exit_code == 2
 
 
 # ---------------------------------------------------------------------------
-# a lexical.bin whose checksum holds but whose content is malformed
+# a lexical part whose checksum holds but whose content is malformed
 # ---------------------------------------------------------------------------
 
 def split_lexical(data: bytes) -> tuple[dict, dict[str, bytes]]:
-    """A lexical.bin's JSON header and its sections, by name, in file order."""
+    """A lexical part's JSON header and its sections, by name, in file order."""
     start = len(LEXICAL_MAGIC) + 8
     end = start + int.from_bytes(data[len(LEXICAL_MAGIC):start], "little")
     header, sections = json.loads(data[start:end]), {}
@@ -616,48 +741,39 @@ LEXICAL_CASES = {
 @pytest.mark.parametrize("case", [pytest.param(case, id=name)
                                   for name, case in LEXICAL_CASES.items()])
 def test_a_malformed_format_2_lexical_file_is_corrupt_index(tmp_path, case):
-    # a lexical.bin of the current format whose checksum holds
+    # a lexical part of the current format whose checksum holds
     index_dir = save_hybrid(build_index(), tmp_path)
-    data = (index_dir / "lexical.bin").read_bytes()
+    data = read_index(index_dir)[1]["lexical"]
     header, sections = split_lexical(data)
     assert frame(header, sections) == data
     assert header["tf"] == "u1"
-    replace_data_file(index_dir, "lexical.bin", case(header, sections))
-    with pytest.raises(CorruptIndex, match="lexical.bin") as refused:
-        load_hybrid(tmp_path)
-    assert refused.value.exit_code == 2
-
-
-@pytest.mark.parametrize("name", ["lexical.bin", "dense.bin"])
-def test_a_missing_data_file_is_corrupt_index(tmp_path, name):
-    index_dir = save_hybrid(build_index(), tmp_path)
-    (index_dir / name).unlink()
-    with pytest.raises(CorruptIndex, match=f"missing index file {name}") as refused:
+    replace_part(index_dir, "lexical", case(header, sections))
+    with pytest.raises(CorruptIndex, match="bad lexical part") as refused:
         load_hybrid(tmp_path)
     assert refused.value.exit_code == 2
 
 
 def dense_rows(rows: np.ndarray, magic: bytes = DENSE_MAGIC) -> bytes:
-    """The (n, d) rows as dense.bin stores them: dimension-major after the magic."""
+    """The (n, d) rows as the dense part stores them: dimension-major after the magic."""
     return magic + rows.T.astype("<f4").tobytes()
 
 
 def with_meta_dim(delta: int):
-    """The file as saved, meta.json's ``dim`` off by ``delta``."""
-    def case(rows, meta):
-        meta["dim"] += delta
+    """The part as saved, the head's ``dim`` off by ``delta``."""
+    def case(rows, head):
+        head["dim"] += delta
         return dense_rows(rows)
     return case
 
 
-# each case takes the saved (n, dim) rows and meta.json, which it may edit
+# each case takes the saved (n, dim) rows and the head, which it may edit
 DENSE_CASES = {
-    "magic": lambda rows, meta: dense_rows(rows, magic=b"ESAPDNS9"),
-    "payload-short": lambda rows, meta: dense_rows(rows)[:-4],
-    "payload-long": lambda rows, meta: dense_rows(rows) + bytes(4),
-    "payload-of-another-dim": lambda rows, meta: dense_rows(rows[:, :-1]),
-    "rows-of-more-chunks": lambda rows, meta: dense_rows(np.vstack([rows, rows[:1]])),
-    "rows-of-fewer-chunks": lambda rows, meta: dense_rows(rows[:-1]),
+    "magic": lambda rows, head: dense_rows(rows, magic=b"ESAPDNS9"),
+    "payload-short": lambda rows, head: dense_rows(rows)[:-4],
+    "payload-long": lambda rows, head: dense_rows(rows) + bytes(4),
+    "payload-of-another-dim": lambda rows, head: dense_rows(rows[:, :-1]),
+    "rows-of-more-chunks": lambda rows, head: dense_rows(np.vstack([rows, rows[:1]])),
+    "rows-of-fewer-chunks": lambda rows, head: dense_rows(rows[:-1]),
     "meta-dim-one-more": with_meta_dim(1),
     "meta-dim-one-less": with_meta_dim(-1),
 }
@@ -667,25 +783,26 @@ DENSE_CASES = {
 def test_a_malformed_dense_file_is_corrupt_index(tmp_path, case):
     index = build_index()
     index_dir = save_hybrid(index, tmp_path)
-    # dense.bin is the magic and the vectors, dimension-major, nothing else:
-    # its shape is meta.json's dim and the chunk table's count
+    # the dense part is the magic and the vectors, dimension-major, nothing
+    # else: its shape is the head's dim and the chunk table's count
     rows = index.dense.vectors
-    assert (index_dir / "dense.bin").read_bytes() == dense_rows(rows)
-    meta_path = index_dir / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    assert rows.shape == (index.n_chunks, meta["dim"])
-    data = case(rows, meta)
-    meta_path.write_text(json.dumps(meta))
-    replace_data_file(index_dir, "dense.bin", data)
-    with pytest.raises(CorruptIndex, match="dense.bin") as refused:
+    head, parts = read_index(index_dir)
+    assert parts["dense"] == dense_rows(rows)
+    assert rows.shape == (index.n_chunks, head["dim"])
+    write_index(index_dir, head, {**parts, "dense": case(rows, head)})
+    with pytest.raises(CorruptIndex, match="bad dense part") as refused:
         load_hybrid(tmp_path)
     assert refused.value.exit_code == 2
 
 
 def saved_digests(index, kb: Path) -> dict[str, str]:
+    """The sha256 of index.bin and of its parts, named by the files format 5
+    kept them in: the parts' bytes are those files' bytes."""
     out = save_hybrid(index, kb)
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("meta.json", "lexical.bin", "dense.bin")}
+    head, parts = read_index(out)
+    return {"index.bin": hashlib.sha256((out / "index.bin").read_bytes()).hexdigest(),
+            "lexical.bin": hashlib.sha256(parts["lexical"]).hexdigest(),
+            "dense.bin": hashlib.sha256(parts["dense"]).hexdigest()}
 
 
 @pytest.mark.parametrize("unicode", [False, True])
