@@ -94,9 +94,11 @@ DEFAULT_GUARDS = (
 
 
 def apply_guards(text: str, rules: tuple[GuardRule, ...] = DEFAULT_GUARDS) -> str:
-    """Redact every rule match; earlier rules win on overlapping spans."""
+    """Replace every non-empty rule match with the rule's marker, taken
+    literally; earlier rules win on overlapping spans."""
     for rule in rules:
-        text = re.sub(rule.pattern, f"[REDACTED:{rule.kind}]", text)
+        marker = f"[REDACTED:{rule.kind}]"
+        text = re.sub(rule.pattern, lambda match: marker if match.group() else "", text)
     return text
 
 
@@ -401,7 +403,9 @@ _CHUNK_SECTIONS = ("chunk_id", "chunk_id_offsets", "doc_id", "doc_id_offsets", "
 def _head(params: HybridParams, dim: int, parts: dict) -> dict:
     """index.bin's head: the settings, the vector width and each part's length and sha256."""
     return {"format_version": FORMAT_VERSION, "dim": dim, "k1": float(params.k1),
-            "b": float(params.b), "rrf_c": int(params.rrf_c), "ann": params.ann.to_json(),
+            "b": float(params.b), "rrf_c": int(params.rrf_c),
+            "ann": {key: value if key == "mode" else int(value)
+                    for key, value in params.ann.to_json().items()},
             "chunk": {"size": int(params.chunk_size), "overlap": int(params.chunk_overlap)},
             "parts": parts}
 

@@ -241,17 +241,16 @@ def score_query(index: LexicalIndex, query: str) -> dict[str, float]:
     return dict(zip([index.chunk_ids[p] for p in matched.tolist()], scores.tolist()))
 
 
-def search_lexical(index: LexicalIndex, query: str, k: int,
-                   allowed: np.ndarray | None = None) -> list[tuple[str, float]]:
+def search_lexical(index: LexicalIndex, query: str, k: int) -> list[tuple[str, float]]:
     """Top-k (chunk_id, score) by BM25, ties broken by chunk_id ascending.
 
-    Only chunks containing at least one query term are candidates, and with
-    ``allowed`` (a boolean mask over positions) only those it keeps; the cut
-    comes after. IDF and avgdl stay corpus-wide. An empty query returns an
-    empty list. May return fewer than k hits.
+    Only chunks containing at least one query term are candidates; every
+    chunk is searched (serving filters by principal through ``_candidates``
+    before its cut). IDF and avgdl are corpus-wide. An empty query returns
+    an empty list. May return fewer than k hits.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    positions, scores = top_k(*_candidates(index, query, allowed), k)
+    positions, scores = top_k(*_candidates(index, query), k)
     return list(zip([index.chunk_ids[p] for p in positions.tolist()],
                     scores.tolist()))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from esap import __version__, errors
-from esap.cli import _make_chat, build_parser, main
+from esap.cli import _COMMANDS, _make_chat, build_parser, main
 from esap.config import AppConfig, config_from_dict
 from esap.corpus import chunk_document
 from esap.hybrid import HybridParams, build_hybrid, save_hybrid
@@ -97,14 +97,14 @@ def test_a_lone_surrogate_in_a_corpus_line_is_data_error(tmp_path, capsys):
 
 def test_malformed_corpus_stores_nothing(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text('{"id": "a", "text": "ok"}\n{"id": 5, "text": "five"}\n',
-                      encoding="utf-8")
     kb_dir = tmp_path / "kb"
-    code, out, err = run_cli(capsys, "ingest", "--corpus", str(corpus),
-                             "--kb", str(kb_dir))
-    assert code == 2 and out == ""
-    assert "line 2" in json.loads(err)["message"]
-    assert not (kb_dir / "docs").exists()
+    for bad_line in ('{"id": 5, "text": "five"}', "{broken", '{"id": "bad id", "text": "two"}'):
+        corpus.write_text('{"id": "a", "text": "ok"}\n' + bad_line + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "ingest", "--corpus", str(corpus),
+                                 "--kb", str(kb_dir))
+        assert code == 2 and out == ""
+        assert "line 2" in json.loads(err)["message"]
+        assert not (kb_dir / "docs").exists()
     # the fixed file then writes version 1 of each document, not version 2
     corpus.write_text('{"id": "a", "text": "ok"}\n{"id": "b", "text": "five"}\n',
                       encoding="utf-8")
@@ -371,6 +371,14 @@ def test_help_epilog_lists_flags_per_command(capsys):
     for line in ("ingest          --corpus --kb --config --pretty --seed",
                  "index           --chunk-size --overlap --kb --config --pretty --seed"):
         assert line in out
+    # and each command prints its own usage, naming its flags
+    for command, (_, _, flags) in _COMMANDS.items():
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        usage = capsys.readouterr().out
+        assert usage.startswith(f"usage: esap {command} ")
+        assert all(flag in usage for flag in flags.split())
 
 
 _NO_COMMON = {"kb": None, "config": None, "pretty": False, "seed": None}
@@ -508,14 +516,30 @@ def test_a_query_with_no_tokens_finds_nothing_and_ask_has_no_context(kb, capsys)
     assert json.loads(err)["error"] == "NoContext"
 
 
+def test_a_guard_kind_with_a_backslash_is_printed_as_written(kb, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"guards": [{"kind": r"id\d", "pattern": "basket"}]}),
+                      encoding="utf-8")
+    code, out, err = run_cli(capsys, "query", "--q", "red apple", "--k", "1", "--kb", kb,
+                             "--config", str(config))
+    assert (code, err) == (0, "")
+    assert r"in the [REDACTED:id\d] next" in json.loads(out)["hits"][0]["text"]
+
+
 def test_ask_stub_answers_with_citation(kb, capsys):
-    code, out, _ = run_cli(capsys, "ask", "--q",
-                           "Where does the red apple sit?", "--kb", kb)
-    assert code == 0
-    answer = json.loads(out)["answer"]
-    assert answer["verdict"] == "sufficient"
-    assert answer["citations"][0]["doc_id"] == "fruit-apple"
-    assert "[1]" not in answer["answer"]
+    # the cold storage sentence ends its document, whose last chunk keeps
+    # the full stop after its last token
+    for question, sentence in [
+        ("Where does the red apple sit?", "The red apple sits in the basket next to the window."),
+        ("How long do apples keep in cold storage?",
+         "Apples keep well in cold storage for several weeks."),
+    ]:
+        code, out, _ = run_cli(capsys, "ask", "--q", question, "--kb", kb)
+        assert code == 0
+        answer = json.loads(out)["answer"]
+        assert (answer["answer"], answer["verdict"]) == (sentence, "sufficient")
+        assert [(c["snippet"], c["chunk_id"]) for c in answer["citations"]] == \
+            [(1, "fruit-apple#v1#00000")]
 
 
 def test_sql_requires_model_port(kb, capsys):
@@ -1031,7 +1055,8 @@ def test_an_unset_configured_base_url_is_port_error_naming_it(kb, tmp_path, caps
                              "--config", str(config))
     assert code == 3 and out == ""
     error = json.loads(err)
-    assert error["error"] == "TransportError" and "TEAM_URL" in error["message"]
+    assert error["error"] == "TransportError" and "set TEAM_URL" in error["message"]
+    assert "ESAP" not in error["message"]
 
 
 def test_a_configured_base_url_of_only_a_slash_is_port_error_naming_it(
@@ -1047,6 +1072,7 @@ def test_a_configured_base_url_of_only_a_slash_is_port_error_naming_it(
     assert code == 3 and out == ""
     error = json.loads(err)
     assert error["error"] == "TransportError" and "set TEAM_URL" in error["message"]
+    assert "ESAP" not in error["message"]
 
 
 @pytest.mark.parametrize("script, message", [
@@ -1209,7 +1235,7 @@ def test_json_mode_prints_one_document(kb, tmp_path, capsys, command):
     }[command]
     code, out, err = run_cli(capsys, command, *argv, "--kb", kb)
     assert code == 0 and err == ""
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["tool_version"] == __version__
     assert payload["config_echo"]["kb"] == kb
 

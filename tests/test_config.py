@@ -93,6 +93,13 @@ def test_full_echo_is_pinned():
             "kb": "/srv/kb"}
     cfg = config_from_dict(full)
     assert json.dumps(cfg.to_json()) == FULL_ECHO
+    # every value differs from its default, so a key the parser dropped shows
+    echo, default = cfg.to_json(), AppConfig().to_json()
+    for section, values in default.items():
+        if isinstance(values, dict):
+            assert all(echo[section][key] != value for key, value in values.items()), section
+        else:
+            assert echo[section] != values, section
     assert json.dumps(config_from_dict(cfg.to_json()).to_json()) == FULL_ECHO
 
 

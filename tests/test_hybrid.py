@@ -114,6 +114,14 @@ def test_custom_guard_rules():
     rules = (GuardRule(kind="ticket", pattern=r"TCK-\d+"),)
     assert apply_guards("see TCK-42 for details", rules) == \
         "see [REDACTED:ticket] for details"
+    # a marker is its kind as written, never a template that could fail or
+    # print the match, and an empty match redacts nothing
+    for kind, pattern, text, redacted in [
+        (r"id\d", r"ID-\d+", "badge ID-7 here", r"badge [REDACTED:id\d] here"),
+        (r"\g<0>", r"\d{3}-\d{2}-\d{4}", "SSN 482-17-6093", r"SSN [REDACTED:\g<0>]"),
+        ("z", "z*", "pizza buzz", "pi[REDACTED:z]a bu[REDACTED:z]"),
+    ]:
+        assert apply_guards(text, (GuardRule(kind, pattern),)) == redacted
 
 
 def test_text_outside_matches_untouched():

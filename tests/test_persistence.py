@@ -19,6 +19,7 @@ import pytest
 
 from esap import hybrid, lexical, tokenizer
 from esap.corpus import Chunk, Document, chunk_document
+from esap.dense import AnnParams
 from esap.errors import CorruptIndex, DataError, FormatVersionMismatch
 from esap.hybrid import (
     DENSE_MAGIC,
@@ -299,6 +300,7 @@ def test_meta_keys_are_fixed(tmp_path):
     assert [p.name for p in index_dir.iterdir()] == ["index.bin"]
     head, parts = read_index(index_dir)
     assert list(head) == ["format_version", "dim", "k1", "b", "rrf_c", "ann", "chunk", "parts"]
+    assert head["format_version"] == 6
     assert {"m", "ef_c", "ef_s"} <= set(head["ann"])
     assert set(head["chunk"]) == {"size", "overlap"}
     assert list(head["parts"]) == list(parts) == ["lexical", "dense"]
@@ -321,10 +323,13 @@ def test_a_save_writes_the_head_types_a_load_reads(tmp_path):
     # load reads what a save wrote rather than refuse it as mistyped
     index = replace(build_index(), params=HybridParams(k1=1, b=1, rrf_c=60.0,
                                                        chunk_size=np.int64(30),
-                                                       chunk_overlap=5.0))
+                                                       chunk_overlap=5.0,
+                                                       ann=AnnParams(m=16.0,
+                                                                     seed=np.int64(7))))
     save_hybrid(index, tmp_path)
     loaded = load_hybrid(tmp_path).params
-    assert loaded == HybridParams(k1=1.0, b=1.0, rrf_c=60, chunk_size=30, chunk_overlap=5)
+    assert loaded == HybridParams(k1=1.0, b=1.0, rrf_c=60, chunk_size=30, chunk_overlap=5,
+                                  ann=AnnParams(m=16, seed=7))
     assert [type(value) for value in (loaded.k1, loaded.rrf_c, loaded.chunk_size)] == \
         [float, int, int]
 
@@ -857,3 +862,40 @@ def test_a_multi_block_index_keeps_its_recorded_digests(tmp_path):
         "54cea9a13ff167f361af550c39bc67ac9a056146f6c42f63f31651f9ca978d52"
     assert digests["dense.bin"] == \
         "dae3158b7cddd0925fa2ee44b70e457d50a5f7037773c4b801fed7218261105e"
+
+
+# ingests the corpus argv[1] into the kb argv[2] and indexes it, through the CLI
+CLI_INGEST_AND_INDEX = """
+import sys
+from esap.cli import main
+sys.exit(main(["ingest", "--corpus", sys.argv[1], "--kb", sys.argv[2]])
+         or main(["index", "--kb", sys.argv[2]]))
+"""
+
+
+def test_an_index_has_the_same_bytes_under_any_hash_seed(tmp_path):
+    # the first document is outside ASCII and shares terms with the ASCII ones
+    # after it; basketball and basketbell share their first eight bytes. A term
+    # id taken in set or hash order would differ between the two seeds
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({"id": doc_id, "text": text}) + "\n" for doc_id, text in [
+        ("a-istanbul", "Straße café in İstanbul: the basketball court by the red market "
+                       "opens early."),
+        ("court", "The basketbell rings at the court, and a basketball team plays by the "
+                  "red market."),
+        ("notes", "Market notes: basketball, basketbell and cafe hours; the court opens "
+                  "early."),
+    ]), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(hybrid.__file__).parents[1])}
+    runs = [subprocess.Popen([sys.executable, "-c", CLI_INGEST_AND_INDEX, str(corpus),
+                              str(tmp_path / f"kb-{seed}")], stdout=subprocess.DEVNULL,
+                             env={**env, "PYTHONHASHSEED": seed})
+            for seed in ("1", "2")]
+    try:
+        assert [proc.wait(timeout=120) for proc in runs] == [0, 0]
+    finally:
+        for proc in runs:
+            proc.kill()
+            proc.wait()
+    assert (tmp_path / "kb-1" / "index" / "index.bin").read_bytes() == \
+           (tmp_path / "kb-2" / "index" / "index.bin").read_bytes()
