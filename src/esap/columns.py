@@ -4,10 +4,12 @@ A string column is two sections: its strings joined into one UTF-8 block,
 and ``<i8`` char offsets into the decoded block (one more than there are
 strings, from 0 up to the block's length), so string i is
 ``block[offsets[i]:offsets[i + 1]]``. A number column is one section of a
-fixed dtype. Readers take ``memoryview``s of verified file bytes and never
-copy them into ``bytes``; a malformed column is a ``ValueError`` naming it,
-for the caller to name the file. ``are_strings`` and ``are_i8s`` say whether
-values can be written as a column and read back equal.
+fixed dtype. Readers take ``memoryview``s of verified file bytes; a
+malformed column is a ``ValueError`` naming it, for the caller to name the
+file. A string column may also be written from and read as its UTF-8 bytes
+with byte offsets (``utf8_sections``, ``read_utf8``), which makes no
+``str`` per string. ``are_strings`` and ``are_i8s`` say whether values can
+be written as a column and read back equal.
 """
 
 from __future__ import annotations
@@ -47,6 +49,29 @@ def string_sections(name: str, strings: list[str]) -> list[tuple[str, bytes | np
     return [(name, "".join(strings).encode("utf-8")), (f"{name}_offsets", offsets)]
 
 
+def utf8_sections(name: str, data: bytes,
+                  offsets: np.ndarray) -> list[tuple[str, bytes | np.ndarray]]:
+    """The two sections of a string column given as its strings' UTF-8
+    bytes end to end and their ``<i8`` byte offsets: the bytes as they are,
+    and the char offsets, which outside ASCII count the bytes before each
+    offset that start a char."""
+    if not data.isascii():
+        chars = np.zeros(len(data) + 1, dtype="<i8")
+        np.cumsum(_char_starts(data), out=chars[1:])
+        offsets = chars[offsets]
+    return [(name, data), (f"{name}_offsets", np.ascontiguousarray(offsets, dtype="<i8"))]
+
+
+def _char_starts(data: bytes) -> np.ndarray:
+    """Whether each byte of UTF-8 data starts a char (is no continuation byte)."""
+    return (np.frombuffer(data, np.uint8) & 0xC0) != 0x80
+
+
+def _require_offsets(offsets: np.ndarray, length: int, name: str) -> None:
+    require(offsets[0] == 0 and offsets[-1] == length and not (offsets[1:] < offsets[:-1]).any(),
+            f"the {name} offsets do not run up from 0 to the block's length")
+
+
 def read_array(view: memoryview, dtype: str, count: int, name: str) -> np.ndarray:
     """The ``count`` values of ``dtype`` that make up a section, as a
     read-only view of its bytes, which stay alive while the view does."""
@@ -62,8 +87,24 @@ def read_strings(sections: dict[str, memoryview], name: str, count: int) -> list
         block = str(sections[name], "utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"the {name} section is not UTF-8: {exc}") from exc
-    require(offsets[0] == 0 and offsets[-1] == len(block)
-            and not (offsets[1:] < offsets[:-1]).any(),
-            f"the {name} offsets do not run up from 0 to the block's length")
+    _require_offsets(offsets, len(block), name)
     bounds = offsets.tolist()
     return [block[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def read_utf8(sections: dict[str, memoryview], name: str,
+              count: int) -> tuple[bytes, np.ndarray]:
+    """The column ``string_sections`` or ``utf8_sections`` wrote as ``name``,
+    as its UTF-8 bytes, copied out of the section, and the ``<i8`` byte
+    offsets of its ``count`` strings. One decode checks the bytes are
+    UTF-8 and counts their chars; no ``str`` per string is made."""
+    offsets = read_array(sections[f"{name}_offsets"], "<i8", count + 1, f"{name}_offsets")
+    data = bytes(sections[name])
+    try:
+        chars = len(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"the {name} section is not UTF-8: {exc}") from exc
+    _require_offsets(offsets, chars, name)
+    if chars == len(data):                   # ASCII: a char is a byte
+        return data, offsets.copy()
+    return data, np.append(np.flatnonzero(_char_starts(data)), len(data))[offsets]

@@ -21,7 +21,8 @@ is decided per document row; fusion, hits and the guard cache use positions.
 This module writes and reads the head (k1 and b among it), the framing of
 both parts, the section table and the chunk table. The BM25 header keys and
 sections and every check on them belong to ``esap.lexical``
-(``to_columns``, ``from_columns``), which stores term frequencies, not
+(``to_columns``, ``from_columns``, the vocabulary's through
+``esap.tokenizer.Vocabulary``), which stores term frequencies, not
 weights. Neither a build nor a load computes a weight: a search computes
 its query rows' weights, with the same bits for either index, and keeps
 none. A load tokenizes nothing. The dense part states no shape of its own:

@@ -26,15 +26,20 @@ the textbook design (Zobel & Moffat 2006).
 Build. The index is built from term ids (``esap.tokenizer.term_ids``), not
 from token strings: one key per token, sorted, gives every posting and its
 term frequency. Term ids are numbered by first occurrence and a term's id is
-its row, so the ``term_ids`` vocabulary is ``postings`` itself; no score
-depends on that numbering.
+its row, so the ``term_ids`` vocabulary, a ``Vocabulary`` of the terms'
+bytes, is ``postings`` itself; no score depends on that numbering. A query
+finds the rows of all its tokens with one ``np.searchsorted`` over the
+vocabulary's sorted token keys.
 
 Storage. ``to_columns`` and ``from_columns`` write and read the BM25
 sections of the index's lexical part: the vocabulary in row order, the row
-bounds, the positions and the term frequencies. Neither weights nor norms
-are stored: a load sums the chunk lengths and avgdl from the term frequencies
-and derives the norms as a build does, so a loaded index scores bit for bit
-as the built one did, and a load tokenizes nothing.
+bounds, the positions and the term frequencies. The vocabulary's bytes are
+written as they are, and a load checks them as UTF-8 with one decode, keys
+them in one vectorized pass and sorts the keys once: neither makes a ``str``
+per term. Neither weights nor norms are stored: a load sums the chunk
+lengths and avgdl from the term frequencies and derives the norms as a build
+does, so a loaded index scores bit for bit as the built one did, and a load
+tokenizes nothing.
 
 Bit identity. Scores equal those of the plain per-posting loop, not just
 closely: weights stay float64, IDF is computed with ``math.log`` (once per
@@ -51,11 +56,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .columns import is_count, read_array, read_strings, string_sections
+from .columns import is_count, read_array, read_utf8, utf8_sections
 from .corpus import Chunk
 from .dense import top_k
 from .errors import EmptyCorpus, require
-from .tokenizer import TermIds, term_ids, token_texts
+from .tokenizer import TermIds, Vocabulary, term_ids, token_texts
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -70,7 +75,7 @@ _BLOCK = 1 << 16
 @dataclass
 class LexicalIndex:
     chunk_ids: list[str]          # position -> chunk_id, ascending
-    postings: dict[str, int]      # term -> its row, iterating in row order
+    postings: Vocabulary          # term -> its row, iterating in row order
     bounds: np.ndarray            # <i8: row r is [bounds[r]:bounds[r + 1]] of the arrays
     positions: np.ndarray         # int32 chunk positions, ascending per row
     tf: np.ndarray                # unsigned term frequency of each posting
@@ -179,12 +184,13 @@ def build_lexical(chunks: list[Chunk], k1: float = DEFAULT_K1, b: float = DEFAUL
 def to_columns(index: LexicalIndex) -> tuple[dict, list[tuple[str, bytes | np.ndarray]]]:
     """The BM25 part of a saved index: header keys for the term and posting
     counts and the tf type, and the ``SECTIONS``: the vocabulary in row
-    order (a string column), the row bounds (``<i8``), every position
-    (``<i4``) and every term frequency. The caller frames them and stores k1
-    and b."""
+    order (a string column, its bytes as they are), the row bounds
+    (``<i8``), every position (``<i4``) and every term frequency. The caller
+    frames them and stores k1 and b."""
     tf_type = f"u{index.tf.dtype.itemsize}"
-    return ({"terms": len(index.postings), "postings": len(index.positions), "tf": tf_type},
-            [*string_sections("vocab", list(index.postings)),
+    vocab = index.postings
+    return ({"terms": len(vocab), "postings": len(index.positions), "tf": tf_type},
+            [*utf8_sections("vocab", vocab.data, vocab.offsets),
              ("bounds", index.bounds),
              ("positions", np.ascontiguousarray(index.positions, dtype="<i4")),
              ("tf", np.ascontiguousarray(index.tf, dtype=f"<{tf_type}"))])
@@ -200,9 +206,7 @@ def from_columns(header: dict, sections: dict[str, memoryview], chunk_ids: list[
     v, m, tf_type = header.get("terms"), header.get("postings"), header.get("tf")
     require(is_count(v) and is_count(m), "the term or posting count is not a count")
     require(tf_type in _TF_TYPES, f"the tf type is not one of {', '.join(_TF_TYPES)}")
-    vocab = read_strings(sections, "vocab", v)
-    postings = dict(zip(vocab, range(v)))
-    require(len(postings) == v, "vocab repeats a term")
+    postings = Vocabulary.of_terms(*read_utf8(sections, "vocab", v))
     bounds = read_array(sections["bounds"], "<i8", v + 1, "bounds").copy()
     require(bounds[0] == 0 and bounds[-1] == m and not (bounds[1:] < bounds[:-1]).any(),
             "posting bounds do not run up from 0 to the posting count")
@@ -218,7 +222,7 @@ def _candidates(index: LexicalIndex, query: str,
                 allowed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(positions, scores) of the chunks matching a query term, by position;
     with ``allowed`` (a boolean mask over positions), of those it keeps."""
-    rows = [r for r in map(index.postings.get, token_texts(query)) if r is not None]
+    rows = index.postings.rows_of(token_texts(query)).tolist()
     if not rows:
         return np.empty(0, dtype=np.intp), np.empty(0)
     bounds = index.bounds

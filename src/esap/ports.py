@@ -32,7 +32,7 @@ from .errors import (
     SqlTimeout,
     TransportError,
 )
-from .tokenizer import overlap_counts, sentences, term_ids, token_texts
+from .tokenizer import Vocabulary, overlap_counts, sentences, term_ids, token_texts
 
 EMBED_DIM = 256
 
@@ -302,30 +302,33 @@ def _fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
 def _fnv1a64_array(terms) -> np.ndarray:
     """``_fnv1a64`` of each term's UTF-8 bytes, as a uint64 array in order.
 
-    The terms' bytes are joined into one buffer and hashed a byte column at
-    a time: with the terms taken longest first, the terms that have a byte
-    ``j`` are a prefix of that order, so column ``j`` updates a prefix of
-    the hashes. No terms x longest-term matrix is made. Once fewer than
+    ``terms`` is a list of ``str``, whose bytes are joined into one buffer,
+    or a ``Vocabulary``, whose bytes are that buffer already. The buffer is
+    hashed a byte column at a time: with the terms taken longest first, the
+    terms that have a byte ``j`` are a prefix of that order, so column ``j``
+    updates a prefix of the hashes. No terms x longest-term matrix is made. Once fewer than
     ``_ARRAY_COLUMN_MIN`` terms have a byte left, those few finish in the
     scalar loop, so a 10,000-byte token costs 10,000 loop steps, not
     10,000 array steps. uint64 arrays wrap on overflow, which is the
     ``& _MASK64`` of the scalar loop.
     """
-    terms = list(terms)
-    joined = "".join(terms)
-    if joined.isascii():                     # one encode; a char is a byte
-        pieces, buffer = terms, joined.encode("ascii")
+    if isinstance(terms, Vocabulary):
+        buffer, lengths = terms.data, np.diff(terms.offsets)
     else:
-        pieces = [term.encode("utf-8") for term in terms]
-        buffer = b"".join(pieces)
-    lengths = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))
+        joined = "".join(terms)
+        if joined.isascii():                 # one encode; a char is a byte
+            pieces, buffer = terms, joined.encode("ascii")
+        else:
+            pieces = [term.encode("utf-8") for term in terms]
+            buffer = b"".join(pieces)
+        lengths = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))
     data = np.frombuffer(buffer, dtype=np.uint8)
     order = np.argsort(-lengths, kind="stable")
     starts = (np.cumsum(lengths) - lengths)[order]
     # live[j]: how many terms have a byte j, a prefix of the longest-first order
-    live = len(terms) - np.cumsum(np.bincount(lengths))[:-1]
+    live = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]
     columns = int(np.count_nonzero(live >= _ARRAY_COLUMN_MIN))    # live never rises
-    hashes = np.full(len(terms), _FNV_OFFSET, dtype=np.uint64)
+    hashes = np.full(len(lengths), _FNV_OFFSET, dtype=np.uint64)
     prime = np.uint64(_FNV_PRIME)
     for j, count in enumerate(live[:columns].tolist()):
         head = hashes[:count]
@@ -380,7 +383,8 @@ class HashingEmbedder:
     sums are small integers, so the float32 rows equal those of adding +/-1
     token by token. ``embed_ids`` takes the output of
     ``esap.tokenizer.term_ids`` and hashes the whole vocabulary in one
-    array pass (``_term_slots``), so a build does no Python work per term;
+    array pass over its bytes (``_term_slots``), so a build does no Python
+    work per term and encodes none;
     ``embed(texts)`` tokenizes with ``term_ids`` and runs the same code,
     except that a single text (a query) skips the vocabulary and hashes its
     tokens as they come through the cached ``_token_slot``, which for a
@@ -401,7 +405,7 @@ class HashingEmbedder:
         sums = np.bincount(slots, weights=signs, minlength=dim)
         return sums.astype(np.float32)[None]
 
-    def embed_ids(self, vocab: dict[str, int], ids: np.ndarray,
+    def embed_ids(self, vocab: Vocabulary, ids: np.ndarray,
                   lengths: np.ndarray) -> np.ndarray:
         """Vectors of texts given as ``term_ids(texts)``, one row per text.
 

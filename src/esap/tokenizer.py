@@ -20,11 +20,19 @@ takes the texts in blocks of about 2**18 bytes, one line per text; a text
 outside ASCII is written as its tokens, which the table keeps whole, as it
 keeps every byte of a multibyte UTF-8 char. A block is folded once, every
 token is keyed by its bytes as one ``<u8`` (exactly, longer tokens too),
-and one sort groups the equal keys, so only a term the vocabulary has not
-seen becomes a ``str``. ``overlap_counts`` counts, for many texts at once,
-the distinct tokens each shares with a token set, keying the texts the
-same way in one block: the offline model bounds every snippet of a draft
-prompt with it instead of tokenizing each.
+and one sort groups the equal keys. A term the vocabulary has not seen is
+appended by one gather of its bytes from the folded block, so a build makes
+no Python object per token and no ``str`` per term. ``overlap_counts``
+counts, for many texts at once, the distinct tokens each shares with a
+token set, keying the texts the same way in one block: the offline model
+bounds every snippet of a draft prompt with it instead of tokenizing each.
+
+The vocabulary is a ``Vocabulary``: a read-only mapping from term to row
+held as a lexicon string with term pointers (Manning, Raghavan & Schütze
+2008, §5.2.1), the terms' UTF-8 bytes end to end in row order with their
+byte offsets, looked up by binary search in the sorted array of their token
+keys. A build and a load hold equal arrays, and a term is decoded into a
+``str`` only when the mapping is iterated.
 
 ``sentences`` is the one sentence split: the answer pipeline reads each
 cited claim from it and the offline model picks its answer sentence from it.
@@ -33,18 +41,22 @@ cited claim from it and the offline model picks its answer sentence from it.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
+from bisect import bisect_left
 from collections import defaultdict
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import require
 
 # \w minus underscore: letter/digit runs only
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # a run of ., ! or ? and the [n] markers right after it; a sentence ends
 # there only when whitespace or the end of the text follows
 _END_RE = re.compile(r"[.!?]+(?:\s*\[\d+\])*")
-# what term_ids returns: (vocab, ids, lengths)
-TermIds = tuple[dict[str, int], np.ndarray, np.ndarray]
 # ASCII bytes: A-Z lowered, a-z and 0-9 kept, every other ASCII byte a
 # space; the bytes of the multibyte UTF-8 chars a lowered token may hold kept
 _ASCII_FOLD = bytes(b + 32 if 65 <= b <= 90 else b if 48 <= b <= 57 or 97 <= b <= 122
@@ -55,12 +67,15 @@ _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 _PAST_KEYS = (1 << 64) - 1
 # bytes of text term_ids keys at once, like _BLOCK in esap.lexical
 _TERM_BLOCK = 1 << 18
+# what _fold puts after a block, so that eight bytes can be read from any
+# token's start; the byte table folds it to spaces
+_PAD = bytes(8)
 
 
 def _folded_edges(folded: bytes) -> np.ndarray:
     """Token starts and ends of text folded by the byte table, interleaved."""
     kept = np.zeros(len(folded) + 2, dtype=bool)        # a separator at each end
-    kept[1:-1] = np.frombuffer(folded, np.uint8) != 32
+    np.not_equal(np.frombuffer(folded, np.uint8), 32, out=kept[1:-1])
     return np.flatnonzero(kept[1:] != kept[:-1])
 
 
@@ -116,25 +131,41 @@ def _line(text: str) -> bytes:
 
 
 def _fold(lines: list[bytes]) -> bytes:
-    """Lines joined by ``\\n`` and folded once by the byte table."""
-    return b"\n".join(lines).translate(_ASCII_FOLD)
+    """Lines joined by ``\\n`` and folded once by the byte table, then eight
+    spaces (``_PAD``), which hold no token."""
+    return b"\n".join([*lines, _PAD]).translate(_ASCII_FOLD)
+
+
+def _short_keys(padded: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each token's first eight bytes of ``padded`` read as one ``<u8`` and
+    masked to its length; ``padded`` holds eight bytes from every start.
+
+    The words are read from an unaligned view of the bytes, not a copy. No
+    token byte is zero, so the key of a token of up to eight bytes names it
+    and its low byte is not zero.
+    """
+    words = np.ndarray((len(padded) - 7,), "<u8", padded, 0, (1,))
+    keys = words[starts]
+    keys &= np.take(_LOW_BYTES, lengths, mode="clip")       # over eight: every byte
+    return keys
 
 
 def _token_keys(block: bytes, long_key) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Token starts, lengths and one exact ``<u8`` key per token of a folded block.
+    """Token starts, lengths and one exact ``<u8`` key per token of a block
+    ``_fold`` gave.
 
-    A token of up to eight bytes is keyed by its bytes read as one ``<u8``
-    from an unaligned view of the block (padded with eight zero bytes) and
-    masked to its length; no token byte is zero, so the key names the
-    token and its low byte is not zero. A longer token takes
-    ``long_key(its bytes)``, a key with a zero low byte that the caller
-    hands out. Tokens over eight bytes are rare (about 3 in 10,000 of the
-    benchmark corpora's tokens), so each takes one lookup.
+    A token of up to eight bytes is keyed by its bytes (``_short_keys``). A
+    longer token takes ``long_key(its bytes)``, a key with a zero low byte
+    that the caller hands out. Tokens over eight bytes are rare (about 3 in
+    10,000 of the benchmark corpora's tokens), so each takes one lookup.
+    The starts and lengths share one array, int32 in a block under 2 GB.
     """
     edges = _folded_edges(block)
-    starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
-    words = np.ndarray((len(block),), "<u8", block + bytes(8), 0, (1,))
-    keys = words[starts] & _LOW_BYTES[np.minimum(lengths, 8)]
+    if len(block) < 1 << 31:                            # half the bytes held across a sort
+        edges = edges.astype(np.int32)
+    edges[1::2] -= edges[0::2]                          # each end less its start
+    starts, lengths = edges[0::2], edges[1::2]
+    keys = _short_keys(block, starts, lengths)
     long = np.flatnonzero(lengths > 8)
     keys[long] = np.array([long_key(block[a:a + b]) for a, b in
                            zip(starts[long].tolist(), lengths[long].tolist())], dtype=np.uint64)
@@ -155,14 +186,22 @@ def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the least index in its run of the sorted keys.
     """
     order = np.argsort(keys)
+    if len(keys) < 1 << 31:                      # int32 positions and ranks
+        order = order.astype(np.int32)
     ordered = keys[order]
     head = np.ones(len(keys), dtype=bool)        # the first of each run of equal keys
     head[1:] = ordered[1:] != ordered[:-1]
     heads = np.flatnonzero(head)
+    distinct = ordered[heads]
+    del ordered
     first = np.minimum.reduceat(order, heads) if len(heads) else heads
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(head) - 1
-    return ordered[heads], first, inverse
+    del heads
+    rank = np.cumsum(head, dtype=order.dtype)    # each item's distinct key, from 1
+    del head
+    rank -= 1
+    inverse = np.empty(len(keys), dtype=order.dtype)
+    inverse[order] = rank
+    return distinct, first, inverse
 
 
 def overlap_counts(texts: list[str], tokens) -> list[int]:
@@ -195,68 +234,191 @@ def overlap_counts(texts: list[str], tokens) -> list[int]:
 
 
 def _blocks(texts):
-    """The texts as lists of lines (``_line``) of at most about ``_TERM_BLOCK`` bytes.
+    """The texts as folded blocks of at most about ``_TERM_BLOCK`` bytes
+    of lines (``_line``, ``_fold``), each with the offsets where its lines end.
 
     A block ends between texts, so a line longer than ``_TERM_BLOCK`` is a
-    block of its own.
+    block of its own. A block's lines are let go once it is folded.
     """
-    block: list[bytes] = []
+    lines: list[bytes] = []
     size = 0
     for text in texts:
         line = _line(text)
-        if block and size + len(line) > _TERM_BLOCK:
-            yield block
-            block, size = [], 0
-        block.append(line)
+        if lines and size + len(line) > _TERM_BLOCK:
+            yield _folded(lines)
+            size = 0
+        lines.append(line)
         size += len(line) + 1
-    if block:
-        yield block
+    if lines:
+        yield _folded(lines)
+
+
+def _folded(lines: list[bytes]) -> tuple[bytes, np.ndarray]:
+    """``_fold(lines)`` and the offsets where the lines end; empties lines."""
+    ends = np.cumsum([len(line) + 1 for line in lines])
+    block = _fold(lines)
+    lines.clear()
+    return block, ends
+
+
+def _gather(block: bytes, starts: np.ndarray, lengths: np.ndarray) -> bytes:
+    """The spans of block at starts, of lengths, end to end, in one gather.
+
+    Each byte taken sits one past the one before it, except the first byte
+    of a span, so the indices are the running sum, taken in place, of those
+    steps: one index per byte taken, in the starts' own type.
+    """
+    ends = np.cumsum(lengths)
+    index = np.ones(ends[-1] if len(ends) else 0, dtype=starts.dtype)
+    index[ends[:-1]] = starts[1:] - starts[:-1] - lengths[:-1] + 1
+    index[:1] = starts[:1]
+    np.cumsum(index, dtype=index.dtype, out=index)
+    return np.frombuffer(block, np.uint8)[index].tobytes()
+
+
+@dataclass(frozen=True, eq=False)
+class Vocabulary(Mapping):
+    """term -> row over the terms' UTF-8 bytes; iterates in row order.
+
+    ``data`` holds the terms end to end in row order, and term r is
+    ``data[offsets[r]:offsets[r + 1]]``. ``sorted_keys`` holds each term's
+    token key (``_token_keys``) in ascending order, then one above them all,
+    and ``key_rows`` the row of each key, then -1. A term over eight bytes
+    is keyed by the next multiple of 256 in row order, as a build's
+    long-token table hands them out, so a built vocabulary and its loaded
+    copy hold equal arrays. Those few terms are also kept as bytes, sorted,
+    for ``_long_key``. A lookup encodes the term once and bisects the keys; a
+    term becomes a ``str`` only when the mapping is iterated.
+
+    An empty term, a NUL byte (a key would name two terms) or a repeated
+    term is a ``ValueError`` naming it.
+    """
+
+    data: bytes
+    offsets: np.ndarray           # <i8 byte offsets, one more than there are terms
+    sorted_keys: np.ndarray       # <u8 token keys, ascending, then _PAST_KEYS
+    key_rows: np.ndarray          # int32 row of each key, then -1
+    # the terms over eight bytes in ascending order, and the key of each
+    _long_terms: list[bytes] = field(init=False, repr=False)
+    _long_term_keys: list[int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        lengths = np.diff(self.offsets)
+        require(b"\0" not in self.data, "a vocab term holds a NUL byte")
+        require(lengths.min(initial=1) > 0, "vocab holds an empty term")
+        long = np.flatnonzero(lengths > 8)
+        terms = [self.data[a:b] for a, b in zip(self.offsets[long].tolist(),
+                                                self.offsets[long + 1].tolist())]
+        order = sorted(range(len(terms)), key=terms.__getitem__)
+        object.__setattr__(self, "_long_terms", [terms[i] for i in order])
+        object.__setattr__(self, "_long_term_keys", [(i + 1) << 8 for i in order])
+        require(not (self.sorted_keys[1:] == self.sorted_keys[:-1]).any()
+                and all(map(operator.ne, self._long_terms, self._long_terms[1:])),
+                "vocab repeats a term")
+        for array in (self.offsets, self.sorted_keys, self.key_rows):
+            array.flags.writeable = False
+
+    @classmethod
+    def of_terms(cls, data: bytes, offsets: np.ndarray) -> Vocabulary:
+        """The vocabulary of the terms ``data`` holds at ``offsets``, keyed
+        in one vectorized pass and sorted once."""
+        lengths = np.diff(offsets)
+        keys = _short_keys(data + _PAD, offsets[:-1], lengths)
+        long = np.flatnonzero(lengths > 8)
+        keys[long] = np.arange(1, len(long) + 1, dtype=np.uint64) << np.uint64(8)
+        order = np.argsort(keys)
+        return cls(data, offsets, np.append(keys[order], np.uint64(_PAST_KEYS)),
+                   np.append(order.astype(np.int32), np.int32(-1)))
+
+    def _long_key(self, term: bytes) -> int:
+        """The key of a term over eight bytes, or 0, which keys no term."""
+        terms = self._long_terms
+        at = bisect_left(terms, term)
+        return self._long_term_keys[at] if at < len(terms) and terms[at] == term else 0
+
+    def rows_of(self, tokens: list[str]) -> np.ndarray:
+        """The rows of the tokens that are terms, in token order, repeats
+        kept: one encode per token and one ``np.searchsorted``."""
+        keys = np.frombuffer(b"".join([
+            t.ljust(8, b"\0") if len(t) <= 8 else self._long_key(t).to_bytes(8, "little")
+            for t in map(str.encode, tokens)]), "<u8")
+        at = self.sorted_keys.searchsorted(keys)     # the method skips a dispatch
+        return self.key_rows[at[self.sorted_keys[at] == keys]]
+
+    def __getitem__(self, term: str) -> int:
+        data = term.encode("utf-8", "surrogatepass") if isinstance(term, str) else b""
+        key = int.from_bytes(data, "little") if len(data) <= 8 else self._long_key(data)
+        row = int(self.key_rows[np.searchsorted(self.sorted_keys, np.uint64(key))])
+        # the bytes decide: a NUL byte keys a string as if it were shorter
+        if row < 0 or self.data[self.offsets[row]:self.offsets[row + 1]] != data:
+            raise KeyError(term)
+        return row
+
+    def __iter__(self):
+        bounds = self.offsets.tolist()
+        return (self.data[a:b].decode() for a, b in zip(bounds, bounds[1:]))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+
+# what term_ids returns: (vocab, ids, lengths)
+TermIds = tuple[Vocabulary, np.ndarray, np.ndarray]
 
 
 def term_ids(texts) -> TermIds:
     """One tokenizing pass over texts: ``(vocab, ids, lengths)``.
 
-    ``vocab`` maps each term to its id, numbered in order of first
-    occurrence; ``ids`` (int32) holds the id of every token, text after
-    text; ``lengths`` (int64) holds each text's token count, so text i owns
-    the ``lengths[i]`` ids after the first ``lengths[:i].sum()``.
+    ``vocab`` is the ``Vocabulary`` of the terms, each term's id its row,
+    numbered in order of first occurrence; ``ids`` (int32) holds the id of
+    every token, text after text; ``lengths`` (int64) holds each text's
+    token count, so text i owns the ``lengths[i]`` ids after the first
+    ``lengths[:i].sum()``.
 
     The texts are taken in blocks of about ``_TERM_BLOCK`` bytes, each
     text one line (``_line``: a text outside ASCII is its ``token_texts``).
     A block is folded once by the byte table and keyed by ``_token_keys``,
     one ``<u8`` per token. One sort groups the equal keys (``_unique``),
     the block's distinct keys are looked up in a sorted array of the keys
-    of the terms seen so far, and only a term not seen before is made a
-    ``str``, numbered by its first occurrence. So a block makes no Python
-    object per token, and no more than a block is held as keys at once.
+    of the terms seen so far, and the terms not seen before, in order of
+    first occurrence, are appended to the vocabulary's bytes by one gather
+    from the block (``_gather``). So a block makes no Python object per
+    token or per term, no more than a block is held as keys at once, and
+    each temporary of a block goes after its last use.
     """
-    vocab: dict[str, int] = {}
     long_key = _long_keys().__getitem__
-    # the keys of the terms in vocab, sorted, then one above every key
+    # the keys of the terms seen, sorted, then one above every key
     seen = np.full(1, _PAST_KEYS, dtype=np.uint64)
     seen_ids = np.full(1, -1, dtype=np.int32)            # the id of each
+    data = bytearray()                                   # the terms' bytes, in id order
+    term_ends = [np.zeros(1, dtype=np.int64)]            # where each term's bytes end
     ids = np.empty(0, dtype=np.int32)
     lengths: list[int] = []
-    for lines in _blocks(texts):
-        block = _fold(lines)
+    for block, line_ends in _blocks(texts):
         starts, token_lengths, keys = _token_keys(block, long_key)
-        ends = np.searchsorted(starts, np.cumsum([len(line) + 1 for line in lines]))
-        lengths += np.diff(ends, prepend=0).tolist()
+        # cast, or searchsorted would cast a copy of the starts
+        ends_at = np.searchsorted(starts, line_ends.astype(starts.dtype))
+        lengths += np.diff(ends_at, prepend=0).tolist()
         distinct, first, inverse = _unique(keys)
+        del keys
         at = np.searchsorted(seen, distinct)
         distinct_ids = seen_ids[at]
         fresh = np.flatnonzero(seen[at] != distinct)     # in key order
         new = fresh[np.argsort(first[fresh])]            # in order of first occurrence
-        distinct_ids[new] = np.arange(len(vocab), len(vocab) + len(new), dtype=np.int32)
-        for a, b in zip(starts[first[new]].tolist(), token_lengths[first[new]].tolist()):
-            vocab[block[a:a + b].decode()] = len(vocab)
+        distinct_ids[new] = np.arange(len(seen) - 1, len(seen) - 1 + len(new), dtype=np.int32)
         # grown in place, as np.fromiter grows its buffer, so the ids are
         # never held twice; no array views them, so no check is needed
         n = len(ids)
-        ids.resize(n + len(keys), refcheck=False)
+        ids.resize(n + len(inverse), refcheck=False)
         ids[n:] = distinct_ids[inverse]
+        del inverse
+        new_starts, new_lengths = starts[first[new]], token_lengths[first[new]]
+        del starts, token_lengths
+        term_ends.append(np.cumsum(new_lengths) + len(data))
+        data += _gather(block, new_starts, new_lengths)
         seen = np.insert(seen, at[fresh], distinct[fresh])
         seen_ids = np.insert(seen_ids, at[fresh], distinct_ids[fresh])
+    vocab = Vocabulary(bytes(data), np.concatenate(term_ends), seen, seen_ids)
     return vocab, ids, np.array(lengths, dtype=np.int64)
 
 

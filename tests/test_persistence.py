@@ -176,6 +176,44 @@ def test_a_saved_index_loads_back_equal_to_the_built_one(tmp_path, seed, max_tf,
     assert_same_hits(loaded, index, k=8, queries=queries)
 
 
+# 8-byte words, longer ones that share their first 8 or 16 bytes, and the
+# Kelvin sign and "İ", whose lowering leaves or stays outside ASCII
+VOCAB_WORDS = ("basketba", "basketball", "basketbell", "abcdefghijklmnopqrst",
+               "abcdefghijklmnopqrsu", "abcdefghijklmnopqrstuvwxyz", "Kelvin\u212a", "İ",
+               "İstanbulİstanbul", "12345678")
+# tokens no corpus holds: long ones that share a prefix with a term, and others
+ABSENT_TOKENS = ("basketballs", "abcdefghijklmnopqrsz", "abcdefghijklmnopqrstuvwxyy", "İİ",
+                 "kelvin", "qqq")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_loaded_vocabulary_finds_the_rows_the_built_one_does(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    words = WORDS + VOCAB_WORDS
+    chunks = [Chunk(chunk_id=f"c{i:03d}", doc_id="d", version=1, token_span=(0, 0),
+                    text=" ".join(rng.choice(words, size=int(rng.integers(0, 12)))),
+                    size_tokens=0) for i in range(40)]
+    index = build_hybrid(chunks, HashingEmbedder(), {"d": ["*"]})
+    save_hybrid(index, tmp_path)
+    loaded = load_hybrid(tmp_path)
+    built, read = index.lexical.postings, loaded.lexical.postings
+    assert read == built and list(read.items()) == list(built.items())
+    assert read.data == built.data
+    for name in ("offsets", "sorted_keys", "key_rows"):
+        assert getattr(read, name).tobytes() == getattr(built, name).tobytes(), name
+    mask = np.arange(len(chunks)) % 3 != 0
+    # repeated, unknown, long and non-ASCII tokens, alone and mixed
+    queries = ["apple apple APPLE", "qqq zzz", "basketballs basketball basketball",
+               "abcdefghijklmnopqrsz abcdefghijklmnopqrst",
+               "İstanbul kelvin Kelvin\u212a straße", "日本語 日本語 İ", *(" ".join(rng.choice(words + ABSENT_TOKENS, size=5))
+                                     for _ in range(30))]
+    for query in queries:
+        for allowed in (None, mask):
+            want = lexical._candidates(index.lexical, query, allowed)
+            got = lexical._candidates(loaded.lexical, query, allowed)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], query
+
+
 @pytest.mark.parametrize("n", [1, 7, 60])
 def test_a_load_serves_the_vector_rows_in_place(tmp_path, n):
     # the rows are a read-only, aligned view of the verified dense part,
@@ -692,6 +730,12 @@ def not_utf8(data: bytes) -> bytes:
     return b"\xff" + data[1:]
 
 
+def repeat_a_long_term(vocab: list[str]) -> None:
+    """The first term over eight bytes written again over the term after it."""
+    at = next(i for i, term in enumerate(vocab) if len(term.encode("utf-8")) > 8)
+    vocab[at + 1] = vocab[at]
+
+
 LEXICAL_CASES = {
     "magic": lambda h, s: frame(h, s, magic=b"ESAPLEX9"),
     "gzip-json-body": lambda h, s: gzip.compress(json.dumps(h).encode("utf-8")),
@@ -714,6 +758,16 @@ LEXICAL_CASES = {
     "doc_acl-entry-string": edited(lambda h: h.update(doc_acl={"fruit-apple": "alice"})),
     "vocab-not-strings": with_section("vocab", not_utf8),
     "vocab-repeats": with_strings("vocab", lambda vocab: operator.setitem(vocab, 1, vocab[0])),
+    "vocab-repeats-a-long-term": with_strings("vocab", repeat_a_long_term),
+    "vocab-empty-term": with_strings("vocab", lambda vocab: operator.setitem(vocab, 1, "")),
+    "vocab-nul-byte": with_strings("vocab",
+                                   lambda vocab: operator.setitem(vocab, 1, vocab[0] + "\0")),
+    "vocab-offsets-fall": with_values("vocab_offsets", "<i8",
+                                      lambda v: operator.setitem(v, 2, v[1] - 1)),
+    "vocab-offsets-end-short": with_values("vocab_offsets", "<i8",
+                                           lambda v: operator.setitem(v, -1, v[-1] - 1)),
+    "vocab-offsets-end-past": with_values("vocab_offsets", "<i8",
+                                          lambda v: operator.setitem(v, -1, v[-1] + 1)),
     "bounds-from-1": with_values("bounds", "<i8", lambda v: operator.setitem(v, 0, 1)),
     "bounds-decrease": with_values("bounds", "<i8",
                                    lambda v: operator.setitem(v, 1, v[2] + 1)),
@@ -755,6 +809,30 @@ def test_a_malformed_format_2_lexical_file_is_corrupt_index(tmp_path, case):
     replace_part(index_dir, "lexical", case(header, sections))
     with pytest.raises(CorruptIndex, match="bad lexical part") as refused:
         load_hybrid(tmp_path)
+    assert refused.value.exit_code == 2
+
+
+# the problem a load names for each malformed vocab column
+VOCAB_PROBLEMS = {
+    "vocab-not-strings": "the vocab section is not UTF-8",
+    "vocab-repeats": "vocab repeats a term",
+    "vocab-repeats-a-long-term": "vocab repeats a term",
+    "vocab-empty-term": "vocab holds an empty term",
+    "vocab-nul-byte": "a vocab term holds a NUL byte",
+    "vocab-offsets-fall": "the vocab offsets do not run up from 0 to the block's length",
+    "vocab-offsets-end-short": "the vocab offsets do not run up from 0 to the block's length",
+    "vocab-offsets-end-past": "the vocab offsets do not run up from 0 to the block's length",
+}
+
+
+@pytest.mark.parametrize("name", VOCAB_PROBLEMS)
+def test_a_malformed_vocab_column_is_corrupt_index_naming_the_problem(tmp_path, name):
+    index_dir = save_hybrid(build_index(), tmp_path)
+    header, sections = split_lexical(read_index(index_dir)[1]["lexical"])
+    replace_part(index_dir, "lexical", LEXICAL_CASES[name](header, sections))
+    with pytest.raises(CorruptIndex) as refused:
+        load_hybrid(tmp_path)
+    assert str(refused.value).startswith(f"bad lexical part: {VOCAB_PROBLEMS[name]}")
     assert refused.value.exit_code == 2
 
 

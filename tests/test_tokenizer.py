@@ -11,8 +11,8 @@ import pytest
 
 from esap import corpus, tokenizer
 from esap.corpus import Document, chunk_document
-from esap.tokenizer import (overlap_counts, sentences, term_ids, token_edges, token_spans,
-                            token_texts)
+from esap.tokenizer import (Vocabulary, overlap_counts, sentences, term_ids, token_edges,
+                            token_spans, token_texts)
 
 
 def test_basic_tokens_and_spans():
@@ -159,7 +159,7 @@ def term_ids_reference(texts) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
 def assert_term_ids_equal_the_reference(texts):
     vocab, ids, lengths = term_ids(text for text in texts)     # a generator too
     want_vocab, want_ids, want_lengths = term_ids_reference(texts)
-    assert type(vocab) is dict and list(vocab.items()) == list(want_vocab.items()), texts
+    assert type(vocab) is Vocabulary and list(vocab.items()) == list(want_vocab.items()), texts
     assert ids.dtype == np.int32 and lengths.dtype == np.int64
     assert ids.tolist() == want_ids.tolist(), texts
     assert lengths.tolist() == want_lengths.tolist(), texts
@@ -211,6 +211,45 @@ def test_term_ids_on_chosen_texts(monkeypatch, texts):
     vocab, _, _ = term_ids(texts)
     with pytest.raises(KeyError):
         vocab["pear"]                     # a lookup never adds a term
+
+
+# never a term of a _TERM_WORDS corpus: long words that share their first
+# 8 or 16 bytes with a long term, one longer than 16 bytes, an upper-case
+# word, strings that are no token, a lone surrogate and the Kelvin sign
+# (its token lowers to an ASCII k)
+_ABSENT_TERMS = ["basketbalz", "basketballs", "abcdefghijklmnopqrsz", "abcdefghijklmnopqrstu",
+                 "abcdefghijklmnopqrstuvwxyz", "APPLE", "red apple", "a\0", "\0", "", "\udfff",
+                 "kelvin\u212a", "pear"]
+
+
+def test_vocabulary_lookups_equal_a_dicts(monkeypatch):
+    pieces = _TERM_WORDS + _TERM_SEPARATORS
+    for block in (1, 5, 8, 16, 64, 1 << 18):
+        monkeypatch.setattr(tokenizer, "_TERM_BLOCK", block)
+        rng = random.Random(block + 1)
+        for _ in range(100):
+            texts = ["".join(rng.choices(pieces, k=rng.randrange(0, 12)))
+                     for _ in range(rng.randrange(0, 9))]
+            vocab = term_ids(texts)[0]
+            want = term_ids_reference(texts)[0]
+            assert list(vocab.items()) == list(want.items()) and len(vocab) == len(want)
+            probes = [*want, *map(str.upper, want), *_ABSENT_TERMS, 5, None]
+            for term in probes:
+                assert (term in vocab) == (term in want), (texts, term)
+                assert vocab.get(term) == want.get(term), (texts, term)
+                if term not in want:
+                    with pytest.raises(KeyError):
+                        vocab[term]
+            # a load keys the stored bytes into the arrays a build holds
+            loaded = Vocabulary.of_terms(vocab.data, vocab.offsets)
+            assert loaded.data == vocab.data
+            for name in ("offsets", "sorted_keys", "key_rows"):
+                want_array, got = getattr(vocab, name), getattr(loaded, name)
+                assert got.dtype == want_array.dtype and np.array_equal(got, want_array), name
+            # rows_of takes tokens: in token order, repeats kept, the rest dropped
+            tokens = rng.choices([t for t in probes if isinstance(t, str)
+                                  and token_texts(t) == [t]], k=12)
+            assert vocab.rows_of(tokens).tolist() == [want[t] for t in tokens if t in want]
 
 
 def test_the_byte_table_keeps_every_lowered_token_char():
