@@ -299,11 +299,11 @@ def _fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
     return h
 
 
-def _fnv1a64_array(terms) -> np.ndarray:
-    """``_fnv1a64`` of each term's UTF-8 bytes, as a uint64 array in order.
+def _fnv1a64_array(buffer: bytes, lengths: np.ndarray) -> np.ndarray:
+    """``_fnv1a64`` of each term, as a uint64 array in order.
 
-    ``terms`` is a list of ``str``, whose bytes are joined into one buffer,
-    or a ``Vocabulary``, whose bytes are that buffer already. The buffer is
+    The terms are ``buffer`` cut into pieces of ``lengths`` bytes, in order
+    (a ``Vocabulary``'s ``data`` and ``np.diff(offsets)``). The buffer is
     hashed a byte column at a time: with the terms taken longest first, the
     terms that have a byte ``j`` are a prefix of that order, so column ``j``
     updates a prefix of the hashes. No terms x longest-term matrix is made. Once fewer than
@@ -312,16 +312,6 @@ def _fnv1a64_array(terms) -> np.ndarray:
     10,000 array steps. uint64 arrays wrap on overflow, which is the
     ``& _MASK64`` of the scalar loop.
     """
-    if isinstance(terms, Vocabulary):
-        buffer, lengths = terms.data, np.diff(terms.offsets)
-    else:
-        joined = "".join(terms)
-        if joined.isascii():                 # one encode; a char is a byte
-            pieces, buffer = terms, joined.encode("ascii")
-        else:
-            pieces = [term.encode("utf-8") for term in terms]
-            buffer = b"".join(pieces)
-        lengths = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))
     data = np.frombuffer(buffer, dtype=np.uint8)
     order = np.argsort(-lengths, kind="stable")
     starts = (np.cumsum(lengths) - lengths)[order]
@@ -343,9 +333,11 @@ def _fnv1a64_array(terms) -> np.ndarray:
     return out
 
 
-def _term_slots(terms, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_token_slot`` of each term as arrays: int slots and float64 signs."""
-    hashes = _fnv1a64_array(terms)
+def _term_slots(buffer: bytes, lengths: np.ndarray,
+                dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_token_slot`` of each term of ``_fnv1a64_array`` as arrays: int
+    slots and float64 signs."""
+    hashes = _fnv1a64_array(buffer, lengths)
     slots = (hashes % np.uint64(dim)).astype(np.intp)
     signs = np.where(hashes >> np.uint64(63), -1.0, 1.0)
     return slots, signs
@@ -413,7 +405,7 @@ class HashingEmbedder:
         float64 sums of a large batch are never held at once.
         """
         dim = self.dim
-        slots, signs = _term_slots(vocab, dim)
+        slots, signs = _term_slots(vocab.data, np.diff(vocab.offsets), dim)
         n = len(lengths)
         out = np.empty((n, dim), dtype=np.float32)
         bounds = [0, *np.cumsum(lengths).tolist()]

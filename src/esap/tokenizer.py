@@ -41,9 +41,7 @@ cited claim from it and the offline model picks its answer sentence from it.
 from __future__ import annotations
 
 import itertools
-import operator
 import re
-from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -286,9 +284,10 @@ class Vocabulary(Mapping):
     and ``key_rows`` the row of each key, then -1. A term over eight bytes
     is keyed by the next multiple of 256 in row order, as a build's
     long-token table hands them out, so a built vocabulary and its loaded
-    copy hold equal arrays. Those few terms are also kept as bytes, sorted,
-    for ``_long_key``. A lookup encodes the term once and bisects the keys; a
-    term becomes a ``str`` only when the mapping is iterated.
+    copy hold equal arrays. Those few terms are also kept in a bytes -> key
+    dict, where a term that is not there gets 0, which keys no term. A
+    lookup encodes the term once and bisects the keys; a term becomes a
+    ``str`` only when the mapping is iterated.
 
     An empty term, a NUL byte (a key would name two terms) or a repeated
     term is a ``ValueError`` naming it.
@@ -298,9 +297,8 @@ class Vocabulary(Mapping):
     offsets: np.ndarray           # <i8 byte offsets, one more than there are terms
     sorted_keys: np.ndarray       # <u8 token keys, ascending, then _PAST_KEYS
     key_rows: np.ndarray          # int32 row of each key, then -1
-    # the terms over eight bytes in ascending order, and the key of each
-    _long_terms: list[bytes] = field(init=False, repr=False)
-    _long_term_keys: list[int] = field(init=False, repr=False)
+    # the key of each term over eight bytes; 0 keys no term
+    _long: dict[bytes, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         lengths = np.diff(self.offsets)
@@ -309,12 +307,9 @@ class Vocabulary(Mapping):
         long = np.flatnonzero(lengths > 8)
         terms = [self.data[a:b] for a, b in zip(self.offsets[long].tolist(),
                                                 self.offsets[long + 1].tolist())]
-        order = sorted(range(len(terms)), key=terms.__getitem__)
-        object.__setattr__(self, "_long_terms", [terms[i] for i in order])
-        object.__setattr__(self, "_long_term_keys", [(i + 1) << 8 for i in order])
+        object.__setattr__(self, "_long", {t: (i + 1) << 8 for i, t in enumerate(terms)})
         require(not (self.sorted_keys[1:] == self.sorted_keys[:-1]).any()
-                and all(map(operator.ne, self._long_terms, self._long_terms[1:])),
-                "vocab repeats a term")
+                and len(self._long) == len(terms), "vocab repeats a term")
         for array in (self.offsets, self.sorted_keys, self.key_rows):
             array.flags.writeable = False
 
@@ -330,24 +325,18 @@ class Vocabulary(Mapping):
         return cls(data, offsets, np.append(keys[order], np.uint64(_PAST_KEYS)),
                    np.append(order.astype(np.int32), np.int32(-1)))
 
-    def _long_key(self, term: bytes) -> int:
-        """The key of a term over eight bytes, or 0, which keys no term."""
-        terms = self._long_terms
-        at = bisect_left(terms, term)
-        return self._long_term_keys[at] if at < len(terms) and terms[at] == term else 0
-
     def rows_of(self, tokens: list[str]) -> np.ndarray:
         """The rows of the tokens that are terms, in token order, repeats
         kept: one encode per token and one ``np.searchsorted``."""
         keys = np.frombuffer(b"".join([
-            t.ljust(8, b"\0") if len(t) <= 8 else self._long_key(t).to_bytes(8, "little")
+            t.ljust(8, b"\0") if len(t) <= 8 else self._long.get(t, 0).to_bytes(8, "little")
             for t in map(str.encode, tokens)]), "<u8")
         at = self.sorted_keys.searchsorted(keys)     # the method skips a dispatch
         return self.key_rows[at[self.sorted_keys[at] == keys]]
 
     def __getitem__(self, term: str) -> int:
         data = term.encode("utf-8", "surrogatepass") if isinstance(term, str) else b""
-        key = int.from_bytes(data, "little") if len(data) <= 8 else self._long_key(data)
+        key = int.from_bytes(data, "little") if len(data) <= 8 else self._long.get(data, 0)
         row = int(self.key_rows[np.searchsorted(self.sorted_keys, np.uint64(key))])
         # the bytes decide: a NUL byte keys a string as if it were shorter
         if row < 0 or self.data[self.offsets[row]:self.offsets[row + 1]] != data:

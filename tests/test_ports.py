@@ -416,10 +416,13 @@ def test_array_hash_equals_the_scalar_hash(dim, monkeypatch):
     for column_min in (1, ports._ARRAY_COLUMN_MIN, 1 << 30):
         monkeypatch.setattr(ports, "_ARRAY_COLUMN_MIN", column_min)
         for terms in vocabularies:
-            hashes = _fnv1a64_array(terms)
+            pieces = [t.encode("utf-8") for t in terms]
+            buffer = b"".join(pieces)
+            lengths = np.array([len(p) for p in pieces], dtype=np.intp)
+            hashes = _fnv1a64_array(buffer, lengths)
             assert hashes.dtype == np.uint64 and hashes.shape == (len(terms),)
-            assert hashes.tolist() == [_fnv1a64(t.encode("utf-8")) for t in terms]
-            slots, signs = _term_slots(terms, dim)
+            assert hashes.tolist() == [_fnv1a64(p) for p in pieces]
+            slots, signs = _term_slots(buffer, lengths, dim)
             assert list(zip(slots.tolist(), signs.tolist())) == \
                    [_token_slot(t, dim) for t in terms]
 
